@@ -509,6 +509,23 @@ class TestSim2dRun:
         assert code == 2
         assert err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("T", ["0.01", "0.05"])
+    def test_nan_medium_exits_two_without_nan_rows(self, tmp_path, T):
+        # g = sqrt(sin(pi*y)) + 1 is NaN on half of every y-period; the run
+        # must stop on g at the first step, not write NaN heights (short
+        # horizon) or blame the pressure solve (longer horizon)
+        front = tmp_path / "front.csv"
+        with np.errstate(invalid="ignore"):
+            code, _, err = run_cli(
+                ["sim2d", "run", "--medium", "sqrt(sin(pi*y)) + 1", "--dim", "2",
+                 "--Lx", "4", "--Ly", "1", "--nx", "16", "--ny", "8",
+                 "--eps", "0.5", "--psi0", "1", "--T", T, "--h0", "1",
+                 "--out", str(front), "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert err.startswith("numerical failure: medium g is not finite")
+        assert "t=0" in err
+        assert not front.exists() or "nan" not in front.read_text().lower()
+
 
 class TestSim2dConverge:
     BASE = ["sim2d", "converge", "--medium", "1", "--dim", "2",

@@ -7,13 +7,19 @@ Oracles used here:
 - Reflection symmetry: a y-even initial front in a y-independent medium stays
   y-even for all time (the discretization commutes with the reflection).
 - Hausdorff distances on hand-built point sets.
+- The pressure solver (matrix-free stencil, GMRES with a fast-Poisson
+  preconditioner) against the assembled sparse matrix and SuperLU direct
+  solve kept below as `reference_pressure`.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
+from hele_homog import hs2d
 from hele_homog.errors import NumericalError, ValidationError
 from hele_homog.geometry import PlanarWave
 from hele_homog.homog1d import Side
@@ -24,6 +30,8 @@ from hele_homog.hs2d import (
     convergence_study,
     flatness2d,
     hausdorff,
+    _front_derivatives,
+    _solve_pressure,
     simulate,
     step,
 )
@@ -411,3 +419,183 @@ class TestFlatness2d:
     def test_wave_must_point_along_depth_axis(self):
         with pytest.raises(ValidationError, match="depth axis"):
             flatness2d(self.history(), PlanarWave(q=[0.0, -1.0], r=1.0))
+
+
+# ---------------------------------------------------------------------------
+# Pressure solver against the sparse direct reference
+# ---------------------------------------------------------------------------
+
+
+def reference_pressure(domain, h, psi0):
+    """The 9-point system assembled as a COO matrix and solved by SuperLU.
+
+    Same discretization as hs2d._solve_pressure; returns (u grid, |Du| at the
+    front).
+    """
+    nx, ny, dy = domain.nx, domain.ny, domain.dy
+    dxt = 1.0 / nx
+    hp, hpp = _front_derivatives(h, dy)
+
+    ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
+    ii = ii.ravel()
+    jj = jj.ravel()
+    xt = ii * dxt
+    H, Hp, Hpp = h[jj], hp[jj], hpp[jj]
+    a = 1.0 + xt ** 2 * Hp ** 2
+    b = H ** 2
+    c = xt * H * Hp
+    d = xt * (2.0 * Hp ** 2 - H * Hpp)
+
+    center = -2.0 * a / dxt ** 2 - 2.0 * b / dy ** 2
+    east = a / dxt ** 2 + d / (2.0 * dxt)
+    west = a / dxt ** 2 - d / (2.0 * dxt)
+    north = south = b / dy ** 2
+    cross = c / (2.0 * dxt * dy)
+    stencil = [
+        (0, 0, center),
+        (1, 0, east), (-1, 0, west),
+        (0, 1, north), (0, -1, south),
+        (1, 1, -cross), (1, -1, cross), (-1, 1, cross), (-1, -1, -cross),
+    ]
+
+    n_unknown = (nx - 1) * ny
+    rows_idx = (ii - 1) * ny + jj
+    rhs = np.zeros(n_unknown)
+    rows, cols, vals = [], [], []
+    for di, dj, coef in stencil:
+        ni = ii + di
+        nj = (jj + dj) % ny
+        interior = (ni >= 1) & (ni <= nx - 1)
+        inlet = ni == 0
+        rows.append(rows_idx[interior])
+        cols.append(((ni - 1) * ny + nj)[interior])
+        vals.append(np.broadcast_to(coef, ii.shape)[interior])
+        if np.any(inlet):
+            np.add.at(rhs, rows_idx[inlet],
+                      -np.broadcast_to(coef, ii.shape)[inlet] * psi0)
+        # neighbors at ni == nx sit on the front where u = 0: dropped
+
+    mat = csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_unknown, n_unknown),
+    )
+    u = np.zeros((nx + 1, ny))
+    u[0, :] = psi0
+    u[1:nx, :] = spsolve(mat, rhs).reshape(nx - 1, ny)
+    uxt = (u[nx - 2, :] - 4.0 * u[nx - 1, :]) / (2.0 * dxt)
+    return u, np.abs(uxt) * np.sqrt(1.0 + hp ** 2) / h
+
+
+SOLVER_GRIDS = [
+    StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=64),
+    StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=8),
+    StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=20),
+    StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=9),  # odd ny: odd-length irfft
+]
+
+
+def sine_front(domain, slope):
+    """Front at 0.45 Lx with one sine period whose discrete max slope is `slope`."""
+    shape = np.sin(2 * np.pi * domain.y_nodes / domain.Ly)
+    unit = np.abs(_front_derivatives(shape, domain.dy)[0]).max()
+    return 0.45 * domain.Lx + (slope / unit) * shape
+
+
+def ulp_noise_front(domain):
+    h = np.full(domain.ny, 0.45 * domain.Lx)
+    steps = np.random.default_rng(domain.ny).integers(-2, 3, domain.ny)
+    return h + steps * np.spacing(h)
+
+
+FRONTS = {
+    "flat": lambda dom: sine_front(dom, 0.0),
+    "flat_ulp_noise": ulp_noise_front,
+    "curved_0.25": lambda dom: sine_front(dom, 0.25),
+    "steep_4.4": lambda dom: sine_front(dom, 4.4),
+}
+
+
+class TestPressureSolver:
+    @pytest.mark.parametrize("front", FRONTS)
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS,
+                             ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_matches_sparse_direct_reference(self, dom, front):
+        h = FRONTS[front](dom)
+        u_ref, grad_ref = reference_pressure(dom, h, 0.7)
+        u, grad, iterations, residual = _solve_pressure(dom, h, 0.7, 0.0)
+        assert np.abs(u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+        assert np.abs(grad - grad_ref).max() <= 1e-9 * np.abs(grad_ref).max()
+        assert residual <= 1e-10
+        assert iterations >= 1
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS,
+                             ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_flat_front_takes_one_iteration(self, dom):
+        # the preconditioner is the flat-front operator itself
+        _, _, iterations, _ = _solve_pressure(dom, sine_front(dom, 0.0), 1.0, 0.0)
+        assert iterations == 1
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS,
+                             ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_gently_curved_front_takes_few_iterations(self, dom):
+        # 11 on every grid; a preconditioner with the wrong mean(h^2) takes 16-20
+        _, _, iterations, _ = _solve_pressure(dom, sine_front(dom, 0.25), 1.0, 0.0)
+        assert iterations <= 13
+
+    def test_history_records_iterations_and_residuals(self):
+        flat = simulate(basic_config(T=0.5, save_every=2))
+        assert flat.iterations.shape == flat.u_min.shape
+        assert flat.residual.shape == flat.u_min.shape
+        assert np.all(flat.iterations == 1)
+        assert np.all(flat.residual <= 1e-10)
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16)
+        bumpy = simulate(SimConfig(domain=dom, medium=constant_medium(), eps=0.5,
+                                   psi0=1.0, T=0.2, h0=sine_front(dom, 0.5)))
+        assert np.all(bumpy.iterations > 1)
+        assert np.all(bumpy.residual <= 1e-10)
+
+    def test_gmres_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(hs2d, "_GMRES_RESTART", 2)
+        monkeypatch.setattr(hs2d, "_GMRES_CYCLES", 1)
+        cfg = basic_config()
+        front = FrontGraph(heights=sine_front(cfg.domain, 0.5), t=0.25)
+        with pytest.raises(NumericalError,
+                           match=r"did not converge at t=0\.25: 2 GMRES "
+                                 r"iterations, relative residual"):
+            step(front, cfg)
+
+    def test_large_recomputed_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(hs2d, "_RESIDUAL_TOL", 1e-300)
+        cfg = basic_config()
+        front = FrontGraph(heights=sine_front(cfg.domain, 0.5), t=0.25)
+        with pytest.raises(NumericalError,
+                           match=r"large residual at t=0\.25: \d+ GMRES "
+                                 r"iterations, relative residual"):
+            step(front, cfg)
+
+    def test_non_finite_solution_raises(self):
+        dom = SOLVER_GRIDS[3]
+        h = sine_front(dom, 0.25)
+        h[4] = np.inf
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="non-finite values at t=0.5"):
+                _solve_pressure(dom, h, 1.0, 0.5)
+
+
+class TestNonFiniteInputs:
+    def test_non_finite_heights_raise_with_time(self):
+        cfg = basic_config()
+        heights = np.full(8, 1.0)
+        heights[3] = np.nan
+        with pytest.raises(NumericalError, match="heights are not finite at t=0.3"):
+            step(FrontGraph(heights=heights, t=0.3), cfg)
+
+    def test_nan_medium_stops_the_first_step(self):
+        # sqrt(sin(pi*y)) is NaN on half of every y-period; comparisons let
+        # NaN through, so the stepper has to test g itself
+        cfg = basic_config(medium=parse_medium("sqrt(sin(pi*y)) + 1", dim=2),
+                           T=0.05)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError,
+                               match="medium g is not finite at the front at t=0"):
+                simulate(cfg)
