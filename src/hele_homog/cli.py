@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,15 +102,6 @@ def load_medium(spec: str, dim=None) -> Medium:
     return parse_medium(spec, dim if dim is not None else 1)
 
 
-def _parallel(fn, items, jobs: int) -> list:
-    """Order-preserving map, optionally threaded; results sort by input order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _svg_curve(xs, ys, xlabel: str, ylabel: str) -> str:
     """Minimal standalone polyline plot."""
     W, H, m = 640.0, 480.0, 60.0
@@ -182,27 +172,15 @@ def _cmd_medium_check(args) -> int:
 
 def _cmd_rq_curve(args) -> int:
     g = load_medium(args.medium, args.dim)
-    if not 0 < args.qmin < args.qmax:
-        raise ValidationError(f"need 0 < qmin < qmax, got {args.qmin}, {args.qmax}")
-    if args.samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {args.samples}")
-    if not args.T >= 10:
-        raise ValidationError(f"T must be >= 10, got {args.T}")
-    qs = np.linspace(args.qmin, args.qmax, args.samples)
-    jobs = max(1, args.jobs)
-    chunks = np.array_split(qs, min(jobs, qs.size))
-    parts = _parallel(
-        lambda chunk: homog1d._curve_batch(g, chunk, args.T, args.dt, 0.0),
-        chunks, jobs)
-    r_hat = np.concatenate([p[0] for p in parts])
-    err = 1.0 / args.T
-    rows = [(q, r, err) for q, r in zip(qs, r_hat)]
+    curve = homog1d.velocity_curve(g, args.qmin, args.qmax, args.samples,
+                                   T=args.T, dt=args.dt)
+    rows = [(q, r, curve.error_bound) for q, r in zip(curve.q, curve.r_hat)]
     text = _csv(["q (gradient magnitude; dimensionless)",
                  "r_hat (front speed; length per unit time)",
                  "err (speed error bound 1/T; length per unit time)"], rows)
     _emit(text, args.out)
     if args.svg:
-        Path(args.svg).write_text(_svg_curve(qs, r_hat, "q", "r_hat"))
+        Path(args.svg).write_text(_svg_curve(curve.q, curve.r_hat, "q", "r_hat"))
     return 0
 
 
@@ -425,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--samples", type=int, required=True)
     rc.add_argument("--T", type=float, default=200.0)
     rc.add_argument("--dt", type=float, default=0.02)
-    rc.add_argument("--jobs", type=int, default=1)
+    rc.add_argument("--jobs", type=int, default=1,
+                    help="ignored; accepted so existing command lines still run")
     rc.add_argument("--out", default=None, help="CSV path (default stdout)")
     rc.add_argument("--svg", default=None, help="optional SVG plot path")
     rc.set_defaults(func=_cmd_rq_curve)

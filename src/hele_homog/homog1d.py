@@ -5,6 +5,11 @@ problem into a one-dimensional integration; long-time averages of x(T)/T
 estimate the homogenized velocity r(q). Obstacle-clipped fronts measure the
 flatness functionals whose decay thresholds define the candidate velocities
 r_lower and r_upper.
+
+Each numerical idea has one loop: `_rk4` integrates one front (a float q)
+or a whole q-grid (an array q) with the same arithmetic, `_clipped` runs the
+obstacle-clipped front with or without a stored trace, and `_bisect` halves
+the candidate brackets for both sides.
 """
 
 from __future__ import annotations
@@ -97,6 +102,38 @@ class VelocityCurve:
     error_bound: float
 
 
+def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None):
+    """RK4 for x' = q * g(x, t) over `steps` steps; q, x0 floats or arrays.
+
+    Returns the positions after steps//2 and after all steps, and stores
+    step k in positions[k] when given (a q-array never stores its path).
+    Raises NumericalError when a position is not finite or fails to increase.
+    """
+    h = T / steps
+    half = 0.5 * h
+    mid = steps // 2
+    x = x_half = x0
+    increasing = True
+    for k in range(steps):
+        t = k * h
+        k1 = q * g(x, t)
+        k2 = q * g(x + half * k1, t + half)
+        k3 = q * g(x + half * k2, t + half)
+        k4 = q * g(x + h * k3, t + h)
+        x_next = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        increasing &= x_next > x
+        x = x_next
+        if positions is not None:
+            positions[k + 1] = x
+        if k + 1 == mid:
+            x_half = x
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("medium evaluation produced a non-finite front position")
+    if not np.all(increasing):
+        raise NumericalError("front positions failed to increase; reduce dt")
+    return x_half, x
+
+
 def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
     """Classical fourth-order one-step integration of the front ODE."""
     if not T > 0:
@@ -104,28 +141,12 @@ def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
     if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
     steps = max(1, round(T / dt))
-    h = T / steps
-    fn = p.medium._fn
-    q, eps = p.q, p.eps
-    inv = 1.0 / eps
-
     positions = np.empty(steps + 1)
-    positions[0] = x = float(p.x0)
-    half = 0.5 * h
-    for k in range(steps):
-        t = k * h
-        k1 = q * fn({"x1": x * inv, "t": t * inv})
-        k2 = q * fn({"x1": (x + half * k1) * inv, "t": (t + half) * inv})
-        k3 = q * fn({"x1": (x + half * k2) * inv, "t": (t + half) * inv})
-        k4 = q * fn({"x1": (x + h * k3) * inv, "t": (t + h) * inv})
-        x += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        positions[k + 1] = x
-    if not np.all(np.isfinite(positions)):
-        raise NumericalError("medium evaluation produced a non-finite front position")
-    if not np.all(np.diff(positions) > 0):
-        raise NumericalError("front positions failed to increase; reduce dt")
+    positions[0] = x0 = float(p.x0)
+    fn, inv = p.medium._fn, 1.0 / p.eps
+    _rk4(lambda x, t: fn({"x1": x * inv, "t": t * inv}), p.q, x0, T, steps, positions)
     times = np.linspace(0.0, T, steps + 1)
-    return FrontTrace(times=times, positions=positions, dt=h)
+    return FrontTrace(times=times, positions=positions, dt=T / steps)
 
 
 def effective_velocity(medium: Medium, q: float, T: float = 100.0,
@@ -136,16 +157,24 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
     """
     if not T >= 10:
         raise ValidationError(f"T must be >= 10 for a stable average, got {T}")
+    if not dt > 0:
+        raise ValidationError(f"dt must be > 0, got {dt}")
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
+    r_hat, refined = map(float, _averages(medium, p.q, float(x0), T, dt))
+    return VelocityEstimate(q=q, r_hat=r_hat, T=T, error_bound=1.0 / T,
+                            refined=refined)
+
+
+def _averages(medium: Medium, q, x0, T: float, dt: float):
+    """(x(T) - x0)/T at eps = 1 and its extrapolation from the T/2 average,
+    for a float q or an array q (with x0 of the same shape). The even step
+    count near T/dt puts T/2 on a step."""
+    fn = medium._fn
     steps = max(2, round(T / dt))
     steps += steps % 2
-    trace = integrate_front(p, T, T / steps)
-    x_half = float(trace.positions[steps // 2])
-    x_full = float(trace.positions[-1])
+    x_half, x_full = _rk4(lambda x, t: fn({"x1": x, "t": t}), q, x0, T, steps)
     r_hat = (x_full - x0) / T
-    r_half = (x_half - x0) / (T / 2.0)
-    return VelocityEstimate(q=q, r_hat=r_hat, T=T, error_bound=1.0 / T,
-                            refined=2.0 * r_hat - r_half)
+    return r_hat, 2.0 * r_hat - (x_half - x0) / (T / 2.0)
 
 
 def harmonic_mean_oracle(medium: Medium, q: float) -> float:
@@ -172,11 +201,13 @@ def harmonic_mean_oracle(medium: Medium, q: float) -> float:
     return q / integral
 
 
-def _final_flatness(medium: Medium, q: float, r: float, eps: float,
-                    side: Side, T: float, dt: float) -> float:
-    """Final running-max detachment of the clipped front (no trace storage)."""
-    fn = medium._fn
-    steps = max(1, round(T / dt))
+def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
+             steps: int, positions: Optional[np.ndarray] = None,
+             phis: Optional[np.ndarray] = None) -> float:
+    """Clipped front against the obstacle r*t; returns the final phi and
+    stores step k in positions[k], phis[k] when given. A non-finite g or
+    front raises, naming t: NaN compares False and would snap to the obstacle.
+    """
     h = T / steps
     inv = 1.0 / eps
     y = 0.0
@@ -185,6 +216,9 @@ def _final_flatness(medium: Medium, q: float, r: float, eps: float,
     for k in range(steps):
         g = fn({"x1": y * inv, "t": (k * h) * inv})
         free = y + h * q * g
+        if not math.isfinite(free):
+            raise NumericalError(
+                f"medium g or the clipped front is not finite at t={k * h!r}")
         obstacle = r * (k + 1) * h
         if is_super:
             y = free if free > obstacle else obstacle
@@ -194,6 +228,9 @@ def _final_flatness(medium: Medium, q: float, r: float, eps: float,
             d = obstacle - y
         if d > phi:
             phi = d
+        if positions is not None:
+            positions[k + 1] = y
+            phis[k + 1] = phi
     return phi
 
 
@@ -216,32 +253,13 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
         dt = eps / 20.0
     if not 0 < dt <= eps / 10.0 + 1e-15:
         raise ValidationError(f"dt must satisfy 0 < dt <= eps/10, got {dt}")
-    fn = medium._fn
     steps = max(1, round(T / dt))
-    h = T / steps
-    inv = 1.0 / eps
-    is_super = side is Side.SUPER
-
     positions = np.empty(steps + 1)
     phis = np.empty(steps + 1)
-    positions[0] = y = 0.0
-    phis[0] = phi = 0.0
-    for k in range(steps):
-        g = fn({"x1": y * inv, "t": (k * h) * inv})
-        free = y + h * q * g
-        obstacle = r * (k + 1) * h
-        if is_super:
-            y = free if free > obstacle else obstacle
-            d = y - obstacle
-        else:
-            y = free if free < obstacle else obstacle
-            d = obstacle - y
-        if d > phi:
-            phi = d
-        positions[k + 1] = y
-        phis[k + 1] = phi
+    positions[0] = phis[0] = 0.0
+    _clipped(medium._fn, q, r, eps, side, T, steps, positions, phis)
     times = np.linspace(0.0, T, steps + 1)
-    trace = FrontTrace(times=times, positions=positions, dt=h)
+    trace = FrontTrace(times=times, positions=positions, dt=T / steps)
     front = ObstacleFront(q=q, r=r, eps=eps, side=side, trace=trace)
     return front, FlatnessTrace(times=times, phi=phis, side=side)
 
@@ -312,6 +330,17 @@ class CandidateReport:
         return iter((self.r_lower, self.r_upper))
 
 
+def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] to width <= 1e-4, keeping below(lo) true, below(hi) false."""
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
                            eps_list: Sequence[float] = (0.05, 0.02, 0.01, 0.005),
                            T: float = 1.0, dt: Optional[float] = None,
@@ -349,17 +378,15 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
                                eps_list=eps_list, bounds=bounds,
                                diagnostics=diagnostics)
 
-    def flatness_profile(r: float, side: Side) -> dict:
-        return {e: _final_flatness(medium, q, r, e, side, T,
-                                   dt if dt is not None else e / 20.0)
-                for e in eps_list}
+    def final_flatness(r: float, side: Side, e: float) -> float:
+        step = dt if dt is not None else e / 20.0
+        return _clipped(medium._fn, q, r, e, side, T, max(1, round(T / step)))
 
     def predicate(r: float, side: Side) -> bool:
-        for e in eps_list:
-            step = dt if dt is not None else e / 20.0
-            if _final_flatness(medium, q, r, e, side, T, step) >= e ** beta:
-                return False
-        return True
+        return all(final_flatness(r, side, e) < e ** beta for e in eps_list)
+
+    def flatness_profile(r: float, side: Side) -> dict:
+        return {e: final_flatness(r, side, e) for e in eps_list}
 
     lo_anchor, hi_anchor = bounds.m * q, bounds.M * q
 
@@ -372,14 +399,7 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     if predicate(hi_anchor, Side.SUB):
         r_lower = hi_anchor
     else:
-        lo, hi = lo_anchor, hi_anchor
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            if predicate(mid, Side.SUB):
-                lo = mid
-            else:
-                hi = mid
-        r_lower = lo
+        r_lower, _ = _bisect(lambda r: predicate(r, Side.SUB), lo_anchor, hi_anchor)
 
     # r_upper = inf of the Super-side up-set {r : flatness stays small}
     if not predicate(hi_anchor, Side.SUPER):
@@ -390,14 +410,8 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     if predicate(lo_anchor, Side.SUPER):
         r_upper = lo_anchor
     else:
-        lo, hi = lo_anchor, hi_anchor
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            if predicate(mid, Side.SUPER):
-                hi = mid
-            else:
-                lo = mid
-        r_upper = hi
+        _, r_upper = _bisect(lambda r: not predicate(r, Side.SUPER),
+                             lo_anchor, hi_anchor)
 
     diagnostics["sub"] = {"candidate": r_lower,
                           "flatness": flatness_profile(r_lower, Side.SUB),
@@ -410,38 +424,13 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
                            diagnostics=diagnostics)
 
 
-def _curve_batch(medium: Medium, qs: np.ndarray, T: float, dt: float,
-                 x0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Joint RK4 sweep over a q-array; returns (r_hat, refined) per q."""
-    fn = medium._fn
-    steps = max(2, round(T / dt))
-    steps += steps % 2
-    h = T / steps
-    half = 0.5 * h
-    x = np.full(qs.shape, float(x0))
-    x_half = None
-    for k in range(steps):
-        t = k * h
-        k1 = qs * fn({"x1": x, "t": t})
-        k2 = qs * fn({"x1": x + half * k1, "t": t + half})
-        k3 = qs * fn({"x1": x + half * k2, "t": t + half})
-        k4 = qs * fn({"x1": x + h * k3, "t": t + h})
-        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k + 1 == steps // 2:
-            x_half = x.copy()
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("medium evaluation produced a non-finite front position")
-    r_hat = (x - x0) / T
-    r_half = (x_half - x0) / (T / 2.0)
-    return r_hat, 2.0 * r_hat - r_half
-
-
 def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
                    T: float = 200.0, dt: float = 0.02,
                    x0: float = 0.0) -> VelocityCurve:
-    """Effective velocities over a q-grid, integrated jointly in one sweep."""
+    """Effective velocities over a q-grid, integrated jointly in one sweep;
+    each entry equals effective_velocity(medium, q, T, x0, dt).r_hat."""
     if not 0 < q_min < q_max:
-        raise ValidationError(f"need 0 < q_min < q_max, got {q_min}, {q_max}")
+        raise ValidationError(f"need 0 < qmin < qmax, got {q_min}, {q_max}")
     if not (isinstance(samples, int) and samples >= 2):
         raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
     if not T >= 10:
@@ -452,6 +441,6 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
         raise ValidationError("velocity curves are one-dimensional")
 
     qs = np.linspace(q_min, q_max, samples)
-    r_hat, refined = _curve_batch(medium, qs, T, dt, x0)
+    r_hat, refined = _averages(medium, qs, np.full(qs.shape, float(x0)), T, dt)
     return VelocityCurve(q=qs, r_hat=r_hat, refined=refined,
                          T=T, error_bound=1.0 / T)

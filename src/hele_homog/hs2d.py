@@ -352,17 +352,15 @@ def hausdorff(A, B, period: Optional[float] = None,
         raise ValidationError(
             f"point dimension mismatch: {A.shape[1]} vs {B.shape[1]}"
         )
+    if period is not None and (axis is None or not 0 <= axis < A.shape[1]):
+        raise ValidationError("periodic hausdorff needs a valid axis")
+    dist = cdist(A, B)
     if period is not None:
-        if axis is None or not 0 <= axis < A.shape[1]:
-            raise ValidationError("periodic hausdorff needs a valid axis")
-        dist = None
-        for k in (-1.0, 0.0, 1.0):
+        # minimum taken in place: two distance matrices alive, not three
+        for k in (-1.0, 1.0):
             shifted = B.copy()
             shifted[:, axis] += k * period
-            d = cdist(A, shifted)
-            dist = d if dist is None else np.minimum(dist, d)
-    else:
-        dist = cdist(A, B)
+            np.minimum(dist, cdist(A, shifted), out=dist)
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 

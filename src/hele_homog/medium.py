@@ -2,7 +2,8 @@
 
 A medium is a strictly positive scalar field on R^n x R, periodic with
 period 1 in every space coordinate and in time, given by a parsed
-arithmetic expression. Evaluation broadcasts over numpy arrays.
+arithmetic expression. The parsed AST is compiled into one generated Python
+function over NumPy functions; evaluation broadcasts over numpy arrays.
 """
 
 from __future__ import annotations
@@ -224,44 +225,45 @@ class _Parser:
         return Call(name, tuple(args))
 
 
-def _compile(node: Node) -> Callable:
-    if isinstance(node, Num):
-        v = node.value
-        return lambda env: v
-    if isinstance(node, Var):
-        if node.name == "pi":
-            return lambda env: math.pi
-        name = node.name
-        return lambda env: env[name]
-    if isinstance(node, Neg):
-        f = _compile(node.arg)
-        return lambda env: -f(env)
-    if isinstance(node, Bin):
-        lf, rf = _compile(node.left), _compile(node.right)
-        op = node.op
-        if op == "+":
-            return lambda env: lf(env) + rf(env)
-        if op == "-":
-            return lambda env: lf(env) - rf(env)
-        if op == "*":
-            return lambda env: lf(env) * rf(env)
-        if op == "/":
-            return lambda env: lf(env) / rf(env)
-        if op == "^":
-            return lambda env: lf(env) ** rf(env)
-    if isinstance(node, Call):
-        fn = _FUNCS1.get(node.fn) or _FUNCS2[node.fn]
-        fargs = [_compile(a) for a in node.args]
-        if len(fargs) == 1:
-            f0 = fargs[0]
-            return lambda env: fn(f0(env))
-        f0, f1 = fargs
-        return lambda env: fn(f0(env), f1(env))
-    raise TypeError(f"unknown node {node!r}")
-
-
 # printer precedence levels; '^' re-parses correctly with these
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+# The generated evaluator sees only these names: no builtins, the seven
+# NumPy functions, pi, and inf (repr of a literal such as 1e999).
+_NAMESPACE = {"__builtins__": {}, **_FUNCS1, **_FUNCS2, "pi": math.pi, "inf": math.inf}
+
+
+def _source(node: Node) -> str:
+    """Python source for node, built only from the AST: float reprs, parser
+    variable names and function-table names, never from the user's string.
+
+    Every operation is parenthesised, except where Python groups a chain the
+    same way the AST does: the left operand of a '+'/'-' or '*'/'/' chain,
+    the right operand of a '^' chain and a unary minus under a unary minus
+    stay bare, so long chains do not hit Python's nesting limit.
+    """
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return "pi" if node.name == "pi" else f"env[{node.name!r}]"
+    if isinstance(node, Call):
+        return f"{node.fn}({', '.join(_source(a) for a in node.args)})"
+    if isinstance(node, Neg):
+        arg = _source(node.arg)
+        return f"(-{arg[1:-1] if isinstance(node.arg, Neg) else arg})"
+    left, right = _source(node.left), _source(node.right)
+    if node.op == "^":
+        if isinstance(node.right, Bin) and node.right.op == "^":
+            right = right[1:-1]
+        return f"({left} ** {right})"
+    if isinstance(node.left, Bin) and _PREC[node.left.op] == _PREC[node.op]:
+        left = left[1:-1]
+    return f"({left} {node.op} {right})"
+
+
+def _compile(node: Node) -> Callable:
+    """One Python function env -> value that evaluates the AST."""
+    return eval(f"lambda env: {_source(node)}", dict(_NAMESPACE))
 
 
 def format_expr(node: Node) -> str:
@@ -425,12 +427,13 @@ def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> Periodicity
     if g.dim == 1:
         xs = xs[:, 0]
     base = np.asarray(g(xs, ts))
-    worst = 0.0
+    shifted = []
     for axis in range(g.dim):
         shift = np.zeros(g.dim)
         shift[axis] = 1.0
-        shifted = g(xs + (shift[0] if g.dim == 1 else shift), ts)
-        worst = max(worst, float(np.abs(np.asarray(shifted) - base).max()))
-    shifted = g(xs, ts + 1.0)
-    worst = max(worst, float(np.abs(np.asarray(shifted) - base).max()))
+        shifted.append(np.asarray(g(xs + (shift[0] if g.dim == 1 else shift), ts)))
+    shifted.append(np.asarray(g(xs, ts + 1.0)))
+    if not all(np.all(np.isfinite(v)) for v in (base, *shifted)):
+        raise ValidationError("medium evaluates to a non-finite value")
+    worst = max(float(np.abs(v - base).max()) for v in shifted)
     return PeriodicityReport(max_deviation=worst, trials=trials)

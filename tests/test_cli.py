@@ -50,6 +50,9 @@ SUPERBARRIER_PASS = [
 ]
 SUPERBARRIER_FAIL = [v if v != "1e-6" else "0.05" for v in SUPERBARRIER_PASS]
 
+# g = sqrt(sin(pi*x)) + 1 is finite on the cell [0, 1) and NaN on (1, 2)
+NAN_MEDIUM = "sqrt(sin(pi*x)) + 1"
+
 
 def declared_console_script(name):
     """The `module:attr` value of `name` under [project.scripts]."""
@@ -104,6 +107,15 @@ class TestMediumCheck:
         assert data["resolution"] == 64
         assert data["periodicity_trials"] == 32
         assert data["periodicity_max_deviation"] <= 1e-9
+
+    def test_nan_medium_rejected(self):
+        # the unit shift of x lands where g is NaN; the deviation must not
+        # read 0.0
+        with np.errstate(invalid="ignore"):
+            code, out, err = run_cli(["medium", "check", "--expr", NAN_MEDIUM])
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
 
     def test_builtin_name(self):
         code, out, _ = run_cli(["medium", "check", "--medium", "builtin:pinning"])
@@ -247,6 +259,32 @@ class TestRqCurve:
         assert message in err
 
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (["--dt", "-0.01"], "dt must be > 0"),
+            (["--dt", "0"], "dt must be > 0"),
+            (["--medium", "1 + sin(pi*y)^2", "--dim", "2"], "one-dimensional"),
+        ],
+    )
+    def test_bad_input_exits_one_without_csv(self, tmp_path, patch, message):
+        csv_path = tmp_path / "curve.csv"
+        code, _, err = run_cli(self.ARGS + patch + ["--out", str(csv_path)])
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert not csv_path.exists()
+
+    def test_stalled_front_exits_two(self, tmp_path):
+        # g = sin(pi*x) + 0.5 vanishes at x = 7/6, where every front stalls
+        csv_path = tmp_path / "curve.csv"
+        code, _, err = run_cli(
+            ["rq", "curve", "--medium", "sin(pi*x)+0.5", "--qmin", "0.5",
+             "--qmax", "1.0", "--samples", "3", "--out", str(csv_path)])
+        assert code == 2
+        assert "failed to increase" in err
+        assert not csv_path.exists()
+
+
 class TestRqObstacle:
     def test_super_side_traces_detachment(self, tmp_path):
         path = tmp_path / "obstacle.csv"
@@ -272,6 +310,17 @@ class TestRqObstacle:
         assert code == 0
         assert out.splitlines()[0].startswith("t (")
 
+    def test_nan_medium_exits_two_without_csv(self, tmp_path):
+        csv_path = tmp_path / "obstacle.csv"
+        with np.errstate(invalid="ignore"):
+            code, _, err = run_cli(
+                ["rq", "obstacle", "--medium", NAN_MEDIUM, "--q", "1", "--r", "0.5",
+                 "--eps", "0.5", "--side", "super", "--T", "4",
+                 "--out", str(csv_path)])
+        assert code == 2
+        assert err.startswith("numerical failure:") and "t=" in err
+        assert not csv_path.exists()
+
     def test_invalid_side_rejected(self):
         code, _, err = run_cli(
             ["rq", "obstacle", "--medium", "builtin:pinning", "--q", "1.0",
@@ -293,6 +342,14 @@ class TestRqCandidates:
         # q = 0.75 sits on the pinned plateau where the speed locks to 1
         assert lower == pytest.approx(1.0, abs=0.1)
         assert upper == pytest.approx(1.0, abs=0.1)
+
+    def test_nan_medium_exits_two(self):
+        with np.errstate(invalid="ignore"):
+            code, out, err = run_cli(
+                ["rq", "candidates", "--medium", NAN_MEDIUM, "--q", "0.75"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and "not finite" in err
 
     def test_bad_eps_list(self):
         code, _, err = run_cli(

@@ -7,6 +7,7 @@ in-test Euler re-implementation for the obstacle bracketing.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -164,6 +165,11 @@ class TestEffectiveVelocity:
         with pytest.raises(ValidationError):
             effective_velocity(builtin_medium("pinning"), q=1.0, T=5.0)
 
+    def test_nonpositive_dt_rejected(self):
+        for dt in (0.0, -0.01):
+            with pytest.raises(ValidationError, match="dt"):
+                effective_velocity(builtin_medium("pinning"), q=1.0, T=20.0, dt=dt)
+
 
 class TestHarmonicMeanOracle:
     def test_static_sin_closed_form(self):
@@ -246,6 +252,15 @@ class TestObstacleFront:
         with pytest.raises(ValidationError):
             obstacle_front(g, q=1.0, r=0.5, eps=0.1, side=Side.SUPER, dt=0.02)
 
+    @pytest.mark.parametrize("side", [Side.SUPER, Side.SUB])
+    def test_nonfinite_medium_rejected_with_time(self, side):
+        # g is NaN for x/eps in (1, 2); NaN compares False against the
+        # obstacle, so an unchecked front would snap onto it
+        g = parse_medium("sqrt(sin(pi*x)) + 1", 1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"not finite at t=\d"):
+                obstacle_front(g, q=1.0, r=0.5, eps=0.5, side=side, T=4.0)
+
     def test_phi_monotone(self):
         g = builtin_medium("pinning")
         for side in (Side.SUPER, Side.SUB):
@@ -313,6 +328,13 @@ class TestCandidates:
         assert rep.r_upper == pytest.approx(1.0, abs=2e-2)
         assert abs(rep.r_lower - rep.r_upper) <= 2e-2
 
+    def test_nonfinite_medium_rejected(self):
+        # finite on the sampled cell [0, 1), NaN on (1, 2)
+        g = parse_medium("sqrt(sin(pi*x)) + 1", 1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                homogenized_candidates(g, q=0.75)
+
     def test_diagnostics_present(self):
         rep = homogenized_candidates(builtin_medium("pinning"), q=0.75)
         assert rep.beta == 0.9
@@ -350,7 +372,7 @@ class TestVelocityCurve:
         curve = velocity_curve(g, 0.5, 1.0, 3, T=20.0, dt=0.02)
         for q, r in zip(curve.q, curve.r_hat):
             est = effective_velocity(g, q=float(q), T=20.0, dt=0.02)
-            assert r == pytest.approx(est.r_hat, abs=1e-12)
+            assert r == est.r_hat
 
     def test_validation(self):
         g = builtin_medium("pinning")
@@ -358,3 +380,27 @@ class TestVelocityCurve:
             velocity_curve(g, 0.9, 0.6, 4)
         with pytest.raises(ValidationError):
             velocity_curve(g, 0.5, 1.0, 1)
+        for dt in (0.0, -0.01):
+            with pytest.raises(ValidationError, match="dt"):
+                velocity_curve(g, 0.5, 1.0, 3, dt=dt)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            velocity_curve(builtin_medium("pinning2d"), 0.5, 1.0, 3)
+
+    def test_path_is_not_stored(self):
+        # a stored path would hold (steps + 1) x 400 floats: 3.2 MB here
+        g = builtin_medium("pinning")
+        tracemalloc.start()
+        try:
+            velocity_curve(g, 0.5, 1.5, 400, T=20.0, dt=0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
+
+    def test_stalled_front_rejected(self):
+        # g = sin(pi*x) + 0.5 vanishes at x = 7/6: every front stalls there
+        g = parse_medium("sin(pi*x) + 0.5", 1)
+        with pytest.raises(NumericalError, match="increase"):
+            velocity_curve(g, 0.5, 1.0, 3)
+        with pytest.raises(NumericalError, match="increase"):
+            effective_velocity(g, q=0.75, T=200.0, dt=0.02)

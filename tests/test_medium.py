@@ -18,6 +18,7 @@ from hele_homog import (
     format_expr,
     parse_medium,
 )
+from hele_homog.medium import _FUNCS1, _FUNCS2, Bin, Call, Neg, Num, Var, _compile
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,127 @@ class TestFormatRoundTrip:
 
 
 # ---------------------------------------------------------------------------
+# Generated evaluator against the closure-tree reference
+# ---------------------------------------------------------------------------
+
+_REF_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+              "abs": np.abs, "min": np.minimum, "max": np.maximum}
+
+
+def reference_compile(node):
+    """The closure-tree compiler the generated evaluator replaced."""
+    if isinstance(node, Num):
+        v = node.value
+        return lambda env: v
+    if isinstance(node, Var):
+        if node.name == "pi":
+            return lambda env: math.pi
+        name = node.name
+        return lambda env: env[name]
+    if isinstance(node, Neg):
+        f = reference_compile(node.arg)
+        return lambda env: -f(env)
+    if isinstance(node, Bin):
+        lf, rf = reference_compile(node.left), reference_compile(node.right)
+        op = node.op
+        if op == "+":
+            return lambda env: lf(env) + rf(env)
+        if op == "-":
+            return lambda env: lf(env) - rf(env)
+        if op == "*":
+            return lambda env: lf(env) * rf(env)
+        if op == "/":
+            return lambda env: lf(env) / rf(env)
+        if op == "^":
+            return lambda env: lf(env) ** rf(env)
+    if isinstance(node, Call):
+        fn = _REF_FUNCS[node.fn]
+        fargs = [reference_compile(a) for a in node.args]
+        if len(fargs) == 1:
+            f0 = fargs[0]
+            return lambda env: fn(f0(env))
+        f0, f1 = fargs
+        return lambda env: fn(f0(env), f1(env))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _outcome(fn, env):
+    """Result type, shape and bytes of fn(env), or the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(env)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    arr = np.asarray(out)
+    return type(out), arr.dtype, arr.shape, arr.tobytes()
+
+
+def _envs(dim):
+    """Python-float, 0-d and broadcast-grid environments over dim + 1 axes."""
+    names = [f"x{i + 1}" for i in range(dim)] + ["t"]
+    points = [dict(zip(names, vals))
+              for vals in ([0.3, -0.7, 1.9, 0.0][: dim + 1],
+                           [-1.25, 2.5, 0.5, 1e-3][: dim + 1])]
+    axes = np.linspace(-1.5, 1.5, 5)
+    grids = np.meshgrid(*([axes] * (dim + 1)), indexing="ij", sparse=True)
+    return points + [{k: np.asarray(v) for k, v in points[0].items()},
+                     dict(zip(names, grids))]
+
+
+def _nodes(dim):
+    leaves = st.one_of(
+        st.floats(min_value=0.0, max_value=4.0).map(Num),
+        st.floats(min_value=0.0, allow_nan=False).map(Num),
+        st.sampled_from([f"x{i + 1}" for i in range(dim)] + ["t", "pi"]).map(Var),
+    )
+
+    def extend(kids):
+        return st.one_of(
+            kids.map(Neg),
+            st.builds(Bin, st.sampled_from("+-*/^"), kids, kids),
+            st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(sorted(_FUNCS1)), kids),
+            st.builds(lambda f, a, b: Call(f, (a, b)),
+                      st.sampled_from(sorted(_FUNCS2)), kids, kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+class TestGeneratedEvaluator:
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.integers(min_value=1, max_value=3).flatmap(
+        lambda dim: st.tuples(st.just(dim), _nodes(dim))))
+    def test_matches_closure_tree_bit_for_bit(self, case):
+        dim, node = case
+        fn, ref = _compile(node), reference_compile(node)
+        for env in _envs(dim):
+            assert _outcome(fn, env) == _outcome(ref, env)
+
+    @pytest.mark.parametrize("src", [
+        "1e999",
+        "1e999 - x^2",
+        "min(1e999, 1/x) + 0*t",
+        "sqrt(sin(pi*x)) + 1",
+        "(x + 1)*(t - 2)/(x - t)^2^(1/2) - -(x - 1) - (t - (x - 2))",
+        "+".join(["x"] * 300),
+        "*".join(["1.0001"] * 300) + " / t",
+        "-" * 300 + "x",
+        "^".join(["1"] * 250),
+    ], ids=["inf", "inf-minus", "min-inf", "nan-region", "grouping", "sum300", "product300",
+            "neg300", "power250"])
+    def test_explicit_sources(self, src):
+        # the long chains nest deeper than Python's 200 parenthesis levels
+        # if every operation is wrapped
+        node = parse_medium(src, dim=1).ast
+        fn, ref = _compile(node), reference_compile(node)
+        for env in _envs(1):
+            assert _outcome(fn, env) == _outcome(ref, env)
+
+    def test_no_builtins_reachable(self):
+        assert _compile(Var("pi")).__globals__["__builtins__"] == {}
+
+
+# ---------------------------------------------------------------------------
 # Builtins, scaling, bounds, periodicity
 # ---------------------------------------------------------------------------
 
@@ -291,3 +413,11 @@ class TestPeriodicity:
     def test_bad_trials(self):
         with pytest.raises(ValidationError):
             check_periodicity(builtin_medium("pinning"), trials=0)
+
+    def test_nonfinite_rejected(self):
+        # NaN on (1, 2): the unit shift of x lands there, and a max over
+        # deviations that drops NaN would report 0.0
+        g = parse_medium("sqrt(sin(pi*x)) + 1", dim=1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                check_periodicity(g)
