@@ -13,9 +13,34 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .medium import Medium, eval_scaled
+
+
+def _check_n(n) -> None:
+    if not (isinstance(n, int) and n >= 2):
+        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+
+
+def _w(n: int, s):
+    """w_n(s) = (s^(2-n) - 1)/(n-2), or its n -> 2 limit -log s: w_n(|x|) is
+    harmonic off the origin of R^n and zero on |x| = 1. The one n-branch."""
+    if n == 2:
+        return -np.log(s)
+    return (s ** (2 - n) - 1.0) / (n - 2)
+
+
+def _brentq(f, lo: float, hi: float, what: str) -> float:
+    """Root of f on [lo, hi] by Brent's method; f must change sign there."""
+    flo, fhi = f(lo), f(hi)
+    if not (flo >= 0 >= fhi or flo <= 0 <= fhi):
+        raise NumericalError(f"{what} bracket failed: f({lo}) = {flo}, f({hi}) = {fhi}")
+    root, info = brentq(f, lo, hi, xtol=1e-12, full_output=True, disp=False)
+    if not info.converged:
+        raise NumericalError(f"{what}: Brent's method did not converge")
+    return root
 
 
 @dataclass(frozen=True)
@@ -43,12 +68,8 @@ class RadialExpanding:
     def profile(self, s):
         """Radial profile psi(s), s = |x|/rho(t): K inside s<=A, 0 at s>=1."""
         s = np.asarray(s, dtype=float)
-        if self.n >= 3:
-            raw = self.K * np.maximum(s ** (2 - self.n) - 1.0, 0.0) / (
-                self.A ** (2 - self.n) - 1.0)
-        else:
-            with np.errstate(divide="ignore"):
-                raw = self.K * np.maximum(-np.log(s), 0.0) / (-math.log(self.A))
+        with np.errstate(divide="ignore"):
+            raw = self.K * np.maximum(_w(self.n, s), 0.0) / _w(self.n, self.A)
         out = np.minimum(raw, self.K)
         return float(out) if out.ndim == 0 else out
 
@@ -61,26 +82,17 @@ class RadialExpanding:
         """|D psi^+| at |x| = rho(t), the one-sided slope at the front."""
         if not t > 0:
             raise ValidationError("front gradient needs t > 0")
-        if self.n >= 3:
-            slope = self.K * (self.n - 2) / (self.A ** (2 - self.n) - 1.0)
-        else:
-            slope = self.K / (-math.log(self.A))
-        return slope / self.rho(t)
+        return self.K / (_w(self.n, self.A) * self.rho(t))
 
 
 def expanding_barrier(n: int, m: float, K: float, A: float) -> RadialExpanding:
-    """Expanding barrier; alpha = 2(n-2)/(A^{2-n}-1), or 2/(-ln A) for n=2."""
-    if not (isinstance(n, int) and n >= 2):
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    """Expanding barrier; alpha = 2/w_n(A), i.e. 2(n-2)/(A^{2-n}-1) or 2/(-ln A)."""
+    _check_n(n)
     if not (m > 0 and K > 0):
         raise ValidationError(f"need m > 0 and K > 0, got m={m}, K={K}")
     if not 0 < A < 1:
         raise ValidationError(f"A must be in (0, 1), got {A}")
-    if n >= 3:
-        alpha = 2.0 * (n - 2) / (A ** (2 - n) - 1.0)
-    else:
-        alpha = 2.0 / (-math.log(A))
-    return RadialExpanding(n=n, m=m, K=K, A=A, alpha=alpha)
+    return RadialExpanding(n=n, m=m, K=K, A=A, alpha=float(2.0 / _w(n, A)))
 
 
 def check_expanding_fbc(b: RadialExpanding, t: float) -> float:
@@ -90,15 +102,9 @@ def check_expanding_fbc(b: RadialExpanding, t: float) -> float:
     return abs(b.rho_prime(t) - b.m * b.front_gradient(t))
 
 
-def _contracting_lhs(n: int, mu: float, rho):
-    """Monotone decreasing left side of the contracting radius equation."""
-    rho = np.asarray(rho, dtype=float)
-    if n >= 3:
-        out = (0.5 * rho ** 2 - mu ** (2 - n) * rho ** n / n) / (2 - n)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 0.5 * rho ** 2 * (np.log(rho / mu) - 0.5)
-    return float(out) if out.ndim == 0 else out
+def _contracting_lhs(n: int, mu: float, rho: float) -> float:
+    """Radius equation's left side rho^2 (w_n(mu/rho) - 1/2)/n; slope rho*w_n(mu/rho)."""
+    return rho ** 2 * (_w(n, mu / rho) - 0.5) / n
 
 
 def contracting_radius(n: int, M: float, mu: float,
@@ -108,8 +114,7 @@ def contracting_radius(n: int, M: float, mu: float,
     Kfun is the cumulative integral of the boundary flux chi; admissibility
     needs M*Kfun(t) in (-mu^2/(2n), 0).
     """
-    if not (isinstance(n, int) and n >= 2):
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    _check_n(n)
     if not (M > 0 and mu > 0):
         raise ValidationError(f"need M > 0 and mu > 0, got M={M}, mu={mu}")
     target = M * float(Kfun(t))
@@ -118,29 +123,18 @@ def contracting_radius(n: int, M: float, mu: float,
             f"t outside admissible window: M*K(t) = {target} not in "
             f"({-(mu ** 2) / (2 * n)}, 0)"
         )
-    lo = 1e-14 * mu
-    hi = mu * (1.0 - 1e-14)
-    flo = _contracting_lhs(n, mu, lo) - target
-    fhi = _contracting_lhs(n, mu, hi) - target
-    if not (flo > 0 > fhi):
-        raise NumericalError("contracting radius bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _contracting_lhs(n, mu, mid) - target > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    else:
-        raise NumericalError("contracting radius bisection did not converge")
-    return 0.5 * (lo + hi)
+    return _brentq(lambda r: _contracting_lhs(n, mu, r) - target,
+                   1e-14 * mu, mu * (1.0 - 1e-14), "contracting radius")
 
 
-def _contracting_lhs_slope(n: int, mu: float, rho: float) -> float:
-    if n >= 3:
-        return (rho - mu ** (2 - n) * rho ** (n - 1)) / (2 - n)
-    return rho * math.log(rho / mu)
+def check_contracting_radius(n: int, M: float, mu: float,
+                             Kfun: Callable[[float], float], t: float,
+                             rho: float) -> float:
+    """Residual |L(rho) - M*Kfun(t)| of the contracting radius equation."""
+    _check_n(n)
+    if not 0 < rho <= mu:
+        raise ValidationError(f"need 0 < rho <= mu, got rho={rho}, mu={mu}")
+    return abs(_contracting_lhs(n, mu, rho) - M * float(Kfun(t)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,24 +163,10 @@ def contracting_barrier(n: int, M: float, mu: float,
             return val
     target = -(mu ** 2) / (2 * n * M)
     lo = -1.0
-    while Kfun(lo) > target:
+    while lo >= -1e9 and Kfun(lo) > target:
         lo *= 2.0
-        if lo < -1e9:
-            lo = -math.inf
-            break
-    if lo == -math.inf:
-        t0 = -math.inf
-    else:
-        hi = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if Kfun(mid) > target:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, abs(lo)):
-                break
-        t0 = 0.5 * (lo + hi)
+    t0 = (-math.inf if lo < -1e9
+          else _brentq(lambda s: Kfun(s) - target, lo, 0.0, "contracting barrier t0"))
     return RadialContracting(n=n, M=M, mu=mu, chi=chi, Kfun=Kfun, t0=t0)
 
 
@@ -325,8 +305,7 @@ class PerturbedContractingField:
     """
 
     def __init__(self, n: int, M: float, mu: float, chi0: float, kappa: float):
-        if not (isinstance(n, int) and n >= 2):
-            raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+        _check_n(n)
         if not (M > 0 and mu > 0 and chi0 > 0 and kappa >= 0):
             raise ValidationError("need M, mu, chi0 > 0 and kappa >= 0")
         self.n = n
@@ -341,29 +320,25 @@ class PerturbedContractingField:
                                   lambda s: self.chi0 * s, t)
 
     def rho_prime(self, t: float) -> float:
-        return self.M * self.chi0 / _contracting_lhs_slope(self.n, self.mu, self.rho(t))
+        return self._rho_prime(self.rho(t))
 
-    def _profile_parts(self, s: float, t: float):
-        rho = self.rho(t)
+    def _rho_prime(self, rho: float) -> float:
+        return self.M * self.chi0 / (rho * _w(self.n, self.mu / rho))
+
+    def _profile_parts(self, s: float, rho: float):
+        """Ratio w(s/rho)/w(mu/rho) and its s- and rho-derivatives."""
         n, mu = self.n, self.mu
-        if n >= 3:
-            N = rho ** (2 - n) - s ** (2 - n)
-            D = rho ** (2 - n) - mu ** (2 - n)
-            dNDs = (n - 2) * s ** (1 - n) / D
-            dNDrho = (2 - n) * rho ** (1 - n) * (s ** (2 - n) - mu ** (2 - n)) / D ** 2
-        else:
-            N = math.log(s / rho)
-            D = math.log(mu / rho)
-            dNDs = 1.0 / (s * D)
-            dNDrho = math.log(s / mu) / (rho * D ** 2)
-        return rho, N / D, dNDs, dNDrho
+        wmu = _w(n, mu / rho)
+        ratio = _w(n, s / rho) / wmu
+        d_s = -(s / rho) ** (1 - n) / (rho * wmu)
+        d_rho = (s / rho) ** (2 - n) * _w(n, mu / s) / (rho * wmu ** 2)
+        return ratio, d_s, d_rho
 
     def value(self, x, t: float) -> float:
-        x = np.asarray(x, dtype=float)
-        s = float(np.linalg.norm(x))
-        rho, ratio, _, _ = self._profile_parts(max(s, 1e-300), t)
+        s, rho = self._snap(x, t)
         if s <= rho:
             return 0.0
+        ratio, _, _ = self._profile_parts(s, rho)
         return self.chi0 * ratio - self.kappa * (s ** 2 - rho ** 2)
 
     def _snap(self, x, t: float) -> tuple[float, float]:
@@ -382,17 +357,17 @@ class PerturbedContractingField:
         s, rho = self._snap(x, t)
         if s < rho:
             return 0.0
-        _, _, _, dNDrho = self._profile_parts(max(s, 1e-300), t)
-        rp = self.rho_prime(t)
-        return self.chi0 * dNDrho * rp + self.kappa * 2.0 * rho * rp
+        _, _, d_rho = self._profile_parts(s, rho)
+        rp = self._rho_prime(rho)
+        return self.chi0 * d_rho * rp + self.kappa * 2.0 * rho * rp
 
     def grad(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         s, rho = self._snap(x, t)
         if s == 0.0 or s < rho:
             return np.zeros_like(x)
-        _, _, dNDs, _ = self._profile_parts(s, t)
-        radial = self.chi0 * dNDs - 2.0 * self.kappa * s
+        _, d_s, _ = self._profile_parts(s, rho)
+        radial = self.chi0 * d_s - 2.0 * self.kappa * s
         return radial * x / float(np.linalg.norm(x))
 
     def laplacian(self, x, t: float) -> float:

@@ -230,11 +230,12 @@ def _cmd_barrier_verify(args) -> int:
         _emit(_json_text(out), args.out)
         return 0
     if args.kind == "contracting":
-        rho = barriers.contracting_radius(
-            n=args.n, M=args.M, mu=args.mu,
-            Kfun=lambda s: args.chi0 * s, t=args.t)
-        res = abs(barriers._contracting_lhs(args.n, args.mu, rho)
-                  - args.M * args.chi0 * args.t)
+        def Kfun(s):
+            return args.chi0 * s
+        rho = barriers.contracting_radius(n=args.n, M=args.M, mu=args.mu,
+                                          Kfun=Kfun, t=args.t)
+        res = barriers.check_contracting_radius(args.n, args.M, args.mu, Kfun,
+                                                args.t, rho)
         out = {"kind": "contracting", "t": args.t, "rho": rho, "residual": res}
         _emit(_json_text(out), args.out)
         return 0

@@ -229,76 +229,54 @@ class _Parser:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 # The generated evaluator sees only these names: no builtins, the seven
-# NumPy functions, pi, and inf (repr of a literal such as 1e999).
-_NAMESPACE = {"__builtins__": {}, **_FUNCS1, **_FUNCS2, "pi": math.pi, "inf": math.inf}
+# NumPy functions and pi.
+_NAMESPACE = {"__builtins__": {}, **_FUNCS1, **_FUNCS2, "pi": math.pi}
 
 
-def _source(node: Node) -> str:
-    """Python source for node, built only from the AST: float reprs, parser
-    variable names and function-table names, never from the user's string.
+def _print(node: Node, var: Callable[[str], str], power: str) -> tuple[str, int]:
+    """Text and precedence of node with the fewest parentheses that keep its
+    grouping; var spells a variable and power is the token printed for '^'.
 
-    Every operation is parenthesised, except where Python groups a chain the
-    same way the AST does: the left operand of a '+'/'-' or '*'/'/' chain,
-    the right operand of a '^' chain and a unary minus under a unary minus
-    stay bare, so long chains do not hit Python's nesting limit.
+    The expression grammar groups exactly as Python does ('^' binds above
+    unary minus and takes a unary on its right), so the same text serves
+    format_expr and the generated evaluator.
     """
     if isinstance(node, Num):
-        return repr(node.value)
+        # repr(inf) is 'inf', which neither grammar reads as a number
+        return ("1e999" if math.isinf(node.value) else repr(node.value)), _PREC["atom"]
     if isinstance(node, Var):
-        return "pi" if node.name == "pi" else f"env[{node.name!r}]"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_source(a) for a in node.args)})"
+        return var(node.name), _PREC["atom"]
     if isinstance(node, Neg):
-        arg = _source(node.arg)
-        return f"(-{arg[1:-1] if isinstance(node.arg, Neg) else arg})"
-    left, right = _source(node.left), _source(node.right)
+        s, p = _print(node.arg, var, power)
+        return (f"-({s})" if p < _PREC["neg"] else f"-{s}"), _PREC["neg"]
+    if isinstance(node, Call):
+        args = ", ".join(_print(a, var, power)[0] for a in node.args)
+        return f"{node.fn}({args})", _PREC["atom"]
+    ls, lp = _print(node.left, var, power)
+    rs, rp = _print(node.right, var, power)
+    p = _PREC[node.op]
     if node.op == "^":
-        if isinstance(node.right, Bin) and node.right.op == "^":
-            right = right[1:-1]
-        return f"({left} ** {right})"
-    if isinstance(node.left, Bin) and _PREC[node.left.op] == _PREC[node.op]:
-        left = left[1:-1]
-    return f"({left} {node.op} {right})"
+        # right-associative, and the right operand may be a unary minus
+        wrap_left, wrap_right = lp < _PREC["atom"], rp < _PREC["neg"]
+    else:
+        # left-associative: parenthesize the right child at equal precedence
+        wrap_left, wrap_right = lp < p, rp <= p
+    ls = f"({ls})" if wrap_left else ls
+    rs = f"({rs})" if wrap_right else rs
+    return f"{ls} {power if node.op == '^' else node.op} {rs}", p
 
 
 def _compile(node: Node) -> Callable:
-    """One Python function env -> value that evaluates the AST."""
-    return eval(f"lambda env: {_source(node)}", dict(_NAMESPACE))
+    """One Python function env -> value that evaluates the AST, printed from
+    the AST alone (float reprs, parser variable names as env['x1'], function
+    table names), never from the user's string."""
+    src, _ = _print(node, lambda name: "pi" if name == "pi" else f"env[{name!r}]", "**")
+    return eval(f"lambda env: {src}", dict(_NAMESPACE))
 
 
 def format_expr(node: Node) -> str:
     """Render an AST to a string that parses back to an identical AST."""
-
-    def emit(n: Node) -> tuple[str, int]:
-        if isinstance(n, Num):
-            return repr(n.value), _PREC["atom"]
-        if isinstance(n, Var):
-            return n.name, _PREC["atom"]
-        if isinstance(n, Neg):
-            s, p = emit(n.arg)
-            if p < _PREC["neg"]:
-                s = f"({s})"
-            return f"-{s}", _PREC["neg"]
-        if isinstance(n, Call):
-            return f"{n.fn}({', '.join(emit(a)[0] for a in n.args)})", _PREC["atom"]
-        ls, lp = emit(n.left)
-        rs, rp = emit(n.right)
-        p = _PREC[n.op]
-        if n.op == "^":
-            # '^' is right-associative and parses a unary on the right
-            if lp < _PREC["atom"]:
-                ls = f"({ls})"
-            if rp < _PREC["neg"]:
-                rs = f"({rs})"
-        else:
-            if lp < p:
-                ls = f"({ls})"
-            # left-associative: parenthesize right child at equal precedence
-            if rp <= p:
-                rs = f"({rs})"
-        return f"{ls} {n.op} {rs}", p
-
-    return emit(node)[0]
+    return _print(node, str, "^")[0]
 
 
 @dataclass(frozen=True)
@@ -338,8 +316,14 @@ def parse_medium(src: str, dim: int) -> Medium:
         raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
     if not src or not src.strip():
         raise ValidationError("empty medium expression")
-    ast = _Parser(src, dim).parse()
-    return Medium(dim=dim, source=src, ast=ast, _fn=_compile(ast))
+    parser = _Parser(src, dim)
+    try:
+        ast = parser.parse()
+        fn = _compile(ast)
+    except (RecursionError, SyntaxError):
+        # Python's recursion limit and its 200-level parenthesis limit
+        parser.fail("expression nested too deeply")
+    return Medium(dim=dim, source=src, ast=ast, _fn=fn)
 
 
 # Named media used throughout the test battery and the CLI.

@@ -96,14 +96,18 @@ class SubScaling:
         return self.gamma + self.lam - self.alpha * self.gamma
 
 
+def _scaling_w(arr, shift: float, ag: float):
+    """W((shift/ag) e^{(t+shift)/ag}), the argument clipped at the branch point."""
+    return lambert_w0(np.maximum((shift / ag) * np.exp((arr + shift) / ag), -_INV_E))
+
+
 def f_sub(t, s: SubScaling):
     """Value of the slow rescaling; identity branch when xi <= 0."""
     arr, scalar = _as_times(t)
     if s.xi <= 0:
         return _out(arr + 0.0, scalar)
     ag = s.alpha * s.gamma
-    w = lambert_w0((s.xi / ag) * np.exp((arr + s.xi) / ag))
-    return _out(arr + s.xi - ag * w, scalar)
+    return _out(arr + s.xi - ag * _scaling_w(arr, s.xi, ag), scalar)
 
 
 def f_sub_deriv(t, s: SubScaling):
@@ -111,9 +115,7 @@ def f_sub_deriv(t, s: SubScaling):
     arr, scalar = _as_times(t)
     if s.xi <= 0:
         return _out(np.ones_like(arr), scalar)
-    ag = s.alpha * s.gamma
-    w = lambert_w0((s.xi / ag) * np.exp((arr + s.xi) / ag))
-    return _out(1.0 / (1.0 + w), scalar)
+    return _out(1.0 / (1.0 + _scaling_w(arr, s.xi, s.alpha * s.gamma)), scalar)
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,7 @@ def f_super(t, s: SuperScaling):
     if np.any(arr >= s.t_max):
         raise ValidationError(f"t >= t_max = {s.t_max}: rescaling has blown up")
     ag = s.alpha * s.gamma
-    arg = np.maximum((s.eta / ag) * np.exp((arr + s.eta) / ag), -_INV_E)
-    w = lambert_w0(arg)
-    return _out(arr + s.eta - ag * w, scalar)
+    return _out(arr + s.eta - ag * _scaling_w(arr, s.eta, ag), scalar)
 
 
 def f_super_deriv(t, s: SuperScaling):
@@ -164,10 +164,7 @@ def f_super_deriv(t, s: SuperScaling):
         return _out(np.ones_like(arr), scalar)
     if np.any(arr >= s.t_max):
         raise ValidationError(f"t >= t_max = {s.t_max}: rescaling has blown up")
-    ag = s.alpha * s.gamma
-    arg = np.maximum((s.eta / ag) * np.exp((arr + s.eta) / ag), -_INV_E)
-    w = lambert_w0(arg)
-    return _out(1.0 / (1.0 + w), scalar)
+    return _out(1.0 / (1.0 + _scaling_w(arr, s.eta, s.alpha * s.gamma)), scalar)
 
 
 @dataclass(frozen=True)
@@ -196,17 +193,20 @@ class ThetaShift:
         )
 
 
+def _theta_w(arr, sh: ThetaShift):
+    """W(-(lam/gamma) e^{-lam/gamma} e^{t/gamma}) for lam > 0 and t <= t_lambda."""
+    if np.any(arr > sh.t_lambda * (1 + 1e-12) + 1e-12):
+        raise ValidationError(f"t beyond t_lambda = {sh.t_lambda}")
+    ratio = sh.lam / sh.gamma
+    return lambert_w0(np.maximum(-ratio * np.exp(-ratio) * np.exp(arr / sh.gamma), -_INV_E))
+
+
 def theta_shift(t, sh: ThetaShift):
     """theta(t; lam) = t - gamma*W(-(lam/gamma) e^{-lam/gamma} e^{t/gamma})."""
     arr, scalar = _as_times(t)
     if sh.lam == 0:
         return _out(arr + 0.0, scalar)
-    if np.any(arr > sh.t_lambda * (1 + 1e-12) + 1e-12):
-        raise ValidationError(f"t beyond t_lambda = {sh.t_lambda}")
-    ratio = sh.lam / sh.gamma
-    arg = np.maximum(-ratio * np.exp(-ratio) * np.exp(arr / sh.gamma), -_INV_E)
-    w = lambert_w0(arg)
-    return _out(arr - sh.gamma * w, scalar)
+    return _out(arr - sh.gamma * _theta_w(arr, sh), scalar)
 
 
 def theta_shift_deriv(t, sh: ThetaShift):
@@ -214,11 +214,7 @@ def theta_shift_deriv(t, sh: ThetaShift):
     arr, scalar = _as_times(t)
     if sh.lam == 0:
         return _out(np.ones_like(arr), scalar)
-    if np.any(arr > sh.t_lambda * (1 + 1e-12) + 1e-12):
-        raise ValidationError(f"t beyond t_lambda = {sh.t_lambda}")
-    ratio = sh.lam / sh.gamma
-    arg = np.maximum(-ratio * np.exp(-ratio) * np.exp(arr / sh.gamma), -_INV_E)
-    w = lambert_w0(arg)
+    w = _theta_w(arr, sh)
     with np.errstate(divide="ignore"):
         out = 1.0 / (1.0 + w)
     return _out(out, scalar)

@@ -7,6 +7,7 @@ solve for the radial perturbation coefficients.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hele_homog import (
     PerturbedContractingField,
     PlanarWave,
     ValidationError,
+    barriers,
+    check_contracting_radius,
     check_expanding_fbc,
     check_superbarrier,
     closing_criterion,
@@ -39,6 +42,56 @@ def _contracting_lhs_reference(n, mu, rho):
     if n >= 3:
         return (0.5 * rho ** 2 - mu ** (2 - n) * rho ** n / n) / (2 - n)
     return 0.5 * rho ** 2 * (math.log(rho / mu) - 0.5)
+
+
+# Per-dimension closed forms the one-profile barrier code replaced.
+
+def _expanding_reference(n, K, A, s):
+    """(profile at the points s, alpha, front gradient times rho)."""
+    s = np.asarray(s, dtype=float)
+    if n >= 3:
+        raw = K * np.maximum(s ** (2 - n) - 1.0, 0.0) / (A ** (2 - n) - 1.0)
+        return (np.minimum(raw, K), 2.0 * (n - 2) / (A ** (2 - n) - 1.0),
+                K * (n - 2) / (A ** (2 - n) - 1.0))
+    raw = K * np.maximum(-np.log(s), 0.0) / (-math.log(A))
+    return np.minimum(raw, K), 2.0 / (-math.log(A)), K / (-math.log(A))
+
+
+def _contracting_radius_reference(n, M, mu, Kfun, t):
+    """The 200-step bisection contracting_radius used before Brent's method."""
+    target = M * Kfun(t)
+    lo, hi = 1e-14 * mu, mu * (1.0 - 1e-14)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _contracting_lhs_reference(n, mu, mid) - target > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _field_reference(n, M, mu, chi0, kappa, s, t):
+    """(value, dt, radial gradient, rho') of PerturbedContractingField at
+    |x| = s > rho; dt and the gradient as pairs of the terms they sum."""
+    rho = _contracting_radius_reference(n, M, mu, lambda u: chi0 * u, t)
+    if n >= 3:
+        N = rho ** (2 - n) - s ** (2 - n)
+        D = rho ** (2 - n) - mu ** (2 - n)
+        dNDs = (n - 2) * s ** (1 - n) / D
+        dNDrho = (2 - n) * rho ** (1 - n) * (s ** (2 - n) - mu ** (2 - n)) / D ** 2
+        slope = (rho - mu ** (2 - n) * rho ** (n - 1)) / (2 - n)
+    else:
+        N = math.log(s / rho)
+        D = math.log(mu / rho)
+        dNDs = 1.0 / (s * D)
+        dNDrho = math.log(s / mu) / (rho * D ** 2)
+        slope = rho * math.log(rho / mu)
+    rp = M * chi0 / slope
+    return (chi0 * N / D - kappa * (s ** 2 - rho ** 2),
+            (chi0 * dNDrho * rp, kappa * 2.0 * rho * rp),
+            (chi0 * dNDs, -2.0 * kappa * s), rp)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +178,80 @@ class TestExpandingBarrier:
             assert check_expanding_fbc(b, t) <= 1e-8
 
 
+class TestOneRadialProfile:
+    """Every barrier formula, written through w_n, against its closed form."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_expanding_matches_closed_forms(self, n):
+        for A in (0.05, 0.3, 0.5, 0.9):
+            b = expanding_barrier(n, m=0.7, K=2.0, A=A)
+            s = np.linspace(0.5 * A, 1.2, 41)
+            ref_profile, ref_alpha, ref_slope = _expanding_reference(n, 2.0, A, s)
+            assert np.all(np.abs(b.profile(s) - ref_profile) <= 1e-14 * ref_profile)
+            assert b.alpha == pytest.approx(ref_alpha, rel=1e-14, abs=0.0)
+            for t in (0.1, 1.0, 7.3):
+                assert b.front_gradient(t) == pytest.approx(
+                    ref_slope / b.rho(t), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_contracting_radius_matches_bisection(self, n):
+        M, mu = 1.3, 0.8
+        window = mu ** 2 / (2 * n)
+        for frac in (1e-6, 0.05, 0.3, 0.5, 0.95, 1 - 1e-6):
+            target = -frac * window / M
+            rho = contracting_radius(n, M, mu, lambda t: target, -1.0)
+            ref = _contracting_radius_reference(n, M, mu, lambda t: target, -1.0)
+            assert rho == pytest.approx(ref, rel=0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_perturbed_field_matches_closed_forms(self, n):
+        M, mu, chi0, kappa = 1.4, 1.0, 0.9, 0.02
+        t0 = -(mu ** 2) / (2 * n * M * chi0)
+        for t in (0.9 * t0, 0.5 * t0, 0.1 * t0):
+            rho = contracting_radius(n, M, mu, lambda u: chi0 * u, t)
+            f = PerturbedContractingField(n, M, mu, chi0, kappa)
+            for s in np.linspace(rho * 1.01, mu, 7):
+                value, dt, radial, rp = _field_reference(n, M, mu, chi0, kappa, s, t)
+                x = s * np.eye(n)[0]
+                assert f.value(x, t) == pytest.approx(value, rel=0.0, abs=1e-10)
+                # relative to the summed terms: the sums cancel where the
+                # profile and the kappa perturbation balance
+                for got, terms in ((f.dt(x, t), dt), (f.grad(x, t)[0], radial)):
+                    assert abs(got - sum(terms)) <= 1e-10 * sum(map(abs, terms))
+            assert f.rho_prime(t) == pytest.approx(rp, rel=1e-10, abs=0.0)
+
+    def test_one_radius_solve_per_field_call(self, monkeypatch):
+        calls = []
+        solve = barriers.contracting_radius
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(barriers, "contracting_radius", counting)
+        f = PerturbedContractingField(3, M=1.5, mu=1.0, chi0=0.8, kappa=0.02)
+        t = -0.05
+        rho = solve(3, 1.5, 1.0, lambda s: 0.8 * s, t)
+        for x in (np.array([0.6, 0.3, 0.1]), np.array([rho, 0.0, 0.0]),
+                  np.array([0.05, 0.0, 0.0])):
+            for method in (f.value, f.dt, f.grad, f.laplacian):
+                calls.clear()
+                method(x, t)
+                assert len(calls) == 1, method.__name__
+        calls.clear()
+        f.rho_prime(t)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_field_is_zero_at_the_origin(self, n):
+        # computing the profile before the inside test overflowed at |x| = 0
+        f = PerturbedContractingField(n, M=1.5, mu=1.0, chi0=0.8, kappa=0.02)
+        x = np.zeros(n)
+        assert f.value(x, -0.05) == 0.0
+        assert f.dt(x, -0.05) == 0.0
+        assert np.all(f.grad(x, -0.05) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Contracting barrier
 # ---------------------------------------------------------------------------
@@ -189,6 +316,36 @@ class TestContractingRadius:
         with pytest.raises(ValidationError):
             contracting_radius(2, 0.0, 1.0, lambda t: t, -0.1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_public_residual(self, n):
+        M, mu, t = 1.3, 0.8, -0.4
+        Kfun = lambda s: mu ** 2 / (4 * n * M) * s  # noqa: E731
+        rho = contracting_radius(n, M, mu, Kfun, t)
+        res = check_contracting_radius(n, M, mu, Kfun, t, rho)
+        assert res == pytest.approx(
+            abs(_contracting_lhs_reference(n, mu, rho) - M * Kfun(t)), abs=1e-15)
+        assert res <= 1e-12
+        off = check_contracting_radius(n, M, mu, Kfun, t, 0.9 * rho)
+        assert off == pytest.approx(
+            abs(_contracting_lhs_reference(n, mu, 0.9 * rho) - M * Kfun(t)), rel=1e-12)
+
+    def test_public_residual_validation(self):
+        with pytest.raises(ValidationError):
+            check_contracting_radius(1, 1.0, 1.0, lambda t: t, -0.1, 0.5)
+        for rho in (0.0, -0.1, 1.5):
+            with pytest.raises(ValidationError):
+                check_contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1, rho)
+
+    def test_root_finder_failure_is_numerical_error(self, monkeypatch):
+        def stalled(f, a, b, **kwargs):
+            return 0.5 * (a + b), SimpleNamespace(converged=False)
+
+        monkeypatch.setattr(barriers, "brentq", stalled)
+        with pytest.raises(NumericalError, match="did not converge"):
+            contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)
+        with pytest.raises(NumericalError, match="did not converge"):
+            contracting_barrier(2, 1.0, 1.0, chi=lambda s: 1.0, Kfun=lambda s: s)
+
 
 class TestContractingBarrier:
     def test_default_quadrature_matches_exact(self):
@@ -208,6 +365,11 @@ class TestContractingBarrier:
         # => t0 = -mu/sqrt(2nM... ) solve: 2*(t0^2/2) = 1/4 -> t0 = -0.5
         bar = contracting_barrier(2, 2.0, 1.0, chi=lambda s: abs(s))
         assert bar.t0 == pytest.approx(-0.5, abs=1e-8)
+
+    def test_t0_without_sign_change_is_numerical_error(self):
+        # K never reaches zero on [lo, 0]: no root, so no t0 may be reported
+        with pytest.raises(NumericalError, match="bracket"):
+            contracting_barrier(2, 1.0, 1.0, chi=lambda s: 0.0, Kfun=lambda s: -10.0)
 
     def test_rho_decreasing(self):
         bar = contracting_barrier(2, 1.0, 1.0, chi=lambda s: 1.0)

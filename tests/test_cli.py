@@ -7,6 +7,7 @@ subprocess, and also runs the installed script when one is on PATH.
 Reruns of the same invocation must be byte-identical.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 import hele_homog
-from hele_homog import barriers
+from hele_homog import barriers, cli
 from hele_homog.cli import main
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -116,6 +117,23 @@ class TestMediumCheck:
         assert code == 1
         assert out == ""
         assert "non-finite" in err
+
+    def test_hundred_nested_groups(self):
+        # wrapping every operation in parentheses passed Python's 200 levels
+        expr = "-(x+" * 100 + "x" + ")" * 100 + " + 2000"
+        code, out, err = run_cli(["medium", "check", f"--expr={expr}"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["m"] > 0
+
+    @pytest.mark.parametrize("expr", [
+        "sin(" * 199 + "x" + ")" * 199,
+        "(" * 199 + "x" + ")" * 199,
+    ], ids=["calls", "parens"])
+    def test_too_deep_exits_one(self, expr):
+        code, out, err = run_cli(["medium", "check", "--expr", expr])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: expression nested too deeply")
 
     def test_builtin_name(self):
         code, out, _ = run_cli(["medium", "check", "--medium", "builtin:pinning"])
@@ -646,6 +664,26 @@ class TestTopLevel:
         exe = shutil.which("hele-homog")
         if exe is not None:
             check_console_contract([exe], env, tmp_path)
+
+
+class TestPublicInterfaceOnly:
+    def test_cli_touches_no_private_name(self):
+        # the CLI calls only public library functions
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        modules, private = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("hele_homog")):
+                if node.module in (None, "hele_homog"):
+                    modules.update(a.asname or a.name for a in node.names)
+                private += [a.name for a in node.names if a.name.startswith("_")]
+        assert {"barriers", "homog1d", "hs2d"} <= modules
+        private += [
+            f"{node.value.id}.{node.attr} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")]
+        assert private == []
 
 
 class TestSeedPlumbing:

@@ -1,6 +1,7 @@
 """Tests for the mobility-expression parser and sampled medium diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,27 @@ class TestParseErrors:
         with pytest.raises(ExpressionError):
             parse_medium("min(1)", dim=1)
 
+    @pytest.mark.parametrize("src", [
+        "sin(" * 165 + "x" + ")" * 165,
+        "(" * 200 + "x" + ")" * 200,
+        "+".join(["x"] * 2000),
+    ], ids=["calls165", "parens200", "sum2000"])
+    def test_too_deep_is_expression_error(self, src):
+        # Python's recursion limit or its parenthesis limit, never a traceback
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            parse_medium(src, dim=1)
+
+    def test_python_parenthesis_limit_is_expression_error(self):
+        # with a raised recursion limit the parser gets through 250 levels,
+        # and compiling the evaluator meets Python's 200-parenthesis limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(4000)
+        try:
+            with pytest.raises(ExpressionError, match="nested too deeply"):
+                parse_medium("-(x+" * 250 + "x" + ")" * 250, dim=1)
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_unbalanced_paren(self):
         with pytest.raises(ExpressionError):
             parse_medium("(1 + 2", dim=1)
@@ -178,6 +200,16 @@ class TestFormatRoundTrip:
         for x, t in [(0.0, 0.0), (0.3, 0.7), (1.4, -0.2)]:
             v1, v2 = g1(x, t), g2(x, t)
             assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
+
+    @pytest.mark.parametrize("src,text", [
+        ("1e999", "1e999"),
+        ("2 - 1e999*x", "2.0 - 1e999 * x1"),
+    ])
+    def test_infinite_literal_round_trip(self, src, text):
+        # repr(inf) is 'inf', which does not parse back
+        g = parse_medium(src, dim=1)
+        assert format_expr(g.ast) == text
+        assert parse_medium(text, dim=1).ast == g.ast
 
     def test_builtin_sources_round_trip(self):
         for name, (src, dim) in BUILTIN_MEDIA.items():
@@ -298,8 +330,9 @@ class TestGeneratedEvaluator:
         "*".join(["1.0001"] * 300) + " / t",
         "-" * 300 + "x",
         "^".join(["1"] * 250),
+        "-(x+" * 100 + "x" + ")" * 100 + " + 2000",
     ], ids=["inf", "inf-minus", "min-inf", "nan-region", "grouping", "sum300", "product300",
-            "neg300", "power250"])
+            "neg300", "power250", "negsum100"])
     def test_explicit_sources(self, src):
         # the long chains nest deeper than Python's 200 parenthesis levels
         # if every operation is wrapped
