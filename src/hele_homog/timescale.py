@@ -96,9 +96,37 @@ class SubScaling:
         return self.gamma + self.lam - self.alpha * self.gamma
 
 
+_LOG_SWITCH = 700.0  # W of an argument past e^700 is taken from its logarithm
+
+
+def _lambert_w0_exp(L):
+    """W(e^L) for L >= _LOG_SWITCH, where e^L may overflow: Newton's method
+    on w + log w = L from the asymptotic seed L - log L."""
+    L = np.asarray(L, dtype=float)
+    w = L - np.log(L)
+    for _ in range(50):
+        step = w * (w + np.log(w) - L) / (w + 1.0)
+        w = w - step
+        if np.all(np.abs(step) <= 1e-15 * w):
+            return w
+    raise NumericalError("lambert_w0: Newton iteration on w + log w = L "
+                         "did not converge")
+
+
 def _scaling_w(arr, shift: float, ag: float):
-    """W((shift/ag) e^{(t+shift)/ag}), the argument clipped at the branch point."""
-    return lambert_w0(np.maximum((shift / ag) * np.exp((arr + shift) / ag), -_INV_E))
+    """W((shift/ag) e^{(t+shift)/ag}), the argument clipped at the branch point.
+
+    Past e^700 (shift > 0 only) the argument may overflow, so W is taken from
+    its logarithm log(shift/ag) + (t+shift)/ag there.
+    """
+    with np.errstate(over="ignore"):
+        z = (shift / ag) * np.exp((arr + shift) / ag)
+    huge = z > math.exp(_LOG_SWITCH)
+    w = lambert_w0(np.maximum(np.where(huge, 0.0, z), -_INV_E))
+    if not np.any(huge):
+        return w
+    log_z = np.where(huge, math.log(shift / ag) + (arr + shift) / ag, _LOG_SWITCH)
+    return np.where(huge, _lambert_w0_exp(log_z), w)
 
 
 def f_sub(t, s: SubScaling):

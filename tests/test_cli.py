@@ -405,6 +405,16 @@ class TestTimescaleEval:
         assert code == 0
         assert float(out) == pytest.approx(0.2, abs=1e-12)
 
+    def test_sub_rescaling_at_a_late_time(self):
+        # e^((t + xi)/ag) overflows here; the rescaling itself is finite
+        code, out, err = run_cli(
+            ["timescale", "eval", "--kind", "sub", "--alpha", "0.5",
+             "--gamma", "1", "--t", "400"])
+        assert code == 0, err
+        assert err == ""
+        f = float(out)  # the inverse map t = f + xi (e^(f/ag) - 1), xi = ag = 0.5
+        assert f + 0.5 * (math.exp(f / 0.5) - 1.0) == pytest.approx(400.0, abs=1e-8)
+
     def test_blowup_reported_as_validation_failure(self):
         code, _, err = run_cli(
             ["timescale", "eval", "--kind", "super", "--alpha", "1.2",

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import gmres, spsolve
 
 from hele_homog import hs2d
 from hele_homog.errors import NumericalError, ValidationError
@@ -426,12 +426,9 @@ class TestFlatness2d:
 # ---------------------------------------------------------------------------
 
 
-def reference_pressure(domain, h, psi0):
-    """The 9-point system assembled as a COO matrix and solved by SuperLU.
-
-    Same discretization as hs2d._solve_pressure; returns (u grid, |Du| at the
-    front).
-    """
+def reference_system(domain, h, psi0):
+    """The 9-point system of hs2d._solve_pressure assembled as a sparse
+    matrix; returns (matrix, right-hand side) over the interior unknowns."""
     nx, ny, dy = domain.nx, domain.ny, domain.dy
     dxt = 1.0 / nx
     hp, hpp = _front_derivatives(h, dy)
@@ -479,6 +476,16 @@ def reference_pressure(domain, h, psi0):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_unknown, n_unknown),
     )
+    return mat, rhs
+
+
+def reference_pressure(domain, h, psi0):
+    """The reference system solved by SuperLU; returns (u grid, |Du| at the
+    front)."""
+    nx, ny = domain.nx, domain.ny
+    dxt = 1.0 / nx
+    hp, _ = _front_derivatives(h, domain.dy)
+    mat, rhs = reference_system(domain, h, psi0)
     u = np.zeros((nx + 1, ny))
     u[0, :] = psi0
     u[1:nx, :] = spsolve(mat, rhs).reshape(nx - 1, ny)
@@ -554,6 +561,52 @@ class TestPressureSolver:
         assert np.all(bumpy.iterations > 1)
         assert np.all(bumpy.residual <= 1e-10)
 
+    @pytest.mark.parametrize("ny", [8, 9, 64])
+    def test_front_derivatives_match_periodic_rolls(self, ny):
+        # same arithmetic in the same order as the np.roll formulas: equal bits
+        h = 1.0 + np.random.default_rng(ny).uniform(-0.3, 0.3, ny)
+        dy = 1.0 / ny
+        hp, hpp = _front_derivatives(h, dy)
+        np.testing.assert_array_equal(
+            hp, (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * dy))
+        np.testing.assert_array_equal(
+            hpp, (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / dy ** 2)
+
+    def test_flat_steps_skip_gmres_and_curved_steps_call_it_once(self, monkeypatch):
+        calls = []
+
+        def counting_gmres(*args, **kwargs):
+            calls.append(kwargs["x0"])
+            return gmres(*args, **kwargs)
+
+        monkeypatch.setattr(hs2d, "gmres", counting_gmres)
+        flat = simulate(basic_config(T=0.1, dt=0.01))
+        assert flat.total_steps == 10
+        assert calls == []
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16)
+        curved = simulate(SimConfig(domain=dom, medium=constant_medium(), eps=0.5,
+                                    psi0=1.0, T=0.01, dt=0.001,
+                                    h0=sine_front(dom, 0.5)))
+        assert curved.total_steps == 10
+        assert len(calls) == 10
+        # warm-started from the fast Poisson solve, not from zero
+        assert all(np.any(x0 != 0.0) for x0 in calls)
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS,
+                             ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_accepted_fast_solve_meets_gmres_tolerance(self, dom, monkeypatch):
+        def no_gmres(*args, **kwargs):
+            raise AssertionError("a flat front must not reach GMRES")
+
+        monkeypatch.setattr(hs2d, "gmres", no_gmres)
+        h = sine_front(dom, 0.0)
+        u, _, iterations, residual = _solve_pressure(dom, h, 0.7, 0.0)
+        mat, rhs = reference_system(dom, h, 0.7)
+        true_residual = np.linalg.norm(mat @ u[1:-1].ravel() - rhs)
+        assert true_residual <= 1e-12 * np.linalg.norm(rhs)
+        assert residual <= 1e-12
+        assert iterations == 1
+
     def test_gmres_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(hs2d, "_GMRES_RESTART", 2)
         monkeypatch.setattr(hs2d, "_GMRES_CYCLES", 1)
@@ -580,6 +633,19 @@ class TestPressureSolver:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite values at t=0.5"):
                 _solve_pressure(dom, h, 1.0, 0.5)
+
+
+class TestMaximumPrinciple:
+    def test_pressure_outside_zero_psi0_stops_the_step(self):
+        # at slope 4.4 the 9-point stencil is no longer monotone: u dips to
+        # about -1.5e-3
+        dom = SOLVER_GRIDS[3]
+        cfg = basic_config(domain=dom, psi0=0.7)
+        front = FrontGraph(heights=sine_front(dom, 4.4), t=0.3)
+        with pytest.raises(NumericalError,
+                           match=r"maximum principle violated at t=0\.3: u in "
+                                 r"\[-0\.00152535, 0\.7\] leaves .* by 0\.00153"):
+            step(front, cfg)
 
 
 class TestNonFiniteInputs:

@@ -28,6 +28,7 @@ from hele_homog import (
     theta_shift,
     theta_shift_deriv,
 )
+from hele_homog.timescale import _LOG_SWITCH, _lambert_w0_exp
 
 T_MAX_FROZEN = 1.2 * (math.log(6.0) - 1.0) + 0.2  # SuperScaling(1, 1.2, 0.2)
 
@@ -144,6 +145,35 @@ class TestSubScaling:
             SubScaling(alpha=1.0, gamma=-1.0)
         with pytest.raises(ValidationError):
             SubScaling(alpha=1.0, gamma=1.0, lam=-0.1)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_late_times_do_not_overflow(self, lam):
+        # (t + xi)/ag > 800: e^800 overflows, its logarithm does not
+        s = SubScaling(alpha=0.5, gamma=1.0, lam=lam)
+        with np.errstate(over="raise"):
+            f = f_sub(400.0, s)
+            slope = f_sub_deriv(400.0, s)
+        assert _sub_inverse(f, s) == pytest.approx(400.0, abs=1e-8)
+        assert slope == pytest.approx(1.0 / (1.0 + (s.xi / 0.5) * math.exp(f / 0.5)),
+                                      rel=1e-12)
+
+    def test_continuous_across_the_log_switch(self):
+        # the argument (xi/ag) e^((t + xi)/ag) reaches e^700 at `switch`
+        s = SubScaling(alpha=0.5, gamma=1.0, lam=0.7)
+        switch = 0.5 * (_LOG_SWITCH - math.log(s.xi / 0.5)) - s.xi
+        below, above = f_sub(np.array([switch - 1e-9, switch + 1e-9]), s)
+        slope = f_sub_deriv(switch, s)
+        assert above - below == pytest.approx(2e-9 * slope, abs=1e-12)
+
+    def test_log_form_matches_w_below_the_switch(self):
+        for L in [650.0, 690.0, 699.9, _LOG_SWITCH]:
+            w = float(_lambert_w0_exp(L))
+            assert w == pytest.approx(lambert_w0(math.exp(L)), rel=1e-15)
+
+    @pytest.mark.parametrize("L", [_LOG_SWITCH, 801.0, 1e4, 1e8, 1e300])
+    def test_log_form_identity(self, L):
+        w = float(_lambert_w0_exp(L))
+        assert w + math.log(w) == pytest.approx(L, rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(
