@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from . import barriers, geometry, homog1d, hs2d, timescale
 from .errors import NumericalError, ValidationError
 from .medium import (BUILTIN_MEDIA, Medium, builtin_medium, check_periodicity,
-                     estimate_bounds, eval_scaled, parse_medium)
+                     estimate_bounds, parse_medium)
 
 
 def _fmt(v) -> str:
@@ -64,26 +63,59 @@ def _seed(args) -> int:
         raise ValidationError(f"HELE_HOMOG_SEED must be an integer, got {raw!r}")
 
 
-def _load_json_file(path: str) -> dict:
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+# sim2d keys in flag order: kind, and the CLI's default where SimConfig has
+# none (None: SimConfig's default applies, or, for medium, the key is required)
+_SIM_FIELDS = {
+    "medium": (str, None),
+    "dim": (int, 2),
+    "eps": (float, 0.1),
+    "psi0": (float, 1.0),
+    "T": (float, 1.0),
+    "h0": (float, None),
+    "Lx": (float, 2.0),
+    "Ly": (float, 1.0),
+    "nx": (int, 64),
+    "ny": (int, 64),
+    "cfl": (float, None),
+    "dt": (float, None),
+    "save_every": (int, None),
+}
+_MEDIUM_FIELDS = {"expr": str, "dim": int}
+
+
+def _typed(value, kind, what: str):
+    """value as kind: str takes a string, float any number, int an integral one."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    if not ok:
+        raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _load_json_file(path: str, schema: dict, where: str) -> dict:
+    """Read a {"version": 1, ...} JSON object; schema maps each allowed key to
+    its kind. Returns the typed values without version; null means absent."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}")
+        raise ValidationError(f"cannot read {where}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}")
+        raise ValidationError(f"{where} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    if data.get("version") != 1:
-        raise ValidationError(
-            f"config {path} needs \"version\": 1, got {data.get('version')!r}"
-        )
-    return data
-
-
-def _check_keys(data: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(data) - allowed)
+        raise ValidationError(f"{where} must hold a JSON object")
+    version = data.pop("version", None)
+    if version != 1:
+        raise ValidationError(f"{where} needs \"version\": 1, got {version!r}")
+    unknown = sorted(set(data) - set(schema))
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {', '.join(unknown)}")
+    return {key: _typed(value, schema[key], f"{where}: \"{key}\"")
+            for key, value in data.items() if value is not None}
 
 
 def load_medium(spec: str, dim=None) -> Medium:
@@ -91,14 +123,11 @@ def load_medium(spec: str, dim=None) -> Medium:
     if spec.startswith("builtin:"):
         return builtin_medium(spec[len("builtin:"):])
     if spec.endswith(".json"):
-        data = _load_json_file(spec)
-        _check_keys(data, {"version", "expr", "dim"}, f"medium file {spec}")
+        data = _load_json_file(spec, _MEDIUM_FIELDS, f"medium file {spec}")
         if "expr" not in data:
             raise ValidationError(f"medium file {spec} is missing \"expr\"")
-        file_dim = data.get("dim", 1)
-        if not isinstance(file_dim, int):
-            raise ValidationError(f"medium file {spec}: \"dim\" must be an integer")
-        return parse_medium(data["expr"], dim if dim is not None else file_dim)
+        return parse_medium(data["expr"],
+                            dim if dim is not None else data.get("dim", 1))
     return parse_medium(spec, dim if dim is not None else 1)
 
 
@@ -275,54 +304,29 @@ def _cmd_geometry_report(args) -> int:
     return 0
 
 
-_SIM_KEYS = {"version", "medium", "dim", "eps", "psi0", "T", "h0",
-             "Lx", "Ly", "nx", "ny", "cfl", "dt", "save_every"}
-
-
 def _sim_config(args) -> hs2d.SimConfig:
-    data = {}
+    """Merge the CLI defaults, the --config file and the flags, in that order."""
+    values = {key: default for key, (_, default) in _SIM_FIELDS.items()
+              if default is not None}
     if args.config:
-        data = _load_json_file(args.config)
-        _check_keys(data, _SIM_KEYS, f"config {args.config}")
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else data.get(key, default)
-
-    medium_spec = pick(args.medium, "medium")
-    if medium_spec is None:
+        values.update(_load_json_file(
+            args.config, {key: kind for key, (kind, _) in _SIM_FIELDS.items()},
+            f"config {args.config}"))
+    flags = vars(args)
+    values.update((key, flags[key]) for key in _SIM_FIELDS
+                  if flags.get(key) is not None)
+    if "medium" not in values:
         raise ValidationError("sim2d needs a medium (--medium or config key)")
-    g = load_medium(medium_spec, pick(args.dim, "dim", 2))
-    domain = hs2d.StripDomain(
-        Lx=float(pick(args.Lx, "Lx", 2.0)),
-        Ly=float(pick(args.Ly, "Ly", 1.0)),
-        nx=int(pick(args.nx, "nx", 64)),
-        ny=int(pick(args.ny, "ny", 64)),
-    )
-    dt = pick(args.dt, "dt")
-    return hs2d.SimConfig(
-        domain=domain,
-        medium=g,
-        eps=float(pick(args.eps, "eps", 0.1)),
-        psi0=float(pick(args.psi0, "psi0", 1.0)),
-        T=float(pick(args.T, "T", 1.0)),
-        h0=float(pick(args.h0, "h0", 1.0)),
-        cfl=float(pick(args.cfl, "cfl", 0.4)),
-        dt=None if dt is None else float(dt),
-        save_every=int(pick(args.save_every, "save_every", 1)),
-    )
+    medium = load_medium(values.pop("medium"), values.pop("dim"))
+    domain = hs2d.StripDomain(**{key: values.pop(key)
+                                 for key in ("Lx", "Ly", "nx", "ny")})
+    return hs2d.SimConfig(domain=domain, medium=medium, **values)
 
 
 def _cmd_sim2d_run(args) -> int:
     config = _sim_config(args)
     history = hs2d.simulate(config)
-    ys = config.domain.y_nodes
-    rows = []
-    for f in history.fronts:
-        for y, h in zip(ys, f.heights):
-            rows.append((f.t, y, h))
-    text = _csv(["t (time units)", "y (tangential position; length units)",
-                 "h (front depth; length units)"], rows)
-    _emit(text, args.out)
+    # everything that can fail runs before the first write
     summary = {
         "T": config.T,
         "eps": config.eps,
@@ -334,12 +338,16 @@ def _cmd_sim2d_run(args) -> int:
         "u_max": float(history.u_max.max()),
         "front_speed_fit": history.front_speed(0.25 * config.T, config.T),
     }
+    ys = config.domain.y_nodes
+    rows = [(f.t, y, h) for f in history.fronts for y, h in zip(ys, f.heights)]
+    text = _csv(["t (time units)", "y (tangential position; length units)",
+                 "h (front depth; length units)"], rows)
+    _emit(text, args.out)
     _emit(_json_text(summary), args.summary)
     return 0
 
 
 def _cmd_sim2d_converge(args) -> int:
-    args.eps = None  # the study sets eps per run; the base config default stands
     config = _sim_config(args)
     eps_list = _float_list(args.eps_list)
     report = hs2d.convergence_study(config, eps_list)
@@ -478,20 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_sim_flags(p, include_eps: bool = True):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--medium", default=None)
-        p.add_argument("--dim", type=int, default=None)
-        if include_eps:
-            p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--psi0", type=float, default=None)
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--h0", type=float, default=None)
-        p.add_argument("--Lx", type=float, default=None)
-        p.add_argument("--Ly", type=float, default=None)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--ny", type=int, default=None)
-        p.add_argument("--cfl", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--save-every", dest="save_every", type=int, default=None)
+        for key, (kind, _) in _SIM_FIELDS.items():
+            if include_eps or key != "eps":
+                p.add_argument("--" + key.replace("_", "-"), type=kind)
 
     sr = ssub.add_parser("run", help="run one simulation, write fronts + summary")
     _add_sim_flags(sr)

@@ -260,7 +260,6 @@ def matching_wave(geom: ConeGeometry, xi) -> tuple[MatchingWave, MatchingWave]:
     if abs(float(np.linalg.norm(xi)) - 1.0) > 1e-9:
         raise ValidationError("xi must be a unit vector")
     ct = math.cos(geom.theta)
-    st = math.sin(geom.theta)
     if abs(float(xi @ geom.nu) - ct) > 1e-12:
         raise ValidationError("direction not on the cone boundary set Xi")
     e = _unit(xi - ct * geom.nu)

@@ -17,7 +17,7 @@ principle). Iterations and residual are recorded per saved step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -117,7 +117,8 @@ class SimConfig:
         if self.dt is not None and not self.dt > 0:
             raise ValidationError(f"dt must be > 0 when given, got {self.dt}")
         if not (isinstance(self.save_every, int) and self.save_every >= 1):
-            raise ValidationError(f"save_every must be an integer >= 1")
+            raise ValidationError(
+                f"save_every must be an integer >= 1, got {self.save_every!r}")
 
     @cached_property
     def speed_bound(self) -> float:

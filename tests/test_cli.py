@@ -9,6 +9,7 @@ Reruns of the same invocation must be byte-identical.
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -19,12 +20,13 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import hele_homog
-from hele_homog import barriers, cli
+from hele_homog import barriers, cli, hs2d
 from hele_homog.cli import main
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -176,6 +178,13 @@ class TestMediumCheck:
             ({"version": 2, "expr": "1"}, "version"),
             ({"version": 1}, "missing"),
             ({"version": 1, "expr": "1", "dim": "two"}, "integer"),
+            ({"version": 1, "expr": 5}, '"expr" must be a string, got 5'),
+            ({"version": 1, "expr": True}, '"expr" must be a string, got True'),
+            ({"version": 1, "expr": ["1"]}, '"expr" must be a string'),
+            ({"version": 1, "expr": "1", "dim": True}, '"dim" must be an integer'),
+            ({"version": 1, "expr": "1", "dim": [1]}, '"dim" must be an integer'),
+            ({"version": 1, "expr": "1", "dim": 1.5},
+             '"dim" must be an integer, got 1.5'),
         ],
     )
     def test_medium_file_shape_errors(self, tmp_path, payload, message):
@@ -184,6 +193,15 @@ class TestMediumCheck:
         code, _, err = run_cli(["medium", "check", "--medium", str(path)])
         assert code == 1
         assert message in err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("dim", [1.0, None])
+    def test_medium_file_integral_float_and_null_dim(self, tmp_path, dim):
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps({"version": 1, "expr": "2", "dim": dim}))
+        code, out, _ = run_cli(["medium", "check", "--medium", str(path)])
+        assert code == 0
+        assert json.loads(out)["dim"] == 1
 
     def test_medium_file_invalid_json(self, tmp_path):
         path = tmp_path / "medium.json"
@@ -513,6 +531,31 @@ class TestGeometryReport:
 # ---------------------------------------------------------------------------
 
 
+SIM_CONFIG = {"version": 1, "medium": "1", "dim": 2, "eps": 0.5, "psi0": 1.0,
+              "T": 0.05, "h0": 1.0, "Lx": 4.0, "Ly": 1.0, "nx": 16, "ny": 8}
+
+# a value other than the default for every sim2d key
+SIM_VALUES = {"medium": "2", "dim": 1, "eps": 0.25, "psi0": 0.5, "T": 0.3,
+              "h0": 0.9, "Lx": 3.0, "Ly": 0.5, "nx": 24, "ny": 12, "cfl": 0.3,
+              "dt": 0.01, "save_every": 3}
+
+
+def sim_config(argv):
+    return cli._sim_config(cli.build_parser().parse_args(["sim2d", "run"] + argv))
+
+
+def sim_config_fields(argv):
+    """The sim2d key values a run would use, or the validation message."""
+    try:
+        c = sim_config(argv)
+    except hele_homog.ValidationError as exc:
+        return str(exc)
+    return {"medium": c.medium.source, "dim": c.medium.dim, "eps": c.eps,
+            "psi0": c.psi0, "T": c.T, "h0": c.h0, "Lx": c.domain.Lx,
+            "Ly": c.domain.Ly, "nx": c.domain.nx, "ny": c.domain.ny,
+            "cfl": c.cfl, "dt": c.dt, "save_every": c.save_every}
+
+
 RUN_ARGS = ["sim2d", "run", "--medium", "1", "--dim", "2", "--eps", "0.5",
             "--psi0", "1", "--T", "0.2", "--h0", "1", "--Lx", "4",
             "--Ly", "1", "--nx", "16", "--ny", "8"]
@@ -574,6 +617,65 @@ class TestSim2dRun:
         code, _, err = run_cli(["sim2d", "run", "--T", "0.1"])
         assert code == 1
         assert "needs a medium" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("T", "abc", '"T" must be a number, got \'abc\''),
+        ("eps", True, '"eps" must be a number, got True'),
+        ("h0", [1, 2], '"h0" must be a number, got [1, 2]'),
+        ("nx", 16.7, '"nx" must be an integer, got 16.7'),
+        ("save_every", "2", '"save_every" must be an integer, got \'2\''),
+        ("dim", False, '"dim" must be an integer, got False'),
+        ("medium", 5, '"medium" must be a string, got 5'),
+        ("medium", ["1"], '"medium" must be a string, got [\'1\']'),
+    ])
+    def test_config_bad_kind(self, tmp_path, key, value, message):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**SIM_CONFIG, key: value}))
+        code, out, err = run_cli(["sim2d", "run", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config {cfg}: {message}\n"
+
+    def test_config_integral_float_and_null(self, tmp_path):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**SIM_CONFIG, "nx": 16.0, "dt": None}))
+        config = sim_config(["--config", str(cfg)])
+        assert config.domain.nx == 16 and isinstance(config.domain.nx, int)
+        assert config.dt is None
+
+    @pytest.mark.parametrize("key", list(SIM_VALUES))
+    def test_flag_and_config_file_agree(self, tmp_path, key):
+        # one value per sim2d key, given once as a flag and once in a file
+        assert set(SIM_VALUES) == set(cli._SIM_FIELDS)
+        base = {} if key == "medium" else {"medium": "1"}
+        flags = [a for k, v in {**base, key: SIM_VALUES[key]}.items()
+                 for a in ("--" + k.replace("_", "-"), str(v))]
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"version": 1, **base, key: SIM_VALUES[key]}))
+        by_flag = sim_config_fields(flags)
+        by_file = sim_config_fields(["--config", str(cfg)])
+        assert by_flag == by_file
+        if key == "dim":  # a dim-1 medium is rejected the same way both ways
+            assert "dim-2 medium, got dim 1" in by_flag
+        else:
+            assert by_flag[key] == SIM_VALUES[key]
+
+    def test_omitted_values_take_simconfig_defaults(self):
+        config = sim_config(["--medium", "1"])
+        defaults = {f.name: f.default for f in dataclasses.fields(hs2d.SimConfig)}
+        for name in ("h0", "cfl", "dt", "save_every"):
+            assert getattr(config, name) == defaults[name]
+
+    @pytest.mark.parametrize("extra", [["--T", "0.01"],
+                                       ["--T", "0.2", "--save-every", "1000"]])
+    def test_failed_run_writes_no_file(self, tmp_path, extra):
+        front, summary = tmp_path / "f.csv", tmp_path / "s.json"
+        code, out, err = run_cli(
+            ["sim2d", "run", "--medium", "1", "--dim", "2", "--nx", "16",
+             "--ny", "8", "--out", str(front), "--summary", str(summary)] + extra)
+        assert code == 1
+        assert err == "error: not enough saved fronts in the fit window\n"
+        assert out == "" and not front.exists() and not summary.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         files = []
@@ -674,6 +776,15 @@ class TestTopLevel:
         exe = shutil.which("hele-homog")
         if exe is not None:
             check_console_contract([exe], env, tmp_path)
+
+    def test_package_version_is_declared_once(self):
+        # pyproject.toml reads the version from hele_homog.__version__
+        from setuptools.config.pyprojecttoml import read_configuration
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # older setuptools: beta notice
+            project = read_configuration(PYPROJECT)["project"]
+        assert "version" in project["dynamic"]
+        assert project["version"] == hele_homog.__version__
 
 
 class TestPublicInterfaceOnly:
