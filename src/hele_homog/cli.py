@@ -26,10 +26,13 @@ def _fmt(v) -> str:
 
 
 def _emit(text: str, path) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _csv(header: list[str], rows) -> str:
@@ -94,7 +97,10 @@ def _typed(value, kind, what: str):
               and (kind is float or isinstance(value, int) or value.is_integer()))
     if not ok:
         raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ValidationError(f"{what} is too large for {_KIND_NAMES[kind]}")
 
 
 def _load_json_file(path: str, schema: dict, where: str) -> dict:
@@ -109,7 +115,7 @@ def _load_json_file(path: str, schema: dict, where: str) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must hold a JSON object")
     version = data.pop("version", None)
-    if version != 1:
+    if isinstance(version, bool) or version != 1:
         raise ValidationError(f"{where} needs \"version\": 1, got {version!r}")
     unknown = sorted(set(data) - set(schema))
     if unknown:
@@ -209,7 +215,7 @@ def _cmd_rq_curve(args) -> int:
                  "err (speed error bound 1/T; length per unit time)"], rows)
     _emit(text, args.out)
     if args.svg:
-        Path(args.svg).write_text(_svg_curve(curve.q, curve.r_hat, "q", "r_hat"))
+        _emit(_svg_curve(curve.q, curve.r_hat, "q", "r_hat"), args.svg)
     return 0
 
 

@@ -152,9 +152,11 @@ _GMRES_RESTART, _GMRES_CYCLES = 30, 20  # at most 600 iterations
 _MAX_PRINCIPLE_TOL = 1e-12
 
 
-def _solve_pressure(domain: StripDomain, h: np.ndarray, psi0: float, t: float
+def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
+                    hpp: np.ndarray, psi0: float, t: float
                     ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Solve the mapped Laplace equation; return (u grid, |Du| at the front,
+    """Solve the mapped Laplace equation under the front h with derivatives
+    (hp, hpp) = _front_derivatives(h, dy); return (u grid, |Du| at the front,
     iterations, relative residual |A u - b| / |b|).
 
     In xt = x/h(y) the equation becomes
@@ -173,7 +175,6 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, psi0: float, t: float
     nx, ny, dy = domain.nx, domain.ny, domain.dy
     dxt = 1.0 / nx
     xt, lam_x, sin2_y = domain._pressure_factors
-    hp, hpp = _front_derivatives(h, dy)
     a = 1.0 + xt ** 2 * hp ** 2
     b = h ** 2
     c = xt * h * hp
@@ -256,13 +257,14 @@ def _advance(state: FrontGraph, config: SimConfig,
         raise NumericalError(
             "front leaves the strip: heights within 2 grid cells of x = 0"
         )
-    hp, _ = _front_derivatives(h, domain.dy)
+    hp, hpp = _front_derivatives(h, domain.dy)
     if np.abs(hp).max() > 5.0:
         raise NumericalError(
             f"graph condition violated: front slope {np.abs(hp).max():.3g} > 5"
         )
 
-    u, grad, iterations, residual = _solve_pressure(domain, h, config.psi0, state.t)
+    u, grad, iterations, residual = _solve_pressure(
+        domain, h, hp, hpp, config.psi0, state.t)
     u_min, u_max = float(u.min()), float(u.max())
     excess = max(-u_min, u_max - config.psi0)
     if not excess <= _MAX_PRINCIPLE_TOL:

@@ -2,7 +2,13 @@
 
 The sub/super scalings slow down or speed up time while preserving an
 initial value and a prescribed initial derivative; the theta shift maps a
-time offset into a phase advance. All closed forms reduce to W.
+time offset into a phase advance. All three are one map,
+
+    F(t) = t + c - a W(z),   F'(t) = 1 / (1 + W(z)),   z = (c/a) e^{(t+c)/a},
+
+with (c, a) = (xi, alpha*gamma) for the sub scaling, (eta, alpha*gamma) for
+the super scaling and (-lam, gamma) for the theta shift, which is F + lam.
+c = 0 is the identity; for c < 0 the map ends where z reaches -1/e.
 """
 
 from __future__ import annotations
@@ -11,70 +17,60 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw, wrightomega
 
 from .errors import NumericalError, ValidationError
 
 _INV_E = math.exp(-1.0)
 
 
-def _branch_series(z):
-    """Series for W near the branch point z = -1/e in p = sqrt(2(ez+1))."""
-    p = np.sqrt(2.0 * (math.e * z + 1.0))
-    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
-
-
 def lambert_w0(x):
-    """Principal branch W(x) for x >= -1/e, to ~1e-14 relative accuracy.
+    """Principal branch W(x) for x >= -1/e, by scipy.special.lambertw.
 
-    Seeded by a regime-dependent asymptotic guess, refined by Halley
-    iteration. Within 1e-6 of the branch point the series seed is already
-    accurate to ~1e-24 and refinement is skipped (the Halley denominator
-    degenerates there).
-    """
+    Arguments at or up to 1e-12 below the rounded -1/e give -1: that double
+    lies just below the true branch point, where SciPy returns NaN."""
     z = np.asarray(x, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).astype(float)
-    if np.any(z < -_INV_E - 1e-12):
-        raise ValidationError(f"lambert_w0 requires x >= -1/e, got min {z.min()}")
-    z = np.maximum(z, -_INV_E)
-
-    w = np.empty_like(z)
-    near = z <= -0.2
-    big = z > math.e
-    mid = ~near & ~big
-    w[near] = _branch_series(z[near])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.log(z[big])
-        w[big] = lz - np.log(lz)
-    w[mid] = np.log1p(z[mid])
-
-    # Halley refinement; frozen where w+1 is tiny (series regime)
-    active = np.abs(w + 1.0) > 1e-6
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(50):
-            ew = np.exp(w)
-            f = w * ew - z
-            w1 = w + 1.0
-            denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
-            step = f / denom
-            step = np.where(active & np.isfinite(step), step, 0.0)
-            w = w - step
-            if np.all(np.abs(step) <= 1e-14 * (2.0 + np.abs(w))):
-                break
-        else:
-            raise NumericalError("lambert_w0: Halley iteration did not converge")
-    return float(w[0]) if scalar else w
+    if not np.all(z >= -_INV_E - 1e-12):
+        raise ValidationError(f"lambert_w0 requires x >= -1/e, got min {np.min(z)}")
+    w = np.where(z <= -_INV_E, -1.0, lambertw(z).real)
+    return float(w) if w.ndim == 0 else w
 
 
-def _as_times(t, minimum=0.0):
+def _horizon(c: float, a: float) -> float:
+    """End of the map: where z = (c/a) e^{(t+c)/a} reaches -1/e; inf for c >= 0."""
+    return math.inf if c >= 0 else a * (math.log(a / -c) - 1.0) - c
+
+
+def _rescale(t, c: float, a: float, deriv: bool, closed: bool = False):
+    """F(t) or F'(t) of the map with parameters (c, a), for finite t >= 0.
+
+    Past the horizon it raises: at and past it when the map is open
+    (t_max), beyond it by more than a relative 1e-12 when closed (t_lambda).
+    """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < minimum):
-        raise ValidationError(f"t must be >= {minimum}, got min {arr.min()}")
-    return arr, arr.ndim == 0
-
-
-def _out(arr, scalar):
-    return float(arr) if scalar else np.asarray(arr, dtype=float)
+    bad = arr[~(np.isfinite(arr) & (arr >= 0))]
+    if bad.size:
+        raise ValidationError(f"t must be finite and >= 0, got {bad[0]}")
+    end = _horizon(c, a)
+    if closed and np.any(arr > end * (1 + 1e-12) + 1e-12):
+        raise ValidationError(f"t beyond t_lambda = {end}")
+    if not closed and np.any(arr >= end):
+        raise ValidationError(f"t >= t_max = {end}: rescaling has blown up")
+    if c > 0:  # W(e^L) for L = log z, which never overflows
+        with np.errstate(over="ignore"):  # t past the float range: caught below
+            w = wrightomega(math.log(c / a) + (arr + c) / a)
+        out = a * np.log(a * w / c)  # t + c - aW by W = log z - log W, uncancelled
+    elif c < 0:  # z in [-1/e, 0) up to the horizon, -1/e from it on
+        w = lambert_w0(np.where(arr < end, (c / a) * np.exp((arr + c) / a), -_INV_E))
+        out = arr + c - a * w
+    else:  # the identity
+        w, out = np.zeros_like(arr), arr + 0.0
+    if deriv:
+        with np.errstate(divide="ignore"):  # infinite at the horizon
+            out = 1.0 / (1.0 + np.asarray(w))
+    elif not np.all(np.isfinite(out)):
+        raise NumericalError(f"rescaling overflowed for t up to {np.max(arr)}")
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -96,54 +92,14 @@ class SubScaling:
         return self.gamma + self.lam - self.alpha * self.gamma
 
 
-_LOG_SWITCH = 700.0  # W of an argument past e^700 is taken from its logarithm
-
-
-def _lambert_w0_exp(L):
-    """W(e^L) for L >= _LOG_SWITCH, where e^L may overflow: Newton's method
-    on w + log w = L from the asymptotic seed L - log L."""
-    L = np.asarray(L, dtype=float)
-    w = L - np.log(L)
-    for _ in range(50):
-        step = w * (w + np.log(w) - L) / (w + 1.0)
-        w = w - step
-        if np.all(np.abs(step) <= 1e-15 * w):
-            return w
-    raise NumericalError("lambert_w0: Newton iteration on w + log w = L "
-                         "did not converge")
-
-
-def _scaling_w(arr, shift: float, ag: float):
-    """W((shift/ag) e^{(t+shift)/ag}), the argument clipped at the branch point.
-
-    Past e^700 (shift > 0 only) the argument may overflow, so W is taken from
-    its logarithm log(shift/ag) + (t+shift)/ag there.
-    """
-    with np.errstate(over="ignore"):
-        z = (shift / ag) * np.exp((arr + shift) / ag)
-    huge = z > math.exp(_LOG_SWITCH)
-    w = lambert_w0(np.maximum(np.where(huge, 0.0, z), -_INV_E))
-    if not np.any(huge):
-        return w
-    log_z = np.where(huge, math.log(shift / ag) + (arr + shift) / ag, _LOG_SWITCH)
-    return np.where(huge, _lambert_w0_exp(log_z), w)
-
-
 def f_sub(t, s: SubScaling):
     """Value of the slow rescaling; identity branch when xi <= 0."""
-    arr, scalar = _as_times(t)
-    if s.xi <= 0:
-        return _out(arr + 0.0, scalar)
-    ag = s.alpha * s.gamma
-    return _out(arr + s.xi - ag * _scaling_w(arr, s.xi, ag), scalar)
+    return _rescale(t, max(s.xi, 0.0), s.alpha * s.gamma, deriv=False)
 
 
 def f_sub_deriv(t, s: SubScaling):
     """Closed-form derivative alpha*gamma/h with h = alpha*gamma*(1+W)."""
-    arr, scalar = _as_times(t)
-    if s.xi <= 0:
-        return _out(np.ones_like(arr), scalar)
-    return _out(1.0 / (1.0 + _scaling_w(arr, s.xi, s.alpha * s.gamma)), scalar)
+    return _rescale(t, max(s.xi, 0.0), s.alpha * s.gamma, deriv=True)
 
 
 @dataclass(frozen=True)
@@ -169,30 +125,16 @@ class SuperScaling:
 
     @property
     def t_max(self) -> float:
-        if self.eta >= 0:
-            return math.inf
-        ag = self.alpha * self.gamma
-        return ag * (math.log(ag / -self.eta) - 1.0) - self.eta
+        return _horizon(min(self.eta, 0.0), self.alpha * self.gamma)
 
 
 def f_super(t, s: SuperScaling):
     """Value of the fast rescaling; error for t at or past the horizon."""
-    arr, scalar = _as_times(t)
-    if s.eta >= 0:
-        return _out(arr + 0.0, scalar)
-    if np.any(arr >= s.t_max):
-        raise ValidationError(f"t >= t_max = {s.t_max}: rescaling has blown up")
-    ag = s.alpha * s.gamma
-    return _out(arr + s.eta - ag * _scaling_w(arr, s.eta, ag), scalar)
+    return _rescale(t, min(s.eta, 0.0), s.alpha * s.gamma, deriv=False)
 
 
 def f_super_deriv(t, s: SuperScaling):
-    arr, scalar = _as_times(t)
-    if s.eta >= 0:
-        return _out(np.ones_like(arr), scalar)
-    if np.any(arr >= s.t_max):
-        raise ValidationError(f"t >= t_max = {s.t_max}: rescaling has blown up")
-    return _out(1.0 / (1.0 + _scaling_w(arr, s.eta, s.alpha * s.gamma)), scalar)
+    return _rescale(t, min(s.eta, 0.0), s.alpha * s.gamma, deriv=True)
 
 
 @dataclass(frozen=True)
@@ -214,35 +156,14 @@ class ThetaShift:
 
     @property
     def t_lambda(self) -> float:
-        if self.lam == 0:
-            return math.inf
-        return self.gamma * (
-            math.log(self.gamma / self.lam) + self.lam / self.gamma - 1.0
-        )
-
-
-def _theta_w(arr, sh: ThetaShift):
-    """W(-(lam/gamma) e^{-lam/gamma} e^{t/gamma}) for lam > 0 and t <= t_lambda."""
-    if np.any(arr > sh.t_lambda * (1 + 1e-12) + 1e-12):
-        raise ValidationError(f"t beyond t_lambda = {sh.t_lambda}")
-    ratio = sh.lam / sh.gamma
-    return lambert_w0(np.maximum(-ratio * np.exp(-ratio) * np.exp(arr / sh.gamma), -_INV_E))
+        return _horizon(-self.lam, self.gamma)
 
 
 def theta_shift(t, sh: ThetaShift):
     """theta(t; lam) = t - gamma*W(-(lam/gamma) e^{-lam/gamma} e^{t/gamma})."""
-    arr, scalar = _as_times(t)
-    if sh.lam == 0:
-        return _out(arr + 0.0, scalar)
-    return _out(arr - sh.gamma * _theta_w(arr, sh), scalar)
+    return _rescale(t, -sh.lam, sh.gamma, deriv=False, closed=True) + sh.lam
 
 
 def theta_shift_deriv(t, sh: ThetaShift):
     """theta'(t) = 1/(1+W(...)) >= 1; infinite at the endpoint t_lambda."""
-    arr, scalar = _as_times(t)
-    if sh.lam == 0:
-        return _out(np.ones_like(arr), scalar)
-    w = _theta_w(arr, sh)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / (1.0 + w)
-    return _out(out, scalar)
+    return _rescale(t, -sh.lam, sh.gamma, deriv=True, closed=True)

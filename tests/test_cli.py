@@ -185,6 +185,7 @@ class TestMediumCheck:
             ({"version": 1, "expr": "1", "dim": [1]}, '"dim" must be an integer'),
             ({"version": 1, "expr": "1", "dim": 1.5},
              '"dim" must be an integer, got 1.5'),
+            ({"version": True, "expr": "1"}, '"version": 1, got True'),
         ],
     )
     def test_medium_file_shape_errors(self, tmp_path, payload, message):
@@ -440,6 +441,24 @@ class TestTimescaleEval:
         assert code == 1
         assert "blown up" in err
 
+    def test_super_just_below_the_horizon(self):
+        # t_max = 0.5183347464017316; W's argument is 2.3e-7 above -1/e
+        code, out, err = run_cli(
+            ["timescale", "eval", "--kind", "super", "--alpha", "1.2",
+             "--gamma", "1", "--lambda", "0.2", "--t", "0.518334"])
+        assert code == 0, err
+        assert float(out) == pytest.approx(1.31699607902677212, rel=1e-12)  # mpmath
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["sub", "super", "theta"])
+    def test_non_finite_time_rejected(self, kind, t):
+        code, out, err = run_cli(
+            ["timescale", "eval", "--kind", kind, "--alpha", "0.5",
+             "--gamma", "1", "--lambda", "0.2", "--t", t])
+        assert code == 1
+        assert out == ""
+        assert "t must be finite" in err
+
 
 # ---------------------------------------------------------------------------
 # barrier verify
@@ -627,6 +646,8 @@ class TestSim2dRun:
         ("dim", False, '"dim" must be an integer, got False'),
         ("medium", 5, '"medium" must be a string, got 5'),
         ("medium", ["1"], '"medium" must be a string, got [\'1\']'),
+        pytest.param("T", 10 ** 400, '"T" is too large for a number',
+                     id="T-huge-int"),
     ])
     def test_config_bad_kind(self, tmp_path, key, value, message):
         cfg = tmp_path / "sim.json"
@@ -759,6 +780,20 @@ class TestTopLevel:
         code, _, err = run_cli(["frobnicate"])
         assert code == 1
         assert "invalid choice" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["geometry", "report", "--q", "0,-1", "--r", "1", "--m", "1",
+          "--M", "2"], "--out"),
+        (["rq", "curve", "--medium", "1", "--qmin", "0.5", "--qmax", "1",
+          "--samples", "2", "--T", "10"], "--svg"),
+        (RUN_ARGS, "--summary"),
+    ], ids=["out", "svg", "summary"])
+    def test_write_to_missing_directory_exits_one(self, tmp_path, argv, flag):
+        target = tmp_path / "nodir" / "x"
+        code, _, err = run_cli(argv + [flag, str(target)])
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
     def test_console_script_installed(self, tmp_path):
         module, _, attr = declared_console_script("hele-homog").partition(":")

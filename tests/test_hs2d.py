@@ -514,6 +514,10 @@ def ulp_noise_front(domain):
     return h + steps * np.spacing(h)
 
 
+def solve_pressure(dom, h, psi0, t):
+    return _solve_pressure(dom, h, *_front_derivatives(h, dom.dy), psi0, t)
+
+
 FRONTS = {
     "flat": lambda dom: sine_front(dom, 0.0),
     "flat_ulp_noise": ulp_noise_front,
@@ -529,7 +533,7 @@ class TestPressureSolver:
     def test_matches_sparse_direct_reference(self, dom, front):
         h = FRONTS[front](dom)
         u_ref, grad_ref = reference_pressure(dom, h, 0.7)
-        u, grad, iterations, residual = _solve_pressure(dom, h, 0.7, 0.0)
+        u, grad, iterations, residual = solve_pressure(dom, h, 0.7, 0.0)
         assert np.abs(u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
         assert np.abs(grad - grad_ref).max() <= 1e-9 * np.abs(grad_ref).max()
         assert residual <= 1e-10
@@ -539,14 +543,14 @@ class TestPressureSolver:
                              ids=lambda d: f"{d.nx}x{d.ny}")
     def test_flat_front_takes_one_iteration(self, dom):
         # the preconditioner is the flat-front operator itself
-        _, _, iterations, _ = _solve_pressure(dom, sine_front(dom, 0.0), 1.0, 0.0)
+        _, _, iterations, _ = solve_pressure(dom, sine_front(dom, 0.0), 1.0, 0.0)
         assert iterations == 1
 
     @pytest.mark.parametrize("dom", SOLVER_GRIDS,
                              ids=lambda d: f"{d.nx}x{d.ny}")
     def test_gently_curved_front_takes_few_iterations(self, dom):
         # 11 on every grid; a preconditioner with the wrong mean(h^2) takes 16-20
-        _, _, iterations, _ = _solve_pressure(dom, sine_front(dom, 0.25), 1.0, 0.0)
+        _, _, iterations, _ = solve_pressure(dom, sine_front(dom, 0.25), 1.0, 0.0)
         assert iterations <= 13
 
     def test_history_records_iterations_and_residuals(self):
@@ -600,7 +604,7 @@ class TestPressureSolver:
 
         monkeypatch.setattr(hs2d, "gmres", no_gmres)
         h = sine_front(dom, 0.0)
-        u, _, iterations, residual = _solve_pressure(dom, h, 0.7, 0.0)
+        u, _, iterations, residual = solve_pressure(dom, h, 0.7, 0.0)
         mat, rhs = reference_system(dom, h, 0.7)
         true_residual = np.linalg.norm(mat @ u[1:-1].ravel() - rhs)
         assert true_residual <= 1e-12 * np.linalg.norm(rhs)
@@ -632,7 +636,7 @@ class TestPressureSolver:
         h[4] = np.inf
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite values at t=0.5"):
-                _solve_pressure(dom, h, 1.0, 0.5)
+                solve_pressure(dom, h, 1.0, 0.5)
 
 
 class TestMaximumPrinciple:

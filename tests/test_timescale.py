@@ -1,7 +1,8 @@
 """Tests for the Lambert-W time rescalings.
 
 Oracles used here:
-  * W itself: the defining identity W(x e^x) = x and scipy.special.lambertw.
+  * W itself: the defining identity W(x e^x) = x and mpmath.lambertw at
+    50 digits, evaluated at the same doubles.
   * f_sub / f_super: the explicit inverse map t(f) = f + c*(exp(f/(a*g)) - 1)
     with c = xi (sub) or eta (super), checked pointwise.
   * theta_shift: the explicit inverse t(theta) = theta - lam*exp((theta-lam)/gamma).
@@ -9,13 +10,14 @@ Oracles used here:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hele_homog import (
+    NumericalError,
     SubScaling,
     SuperScaling,
     ThetaShift,
@@ -28,9 +30,13 @@ from hele_homog import (
     theta_shift,
     theta_shift_deriv,
 )
-from hele_homog.timescale import _LOG_SWITCH, _lambert_w0_exp
 
 T_MAX_FROZEN = 1.2 * (math.log(6.0) - 1.0) + 0.2  # SuperScaling(1, 1.2, 0.2)
+
+
+def _mp_w0(zs):
+    with mpmath.workdps(50):
+        return np.array([float(mpmath.lambertw(mpmath.mpf(float(z))).real) for z in zs])
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +49,21 @@ class TestLambertW:
         w = lambert_w0(xs * np.exp(xs))
         assert np.max(np.abs(w - xs)) <= 1e-9
 
-    def test_against_scipy(self):
+    def test_against_mpmath(self):
         zs = np.concatenate([
             np.linspace(-1 / math.e + 1e-12, 0.0, 60),
             np.linspace(0.0, 50.0, 60),
             [1e3, 1e6],
         ])
         ours = lambert_w0(zs)
-        ref = scipy.special.lambertw(zs, 0).real
+        ref = _mp_w0(zs)
         assert np.max(np.abs(ours - ref)) <= 1e-11 * (1 + np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("k", range(-13, 0))
+    def test_near_branch_point(self, k):
+        # W is ~ -1 + sqrt(2(e z + 1)) here: ill-conditioned, but defined
+        z = -1 / math.e + 10.0 ** k
+        assert lambert_w0(z) == pytest.approx(_mp_w0([z])[0], abs=2e-9)
 
     def test_special_points(self):
         assert lambert_w0(0.0) == 0.0
@@ -158,22 +170,34 @@ class TestSubScaling:
                                       rel=1e-12)
 
     def test_continuous_across_the_log_switch(self):
-        # the argument (xi/ag) e^((t + xi)/ag) reaches e^700 at `switch`
+        # the argument (xi/ag) e^((t + xi)/ag) reaches e^700 at `switch`,
+        # close to where exp overflows
         s = SubScaling(alpha=0.5, gamma=1.0, lam=0.7)
-        switch = 0.5 * (_LOG_SWITCH - math.log(s.xi / 0.5)) - s.xi
+        switch = 0.5 * (700.0 - math.log(s.xi / 0.5)) - s.xi
         below, above = f_sub(np.array([switch - 1e-9, switch + 1e-9]), s)
         slope = f_sub_deriv(switch, s)
         assert above - below == pytest.approx(2e-9 * slope, abs=1e-12)
 
     def test_log_form_matches_w_below_the_switch(self):
-        for L in [650.0, 690.0, 699.9, _LOG_SWITCH]:
-            w = float(_lambert_w0_exp(L))
-            assert w == pytest.approx(lambert_w0(math.exp(L)), rel=1e-15)
+        # f_sub takes W from log z; where z = e^L is a double, W(z) must agree
+        s = SubScaling(alpha=0.5, gamma=1.0, lam=0.7)
+        for L in [650.0, 690.0, 699.9, 700.0]:
+            t = 0.5 * (L - math.log(s.xi / 0.5)) - s.xi
+            w = lambert_w0(math.exp(math.log(s.xi / 0.5) + (t + s.xi) / 0.5))
+            assert f_sub_deriv(t, s) == pytest.approx(1.0 / (1.0 + w), rel=1e-14)
+            assert f_sub(t, s) == pytest.approx(t + s.xi - 0.5 * w, rel=1e-12)
 
-    @pytest.mark.parametrize("L", [_LOG_SWITCH, 801.0, 1e4, 1e8, 1e300])
-    def test_log_form_identity(self, L):
-        w = float(_lambert_w0_exp(L))
-        assert w + math.log(w) == pytest.approx(L, rel=1e-12)
+    @pytest.mark.parametrize("t", [400.0, 700.0, 801.0, 1e4, 1e8, 1e300])
+    def test_log_form_identity(self, t):
+        # t + xi - ag W cancels to a few digits or none here; the inverse map
+        # still holds to rounding, and e^(f/ag) stays finite
+        s = SubScaling(alpha=0.5, gamma=1.0, lam=0.7)
+        assert _sub_inverse(f_sub(t, s), s) == pytest.approx(t, rel=1e-12)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # (t + xi)/ag is not a double: no plausible number comes back
+        with pytest.raises(NumericalError, match="overflowed"):
+            f_sub(1e308, SubScaling(alpha=0.5, gamma=1.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -298,6 +322,7 @@ class TestThetaShift:
         tl = sh.t_lambda
         assert tl == pytest.approx(math.log(1 / 0.3) + 0.3 - 1.0, abs=1e-12)
         assert theta_shift(tl, sh) == pytest.approx(tl + sh.gamma, abs=1e-7)
+        assert theta_shift_deriv(tl, sh) == math.inf
 
     def test_inverse_map_oracle(self):
         sh = ThetaShift(gamma=1.4, lam=0.5)
