@@ -15,13 +15,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import NumericalError, ValidationError
-from .medium import Medium, eval_scaled
+from .errors import NumericalError, ValidationError, require_nonnegative, require_positive
+from .medium import Medium, _admit, eval_scaled
 
 
-def _check_n(n) -> None:
-    if not (isinstance(n, int) and n >= 2):
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+def _check_n(n, least: int = 2) -> None:
+    if not (isinstance(n, int) and n >= least):
+        raise ValidationError(f"n must be an integer >= {least}, got {n!r}")
 
 
 def _w(n: int, s):
@@ -61,8 +61,7 @@ class RadialExpanding:
         return float(out) if out.ndim == 0 else out
 
     def rho_prime(self, t):
-        if not t > 0:
-            raise ValidationError("rho'(t) needs t > 0")
+        require_positive(t=t)
         return self.alpha * self.K * self.m / (2.0 * self.rho(t))
 
     def profile(self, s):
@@ -74,22 +73,19 @@ class RadialExpanding:
         return float(out) if out.ndim == 0 else out
 
     def value(self, x_norm, t):
-        if not t > 0:
-            raise ValidationError("barrier value needs t > 0")
+        require_positive(t=t)
         return self.profile(np.asarray(x_norm, dtype=float) / self.rho(t))
 
     def front_gradient(self, t):
         """|D psi^+| at |x| = rho(t), the one-sided slope at the front."""
-        if not t > 0:
-            raise ValidationError("front gradient needs t > 0")
+        require_positive(t=t)
         return self.K / (_w(self.n, self.A) * self.rho(t))
 
 
 def expanding_barrier(n: int, m: float, K: float, A: float) -> RadialExpanding:
     """Expanding barrier; alpha = 2/w_n(A), i.e. 2(n-2)/(A^{2-n}-1) or 2/(-ln A)."""
     _check_n(n)
-    if not (m > 0 and K > 0):
-        raise ValidationError(f"need m > 0 and K > 0, got m={m}, K={K}")
+    require_positive(m=m, K=K)
     if not 0 < A < 1:
         raise ValidationError(f"A must be in (0, 1), got {A}")
     return RadialExpanding(n=n, m=m, K=K, A=A, alpha=float(2.0 / _w(n, A)))
@@ -97,8 +93,6 @@ def expanding_barrier(n: int, m: float, K: float, A: float) -> RadialExpanding:
 
 def check_expanding_fbc(b: RadialExpanding, t: float) -> float:
     """Residual |rho'(t) - m*|Dpsi^+|(rho(t))| of the free-boundary law."""
-    if not t > 0:
-        raise ValidationError(f"t must be > 0, got {t}")
     return abs(b.rho_prime(t) - b.m * b.front_gradient(t))
 
 
@@ -115,8 +109,7 @@ def contracting_radius(n: int, M: float, mu: float,
     needs M*Kfun(t) in (-mu^2/(2n), 0).
     """
     _check_n(n)
-    if not (M > 0 and mu > 0):
-        raise ValidationError(f"need M > 0 and mu > 0, got M={M}, mu={mu}")
+    require_positive(M=M, mu=mu)
     target = M * float(Kfun(t))
     if not -(mu ** 2) / (2 * n) < target < 0:
         raise ValidationError(
@@ -182,23 +175,25 @@ def closing_criterion(n: int, M: float, mu: float,
 
 def nondegeneracy_bound(n: int, M: float, mu: float, dt: float) -> float:
     """Lower bound mu^2/(2nM*dt) on the peak value needed to close a hole."""
-    if not (n >= 2 and M > 0 and mu > 0 and dt > 0):
-        raise ValidationError("all parameters must be positive (n >= 2)")
+    _check_n(n)
+    require_positive(M=M, mu=mu, dt=dt)
     return mu ** 2 / (2 * n * M * dt)
 
 
 def expansion_radius(n: int, K: float, M: float, dt: float) -> float:
     """Upper bound sqrt(2nKM*dt) on how far the wet set can spread."""
-    if not (n >= 2 and K > 0 and M > 0 and dt >= 0):
-        raise ValidationError("need n >= 2, K > 0, M > 0, dt >= 0")
+    _check_n(n)
+    require_positive(K=K, M=M)
+    require_nonnegative(dt=dt)
     return math.sqrt(2 * n * K * M * dt)
 
 
 def rational_bound_check(n: int, M: float, mu: float, sigma: float,
                          A: float, eps: float) -> bool:
     """Evaluate sigma < eps*(exp(mu^2/(2nMA)) - 1) exactly as written."""
-    if not (n >= 2 and M > 0 and mu > 0 and A > 0 and eps > 0 and sigma >= 0):
-        raise ValidationError("parameters must be positive (sigma >= 0)")
+    _check_n(n)
+    require_positive(M=M, mu=mu, A=A, eps=eps)
+    require_nonnegative(sigma=sigma)
     return sigma < eps * (math.exp(mu ** 2 / (2 * n * M * A)) - 1.0)
 
 
@@ -207,8 +202,7 @@ def thin_cylinder_phi(xp_norm, xn, n: int):
 
     Superharmonic (laplacian < 0) on |x_n| < pi/2; vectorized over inputs.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    _check_n(n, 1)
     r = np.asarray(xp_norm, dtype=float)
     xn = np.asarray(xn, dtype=float)
     w = np.sqrt(1.0 + r ** 2 / n)
@@ -222,8 +216,8 @@ def thin_cylinder_phi(xp_norm, xn, n: int):
 
 def thin_cylinder_margin(R: float, K: float, delta: float, n: int) -> float:
     """Shrunk radius R' = R - (6 sqrt(n)/pi) (K+2) delta."""
-    if not (R > 0 and K > 0 and delta > 0 and n >= 1):
-        raise ValidationError("need R, K, delta > 0 and n >= 1")
+    _check_n(n, 1)
+    require_positive(R=R, K=K, delta=delta)
     return R - (6.0 * math.sqrt(n) / math.pi) * (K + 2.0) * delta
 
 
@@ -276,10 +270,7 @@ class RadialPerturbation:
 
 def radial_perturbation(n: int) -> RadialPerturbation:
     """Solve the two boundary conditions for (a, b) and verify the inequality."""
-    if not (isinstance(n, int) and n >= 3):
-        raise ValidationError(
-            f"radial perturbation requires integer n >= 3, got {n!r}"
-        )
+    _check_n(n, 3)
     # phi(2) = 1 and phi(1) = 6 in the harmonic variable w = phi^(2-n)
     b = (1.0 - 6.0 ** (2 - n)) / (2.0 ** (2 - n) - 1.0)
     a = 6.0 ** (2 - n) - b
@@ -306,18 +297,22 @@ class PerturbedContractingField:
 
     def __init__(self, n: int, M: float, mu: float, chi0: float, kappa: float):
         _check_n(n)
-        if not (M > 0 and mu > 0 and chi0 > 0 and kappa >= 0):
-            raise ValidationError("need M, mu, chi0 > 0 and kappa >= 0")
+        require_positive(M=M, mu=mu, chi0=chi0)
+        require_nonnegative(kappa=kappa)
         self.n = n
         self.M = M
         self.mu = mu
         self.chi0 = chi0
         self.kappa = kappa
         self.t0 = -(mu ** 2) / (2 * n * M * chi0)
+        self._radii: dict[float, float] = {}
 
     def rho(self, t: float) -> float:
-        return contracting_radius(self.n, self.M, self.mu,
-                                  lambda s: self.chi0 * s, t)
+        """The contracting radius at t, solved once per distinct t."""
+        if t not in self._radii:
+            self._radii[t] = contracting_radius(self.n, self.M, self.mu,
+                                                lambda s: self.chi0 * s, t)
+        return self._radii[t]
 
     def rho_prime(self, t: float) -> float:
         return self._rho_prime(self.rho(t))
@@ -393,14 +388,15 @@ def check_superbarrier(field, medium: Medium, samples, c: float,
                        eps: float = 1.0) -> BarrierReport:
     """Verify -lap > c inside and |Dphi+| > c, phi_t - g|Dphi+|^2 > c on the front.
 
-    `field` provides value/dt/grad/laplacian at the sampled (x, t) points;
+    The medium must pass the model contract in the dimension of the sample
+    points. `field` provides value/dt/grad/laplacian at the sampled (x, t) points;
     front points are those with |value| <= 1e-8 * (max sampled |value|).
     """
-    if not c > 0:
-        raise ValidationError(f"c must be > 0, got {c}")
+    require_positive(c=c, eps=eps)
     samples = list(samples)
     if not samples:
         raise ValidationError("no sample points supplied")
+    _admit(medium, np.size(samples[0][0]))
     values = [float(field.value(x, t)) for x, t in samples]
     scale = max(max(abs(v) for v in values), 1e-300)
     front_tol = 1e-8 * scale

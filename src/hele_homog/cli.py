@@ -276,10 +276,6 @@ def _cmd_barrier_verify(args) -> int:
         return 0
     # superbarrier: perturbed contracting field vs a sampled medium
     g = load_medium(args.medium, args.dim if args.dim is not None else args.n)
-    if g.dim != args.n:
-        raise ValidationError(
-            f"superbarrier check needs a dim-{args.n} medium, got dim {g.dim}"
-        )
     field = barriers.PerturbedContractingField(
         n=args.n, M=args.M, mu=args.mu, chi0=args.chi0, kappa=args.kappa)
     rho = field.rho(args.t)
@@ -288,7 +284,7 @@ def _cmd_barrier_verify(args) -> int:
             f"hole radius rho = {rho} too close to mu = {args.mu} for sampling"
         )
     rng = np.random.default_rng(_seed(args))
-    dirs = rng.normal(size=(args.samples, g.dim))
+    dirs = rng.normal(size=(args.samples, args.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(rho * 1.05, args.mu * 0.999, size=args.samples)
     samples = [(r * d, args.t) for r, d in zip(radii, dirs)]

@@ -1,7 +1,10 @@
-"""Error taxonomy shared by the library and the CLI.
+"""Error taxonomy shared by the library and the CLI, and the parameter rule.
 
 ValidationError maps to CLI exit code 1, NumericalError to exit code 2.
 """
+
+import math
+from numbers import Real
 
 
 class ValidationError(ValueError):
@@ -18,3 +21,19 @@ class ExpressionError(ValidationError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def require_positive(**values) -> None:
+    """Raise ValidationError naming the first value that is not a finite number > 0."""
+    _require(values, "> 0", lambda v: v > 0)
+
+
+def require_nonnegative(**values) -> None:
+    """Raise ValidationError naming the first value that is not a finite number >= 0."""
+    _require(values, ">= 0", lambda v: v >= 0)
+
+
+def _require(values: dict, relation: str, holds) -> None:
+    for name, value in values.items():
+        if not (isinstance(value, Real) and math.isfinite(value) and holds(value)):
+            raise ValidationError(f"{name} must be {relation} and finite, got {value}")

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -34,8 +34,7 @@ class PlanarWave:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         if q.ndim != 1 or not np.any(q != 0.0):
             raise ValidationError("q must be a nonzero vector")
-        if not self.r > 0:
-            raise ValidationError(f"r must be > 0, got {self.r}")
+        require_positive(r=self.r)
         object.__setattr__(self, "q", q)
 
     @property
@@ -111,8 +110,9 @@ def planar_admissible_range(q, r: float, m: float, M: float) -> PlanarClass:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.any(q != 0.0):
         raise ValidationError("q must be nonzero")
-    if not (0 < m <= M and r > 0):
-        raise ValidationError(f"need 0 < m <= M and r > 0, got {m}, {M}, {r}")
+    require_positive(m=m, M=M, r=r)
+    if not m <= M:
+        raise ValidationError(f"need m <= M, got {m}, {M}")
     nq = float(np.linalg.norm(q))
     sub = r <= m * nq
     sup = r >= M * nq
@@ -186,10 +186,9 @@ def cone_geometry(q, r: float, m: float, M: float) -> ConeGeometry:
         raise ValidationError("cone geometry needs a gradient in dimension >= 2")
     if not np.any(q != 0.0):
         raise ValidationError("q must be nonzero")
-    if not r > 0:
-        raise ValidationError(f"r must be > 0, got {r}")
-    if not 0 < m < M:
-        raise ValidationError(f"need 0 < m < M (strict), got m={m}, M={M}")
+    require_positive(r=r, m=m, M=M)
+    if not m < M:
+        raise ValidationError(f"need m < M (strict), got m={m}, M={M}")
     nu = _unit(-q)
     theta = math.acos(math.sqrt(m / M))
     theta_plus = math.pi / 2 - theta
@@ -357,10 +356,9 @@ def grid_cover_check(A, E, lam: float, eps: float, box,
     d = lo.shape[0]
     if hi.shape != lo.shape or np.any(hi <= lo):
         raise ValidationError("box must be (lo, hi) with hi > lo componentwise")
+    require_positive(lam=lam, eps=eps)
     if not lam > math.sqrt(d) / 2:
         raise ValidationError(f"lam must exceed sqrt(d)/2 = {math.sqrt(d) / 2}")
-    if not eps > 0:
-        raise ValidationError(f"eps must be > 0, got {eps}")
 
     axes = [np.linspace(lo[i], hi[i], samples_per_axis) for i in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NumericalError, ValidationError
-from .medium import Medium, MediumBounds, estimate_bounds
+from .errors import NumericalError, ValidationError, require_positive
+from .medium import Medium, MediumBounds, _admit, estimate_bounds
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,8 @@ class FrontProblem:
     eps: float = 1.0
 
     def __post_init__(self):
-        if self.medium.dim != 1:
-            raise ValidationError(
-                f"front problems are one-dimensional, medium has dim {self.medium.dim}"
-            )
-        if not self.q > 0:
-            raise ValidationError(f"q must be > 0, got {self.q}")
-        if not self.eps > 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
+        _admit(self.medium, 1)
+        require_positive(q=self.q, eps=self.eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +130,7 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None)
 
 def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
     """Classical fourth-order one-step integration of the front ODE."""
-    if not T > 0:
-        raise ValidationError(f"T must be > 0, got {T}")
-    if not dt > 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    require_positive(T=T, dt=dt)
     steps = max(1, round(T / dt))
     positions = np.empty(steps + 1)
     positions[0] = x0 = float(p.x0)
@@ -155,10 +146,9 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
 
     Also reports a Richardson-style extrapolation from the T and T/2 averages.
     """
-    if not T >= 10:
-        raise ValidationError(f"T must be >= 10 for a stable average, got {T}")
-    if not dt > 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    if not 10 <= T < math.inf:
+        raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
+    require_positive(dt=dt)
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
     r_hat, refined = map(float, _averages(medium, p.q, float(x0), T, dt))
     return VelocityEstimate(q=q, r_hat=r_hat, T=T, error_bound=1.0 / T,
@@ -183,10 +173,8 @@ def harmonic_mean_oracle(medium: Medium, q: float) -> float:
     Independent quadrature route: no ODE integration is involved, so this
     value cross-checks effective_velocity on static media.
     """
-    if medium.dim != 1:
-        raise ValidationError("harmonic mean oracle is one-dimensional")
-    if not q > 0:
-        raise ValidationError(f"q must be > 0, got {q}")
+    _admit(medium, 1)
+    require_positive(q=q)
     xs = np.linspace(0.0, 1.0, 33)
     base = np.asarray(medium(xs, 0.0))
     for tt in (0.25, 0.5, 0.75):
@@ -243,10 +231,8 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     detachment phi = running max of (y - r*t); Sub side symmetric with min
     and r*t - z. The step must resolve the oscillation: dt <= eps/10.
     """
-    if medium.dim != 1:
-        raise ValidationError("obstacle fronts are one-dimensional")
-    if not (q > 0 and r > 0 and eps > 0 and T > 0):
-        raise ValidationError("q, r, eps, T must all be > 0")
+    _admit(medium, 1)
+    require_positive(q=q, r=r, eps=eps, T=T)
     if not isinstance(side, Side):
         raise ValidationError(f"side must be a Side, got {side!r}")
     if dt is None:
@@ -330,6 +316,17 @@ class CandidateReport:
         return iter((self.r_lower, self.r_upper))
 
 
+def _eps_list(eps_list: Sequence[float], at_least: int) -> tuple:
+    """eps_list as floats: at least at_least, finite, > 0, strictly decreasing."""
+    eps_list = tuple(float(e) for e in eps_list)
+    if len(eps_list) < at_least:
+        raise ValidationError(f"eps_list needs at least {at_least} value(s)")
+    require_positive(**{f"eps_list[{i}]": e for i, e in enumerate(eps_list)})
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValidationError("eps_list must be strictly decreasing")
+    return eps_list
+
+
 def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
     """Halve [lo, hi] to width <= 1e-4, keeping below(lo) true, below(hi) false."""
     while hi - lo > 1e-4:
@@ -352,21 +349,13 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     anchor at m*q; the Super-side predicate is nondecreasing and its inf is
     anchored at M*q. Bracket failures raise instead of clamping.
     """
-    if medium.dim != 1:
-        raise ValidationError("candidate extraction is one-dimensional")
-    if not q > 0:
-        raise ValidationError(f"q must be > 0, got {q}")
+    _admit(medium, 1)
+    require_positive(q=q, T=T)
     if not 0.8 < beta < 1.0:
         raise ValidationError(f"beta must lie in (4/5, 1), got {beta}")
-    if not T > 0:
-        raise ValidationError(f"T must be > 0, got {T}")
-    eps_list = tuple(float(e) for e in eps_list)
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ValidationError("eps_list must be nonempty and positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("eps_list must be strictly decreasing")
-    if dt is not None and min(eps_list) < 10.0 * dt - 1e-15:
-        raise ValidationError("every eps must be at least 10*dt")
+    eps_list = _eps_list(eps_list, at_least=1)
+    if dt is not None and not 0 < 10.0 * dt <= min(eps_list) + 1e-15:
+        raise ValidationError(f"dt must satisfy 0 < 10*dt <= min(eps_list), got {dt}")
 
     bounds = estimate_bounds(medium, resolution=resolution)
     diagnostics: dict = {"beta": beta, "eps_list": eps_list}
@@ -429,16 +418,14 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
                    x0: float = 0.0) -> VelocityCurve:
     """Effective velocities over a q-grid, integrated jointly in one sweep;
     each entry equals effective_velocity(medium, q, T, x0, dt).r_hat."""
-    if not 0 < q_min < q_max:
-        raise ValidationError(f"need 0 < qmin < qmax, got {q_min}, {q_max}")
+    _admit(medium, 1)
+    require_positive(qmin=q_min, qmax=q_max, dt=dt)
+    if not q_min < q_max:
+        raise ValidationError(f"need qmin < qmax, got {q_min}, {q_max}")
     if not (isinstance(samples, int) and samples >= 2):
         raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
-    if not T >= 10:
-        raise ValidationError(f"T must be >= 10, got {T}")
-    if not dt > 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if medium.dim != 1:
-        raise ValidationError("velocity curves are one-dimensional")
+    if not 10 <= T < math.inf:
+        raise ValidationError(f"T must be >= 10 and finite, got {T}")
 
     qs = np.linspace(q_min, q_max, samples)
     r_hat, refined = _averages(medium, qs, np.full(qs.shape, float(x0)), T, dt)

@@ -26,10 +26,10 @@ from scipy.fft import dst, idst, irfft, rfft
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.spatial.distance import cdist
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_positive
 from .geometry import PlanarWave
-from .homog1d import FlatnessTrace, Side
-from .medium import Medium, estimate_bounds, eval_scaled
+from .homog1d import FlatnessTrace, Side, _eps_list
+from .medium import Medium, _admit, eval_scaled
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class StripDomain:
     ny: int
 
     def __post_init__(self):
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValidationError(f"Lx, Ly must be > 0, got {self.Lx}, {self.Ly}")
+        require_positive(Lx=self.Lx, Ly=self.Ly)
         if not (isinstance(self.nx, int) and isinstance(self.ny, int)
                 and self.nx >= 8 and self.ny >= 8):
             raise ValidationError(
@@ -88,7 +87,8 @@ class SimConfig:
     """Simulation data: domain, medium (dim 2), inlet pressure, time horizon.
 
     dt (when given) caps the step; otherwise the CFL policy
-    dt = cfl * spacing / (M * max slope) decides alone.
+    dt = cfl * spacing / (M * max slope) decides alone, M being the medium's
+    maximum sampled by the model contract.
     """
 
     domain: StripDomain
@@ -102,27 +102,15 @@ class SimConfig:
     save_every: int = 1
 
     def __post_init__(self):
-        if self.medium.dim != 2:
-            raise ValidationError(
-                f"2D simulation needs a dim-2 medium, got dim {self.medium.dim}"
-            )
-        if not self.eps > 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
-        if not self.psi0 > 0:
-            raise ValidationError(f"psi0 must be > 0, got {self.psi0}")
-        if not self.T > 0:
-            raise ValidationError(f"T must be > 0, got {self.T}")
+        _admit(self.medium, 2)
+        require_positive(eps=self.eps, psi0=self.psi0, T=self.T)
         if not 0 < self.cfl <= 1:
             raise ValidationError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValidationError(f"dt must be > 0 when given, got {self.dt}")
+        if self.dt is not None:
+            require_positive(dt=self.dt)
         if not (isinstance(self.save_every, int) and self.save_every >= 1):
             raise ValidationError(
                 f"save_every must be an integer >= 1, got {self.save_every!r}")
-
-    @cached_property
-    def speed_bound(self) -> float:
-        return estimate_bounds(self.medium, resolution=40).M
 
     def initial_front(self) -> FrontGraph:
         ny = self.domain.ny
@@ -281,7 +269,7 @@ def _advance(state: FrontGraph, config: SimConfig,
     rate = g * slope
 
     spacing = min(float(h.min()) / domain.nx, domain.dy)
-    peak = config.speed_bound * float(slope.max())
+    peak = _admit(config.medium, 2).M * float(slope.max())
     if not peak > 0:
         raise NumericalError("front slope estimate vanished; cannot set a step")
     dt = config.cfl * spacing / peak
@@ -389,7 +377,7 @@ def hausdorff(A, B, period: Optional[float] = None,
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.ndim != 2 or B.ndim != 2:
+    if not A.ndim == B.ndim == 2:
         raise ValidationError("point sets must be 1- or 2-dimensional arrays")
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValidationError("point sets must be non-empty")
@@ -433,13 +421,7 @@ class HausdorffReport:
 def convergence_study(config: SimConfig, eps_list: Sequence[float],
                       max_slices: int = 60) -> HausdorffReport:
     """Re-run the same data per eps and compare space-time fronts pairwise."""
-    eps_list = tuple(float(e) for e in eps_list)
-    if len(eps_list) < 3:
-        raise ValidationError("eps_list needs at least 3 values")
-    if any(e <= 0 for e in eps_list):
-        raise ValidationError("eps values must be > 0")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("eps_list must be strictly decreasing")
+    eps_list = _eps_list(eps_list, at_least=3)
     for e in eps_list:
         cells_y = e / config.domain.dy
         cells_x = e / config.domain.dx_ref

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ExpressionError, ValidationError
+from .errors import ExpressionError, ValidationError, require_positive
 
 # Expression grammar (every binary op left-associative except '^'):
 #
@@ -309,6 +310,27 @@ class Medium:
                 env[f"x{i + 1}"] = arr[..., i]
         return env
 
+    @cached_property
+    def _admitted(self) -> MediumBounds:
+        """The dimension-free part of _admit, sampled once per instance."""
+        bounds = estimate_bounds(self, resolution=40)
+        deviation = check_periodicity(self).max_deviation
+        if not deviation <= 1e-9 * bounds.M:
+            raise ValidationError("medium is not 1-periodic: a unit shift in x or t "
+                                  f"changes g by up to {deviation:.6g}")
+        return bounds
+
+
+def _admit(g: Medium, dim: int) -> MediumBounds:
+    """The model contract of every solver entry point: g has dimension dim
+    and is finite, positive and 1-periodic in space and time. Returns its
+    bounds sampled at resolution 40. Sampled, not certified: a dip or pole
+    narrower than the sample spacing is left to the kernels' own checks."""
+    if g.dim != dim:
+        want = "one-dimensional" if dim == 1 else f"dim-{dim}"
+        raise ValidationError(f"the solver needs a {want} medium, got dim {g.dim}")
+    return g._admitted
+
 
 def parse_medium(src: str, dim: int) -> Medium:
     """Parse an expression over x1..x{dim}, t into a Medium."""
@@ -351,8 +373,7 @@ def builtin_medium(name: str) -> Medium:
 
 def eval_scaled(g: Medium, eps: float, x, t):
     """Evaluate g(x/eps, t/eps), the eps-oscillatory rescaling of g."""
-    if not eps > 0:
-        raise ValidationError(f"eps must be > 0, got {eps}")
+    require_positive(eps=eps)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     return g(x / eps, t / eps)

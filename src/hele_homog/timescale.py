@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_nonnegative, require_positive
 
 _INV_E = math.exp(-1.0)
 
@@ -82,10 +82,8 @@ class SubScaling:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.gamma > 0 and self.lam >= 0):
-            raise ValidationError(
-                f"need alpha > 0, gamma > 0, lam >= 0, got {self.alpha}, {self.gamma}, {self.lam}"
-            )
+        require_positive(alpha=self.alpha, gamma=self.gamma)
+        require_nonnegative(lam=self.lam)
 
     @property
     def xi(self) -> float:
@@ -114,10 +112,10 @@ class SuperScaling:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.gamma > self.lam >= 0):
-            raise ValidationError(
-                f"need alpha > 0, gamma > lam >= 0, got {self.alpha}, {self.gamma}, {self.lam}"
-            )
+        require_positive(alpha=self.alpha, gamma=self.gamma)
+        require_nonnegative(lam=self.lam)
+        if not self.gamma > self.lam:
+            raise ValidationError(f"need gamma > lam, got {self.gamma}, {self.lam}")
 
     @property
     def eta(self) -> float:
@@ -149,10 +147,10 @@ class ThetaShift:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and 0 <= self.lam <= self.gamma):
-            raise ValidationError(
-                f"need gamma > 0 and 0 <= lam <= gamma, got {self.gamma}, {self.lam}"
-            )
+        require_positive(gamma=self.gamma)
+        require_nonnegative(lam=self.lam)
+        if not self.lam <= self.gamma:
+            raise ValidationError(f"need lam <= gamma, got {self.lam}, {self.gamma}")
 
     @property
     def t_lambda(self) -> float:

@@ -232,15 +232,18 @@ class TestOneRadialProfile:
         f = PerturbedContractingField(3, M=1.5, mu=1.0, chi0=0.8, kappa=0.02)
         t = -0.05
         rho = solve(3, 1.5, 1.0, lambda s: 0.8 * s, t)
+        # the first call at t solves the radius, every later call reuses it
         for x in (np.array([0.6, 0.3, 0.1]), np.array([rho, 0.0, 0.0]),
                   np.array([0.05, 0.0, 0.0])):
             for method in (f.value, f.dt, f.grad, f.laplacian):
-                calls.clear()
+                before = len(calls)
                 method(x, t)
-                assert len(calls) == 1, method.__name__
-        calls.clear()
+                assert len(calls) - before <= 1, method.__name__
         f.rho_prime(t)
         assert len(calls) == 1
+        f.rho_prime(2 * t)
+        f.value(np.array([0.6, 0.3, 0.1]), 2 * t)
+        assert [args[-1] for args in calls] == [t, 2 * t]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_field_is_zero_at_the_origin(self, n):
@@ -408,6 +411,33 @@ class TestQuantitativeBounds:
         assert rational_bound_check(2, 1.0, mu, 1.001, 0.5, 1.0) is False
         assert rational_bound_check(2, 1.0, mu, 0.0, 0.5, 1.0) is True
         assert rational_bound_check(2, 1.0, mu, 0.5, 0.5, 1e-12) is False
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        # check_expanding_fbc(b, inf) once returned a residual of nan
+        b = expanding_barrier(n=2, m=1.0, K=1.0, A=0.5)
+        f = PerturbedContractingField(2, M=1.2, mu=1.0, chi0=1.0, kappa=0.01)
+        g = parse_medium("1", dim=2)
+        calls = [
+            (lambda v: check_expanding_fbc(b, v), "t > 0"),
+            (lambda v: b.value(0.1, v), "t > 0"),
+            (lambda v: expanding_barrier(n=2, m=1.0, K=v, A=0.5), "K > 0"),
+            (lambda v: contracting_radius(2, v, 1.0, lambda t: t, -0.1), "M > 0"),
+            (lambda v: nondegeneracy_bound(2, 1.0, 1.0, v), "dt > 0"),
+            (lambda v: expansion_radius(2, 1.0, 1.0, v), "dt >= 0"),
+            (lambda v: rational_bound_check(2, 1.0, 1.0, v, 0.5, 1.0), "sigma >= 0"),
+            (lambda v: thin_cylinder_margin(1.0, 1.0, v, 2), "delta > 0"),
+            (lambda v: PerturbedContractingField(2, 1.2, 1.0, 1.0, v), "kappa >= 0"),
+            (lambda v: check_superbarrier(f, g, _annulus_samples(f, -0.1), c=v),
+             "c > 0"),
+            (lambda v: check_superbarrier(f, g, _annulus_samples(f, -0.1), c=1e-6,
+                                          eps=v), "eps > 0"),
+        ]
+        for call, rule in calls:
+            name, relation = rule.split(" ", 1)
+            with pytest.raises(ValidationError,
+                               match=f"^{name} must be {relation} and finite"):
+                call(bad)
 
 
 # ---------------------------------------------------------------------------

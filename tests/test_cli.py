@@ -56,6 +56,10 @@ SUPERBARRIER_FAIL = [v if v != "1e-6" else "0.05" for v in SUPERBARRIER_PASS]
 # g = sqrt(sin(pi*x)) + 1 is finite on the cell [0, 1) and NaN on (1, 2)
 NAN_MEDIUM = "sqrt(sin(pi*x)) + 1"
 
+# 1-periodic, and 1 at every sample the model contract takes, but g < 0 in a
+# dip of width ~1e-3 around x = 0.0123 where every front stalls
+DIP_MEDIUM = "1 - 1.5*exp(-100000*sin(pi*(x - 0.0123))^2)"
+
 
 def declared_console_script(name):
     """The `module:attr` value of `name` under [project.scripts]."""
@@ -312,13 +316,18 @@ class TestRqCurve:
         assert not csv_path.exists()
 
     def test_stalled_front_exits_two(self, tmp_path):
-        # g = sin(pi*x) + 0.5 vanishes at x = 7/6, where every front stalls
         csv_path = tmp_path / "curve.csv"
-        code, _, err = run_cli(
-            ["rq", "curve", "--medium", "sin(pi*x)+0.5", "--qmin", "0.5",
-             "--qmax", "1.0", "--samples", "3", "--out", str(csv_path)])
+        args = ["rq", "curve", "--qmin", "0.5", "--qmax", "1.0", "--samples", "3",
+                "--out", str(csv_path)]
+        code, _, err = run_cli(args + ["--medium", DIP_MEDIUM])
         assert code == 2
         assert "failed to increase" in err
+        assert not csv_path.exists()
+        # g = sin(pi*x) + 0.5 also stalls every front (at x = 7/6), but it
+        # has period 2: the model contract rejects it before any step
+        code, _, err = run_cli(args + ["--medium", "sin(pi*x)+0.5"])
+        assert code == 1
+        assert err.startswith("error: medium is not 1-periodic")
         assert not csv_path.exists()
 
 
@@ -347,15 +356,15 @@ class TestRqObstacle:
         assert code == 0
         assert out.splitlines()[0].startswith("t (")
 
-    def test_nan_medium_exits_two_without_csv(self, tmp_path):
+    def test_nan_medium_exits_one_without_csv(self, tmp_path):
         csv_path = tmp_path / "obstacle.csv"
         with np.errstate(invalid="ignore"):
             code, _, err = run_cli(
                 ["rq", "obstacle", "--medium", NAN_MEDIUM, "--q", "1", "--r", "0.5",
                  "--eps", "0.5", "--side", "super", "--T", "4",
                  "--out", str(csv_path)])
-        assert code == 2
-        assert err.startswith("numerical failure:") and "t=" in err
+        assert code == 1
+        assert err == "error: medium evaluates to a non-finite value\n"
         assert not csv_path.exists()
 
     def test_invalid_side_rejected(self):
@@ -380,13 +389,13 @@ class TestRqCandidates:
         assert lower == pytest.approx(1.0, abs=0.1)
         assert upper == pytest.approx(1.0, abs=0.1)
 
-    def test_nan_medium_exits_two(self):
+    def test_nan_medium_exits_one(self):
         with np.errstate(invalid="ignore"):
             code, out, err = run_cli(
                 ["rq", "candidates", "--medium", NAN_MEDIUM, "--q", "0.75"])
-        assert code == 2
+        assert code == 1
         assert out == ""
-        assert err.startswith("numerical failure:") and "not finite" in err
+        assert err == "error: medium evaluates to a non-finite value\n"
 
     def test_bad_eps_list(self):
         code, _, err = run_cli(
@@ -509,6 +518,22 @@ class TestBarrierVerify:
         code, _, err = run_cli(SUPERBARRIER_PASS + ["--dim", "1"])
         assert code == 1
         assert "dim-2" in err
+
+    def test_superbarrier_solves_the_radius_once(self, monkeypatch):
+        # 256 interior and 64 front samples, all at one t
+        calls = []
+        solve = barriers.contracting_radius
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("t", args[-1]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(barriers, "contracting_radius", counting)
+        argv = [v if v != "32" else "256" for v in SUPERBARRIER_PASS]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["interior_count"] == 256
+        assert calls == [-0.1]
 
 
 # ---------------------------------------------------------------------------
@@ -718,21 +743,19 @@ class TestSim2dRun:
         assert err.startswith("numerical failure:")
 
     @pytest.mark.parametrize("T", ["0.01", "0.05"])
-    def test_nan_medium_exits_two_without_nan_rows(self, tmp_path, T):
-        # g = sqrt(sin(pi*y)) + 1 is NaN on half of every y-period; the run
-        # must stop on g at the first step, not write NaN heights (short
-        # horizon) or blame the pressure solve (longer horizon)
-        front = tmp_path / "front.csv"
+    def test_nan_medium_exits_one_without_nan_rows(self, tmp_path, T):
+        # g = sqrt(sin(pi*y)) + 1 is NaN on half of every y-period; the model
+        # contract rejects it before the first step, so nothing is written
+        front, summary = tmp_path / "front.csv", tmp_path / "s.json"
         with np.errstate(invalid="ignore"):
             code, _, err = run_cli(
                 ["sim2d", "run", "--medium", "sqrt(sin(pi*y)) + 1", "--dim", "2",
                  "--Lx", "4", "--Ly", "1", "--nx", "16", "--ny", "8",
                  "--eps", "0.5", "--psi0", "1", "--T", T, "--h0", "1",
-                 "--out", str(front), "--summary", str(tmp_path / "s.json")])
-        assert code == 2
-        assert err.startswith("numerical failure: medium g is not finite")
-        assert "t=0" in err
-        assert not front.exists() or "nan" not in front.read_text().lower()
+                 "--out", str(front), "--summary", str(summary)])
+        assert code == 1
+        assert err == "error: medium evaluates to a non-finite value\n"
+        assert not front.exists() and not summary.exists()
 
 
 class TestSim2dConverge:
@@ -758,6 +781,50 @@ class TestSim2dConverge:
         code, _, err = run_cli(self.BASE + ["--eps", "abc"])
         assert code == 1
         assert "comma-separated" in err
+
+
+# ---------------------------------------------------------------------------
+# model contract and parameter rule
+# ---------------------------------------------------------------------------
+
+SIM_RUN = ["sim2d", "run", "--dim", "2", "--Lx", "4", "--Ly", "1", "--nx", "16",
+           "--ny", "8", "--psi0", "1", "--T", "0.2", "--h0", "1"]
+
+
+class TestModelContract:
+    @pytest.mark.parametrize("argv, message", [
+        (["rq", "curve", "--medium", "2 + sin(pi*x)", "--qmin", "0.5",
+          "--qmax", "1", "--samples", "2"], "medium is not 1-periodic"),
+        (["rq", "curve", "--medium", "sin(pi*x)+0.5", "--qmin", "0.5",
+          "--qmax", "1", "--samples", "3", "--T", "10"], "medium is not 1-periodic"),
+        (SIM_RUN + ["--medium", "sin(pi*y/2)^2 + 1", "--eps", "0.5"],
+         "medium is not 1-periodic"),
+        (["rq", "curve", "--medium", "builtin:pinning", "--qmin", "0.5",
+          "--qmax", "1.5", "--samples", "3", "--dt", "inf"],
+         "dt must be > 0 and finite, got inf"),
+        (["rq", "obstacle", "--medium", "builtin:pinning", "--q", "1", "--r", "inf",
+          "--eps", "0.1", "--side", "sub", "--T", "0.01"],
+         "r must be > 0 and finite, got inf"),
+        (SIM_RUN + ["--medium", "1", "--eps", "inf"],
+         "eps must be > 0 and finite, got inf"),
+        (["rq", "curve", "--medium", "1", "--qmin", "0.5", "--qmax", "1",
+          "--samples", "2", "--T", "inf"], "T must be >= 10 and finite, got inf"),
+        (["rq", "candidates", "--medium", "builtin:pinning", "--q", "0.75",
+          "--T", "inf"], "T must be > 0 and finite, got inf"),
+        (SIM_RUN[:-4] + ["--medium", "1", "--eps", "0.5", "--T", "inf", "--h0", "1"],
+         "T must be > 0 and finite, got inf"),
+        (["geometry", "report", "--q", "0,-1", "--r", "inf", "--m", "1", "--M", "2"],
+         "r must be > 0 and finite, got inf"),
+        (["barrier", "verify", "--kind", "expanding", "--t", "inf"],
+         "t must be > 0 and finite, got inf"),
+        (["timescale", "eval", "--kind", "sub", "--gamma", "inf", "--t", "1"],
+         "gamma must be > 0 and finite, got inf"),
+    ])
+    def test_violation_exits_one(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -440,3 +440,21 @@ class TestGridCover:
                 A=lambda x: True, E=lambda x: True,
                 lam=0.51, eps=0.1, box=(1.0, 0.0),
             )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_parameters_rejected(bad):
+    # an infinite r once gave rV_plus = inf; every positive scalar is finite
+    calls = [
+        (lambda v: cone_geometry([0.0, -1.0], v, 1.0, 2.0), "r"),
+        (lambda v: cone_geometry([0.0, -1.0], 1.0, 1.0, v), "M"),
+        (lambda v: PlanarWave(q=[0.0, -1.0], r=v), "r"),
+        (lambda v: planar_admissible_range([0.0, -1.0], 1.0, v, 2.0), "m"),
+        (lambda v: grid_cover_check(A=lambda x: True, E=lambda x: True,
+                                    lam=v, eps=0.1, box=(0.0, 1.0)), "lam"),
+        (lambda v: grid_cover_check(A=lambda x: True, E=lambda x: True,
+                                    lam=0.51, eps=v, box=(0.0, 1.0)), "eps"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValidationError, match=f"^{name} must be > 0 and finite"):
+            call(bad)

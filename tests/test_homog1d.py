@@ -31,6 +31,7 @@ from hele_homog import (
     parse_medium,
     velocity_curve,
 )
+from hele_homog.homog1d import _clipped, _rk4
 
 # pinned plateau: candidates for g = sin^2(pi(x-t)) + 1 at q = 0.75, defaults
 R_LOWER_FROZEN = 1.0074462890625
@@ -89,16 +90,21 @@ class TestIntegrateFront:
         assert a.positions[-1] == pytest.approx(eps * b.positions[-1], abs=1e-10)
 
     def test_decreasing_position_rejected(self):
-        p = FrontProblem(medium=parse_medium("sin(2*pi*x) - 2", 1), q=1.0)
+        g = parse_medium("sin(2*pi*x) - 2", 1)
+        with pytest.raises(ValidationError, match="not positive"):
+            FrontProblem(medium=g, q=1.0)
+        # the kernel's own check, for a g < 0 the sampled contract misses
         with pytest.raises(NumericalError, match="increase"):
-            integrate_front(p, 1.0, 0.01)
+            _rk4(g, 1.0, 0.0, 1.0, 100)
 
     def test_nonfinite_rejected(self):
-        p = FrontProblem(medium=parse_medium("exp(x^2)", 1), q=5.0)
+        g = parse_medium("exp(x^2)", 1)
+        with pytest.raises(ValidationError, match="1-periodic"):
+            FrontProblem(medium=g, q=5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalError, match="finite"):
-                integrate_front(p, 4.0, 0.05)
+                _rk4(g, 5.0, 0.0, 4.0, 80)
 
     def test_validation(self):
         g = builtin_medium("pinning")
@@ -254,12 +260,15 @@ class TestObstacleFront:
 
     @pytest.mark.parametrize("side", [Side.SUPER, Side.SUB])
     def test_nonfinite_medium_rejected_with_time(self, side):
-        # g is NaN for x/eps in (1, 2); NaN compares False against the
-        # obstacle, so an unchecked front would snap onto it
+        # g is NaN for x/eps in (1, 2): the model contract rejects it
         g = parse_medium("sqrt(sin(pi*x)) + 1", 1)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalError, match=r"not finite at t=\d"):
+            with pytest.raises(ValidationError, match="non-finite"):
                 obstacle_front(g, q=1.0, r=0.5, eps=0.5, side=side, T=4.0)
+            # NaN compares False against the obstacle, so an unchecked
+            # clipped front would snap onto it: the kernel tests g itself
+            with pytest.raises(NumericalError, match=r"not finite at t=\d"):
+                _clipped(g._fn, 1.0, 0.5, 0.5, side, 4.0, 160)
 
     def test_phi_monotone(self):
         g = builtin_medium("pinning")
@@ -332,8 +341,11 @@ class TestCandidates:
         # finite on the sampled cell [0, 1), NaN on (1, 2)
         g = parse_medium("sqrt(sin(pi*x)) + 1", 1)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalError, match="not finite"):
+            with pytest.raises(ValidationError, match="non-finite"):
                 homogenized_candidates(g, q=0.75)
+            # the first flatness run of the bisection: r = m*q at eps 0.05
+            with pytest.raises(NumericalError, match="not finite"):
+                _clipped(g._fn, 0.75, 0.75, 0.05, Side.SUB, 1.0, 400)
 
     def test_diagnostics_present(self):
         rep = homogenized_candidates(builtin_medium("pinning"), q=0.75)
@@ -398,9 +410,16 @@ class TestVelocityCurve:
         assert peak < 400_000
 
     def test_stalled_front_rejected(self):
-        # g = sin(pi*x) + 0.5 vanishes at x = 7/6: every front stalls there
+        # g = sin(pi*x) + 0.5 has period 2 and vanishes at x = 7/6: the
+        # model contract rejects it, and every front stalls there
         g = parse_medium("sin(pi*x) + 0.5", 1)
-        with pytest.raises(NumericalError, match="increase"):
+        with pytest.raises(ValidationError, match="1-periodic"):
             velocity_curve(g, 0.5, 1.0, 3)
-        with pytest.raises(NumericalError, match="increase"):
+        with pytest.raises(ValidationError, match="1-periodic"):
             effective_velocity(g, q=0.75, T=200.0, dt=0.02)
+        # the joint and the single-q sweeps velocity_curve and
+        # effective_velocity run (T = 200, dt = 0.02)
+        with pytest.raises(NumericalError, match="increase"):
+            _rk4(g, np.linspace(0.5, 1.0, 3), np.zeros(3), 200.0, 10000)
+        with pytest.raises(NumericalError, match="increase"):
+            _rk4(g, 0.75, 0.0, 200.0, 10000)

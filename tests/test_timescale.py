@@ -364,3 +364,22 @@ class TestThetaShift:
         for t in [0.05, 0.2, sh.t_lambda * 0.5]:
             fd = (theta_shift(t + h, sh) - theta_shift(t - h, sh)) / (2 * h)
             assert theta_shift_deriv(t, sh) == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_parameters_rejected(bad):
+    # SubScaling(gamma=inf) once made f_sub the identity
+    calls = [
+        (lambda v: SubScaling(alpha=1.0, gamma=v), "gamma > 0"),
+        (lambda v: SubScaling(alpha=v, gamma=1.0), "alpha > 0"),
+        (lambda v: SubScaling(alpha=1.0, gamma=1.0, lam=v), "lam >= 0"),
+        (lambda v: SuperScaling(alpha=1.0, gamma=v, lam=0.1), "gamma > 0"),
+        (lambda v: SuperScaling(alpha=v, gamma=1.0), "alpha > 0"),
+        (lambda v: ThetaShift(gamma=v, lam=0.1), "gamma > 0"),
+        (lambda v: ThetaShift(gamma=1.0, lam=v), "lam >= 0"),
+    ]
+    for call, rule in calls:
+        name, relation = rule.split(" ", 1)
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be {relation} and finite"):
+            call(bad)
