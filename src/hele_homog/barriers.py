@@ -305,14 +305,15 @@ class PerturbedContractingField:
         self.chi0 = chi0
         self.kappa = kappa
         self.t0 = -(mu ** 2) / (2 * n * M * chi0)
-        self._radii: dict[float, float] = {}
+        self._last = (None, None)
 
     def rho(self, t: float) -> float:
-        """The contracting radius at t, solved once per distinct t."""
-        if t not in self._radii:
-            self._radii[t] = contracting_radius(self.n, self.M, self.mu,
-                                                lambda s: self.chi0 * s, t)
-        return self._radii[t]
+        """The contracting radius at t. The last one solved is kept: a
+        superbarrier check asks for it at every sample point of one t."""
+        if self._last[0] != t:
+            self._last = (t, contracting_radius(self.n, self.M, self.mu,
+                                                lambda s: self.chi0 * s, t))
+        return self._last[1]
 
     def rho_prime(self, t: float) -> float:
         return self._rho_prime(self.rho(t))

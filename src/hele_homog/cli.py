@@ -50,7 +50,7 @@ def _float_list(text: str) -> list[float]:
     try:
         vals = [float(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}")
+        vals = []
     if not vals:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}")
     return vals

@@ -4,7 +4,8 @@ ValidationError maps to CLI exit code 1, NumericalError to exit code 2.
 """
 
 import math
-from numbers import Real
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -35,5 +36,9 @@ def require_nonnegative(**values) -> None:
 
 def _require(values: dict, relation: str, holds) -> None:
     for name, value in values.items():
-        if not (isinstance(value, Real) and math.isfinite(value) and holds(value)):
+        try:  # any real scalar, 0-d arrays included; not a string
+            v = math.nan if np.ndim(value) or isinstance(value, str) else float(value)
+        except (TypeError, ValueError):
+            v = math.nan
+        if not (math.isfinite(v) and holds(v)):
             raise ValidationError(f"{name} must be {relation} and finite, got {value}")

@@ -360,47 +360,36 @@ def grid_cover_check(A, E, lam: float, eps: float, box,
     if not lam > math.sqrt(d) / 2:
         raise ValidationError(f"lam must exceed sqrt(d)/2 = {math.sqrt(d) / 2}")
 
+    def as_arg(p):
+        return p if d > 1 else float(p[0])
+
     axes = [np.linspace(lo[i], hi[i], samples_per_axis) for i in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    samples = [p for p in pts if E(p if d > 1 else float(p[0]))]
+    samples = [p for p in pts if E(as_arg(p))]
 
     rng = np.random.default_rng(seed)
     probes = rng.normal(size=(probe_count, d))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     radii = np.array([1.0, 0.5, 0.99])
 
-    def as_arg(p):
-        return p if d > 1 else float(p[0])
-
-    hypothesis_ok = True
-    hypothesis_counterexample = None
-    covered = True
-    counterexample = None
+    hypothesis_ok, hypothesis_counterexample = True, None
+    covered, counterexample = True, None
     reach = int(math.ceil(lam)) + 1
     offsets = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)))
 
+    # each claim keeps its first counterexample and is not probed after it
     for p in samples:
-        for rad in radii:
-            for u in probes:
-                probe = p + lam * eps * rad * u
-                if not A(as_arg(probe)):
-                    if hypothesis_ok:
-                        hypothesis_ok = False
-                        hypothesis_counterexample = (tuple(p), tuple(probe))
-                    break
-            if not hypothesis_ok:
-                break
-        anchor = np.round(p / eps)
-        lattice = (anchor + offsets) * eps
-        dist = np.linalg.norm(lattice - p, axis=1)
-        found = False
-        for cand, dc in zip(lattice, dist):
-            if dc <= lam * eps + 1e-12 and A(as_arg(cand)):
-                found = True
-                break
-        if not found and covered:
-            covered = False
-            counterexample = tuple(p)
+        if hypothesis_ok:
+            ball = (p + lam * eps * rad * u for rad in radii for u in probes)
+            probe = next((b for b in ball if not A(as_arg(b))), None)
+            if probe is not None:
+                hypothesis_ok, hypothesis_counterexample = False, (tuple(p), tuple(probe))
+        if covered:
+            lattice = (np.round(p / eps) + offsets) * eps
+            dist = np.linalg.norm(lattice - p, axis=1)
+            if not any(dc <= lam * eps + 1e-12 and A(as_arg(cand))
+                       for cand, dc in zip(lattice, dist)):
+                covered, counterexample = False, tuple(p)
 
     return GridCoverReport(
         covered=covered,

@@ -146,9 +146,6 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
 
     Also reports a Richardson-style extrapolation from the T and T/2 averages.
     """
-    if not 10 <= T < math.inf:
-        raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
-    require_positive(dt=dt)
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
     r_hat, refined = map(float, _averages(medium, p.q, float(x0), T, dt))
     return VelocityEstimate(q=q, r_hat=r_hat, T=T, error_bound=1.0 / T,
@@ -159,6 +156,9 @@ def _averages(medium: Medium, q, x0, T: float, dt: float):
     """(x(T) - x0)/T at eps = 1 and its extrapolation from the T/2 average,
     for a float q or an array q (with x0 of the same shape). The even step
     count near T/dt puts T/2 on a step."""
+    if not 10 <= T < math.inf:
+        raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
+    require_positive(dt=dt)
     fn = medium._fn
     steps = max(2, round(T / dt))
     steps += steps % 2
@@ -419,13 +419,11 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     """Effective velocities over a q-grid, integrated jointly in one sweep;
     each entry equals effective_velocity(medium, q, T, x0, dt).r_hat."""
     _admit(medium, 1)
-    require_positive(qmin=q_min, qmax=q_max, dt=dt)
+    require_positive(qmin=q_min, qmax=q_max)
     if not q_min < q_max:
         raise ValidationError(f"need qmin < qmax, got {q_min}, {q_max}")
     if not (isinstance(samples, int) and samples >= 2):
         raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
-    if not 10 <= T < math.inf:
-        raise ValidationError(f"T must be >= 10 and finite, got {T}")
 
     qs = np.linspace(q_min, q_max, samples)
     r_hat, refined = _averages(medium, qs, np.full(qs.shape, float(x0)), T, dt)

@@ -312,8 +312,15 @@ class Medium:
 
     @cached_property
     def _admitted(self) -> MediumBounds:
-        """The dimension-free part of _admit, sampled once per instance."""
-        bounds = estimate_bounds(self, resolution=40)
+        """The dimension-free part of _admit, sampled once per instance: the
+        resolution-40 grid (its M is the 2D CFL speed), or above dim 2, where
+        it outgrows memory, 40^3 seeded random points of it (no slope L)."""
+        if self.dim <= 2:
+            bounds = estimate_bounds(self, resolution=40)
+        else:
+            pts = np.random.default_rng(0).integers(40, size=(40 ** 3, self.dim + 1)) / 40
+            m, M = _sampled_range(self(pts[:, :-1], pts[:, -1]))
+            bounds = MediumBounds(m=m, M=M, L=math.nan, resolution=0)
         deviation = check_periodicity(self).max_deviation
         if not deviation <= 1e-9 * bounds.M:
             raise ValidationError("medium is not 1-periodic: a unit shift in x or t "
@@ -403,17 +410,22 @@ def estimate_bounds(g: Medium, resolution: int = 64) -> MediumBounds:
     env["t"] = grids[g.dim]
     vals = np.asarray(g._fn(env), dtype=float)
     vals = np.broadcast_to(vals, (resolution,) * (g.dim + 1))
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("medium evaluates to a non-finite value")
-    m = float(vals.min())
-    M = float(vals.max())
-    if m <= 0:
-        raise ValidationError(f"medium is not positive: sampled minimum {m}")
+    m, M = _sampled_range(vals)
     L = 0.0
     for axis in range(g.dim + 1):
         slope = np.abs(np.roll(vals, -1, axis=axis) - vals).max() * resolution
         L = max(L, float(slope))
     return MediumBounds(m=m, M=M, L=L, resolution=resolution)
+
+
+def _sampled_range(vals) -> tuple[float, float]:
+    """Min and max of sampled medium values, which must be finite and > 0."""
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("medium evaluates to a non-finite value")
+    m, M = float(np.min(vals)), float(np.max(vals))
+    if m <= 0:
+        raise ValidationError(f"medium is not positive: sampled minimum {m}")
+    return m, M
 
 
 @dataclass(frozen=True)
@@ -432,11 +444,8 @@ def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> Periodicity
     if g.dim == 1:
         xs = xs[:, 0]
     base = np.asarray(g(xs, ts))
-    shifted = []
-    for axis in range(g.dim):
-        shift = np.zeros(g.dim)
-        shift[axis] = 1.0
-        shifted.append(np.asarray(g(xs + (shift[0] if g.dim == 1 else shift), ts)))
+    shifted = [np.asarray(g(xs + (shift[0] if g.dim == 1 else shift), ts))
+               for shift in np.eye(g.dim)]
     shifted.append(np.asarray(g(xs, ts + 1.0)))
     if not all(np.all(np.isfinite(v)) for v in (base, *shifted)):
         raise ValidationError("medium evaluates to a non-finite value")

@@ -244,6 +244,10 @@ class TestOneRadialProfile:
         f.rho_prime(2 * t)
         f.value(np.array([0.6, 0.3, 0.1]), 2 * t)
         assert [args[-1] for args in calls] == [t, 2 * t]
+        # only the last radius is kept, and t may be any real scalar
+        assert f.rho(np.array(2 * t)) == f.rho(2 * t)
+        assert f.rho(np.array(t)) == rho
+        assert [args[-1] for args in calls] == [t, 2 * t, t]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_field_is_zero_at_the_origin(self, n):

@@ -519,6 +519,21 @@ class TestBarrierVerify:
         assert code == 1
         assert "dim-2" in err
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_superbarrier_in_higher_dimensions(self, n):
+        # the contract samples a bounded set of points in any dimension; a
+        # resolution-40 grid of the cell would hold 40^(n+1) of them
+        argv = [v if v != "-0.1" else "-0.05" for v in SUPERBARRIER_PASS]
+        argv[argv.index("--n") + 1] = str(n)
+        code, out, _ = run_cli(argv + ["--medium", "1 + sin(2*pi*(x3 - t))/10"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["passed"] is True
+        assert (data["interior_count"], data["front_count"]) == (32, 8)
+        code, _, err = run_cli(argv + ["--medium", "2 + sin(pi*x3)"])
+        assert code == 1
+        assert "error: medium is not 1-periodic" in err
+
     def test_superbarrier_solves_the_radius_once(self, monkeypatch):
         # 256 interior and 64 front samples, all at one t
         calls = []
@@ -808,7 +823,8 @@ class TestModelContract:
         (SIM_RUN + ["--medium", "1", "--eps", "inf"],
          "eps must be > 0 and finite, got inf"),
         (["rq", "curve", "--medium", "1", "--qmin", "0.5", "--qmax", "1",
-          "--samples", "2", "--T", "inf"], "T must be >= 10 and finite, got inf"),
+          "--samples", "2", "--T", "inf"],
+         "T must be >= 10 and finite for a stable average, got inf"),
         (["rq", "candidates", "--medium", "builtin:pinning", "--q", "0.75",
           "--T", "inf"], "T must be > 0 and finite, got inf"),
         (SIM_RUN[:-4] + ["--medium", "1", "--eps", "0.5", "--T", "inf", "--h0", "1"],

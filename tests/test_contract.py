@@ -9,6 +9,8 @@ and 1-periodic on a sample of the unit cell. Scalar parameters go through
 import dataclasses
 import inspect
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +125,19 @@ class TestAdmit:
         assert bounds.m == bounds.M == 1.0
         assert g(0.0123, 0.0) == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_samples_a_bounded_set_above_dim_two(self, dim, monkeypatch):
+        # the resolution-40 grid of a dim-5 cell would hold 40^6 points
+        monkeypatch.setattr(medium_module, "estimate_bounds", None)
+        bounds = _admit(parse_medium(f"2 + sin(2*pi*(x{dim} - t))", dim), dim)
+        assert 1.0 <= bounds.m < 1.01 and 2.99 < bounds.M <= 3.0
+        for src, message in [(f"sin(2*pi*x{dim})", "not positive"),
+                             (f"1/x{dim}", "non-finite"),
+                             (f"2 + sin(pi*x{dim})", "not 1-periodic")]:
+            with np.errstate(all="ignore"):
+                with pytest.raises(ValidationError, match=message):
+                    _admit(parse_medium(src, dim), dim)
+
     def test_samples_once_per_medium(self, monkeypatch):
         calls = []
         sample = medium_module.estimate_bounds
@@ -150,7 +165,8 @@ class TestParameterRule:
             require_positive(q=1.0, T=math.inf, dt=-1.0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan,
-                                       "1", None])
+                                       "1", None, np.array([1.0]), 1j,
+                                       np.array(-1.0)])
     def test_require_positive_rejects(self, value):
         with pytest.raises(ValidationError, match="x must be > 0"):
             require_positive(x=value)
@@ -161,5 +177,6 @@ class TestParameterRule:
             require_nonnegative(x=value)
 
     def test_accepts(self):
-        require_positive(a=1e-300, b=3, c=np.float64(1e300))
-        require_nonnegative(a=0.0, b=0, c=2.5)
+        require_positive(a=1e-300, b=3, c=np.float64(1e300), d=np.array(0.5),
+                         e=Fraction(1, 2), f=Decimal("0.5"))
+        require_nonnegative(a=0.0, b=0, c=2.5, d=np.array(0.0))
