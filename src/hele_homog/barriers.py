@@ -150,6 +150,8 @@ def contracting_barrier(n: int, M: float, mu: float,
                         Kfun: Callable[[float], float] | None = None
                         ) -> RadialContracting:
     """Package a contracting barrier; quadrature supplies K when not given."""
+    _check_n(n)
+    require_positive(M=M, mu=mu)
     if Kfun is None:
         def Kfun(t, _chi=chi):
             val, _err = quad(_chi, 0.0, t, epsabs=1e-10, epsrel=1e-10)
@@ -167,6 +169,8 @@ def closing_criterion(n: int, M: float, mu: float,
                       chi: Callable[[float], float],
                       t1: float, t2: float) -> bool:
     """True iff the integral of chi over [t1, t2] is below mu^2/(2nM)."""
+    _check_n(n)
+    require_positive(M=M, mu=mu)
     if not t1 < t2:
         raise ValidationError(f"need t1 < t2, got {t1}, {t2}")
     integral, _err = quad(chi, t1, t2, epsabs=1e-10, epsrel=1e-10)

@@ -34,6 +34,11 @@ def require_nonnegative(**values) -> None:
     _require(values, ">= 0", lambda v: v >= 0)
 
 
+def require_finite(**values) -> None:
+    """Raise ValidationError naming the first value that is not a finite real number."""
+    _require(values, "real", lambda v: True)
+
+
 def _require(values: dict, relation: str, holds) -> None:
     for name, value in values.items():
         try:  # any real scalar, 0-d arrays included; not a string

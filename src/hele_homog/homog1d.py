@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NumericalError, ValidationError, require_positive
+from .errors import NumericalError, ValidationError, require_finite, require_positive
 from .medium import Medium, MediumBounds, _admit, estimate_bounds
 
 
@@ -38,6 +38,7 @@ class FrontProblem:
     def __post_init__(self):
         _admit(self.medium, 1)
         require_positive(q=self.q, eps=self.eps)
+        require_finite(x0=self.x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +194,7 @@ def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
              steps: int, positions: Optional[np.ndarray] = None,
              phis: Optional[np.ndarray] = None) -> float:
     """Clipped front against the obstacle r*t; returns the final phi and
-    stores step k in positions[k], phis[k] when given. A non-finite g or
+    stores step k in positions[k], phis[k], each when given. A non-finite g or
     front raises, naming t: NaN compares False and would snap to the obstacle.
     """
     h = T / steps
@@ -218,6 +219,7 @@ def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
             phi = d
         if positions is not None:
             positions[k + 1] = y
+        if phis is not None:
             phis[k + 1] = phi
     return phi
 
@@ -327,90 +329,72 @@ def _eps_list(eps_list: Sequence[float], at_least: int) -> tuple:
     return eps_list
 
 
-def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
-    """Halve [lo, hi] to width <= 1e-4, keeping below(lo) true, below(hi) false."""
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+def _bisect(holds, good: float, bad: float) -> tuple[float, float]:
+    """Halve the bracket to width <= 1e-4, keeping holds(good) true and
+    holds(bad) false; good may lie on either side of bad."""
+    while abs(bad - good) > 1e-4:
+        mid = 0.5 * (good + bad)
+        if holds(mid):
+            good = mid
         else:
-            hi = mid
-    return lo, hi
+            bad = mid
+    return good, bad
+
+
+_RESOLUTION = 80  # the anchors m*q and M*q, and so every candidate, depend on it
 
 
 def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
                            eps_list: Sequence[float] = (0.05, 0.02, 0.01, 0.005),
-                           T: float = 1.0, dt: Optional[float] = None,
-                           resolution: int = 80) -> CandidateReport:
+                           T: float = 1.0) -> CandidateReport:
     """Bisect the flatness-threshold predicates over r in [m*q, M*q].
 
-    The Sub-side predicate (flatness < eps^beta for all eps) is monotone
-    nonincreasing in r, so its sup is found by bisection from a true lower
-    anchor at m*q; the Super-side predicate is nondecreasing and its inf is
-    anchored at M*q. Bracket failures raise instead of clamping.
+    r holds on a side when its clipped front's flatness stays below eps^beta
+    for every eps: r_lower is the sup of the Sub-side (nonincreasing)
+    predicate from m*q, r_upper the inf of the Super-side (nondecreasing) one
+    from M*q; bracket failures raise instead of clamping. At the step eps/20
+    the clipped front at scale eps is eps*Y(t/eps) for Y at eps = 1, so each
+    (r, side) costs one run of Y, read at each eps after
+    K_eps = max(1, round(20*T/eps)) steps: at T when 20*T/eps is an integer,
+    else at K_eps*eps/20, within eps/40 of T. diagnostics[side] holds the
+    candidate, its flatness and threshold per eps, and the final bracket
+    (good, bad), or (r, r) when the far anchor already holds.
     """
     _admit(medium, 1)
     require_positive(q=q, T=T)
     if not 0.8 < beta < 1.0:
         raise ValidationError(f"beta must lie in (4/5, 1), got {beta}")
     eps_list = _eps_list(eps_list, at_least=1)
-    if dt is not None and not 0 < 10.0 * dt <= min(eps_list) + 1e-15:
-        raise ValidationError(f"dt must satisfy 0 < 10*dt <= min(eps_list), got {dt}")
+    bounds = estimate_bounds(medium, resolution=_RESOLUTION)
+    steps = {e: max(1, round(T / (e / 20.0))) for e in eps_list}
+    K = max(steps.values())
+    runs: dict = {}
 
-    bounds = estimate_bounds(medium, resolution=resolution)
+    def flatness(r: float, side: Side) -> dict:
+        if (r, side) not in runs:
+            phis = np.zeros(K + 1)
+            _clipped(medium._fn, q, r, 1.0, side, K / 20.0, K, phis=phis)
+            runs[r, side] = {e: float(e * phis[k]) for e, k in steps.items()}
+        return runs[r, side]
+
+    def holds(r: float, side: Side) -> bool:
+        return all(flatness(r, side)[e] < e ** beta for e in eps_list)
+
     diagnostics: dict = {"beta": beta, "eps_list": eps_list}
-
-    if bounds.M - bounds.m <= 1e-9:
-        c = float(medium(0.0, 0.0))
-        diagnostics["constant_medium"] = c
-        return CandidateReport(r_lower=c * q, r_upper=c * q, beta=beta,
-                               eps_list=eps_list, bounds=bounds,
-                               diagnostics=diagnostics)
-
-    def final_flatness(r: float, side: Side, e: float) -> float:
-        step = dt if dt is not None else e / 20.0
-        return _clipped(medium._fn, q, r, e, side, T, max(1, round(T / step)))
-
-    def predicate(r: float, side: Side) -> bool:
-        return all(final_flatness(r, side, e) < e ** beta for e in eps_list)
-
-    def flatness_profile(r: float, side: Side) -> dict:
-        return {e: final_flatness(r, side, e) for e in eps_list}
-
-    lo_anchor, hi_anchor = bounds.m * q, bounds.M * q
-
-    # r_lower = sup of the Sub-side down-set {r : flatness stays small}
-    if not predicate(lo_anchor, Side.SUB):
-        raise NumericalError(
-            "candidate bracket failure: Sub-side flatness exceeds the "
-            "threshold already at r = m*q"
-        )
-    if predicate(hi_anchor, Side.SUB):
-        r_lower = hi_anchor
-    else:
-        r_lower, _ = _bisect(lambda r: predicate(r, Side.SUB), lo_anchor, hi_anchor)
-
-    # r_upper = inf of the Super-side up-set {r : flatness stays small}
-    if not predicate(hi_anchor, Side.SUPER):
-        raise NumericalError(
-            "candidate bracket failure: Super-side flatness exceeds the "
-            "threshold even at r = M*q"
-        )
-    if predicate(lo_anchor, Side.SUPER):
-        r_upper = lo_anchor
-    else:
-        _, r_upper = _bisect(lambda r: not predicate(r, Side.SUPER),
-                             lo_anchor, hi_anchor)
-
-    diagnostics["sub"] = {"candidate": r_lower,
-                          "flatness": flatness_profile(r_lower, Side.SUB),
-                          "thresholds": {e: e ** beta for e in eps_list}}
-    diagnostics["super"] = {"candidate": r_upper,
-                            "flatness": flatness_profile(r_upper, Side.SUPER),
-                            "thresholds": {e: e ** beta for e in eps_list}}
-    return CandidateReport(r_lower=r_lower, r_upper=r_upper, beta=beta,
-                           eps_list=eps_list, bounds=bounds,
-                           diagnostics=diagnostics)
+    thresholds = {e: e ** beta for e in eps_list}
+    m_q, M_q = bounds.m * q, bounds.M * q
+    for side, good, bad in ((Side.SUB, m_q, M_q), (Side.SUPER, M_q, m_q)):
+        if not holds(good, side):
+            raise NumericalError(
+                f"candidate bracket failure: {side.value} side flatness exceeds "
+                f"the threshold already at its anchor r = {good!r}")
+        bracket = ((bad, bad) if holds(bad, side)
+                   else _bisect(lambda r: holds(r, side), good, bad))
+        diagnostics[side.value] = {"candidate": bracket[0],
+                                   "flatness": flatness(bracket[0], side),
+                                   "thresholds": thresholds, "bracket": bracket}
+    return CandidateReport(diagnostics["sub"]["candidate"], diagnostics["super"]["candidate"],
+                           beta, eps_list, bounds, diagnostics)
 
 
 def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
@@ -420,6 +404,7 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     each entry equals effective_velocity(medium, q, T, x0, dt).r_hat."""
     _admit(medium, 1)
     require_positive(qmin=q_min, qmax=q_max)
+    require_finite(x0=x0)
     if not q_min < q_max:
         raise ValidationError(f"need qmin < qmax, got {q_min}, {q_max}")
     if not (isinstance(samples, int) and samples >= 2):

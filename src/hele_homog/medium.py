@@ -404,6 +404,10 @@ def estimate_bounds(g: Medium, resolution: int = 64) -> MediumBounds:
     """
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
+    points = resolution ** (g.dim + 1)
+    if points > 2 ** 24:
+        raise ValidationError(f"a resolution-{resolution} grid of the dim-{g.dim} cell has "
+                              f"{points} points, above 2^24; lower --resolution")
     axes = np.arange(resolution) / resolution
     grids = np.meshgrid(*([axes] * (g.dim + 1)), indexing="ij", sparse=True)
     env = {f"x{i + 1}": grids[i] for i in range(g.dim)}

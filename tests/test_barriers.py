@@ -393,6 +393,13 @@ class TestQuantitativeBounds:
     def test_closing_criterion_validates(self):
         with pytest.raises(ValidationError):
             closing_criterion(2, 1.0, 1.0, lambda s: 1.0, 1.0, 0.0)
+        # a zero M once ended in ZeroDivisionError, n = 1.5 in a plain False
+        with pytest.raises(ValidationError, match="M must be > 0"):
+            closing_criterion(2, 0.0, 1.0, lambda s: 1.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            closing_criterion(1.5, 1.0, 1.0, lambda s: 1.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="M must be > 0"):
+            contracting_barrier(2, 0.0, 1.0, lambda s: 1.0)
 
     def test_nondegeneracy_hand_value(self):
         assert nondegeneracy_bound(2, 1.0, 1.0, 1.0) == pytest.approx(0.25)
@@ -427,6 +434,8 @@ class TestQuantitativeBounds:
             (lambda v: b.value(0.1, v), "t > 0"),
             (lambda v: expanding_barrier(n=2, m=1.0, K=v, A=0.5), "K > 0"),
             (lambda v: contracting_radius(2, v, 1.0, lambda t: t, -0.1), "M > 0"),
+            (lambda v: contracting_barrier(2, 1.0, v, lambda s: 1.0), "mu > 0"),
+            (lambda v: closing_criterion(2, v, 1.0, lambda s: 1.0, 0.0, 1.0), "M > 0"),
             (lambda v: nondegeneracy_bound(2, 1.0, 1.0, v), "dt > 0"),
             (lambda v: expansion_radius(2, 1.0, 1.0, v), "dt >= 0"),
             (lambda v: rational_bound_check(2, 1.0, 1.0, v, 0.5, 1.0), "sigma >= 0"),

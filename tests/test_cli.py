@@ -124,6 +124,12 @@ class TestMediumCheck:
         assert out == ""
         assert "non-finite" in err
 
+    def test_grid_above_two_to_the_24_rejected(self):
+        # 64^5 points for a dim-4 medium: refused before any is evaluated
+        code, out, err = run_cli(["medium", "check", "--expr", "1", "--dim", "4"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "1073741824 points" in err
+
     def test_hundred_nested_groups(self):
         # wrapping every operation in parentheses passed Python's 200 levels
         expr = "-(x+" * 100 + "x" + ")" * 100 + " + 2000"

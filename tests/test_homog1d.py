@@ -31,6 +31,7 @@ from hele_homog import (
     parse_medium,
     velocity_curve,
 )
+from hele_homog import homog1d
 from hele_homog.homog1d import _clipped, _rk4
 
 # pinned plateau: candidates for g = sin^2(pi(x-t)) + 1 at q = 0.75, defaults
@@ -119,6 +120,18 @@ class TestIntegrateFront:
             integrate_front(p, 0.0, 0.01)
         with pytest.raises(ValidationError):
             integrate_front(p, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x0_rejected(self, bad):
+        # a NaN or infinite start once failed as a non-finite medium value
+        g = builtin_medium("pinning")
+        calls = [lambda: FrontProblem(medium=g, q=1.0, x0=bad),
+                 lambda: effective_velocity(g, 1.0, T=10.0, x0=bad),
+                 lambda: velocity_curve(g, 0.5, 1.0, 2, T=10.0, x0=bad)]
+        for call in calls:
+            with pytest.raises(ValidationError, match="^x0 must be real and finite"):
+                call()
+        assert FrontProblem(medium=g, q=1.0, x0=-0.3).x0 == -0.3
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +350,50 @@ class TestCandidates:
         assert rep.r_upper == pytest.approx(1.0, abs=2e-2)
         assert abs(rep.r_lower - rep.r_upper) <= 2e-2
 
+    @pytest.mark.parametrize("name, q, r_lower, r_upper", [
+        ("two_wave", 1.0, 0.8496337890625001, 0.8346801757812501),
+        ("static_sin", 1.0, 1.423583984375, 1.40771484375),
+        ("pinning", 1.5, 2.009490966796875, 1.994659423828125),
+    ])
+    def test_frozen_candidates(self, name, q, r_lower, r_upper):
+        rep = homogenized_candidates(builtin_medium(name), q=q)
+        assert rep.r_lower == pytest.approx(r_lower, abs=1e-9)
+        assert rep.r_upper == pytest.approx(r_upper, abs=1e-9)
+
+    @pytest.mark.parametrize("name, q", [("pinning", 0.75), ("two_wave", 1.0)])
+    def test_scaled_run_matches_obstacle_front(self, name, q):
+        # one eps = 1 run read at K_eps steps is the clipped front at each
+        # eps, here with 20*T/eps an integer
+        g = builtin_medium(name)
+        rep = homogenized_candidates(g, q=q)
+        for side in Side:
+            d = rep.diagnostics[side.value]
+            for e, phi in d["flatness"].items():
+                _, trace = obstacle_front(g, q, d["candidate"], e, side, T=1.0)
+                assert abs(phi - trace.phi[-1]) <= 1e-12
+            good, bad = d["bracket"]
+            assert abs(bad - good) <= 1e-4
+            assert d["candidate"] == good
+
+    def test_one_clipped_run_per_speed_and_side(self, monkeypatch):
+        calls = []
+
+        def counting(fn, q, r, eps, side, *args, **kwargs):
+            calls.append((r, side))
+            return _clipped(fn, q, r, eps, side, *args, **kwargs)
+
+        monkeypatch.setattr(homog1d, "_clipped", counting)
+        homogenized_candidates(builtin_medium("pinning"), q=0.75)
+        assert {side for _, side in calls} == set(Side)
+        assert len(calls) == len(set(calls))
+
     def test_nonfinite_medium_rejected(self):
         # finite on the sampled cell [0, 1), NaN on (1, 2)
         g = parse_medium("sqrt(sin(pi*x)) + 1", 1)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite"):
                 homogenized_candidates(g, q=0.75)
-            # the first flatness run of the bisection: r = m*q at eps 0.05
+            # past the contract, the clipped loop rejects a NaN g on its own
             with pytest.raises(NumericalError, match="not finite"):
                 _clipped(g._fn, 0.75, 0.75, 0.05, Side.SUB, 1.0, 400)
 
@@ -361,8 +411,6 @@ class TestCandidates:
             homogenized_candidates(g, q=1.0, beta=1.0)
         with pytest.raises(ValidationError):
             homogenized_candidates(g, q=1.0, eps_list=(0.01, 0.02))
-        with pytest.raises(ValidationError):
-            homogenized_candidates(g, q=1.0, eps_list=(0.05, 0.01), dt=0.005)
         with pytest.raises(ValidationError):
             homogenized_candidates(g, q=-1.0)
 
