@@ -15,13 +15,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import NumericalError, ValidationError, require_nonnegative, require_positive
+from .errors import (NumericalError, ValidationError, require_integer, require_nonnegative,
+                     require_positive)
 from .medium import Medium, _admit, eval_scaled
-
-
-def _check_n(n, least: int = 2) -> None:
-    if not (isinstance(n, int) and n >= least):
-        raise ValidationError(f"n must be an integer >= {least}, got {n!r}")
 
 
 def _w(n: int, s):
@@ -84,7 +80,7 @@ class RadialExpanding:
 
 def expanding_barrier(n: int, m: float, K: float, A: float) -> RadialExpanding:
     """Expanding barrier; alpha = 2/w_n(A), i.e. 2(n-2)/(A^{2-n}-1) or 2/(-ln A)."""
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(m=m, K=K)
     if not 0 < A < 1:
         raise ValidationError(f"A must be in (0, 1), got {A}")
@@ -108,7 +104,7 @@ def contracting_radius(n: int, M: float, mu: float,
     Kfun is the cumulative integral of the boundary flux chi; admissibility
     needs M*Kfun(t) in (-mu^2/(2n), 0).
     """
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(M=M, mu=mu)
     target = M * float(Kfun(t))
     if not -(mu ** 2) / (2 * n) < target < 0:
@@ -124,7 +120,7 @@ def check_contracting_radius(n: int, M: float, mu: float,
                              Kfun: Callable[[float], float], t: float,
                              rho: float) -> float:
     """Residual |L(rho) - M*Kfun(t)| of the contracting radius equation."""
-    _check_n(n)
+    require_integer(2, n=n)
     if not 0 < rho <= mu:
         raise ValidationError(f"need 0 < rho <= mu, got rho={rho}, mu={mu}")
     return abs(_contracting_lhs(n, mu, rho) - M * float(Kfun(t)))
@@ -150,7 +146,7 @@ def contracting_barrier(n: int, M: float, mu: float,
                         Kfun: Callable[[float], float] | None = None
                         ) -> RadialContracting:
     """Package a contracting barrier; quadrature supplies K when not given."""
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(M=M, mu=mu)
     if Kfun is None:
         def Kfun(t, _chi=chi):
@@ -169,7 +165,7 @@ def closing_criterion(n: int, M: float, mu: float,
                       chi: Callable[[float], float],
                       t1: float, t2: float) -> bool:
     """True iff the integral of chi over [t1, t2] is below mu^2/(2nM)."""
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(M=M, mu=mu)
     if not t1 < t2:
         raise ValidationError(f"need t1 < t2, got {t1}, {t2}")
@@ -179,14 +175,14 @@ def closing_criterion(n: int, M: float, mu: float,
 
 def nondegeneracy_bound(n: int, M: float, mu: float, dt: float) -> float:
     """Lower bound mu^2/(2nM*dt) on the peak value needed to close a hole."""
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(M=M, mu=mu, dt=dt)
     return mu ** 2 / (2 * n * M * dt)
 
 
 def expansion_radius(n: int, K: float, M: float, dt: float) -> float:
     """Upper bound sqrt(2nKM*dt) on how far the wet set can spread."""
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(K=K, M=M)
     require_nonnegative(dt=dt)
     return math.sqrt(2 * n * K * M * dt)
@@ -195,7 +191,7 @@ def expansion_radius(n: int, K: float, M: float, dt: float) -> float:
 def rational_bound_check(n: int, M: float, mu: float, sigma: float,
                          A: float, eps: float) -> bool:
     """Evaluate sigma < eps*(exp(mu^2/(2nMA)) - 1) exactly as written."""
-    _check_n(n)
+    require_integer(2, n=n)
     require_positive(M=M, mu=mu, A=A, eps=eps)
     require_nonnegative(sigma=sigma)
     return sigma < eps * (math.exp(mu ** 2 / (2 * n * M * A)) - 1.0)
@@ -206,7 +202,7 @@ def thin_cylinder_phi(xp_norm, xn, n: int):
 
     Superharmonic (laplacian < 0) on |x_n| < pi/2; vectorized over inputs.
     """
-    _check_n(n, 1)
+    require_integer(1, n=n)
     r = np.asarray(xp_norm, dtype=float)
     xn = np.asarray(xn, dtype=float)
     w = np.sqrt(1.0 + r ** 2 / n)
@@ -220,7 +216,7 @@ def thin_cylinder_phi(xp_norm, xn, n: int):
 
 def thin_cylinder_margin(R: float, K: float, delta: float, n: int) -> float:
     """Shrunk radius R' = R - (6 sqrt(n)/pi) (K+2) delta."""
-    _check_n(n, 1)
+    require_integer(1, n=n)
     require_positive(R=R, K=K, delta=delta)
     return R - (6.0 * math.sqrt(n) / math.pi) * (K + 2.0) * delta
 
@@ -274,7 +270,7 @@ class RadialPerturbation:
 
 def radial_perturbation(n: int) -> RadialPerturbation:
     """Solve the two boundary conditions for (a, b) and verify the inequality."""
-    _check_n(n, 3)
+    require_integer(3, n=n)
     # phi(2) = 1 and phi(1) = 6 in the harmonic variable w = phi^(2-n)
     b = (1.0 - 6.0 ** (2 - n)) / (2.0 ** (2 - n) - 1.0)
     a = 6.0 ** (2 - n) - b
@@ -300,7 +296,7 @@ class PerturbedContractingField:
     """
 
     def __init__(self, n: int, M: float, mu: float, chi0: float, kappa: float):
-        _check_n(n)
+        require_integer(2, n=n)
         require_positive(M=M, mu=mu, chi0=chi0)
         require_nonnegative(kappa=kappa)
         self.n = n

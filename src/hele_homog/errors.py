@@ -39,6 +39,13 @@ def require_finite(**values) -> None:
     _require(values, "real", lambda v: True)
 
 
+def require_integer(least: int, **values) -> None:
+    """Raise ValidationError naming the first value that is not an int >= least (nor a bool)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _require(values: dict, relation: str, holds) -> None:
     for name, value in values.items():
         try:  # any real scalar, 0-d arrays included; not a string

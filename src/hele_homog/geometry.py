@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ValidationError, require_positive
+from .errors import ValidationError, require_integer, require_positive
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -282,8 +282,7 @@ def matching_wave(geom: ConeGeometry, xi) -> tuple[MatchingWave, MatchingWave]:
 
 def xi_samples(geom: ConeGeometry, count: int) -> list[np.ndarray]:
     """Deterministic low-discrepancy sample of ray directions in Xi."""
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    require_integer(1, count=count)
     n = geom.q.shape[0]
     ct, st = math.cos(geom.theta), math.sin(geom.theta)
     # orthonormal basis of the hyperplane perpendicular to nu
@@ -357,6 +356,7 @@ def grid_cover_check(A, E, lam: float, eps: float, box,
     if hi.shape != lo.shape or np.any(hi <= lo):
         raise ValidationError("box must be (lo, hi) with hi > lo componentwise")
     require_positive(lam=lam, eps=eps)
+    require_integer(1, samples_per_axis=samples_per_axis, probe_count=probe_count)
     if not lam > math.sqrt(d) / 2:
         raise ValidationError(f"lam must exceed sqrt(d)/2 = {math.sqrt(d) / 2}")
 

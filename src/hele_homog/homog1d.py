@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NumericalError, ValidationError, require_finite, require_positive
+from .errors import (NumericalError, ValidationError, require_finite, require_integer,
+                     require_positive)
 from .medium import Medium, MediumBounds, _admit, estimate_bounds
 
 
@@ -136,7 +137,7 @@ def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
     positions = np.empty(steps + 1)
     positions[0] = x0 = float(p.x0)
     fn, inv = p.medium._fn, 1.0 / p.eps
-    _rk4(lambda x, t: fn({"x1": x * inv, "t": t * inv}), p.q, x0, T, steps, positions)
+    _rk4(lambda x, t: fn(x * inv, t * inv), p.q, x0, T, steps, positions)
     times = np.linspace(0.0, T, steps + 1)
     return FrontTrace(times=times, positions=positions, dt=T / steps)
 
@@ -160,10 +161,9 @@ def _averages(medium: Medium, q, x0, T: float, dt: float):
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
     require_positive(dt=dt)
-    fn = medium._fn
     steps = max(2, round(T / dt))
     steps += steps % 2
-    x_half, x_full = _rk4(lambda x, t: fn({"x1": x, "t": t}), q, x0, T, steps)
+    x_half, x_full = _rk4(medium._fn, q, x0, T, steps)
     r_hat = (x_full - x0) / T
     return r_hat, 2.0 * r_hat - (x_half - x0) / (T / 2.0)
 
@@ -203,7 +203,7 @@ def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
     phi = 0.0
     is_super = side is Side.SUPER
     for k in range(steps):
-        g = fn({"x1": y * inv, "t": (k * h) * inv})
+        g = fn(y * inv, (k * h) * inv)
         free = y + h * q * g
         if not math.isfinite(free):
             raise NumericalError(
@@ -407,8 +407,7 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     require_finite(x0=x0)
     if not q_min < q_max:
         raise ValidationError(f"need qmin < qmax, got {q_min}, {q_max}")
-    if not (isinstance(samples, int) and samples >= 2):
-        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
+    require_integer(2, samples=samples)
 
     qs = np.linspace(q_min, q_max, samples)
     r_hat, refined = _averages(medium, qs, np.full(qs.shape, float(x0)), T, dt)

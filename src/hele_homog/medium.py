@@ -2,8 +2,8 @@
 
 A medium is a strictly positive scalar field on R^n x R, periodic with
 period 1 in every space coordinate and in time, given by a parsed
-arithmetic expression. The parsed AST is compiled into one generated Python
-function over NumPy functions; evaluation broadcasts over numpy arrays.
+arithmetic expression. One printer renders the parsed AST as text and as
+one generated positional NumPy kernel (x1, ..., xn, t) -> g that broadcasts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ExpressionError, ValidationError, require_positive
+from .errors import ExpressionError, ValidationError, require_integer, require_positive
 
 # Expression grammar (every binary op left-associative except '^'):
 #
@@ -234,9 +234,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 _NAMESPACE = {"__builtins__": {}, **_FUNCS1, **_FUNCS2, "pi": math.pi}
 
 
-def _print(node: Node, var: Callable[[str], str], power: str) -> tuple[str, int]:
+def _print(node: Node, power: str) -> tuple[str, int]:
     """Text and precedence of node with the fewest parentheses that keep its
-    grouping; var spells a variable and power is the token printed for '^'.
+    grouping; variables print as parser names and '^' as the token power.
 
     The expression grammar groups exactly as Python does ('^' binds above
     unary minus and takes a unary on its right), so the same text serves
@@ -246,15 +246,15 @@ def _print(node: Node, var: Callable[[str], str], power: str) -> tuple[str, int]
         # repr(inf) is 'inf', which neither grammar reads as a number
         return ("1e999" if math.isinf(node.value) else repr(node.value)), _PREC["atom"]
     if isinstance(node, Var):
-        return var(node.name), _PREC["atom"]
+        return node.name, _PREC["atom"]
     if isinstance(node, Neg):
-        s, p = _print(node.arg, var, power)
+        s, p = _print(node.arg, power)
         return (f"-({s})" if p < _PREC["neg"] else f"-{s}"), _PREC["neg"]
     if isinstance(node, Call):
-        args = ", ".join(_print(a, var, power)[0] for a in node.args)
+        args = ", ".join(_print(a, power)[0] for a in node.args)
         return f"{node.fn}({args})", _PREC["atom"]
-    ls, lp = _print(node.left, var, power)
-    rs, rp = _print(node.right, var, power)
+    ls, lp = _print(node.left, power)
+    rs, rp = _print(node.right, power)
     p = _PREC[node.op]
     if node.op == "^":
         # right-associative, and the right operand may be a unary minus
@@ -267,17 +267,17 @@ def _print(node: Node, var: Callable[[str], str], power: str) -> tuple[str, int]
     return f"{ls} {power if node.op == '^' else node.op} {rs}", p
 
 
-def _compile(node: Node) -> Callable:
-    """One Python function env -> value that evaluates the AST, printed from
-    the AST alone (float reprs, parser variable names as env['x1'], function
-    table names), never from the user's string."""
-    src, _ = _print(node, lambda name: "pi" if name == "pi" else f"env[{name!r}]", "**")
-    return eval(f"lambda env: {src}", dict(_NAMESPACE))
+def _compile(node: Node, dim: int = 1) -> Callable:
+    """One Python function (x1, ..., x{dim}, t) -> value that evaluates the
+    AST, printed from the AST alone (float reprs, parser variable names,
+    function table names), never from the user's string."""
+    params = ", ".join([f"x{i + 1}" for i in range(dim)] + ["t"])
+    return eval(f"lambda {params}: {_print(node, '**')[0]}", dict(_NAMESPACE))
 
 
 def format_expr(node: Node) -> str:
     """Render an AST to a string that parses back to an identical AST."""
-    return _print(node, str, "^")[0]
+    return _print(node, "^")[0]
 
 
 @dataclass(frozen=True)
@@ -290,25 +290,15 @@ class Medium:
     _fn: Callable = field(repr=False, compare=False)
 
     def __call__(self, x, t):
-        env = self._env(x, t)
-        out = self._fn(env)
+        x = np.asarray(x, dtype=float)
+        if self.dim > 1 and x.shape[-1:] != (self.dim,):
+            raise ValidationError(  # a scalar point has one coordinate
+                f"point has {x.shape[-1] if x.ndim else 1} coordinates, medium has dim {self.dim}")
+        coords = (x,) if self.dim == 1 else [x[..., i] for i in range(self.dim)]
+        out = self._fn(*coords, np.asarray(t, dtype=float))
         if np.ndim(out) == 0:
             return float(out)
         return np.asarray(out, dtype=float)
-
-    def _env(self, x, t) -> dict:
-        env = {"t": np.asarray(t, dtype=float)}
-        if self.dim == 1:
-            env["x1"] = np.asarray(x, dtype=float)
-        else:
-            arr = np.asarray(x, dtype=float)
-            if arr.shape[-1] != self.dim:
-                raise ValidationError(
-                    f"point has {arr.shape[-1]} coordinates, medium has dim {self.dim}"
-                )
-            for i in range(self.dim):
-                env[f"x{i + 1}"] = arr[..., i]
-        return env
 
     @cached_property
     def _admitted(self) -> MediumBounds:
@@ -319,7 +309,7 @@ class Medium:
             bounds = estimate_bounds(self, resolution=40)
         else:
             pts = np.random.default_rng(0).integers(40, size=(40 ** 3, self.dim + 1)) / 40
-            m, M = _sampled_range(self(pts[:, :-1], pts[:, -1]))
+            m, M = _sampled_range(self._fn(*pts.T))
             bounds = MediumBounds(m=m, M=M, L=math.nan, resolution=0)
         deviation = check_periodicity(self).max_deviation
         if not deviation <= 1e-9 * bounds.M:
@@ -341,14 +331,13 @@ def _admit(g: Medium, dim: int) -> MediumBounds:
 
 def parse_medium(src: str, dim: int) -> Medium:
     """Parse an expression over x1..x{dim}, t into a Medium."""
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
+    require_integer(1, dim=dim)
     if not src or not src.strip():
         raise ValidationError("empty medium expression")
     parser = _Parser(src, dim)
     try:
         ast = parser.parse()
-        fn = _compile(ast)
+        fn = _compile(ast, dim)
     except (RecursionError, SyntaxError):
         # Python's recursion limit and its 200-level parenthesis limit
         parser.fail("expression nested too deeply")
@@ -402,17 +391,14 @@ def estimate_bounds(g: Medium, resolution: int = 64) -> MediumBounds:
     Sampling bounds are not certified: the true m is <= the reported m and
     the true M >= the reported M, off by at most L * (1/resolution).
     """
-    if resolution < 8:
-        raise ValidationError(f"resolution must be >= 8, got {resolution}")
+    require_integer(8, resolution=resolution)
     points = resolution ** (g.dim + 1)
     if points > 2 ** 24:
         raise ValidationError(f"a resolution-{resolution} grid of the dim-{g.dim} cell has "
                               f"{points} points, above 2^24; lower --resolution")
     axes = np.arange(resolution) / resolution
     grids = np.meshgrid(*([axes] * (g.dim + 1)), indexing="ij", sparse=True)
-    env = {f"x{i + 1}": grids[i] for i in range(g.dim)}
-    env["t"] = grids[g.dim]
-    vals = np.asarray(g._fn(env), dtype=float)
+    vals = np.asarray(g._fn(*grids), dtype=float)
     vals = np.broadcast_to(vals, (resolution,) * (g.dim + 1))
     m, M = _sampled_range(vals)
     L = 0.0
@@ -440,17 +426,11 @@ class PeriodicityReport:
 
 def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> PeriodicityReport:
     """Max |g(x+k, t+l) - g(x, t)| over random points and unit lattice shifts."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    require_integer(1, trials=trials)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(trials, g.dim + 1))
-    xs, ts = pts[:, : g.dim], pts[:, g.dim]
-    if g.dim == 1:
-        xs = xs[:, 0]
-    base = np.asarray(g(xs, ts))
-    shifted = [np.asarray(g(xs + (shift[0] if g.dim == 1 else shift), ts))
-               for shift in np.eye(g.dim)]
-    shifted.append(np.asarray(g(xs, ts + 1.0)))
+    base = np.asarray(g._fn(*pts.T))
+    shifted = [np.asarray(g._fn(*(pts + e).T)) for e in np.eye(g.dim + 1)]
     if not all(np.all(np.isfinite(v)) for v in (base, *shifted)):
         raise ValidationError("medium evaluates to a non-finite value")
     worst = max(float(np.abs(v - base).max()) for v in shifted)

@@ -36,9 +36,24 @@ def lambert_w0(x):
     return float(w) if w.ndim == 0 else w
 
 
+def _log1pmx(x):
+    """log1p(x) - x for x > -1, without the cancellation at |x| < 1/2: there
+    2 atanh(s) - x = 2 s^3 (1/3 + s^2/5 + ...) - s x for s = x/(2 + x)."""
+    x = np.asarray(x, dtype=float)
+    s = x / (2.0 + x)
+    series = sum(s ** (2 * k) / (2 * k + 3) for k in range(18, -1, -1))  # s^2 < 1/9
+    return np.where(abs(x) < 0.5, 2.0 * s ** 3 * series - s * x, np.log1p(x) - x)
+
+
 def _horizon(c: float, a: float) -> float:
-    """End of the map: where z = (c/a) e^{(t+c)/a} reaches -1/e; inf for c >= 0."""
-    return math.inf if c >= 0 else a * (math.log(a / -c) - 1.0) - c
+    """End of the map, where z = (c/a) e^{(t+c)/a} reaches -1/e: a (u - 1 - ln u)
+    for u = -c/a, summed exactly, or near u = 1 from the exact -c - a; inf for c >= 0."""
+    if c >= 0:
+        return math.inf
+    u = -c / a
+    if u < 0.5:
+        return a * math.fsum((u, -1.0, -math.log(u)))
+    return -a * float(_log1pmx((-c - a) / a))
 
 
 def _rescale(t, c: float, a: float, deriv: bool, closed: bool = False):
@@ -59,15 +74,23 @@ def _rescale(t, c: float, a: float, deriv: bool, closed: bool = False):
     if c > 0:  # W(e^L) for L = log z, which never overflows
         with np.errstate(over="ignore"):  # t past the float range: caught below
             w = wrightomega(math.log(c / a) + (arr + c) / a)
-        out = a * np.log(a * w / c)  # t + c - aW by W = log z - log W, uncancelled
+        out, q = a * np.log(a * w / c), 1.0 + w  # t + c - aW by W = log z - log W
     elif c < 0:  # z in [-1/e, 0) up to the horizon, -1/e from it on
         w = lambert_w0(np.where(arr < end, (c / a) * np.exp((arr + c) / a), -_INV_E))
-        out = arr + c - a * w
+        # z ~ -1/e loses 1 + W: q = 1 + W solves q + log1p(-q) = tau, Newton from p
+        tau = np.minimum(arr - end, 0.0) / a
+        q = np.sqrt(-2.0 * np.expm1(tau))  # p, the branch-series variable
+        with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 at the horizon
+            for _ in range(4):  # the relative error squares on each step
+                q = np.where(q > 0, q + (_log1pmx(-q) - tau) * (1.0 - q) / q, 0.0)
+        near = tau > math.log(0.995)  # p < 0.1
+        q = np.where(near, q, 1.0 + w)
+        out = arr + c - a * np.where(near, q - 1.0, w)
     else:  # the identity
-        w, out = np.zeros_like(arr), arr + 0.0
+        out, q = arr + 0.0, np.ones_like(arr)
     if deriv:
         with np.errstate(divide="ignore"):  # infinite at the horizon
-            out = 1.0 / (1.0 + np.asarray(w))
+            out = 1.0 / q
     elif not np.all(np.isfinite(out)):
         raise NumericalError(f"rescaling overflowed for t up to {np.max(arr)}")
     return float(out) if np.ndim(out) == 0 else out

@@ -398,6 +398,8 @@ class TestQuantitativeBounds:
             closing_criterion(2, 0.0, 1.0, lambda s: 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError, match="n must be an integer"):
             closing_criterion(1.5, 1.0, 1.0, lambda s: 1.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="n must be an integer >= 2, got True"):
+            closing_criterion(True, 1.0, 1.0, lambda s: 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError, match="M must be > 0"):
             contracting_barrier(2, 0.0, 1.0, lambda s: 1.0)
 

@@ -9,6 +9,7 @@ and 1-periodic on a sample of the unit cell. Scalar parameters go through
 import dataclasses
 import inspect
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from hele_homog import (
     velocity_curve,
 )
 from hele_homog import medium as medium_module
-from hele_homog.errors import require_nonnegative, require_positive
+from hele_homog.errors import require_integer, require_nonnegative, require_positive
 from hele_homog.medium import _admit
 
 # g has period 2 in x; its twin with 2*pi has period 1
@@ -138,6 +139,14 @@ class TestAdmit:
                 with pytest.raises(ValidationError, match=message):
                     _admit(parse_medium(src, dim), dim)
 
+    def test_dim3_sample_bounds_frozen(self):
+        # pinned to the last bit: the seeded random-sample branch above dim 2
+        src = "2 + sin(2*pi*(x1 - t))*cos(2*pi*x2)/3 + sin(2*pi*x3)^2/5"
+        bounds = _admit(parse_medium(src, 3), 3)
+        assert bounds.m == 1.6666666666666667
+        assert bounds.M == 2.5333333333333337
+        assert math.isnan(bounds.L) and bounds.resolution == 0
+
     def test_samples_once_per_medium(self, monkeypatch):
         calls = []
         sample = medium_module.estimate_bounds
@@ -176,7 +185,15 @@ class TestParameterRule:
         with pytest.raises(ValidationError, match="x must be >= 0"):
             require_nonnegative(x=value)
 
+    @pytest.mark.parametrize("value", [1, 0, -3, True, False, 2.0, 2.5, np.int64(3),
+                                       "3", None, Fraction(3)])
+    def test_require_integer_rejects(self, value):
+        with pytest.raises(ValidationError,
+                           match=rf"^n must be an integer >= 2, got {re.escape(repr(value))}$"):
+            require_integer(2, n=value)
+
     def test_accepts(self):
+        require_integer(2, a=2, b=10 ** 30)
         require_positive(a=1e-300, b=3, c=np.float64(1e300), d=np.array(0.5),
                          e=Fraction(1, 2), f=Decimal("0.5"))
         require_nonnegative(a=0.0, b=0, c=2.5, d=np.array(0.0))

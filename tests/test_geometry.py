@@ -322,6 +322,9 @@ class TestMatchingWave:
             matching_wave(g, [2.0, 0.0])  # not unit
         with pytest.raises(ValidationError):
             matching_wave(g, [0.0, 1.0])  # on-axis, not at angle theta
+        for count in (0, 2.5, True):
+            with pytest.raises(ValidationError, match="count must be an integer >= 1"):
+                xi_samples(g, count)
 
     def test_xi_samples_valid(self):
         for q, dim in [([0.0, -1.0], 2), ([1.0, 1.0, -1.0], 3)]:
@@ -440,6 +443,11 @@ class TestGridCover:
                 A=lambda x: True, E=lambda x: True,
                 lam=0.51, eps=0.1, box=(1.0, 0.0),
             )
+        for name, value in (("samples_per_axis", 2.5), ("samples_per_axis", 0),
+                            ("probe_count", 2.5)):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer >= 1"):
+                grid_cover_check(A=lambda x: True, E=lambda x: True,
+                                 lam=0.51, eps=0.1, box=(0.0, 1.0), **{name: value})
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

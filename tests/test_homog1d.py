@@ -440,6 +440,9 @@ class TestVelocityCurve:
             velocity_curve(g, 0.9, 0.6, 4)
         with pytest.raises(ValidationError):
             velocity_curve(g, 0.5, 1.0, 1)
+        for samples in (True, 3.0, np.int64(3)):
+            with pytest.raises(ValidationError, match="samples must be an integer >= 2"):
+                velocity_curve(g, 0.5, 1.0, samples)
         for dt in (0.0, -0.01):
             with pytest.raises(ValidationError, match="dt"):
                 velocity_curve(g, 0.5, 1.0, 3, dt=dt)

@@ -72,6 +72,8 @@ class TestValidation:
             StripDomain(Lx=1.0, Ly=1.0, nx=7, ny=8)
         with pytest.raises(ValidationError, match="nx, ny"):
             StripDomain(Lx=1.0, Ly=1.0, nx=16, ny=8.0)
+        with pytest.raises(ValidationError, match=r"nx \(of nx, ny\) must be an integer"):
+            StripDomain(Lx=1.0, Ly=1.0, nx=np.int64(16), ny=8)
 
     def test_domain_spacings_and_nodes(self):
         dom = StripDomain(Lx=2.0, Ly=1.0, nx=10, ny=8)
@@ -97,6 +99,7 @@ class TestValidation:
             ("cfl", 1.5, "cfl"),
             ("dt", 0.0, "dt"),
             ("save_every", 0, "save_every"),
+            ("save_every", True, "save_every must be an integer"),
         ],
     )
     def test_config_scalar_validation(self, field, value, pattern):
@@ -243,6 +246,9 @@ class TestErrorPaths:
     def test_step_budget_is_enforced(self):
         with pytest.raises(NumericalError, match="exceeded 3 steps"):
             simulate(basic_config(T=1.0), max_steps=3)
+        for bad in (0, 2.5):
+            with pytest.raises(ValidationError, match="max_steps must be an integer >= 1"):
+                simulate(basic_config(T=1.0), max_steps=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +279,9 @@ class TestHistory:
         hist = simulate(basic_config(T=0.5))
         with pytest.raises(ValidationError, match="fit window"):
             hist.front_speed(5.0, 6.0)
+        for bad in (0, 2.5):
+            with pytest.raises(ValidationError, match="max_slices must be an integer >= 1"):
+                hist.spacetime_points(max_slices=bad)
 
     def test_spacetime_points_shape_and_subsampling(self):
         hist = simulate(basic_config(T=0.5))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hele_homog import (
     BUILTIN_MEDIA,
     ExpressionError,
+    Medium,
     ValidationError,
     builtin_medium,
     check_periodicity,
@@ -150,6 +151,9 @@ class TestParseErrors:
     def test_bad_dim(self):
         with pytest.raises(ValidationError):
             parse_medium("1", dim=0)
+        for dim in (True, 1.0, np.int64(1)):
+            with pytest.raises(ValidationError, match="dim must be an integer"):
+                parse_medium("x", dim)
 
     def test_expression_error_is_validation_error(self):
         assert issubclass(ExpressionError, ValidationError)
@@ -316,9 +320,9 @@ class TestGeneratedEvaluator:
         lambda dim: st.tuples(st.just(dim), _nodes(dim))))
     def test_matches_closure_tree_bit_for_bit(self, case):
         dim, node = case
-        fn, ref = _compile(node), reference_compile(node)
+        fn, ref = _compile(node, dim), reference_compile(node)
         for env in _envs(dim):
-            assert _outcome(fn, env) == _outcome(ref, env)
+            assert _outcome(lambda env: fn(**env), env) == _outcome(ref, env)
 
     @pytest.mark.parametrize("src", [
         "1e999",
@@ -337,9 +341,30 @@ class TestGeneratedEvaluator:
         # the long chains nest deeper than Python's 200 parenthesis levels
         # if every operation is wrapped
         node = parse_medium(src, dim=1).ast
-        fn, ref = _compile(node), reference_compile(node)
+        fn, ref = _compile(node, 1), reference_compile(node)
         for env in _envs(1):
-            assert _outcome(fn, env) == _outcome(ref, env)
+            assert _outcome(lambda env: fn(**env), env) == _outcome(ref, env)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.integers(min_value=2, max_value=3).flatmap(
+        lambda dim: st.tuples(st.just(dim), _nodes(dim))))
+    def test_public_call_matches_closure_tree(self, case):
+        # g(points, t) with the coordinates stacked on the last axis
+        dim, node = case
+        g = Medium(dim=dim, source="", ast=node, _fn=_compile(node, dim))
+        ref = reference_compile(node)
+        names = [f"x{i + 1}" for i in range(dim)] + ["t"]
+        for env in _envs(dim):
+            arrays = np.broadcast_arrays(*(np.asarray(env[k], dtype=float) for k in names))
+            got = _outcome(lambda _: np.asarray(g(np.stack(arrays[:-1], -1), arrays[-1])),
+                           None)
+            want = _outcome(lambda _: np.asarray(ref(dict(zip(names, arrays))), dtype=float),
+                            None)
+            assert got == want
+        with pytest.raises(ValidationError, match=f"point has {dim + 1} coordinates"):
+            g(np.zeros((4, dim + 1)), 0.0)
+        with pytest.raises(ValidationError, match="point has 1 coordinates"):
+            g(0.5, 0.0)
 
     def test_no_builtins_reachable(self):
         assert _compile(Var("pi")).__globals__["__builtins__"] == {}
@@ -427,6 +452,9 @@ class TestBounds:
     def test_bad_resolution(self):
         with pytest.raises(ValidationError):
             estimate_bounds(parse_medium("1", dim=1), resolution=1)
+        for resolution in (8.5, True, np.int64(16)):
+            with pytest.raises(ValidationError, match="resolution must be an integer"):
+                estimate_bounds(parse_medium("1", dim=1), resolution=resolution)
 
 
 class TestPeriodicity:
@@ -446,6 +474,17 @@ class TestPeriodicity:
     def test_bad_trials(self):
         with pytest.raises(ValidationError):
             check_periodicity(builtin_medium("pinning"), trials=0)
+        for trials in (2.5, True, np.int64(4)):
+            with pytest.raises(ValidationError, match="trials must be an integer"):
+                check_periodicity(builtin_medium("pinning"), trials=trials)
+
+    def test_builtin_deviations_frozen(self):
+        # pinned to the last bit: each shift must keep every float operation of g
+        frozen = {"pinning": 6.661338147750939e-16, "antipinning": 1.1102230246251565e-15,
+                  "two_wave": 3.3306690738754696e-15, "static_sin": 8.881784197001252e-16,
+                  "pinning2d": 6.661338147750939e-16}
+        for name, deviation in frozen.items():
+            assert check_periodicity(builtin_medium(name)).max_deviation == deviation
 
     def test_nonfinite_rejected(self):
         # NaN on (1, 2): the unit shift of x lands there, and a max over

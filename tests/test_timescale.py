@@ -366,6 +366,77 @@ class TestThetaShift:
             assert theta_shift_deriv(t, sh) == pytest.approx(fd, rel=1e-5)
 
 
+# ---------------------------------------------------------------------------
+# Near the horizon, against mpmath at 80 digits
+# ---------------------------------------------------------------------------
+
+def _mp_horizon(c, a):
+    """Exact end of the map with (c, a) < 0 read as the given doubles."""
+    with mpmath.workdps(80):
+        c, a = mpmath.mpf(c), mpmath.mpf(a)
+        return a * (mpmath.log(a / -c) - 1) - c
+
+
+def _mp_deriv(t, c, a):
+    with mpmath.workdps(80):
+        c, a, t = mpmath.mpf(c), mpmath.mpf(a), mpmath.mpf(t)
+        return float(1 / (1 + mpmath.lambertw((c / a) * mpmath.exp((t + c) / a)).real))
+
+
+def _horizon_cases():
+    """(kind, map, c, a, exact end): 300 seeded theta shifts, half with lam
+    within 1e-9..1 of gamma, and 300 super scalings."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for i in range(300):
+        gamma = rng.uniform(0.1, 5.0)
+        near = 10.0 ** rng.uniform(-9.0, 0.0) if i % 2 else rng.uniform(0.01, 0.99)
+        sh = ThetaShift(gamma=gamma, lam=gamma * (1.0 - near))
+        cases.append(("theta", sh, -sh.lam, sh.gamma))
+        s = SuperScaling(alpha=rng.uniform(1.01, 3.0), gamma=rng.uniform(0.1, 5.0))
+        s = SuperScaling(alpha=s.alpha, gamma=s.gamma, lam=s.gamma * rng.uniform(0.0, 0.99))
+        cases.append(("super", s, s.eta, s.alpha * s.gamma))
+    return [(kind, m, c, a, _mp_horizon(c, a)) for kind, m, c, a in cases]
+
+
+_DERIVS = {"theta": theta_shift_deriv, "super": f_super_deriv}
+
+
+class TestNearHorizon:
+    cases = _horizon_cases()
+
+    def test_reported_case(self):
+        # the end computed as a (log(a/-c) - 1) - c lay past the true one,
+        # and the derivative just below the true end came out inf
+        sh = ThetaShift(gamma=2.1926248928671654, lam=2.1899108356394548)
+        t = 1.6811336215167597e-06
+        end = _mp_horizon(-sh.lam, sh.gamma)
+        floor = math.ulp(float(end)) / float(end - t)
+        ref = 1.73607789887e8  # mpmath, 80 digits
+        assert abs(theta_shift_deriv(t, sh) / ref - 1.0) <= 10 * floor + 1e-13
+
+    def test_horizon_within_four_ulp(self):
+        for kind, m, c, a, end in self.cases:
+            got = m.t_lambda if kind == "theta" else m.t_max
+            assert abs(got - float(end)) <= 4 * math.ulp(float(end)), (kind, m)
+
+    def test_derivative_at_the_conditioning_floor(self):
+        # t carries ulp(t_end) against the end, so 1 + W ~ sqrt(t_end - t)
+        # knows t_end - t only to ulp(t_end)/(t_end - t) relative
+        rng = np.random.default_rng(21)
+        for kind, m, c, a, end in self.cases:
+            t = float(end * (1 - 10.0 ** rng.uniform(-12.0, -3.0)))
+            floor = math.ulp(float(end)) / float(end - t)
+            got = _DERIVS[kind](t, m)
+            assert abs(got / _mp_deriv(t, c, a) - 1.0) <= 10 * floor + 1e-13, (kind, m, t)
+
+    def test_derivative_finite_below_the_end(self):
+        for kind, m, _, _, _ in self.cases:
+            end = m.t_lambda if kind == "theta" else m.t_max
+            t = np.array([0.0, 0.5 * end, math.nextafter(end, 0.0)])
+            assert np.all(np.isfinite(_DERIVS[kind](t, m))), (kind, m)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_parameters_rejected(bad):
     # SubScaling(gamma=inf) once made f_sub the identity
