@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._lazy import lazy
 from .errors import (NumericalError, ValidationError, require_integer, require_nonnegative,
                      require_positive)
 from .medium import Medium, _admit, eval_scaled
+
+quad = lazy("scipy.integrate", "quad")
+brentq = lazy("scipy.optimize", "brentq")
 
 
 def _w(n: int, s):

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._lazy import lazy
 from .errors import ValidationError, require_integer, require_positive
+
+ndtri = lazy("scipy.special", "ndtri")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -20,11 +20,13 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._lazy import lazy
 from .errors import (NumericalError, ValidationError, require_finite, require_integer,
                      require_positive)
 from .medium import Medium, MediumBounds, _admit, estimate_bounds
+
+quad = lazy("scipy.integrate", "quad")
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,20 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.fft import dst, idst, irfft, rfft
-from scipy.sparse.linalg import LinearOperator, gmres
-from scipy.spatial.distance import cdist
 
+from ._lazy import lazy
 from .errors import NumericalError, ValidationError, require_integer, require_positive
 from .geometry import PlanarWave
 from .homog1d import FlatnessTrace, Side, _eps_list
 from .medium import Medium, _admit, eval_scaled
+
+dst = lazy("scipy.fft", "dst")
+idst = lazy("scipy.fft", "idst")
+rfft = lazy("scipy.fft", "rfft")
+irfft = lazy("scipy.fft", "irfft")
+LinearOperator = lazy("scipy.sparse.linalg", "LinearOperator")
+gmres = lazy("scipy.sparse.linalg", "gmres")
+cdist = lazy("scipy.spatial.distance", "cdist")
 
 
 @dataclass(frozen=True)
@@ -368,8 +374,9 @@ def hausdorff(A, B, period: Optional[float] = None,
               axis: Optional[int] = None) -> float:
     """Hausdorff distance between finite point sets, optionally periodic.
 
-    When period is given, coordinate `axis` of B is additionally shifted by
-    -period, 0, +period and the pointwise minimum over shifts is used.
+    When period (finite, > 0) is given, coordinate `axis` of B is
+    additionally shifted by -period, 0, +period and the pointwise minimum
+    over shifts is used. A non-finite point is a ValidationError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -381,8 +388,12 @@ def hausdorff(A, B, period: Optional[float] = None,
         raise ValidationError(
             f"point dimension mismatch: {A.shape[1]} vs {B.shape[1]}"
         )
-    if period is not None and (axis is None or not 0 <= axis < A.shape[1]):
-        raise ValidationError("periodic hausdorff needs a valid axis")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValidationError("point sets must be finite")
+    if period is not None:
+        require_positive(period=period)
+        if axis is None or not 0 <= axis < A.shape[1]:
+            raise ValidationError("periodic hausdorff needs a valid axis")
     dist = cdist(A, B)
     if period is not None:
         # minimum taken in place: two distance matrices alive, not three

@@ -253,18 +253,24 @@ def _print(node: Node, power: str) -> tuple[str, int]:
     if isinstance(node, Call):
         args = ", ".join(_print(a, power)[0] for a in node.args)
         return f"{node.fn}({args})", _PREC["atom"]
-    ls, lp = _print(node.left, power)
-    rs, rp = _print(node.right, power)
-    p = _PREC[node.op]
     if node.op == "^":
         # right-associative, and the right operand may be a unary minus
-        wrap_left, wrap_right = lp < _PREC["atom"], rp < _PREC["neg"]
-    else:
-        # left-associative: parenthesize the right child at equal precedence
-        wrap_left, wrap_right = lp < p, rp <= p
-    ls = f"({ls})" if wrap_left else ls
-    rs = f"({rs})" if wrap_right else rs
-    return f"{ls} {power if node.op == '^' else node.op} {rs}", p
+        ls, lp = _print(node.left, power)
+        rs, rp = _print(node.right, power)
+        ls = f"({ls})" if lp < _PREC["atom"] else ls
+        rs = f"({rs})" if rp < _PREC["neg"] else rs
+        return f"{ls} {power} {rs}", _PREC["^"]
+    # left-associative: parenthesize a right child at equal precedence; the
+    # left spine of an equal-precedence chain is walked in a loop, so a long
+    # flat sum or product costs no recursion per term
+    p = _PREC[node.op]
+    tail = []
+    while isinstance(node, Bin) and _PREC[node.op] == p:
+        rs, rp = _print(node.right, power)
+        tail.append(f"{node.op} ({rs})" if rp <= p else f"{node.op} {rs}")
+        node = node.left
+    ls, lp = _print(node, power)
+    return " ".join([f"({ls})" if lp < p else ls, *reversed(tail)]), p
 
 
 def _compile(node: Node, dim: int = 1) -> Callable:

@@ -17,9 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw, wrightomega
 
+from ._lazy import lazy
 from .errors import NumericalError, ValidationError, require_nonnegative, require_positive
+
+lambertw = lazy("scipy.special", "lambertw")
+wrightomega = lazy("scipy.special", "wrightomega")
 
 _INV_E = math.exp(-1.0)
 

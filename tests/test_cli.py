@@ -137,10 +137,17 @@ class TestMediumCheck:
         assert (code, err) == (0, "")
         assert json.loads(out)["m"] > 0
 
+    def test_two_thousand_term_chain(self):
+        # a flat chain costs the printer no recursion per term
+        code, out, err = run_cli(["medium", "check", "--expr", "+".join(["1"] * 2000)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["m"] == 2000.0
+
     @pytest.mark.parametrize("expr", [
         "sin(" * 199 + "x" + ")" * 199,
         "(" * 199 + "x" + ")" * 199,
-    ], ids=["calls", "parens"])
+        "+".join(["1"] * 5000),
+    ], ids=["calls", "parens", "sum5000"])
     def test_too_deep_exits_one(self, expr):
         code, out, err = run_cli(["medium", "check", "--expr", expr])
         assert code == 1

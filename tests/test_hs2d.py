@@ -359,6 +359,23 @@ class TestHausdorff:
         with pytest.raises(ValidationError, match="axis"):
             hausdorff(A, A, period=1.0, axis=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # a NaN point used to give a nan distance and an inf point inf
+        A, B = np.zeros((3, 2)), np.ones((4, 2))
+        B[2, 1] = bad
+        for args in ((A, B), (B, A), (A, B, 1.0, 0)):
+            with pytest.raises(ValidationError, match="finite"):
+                hausdorff(*args)
+
+    @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
+    def test_period_must_be_positive_and_finite(self, period):
+        # period=-1 used to give a plausible 0.1 here, period=nan gave nan
+        A = np.array([[0.05, 1.0]])
+        B = np.array([[0.95, 1.0]])
+        with pytest.raises(ValidationError, match="period must be > 0 and finite"):
+            hausdorff(A, B, period=period, axis=0)
+
 
 # ---------------------------------------------------------------------------
 # Convergence study driver

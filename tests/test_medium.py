@@ -118,10 +118,11 @@ class TestParseErrors:
     @pytest.mark.parametrize("src", [
         "sin(" * 165 + "x" + ")" * 165,
         "(" * 200 + "x" + ")" * 200,
-        "+".join(["x"] * 2000),
-    ], ids=["calls165", "parens200", "sum2000"])
+        "+".join(["x"] * 5000),
+    ], ids=["calls165", "parens200", "sum5000"])
     def test_too_deep_is_expression_error(self, src):
-        # Python's recursion limit or its parenthesis limit, never a traceback
+        # Python's recursion limit or its parenthesis limit, never a traceback;
+        # a flat chain meets the limit only in Python's own compiler
         with pytest.raises(ExpressionError, match="nested too deeply"):
             parse_medium(src, dim=1)
 
@@ -344,6 +345,27 @@ class TestGeneratedEvaluator:
         fn, ref = _compile(node, 1), reference_compile(node)
         for env in _envs(1):
             assert _outcome(lambda env: fn(**env), env) == _outcome(ref, env)
+
+    @pytest.mark.parametrize("op, terms", [
+        ("+", ["x1", "t"] * 1000),
+        ("-", ["x1", "0.5", "t", "x1"] * 500),
+        ("*", ["1.0001"] * 1998 + ["x1", "t"]),
+    ], ids=["sum2000", "difference2000", "product2000"])
+    def test_flat_chain_of_2000_terms(self, op, terms):
+        # the printer walks a chain's left spine in a loop, so only the
+        # closure-tree reference needs the raised recursion limit
+        src = f" {op} ".join(terms)
+        node = parse_medium(src, dim=1).ast
+        assert format_expr(node) == src
+        fn = _compile(node, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10000)
+        try:
+            ref = reference_compile(node)
+            for env in _envs(1):
+                assert _outcome(lambda env: fn(**env), env) == _outcome(ref, env)
+        finally:
+            sys.setrecursionlimit(limit)
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.integers(min_value=2, max_value=3).flatmap(
