@@ -9,7 +9,9 @@ r_lower and r_upper.
 Each numerical idea has one loop: `_rk4` integrates one front (a float q)
 or a whole q-grid (an array q) with the same arithmetic, `_clipped` runs the
 obstacle-clipped front with or without a stored trace, and `_bisect` halves
-the candidate brackets for both sides.
+the candidate brackets for both sides. The scalar loops evaluate the medium
+through its float kernel and coerce their scalars to Python floats, so they
+run on float arithmetic with the bits the NumPy kernel would give.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
     steps = max(1, round(T / dt))
     positions = np.empty(steps + 1)
     positions[0] = x0 = float(p.x0)
-    fn, inv = p.medium._fn, 1.0 / p.eps
-    _rk4(lambda x, t: fn(x * inv, t * inv), p.q, x0, T, steps, positions)
+    fn, inv = p.medium._float_fn, 1.0 / float(p.eps)
+    _rk4(lambda x, t: fn(x * inv, t * inv), float(p.q), x0, float(T), steps, positions)
     times = np.linspace(0.0, T, steps + 1)
     return FrontTrace(times=times, positions=positions, dt=T / steps)
 
@@ -151,21 +153,22 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
     Also reports a Richardson-style extrapolation from the T and T/2 averages.
     """
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
-    r_hat, refined = map(float, _averages(medium, p.q, float(x0), T, dt))
+    r_hat, refined = map(float, _averages(medium._float_fn, float(p.q), float(x0), T, dt))
     return VelocityEstimate(q=q, r_hat=r_hat, T=T, error_bound=1.0 / T,
                             refined=refined)
 
 
-def _averages(medium: Medium, q, x0, T: float, dt: float):
+def _averages(fn, q, x0, T: float, dt: float):
     """(x(T) - x0)/T at eps = 1 and its extrapolation from the T/2 average,
-    for a float q or an array q (with x0 of the same shape). The even step
-    count near T/dt puts T/2 on a step."""
+    for a float q with the float kernel fn or an array q (with x0 of the same
+    shape) with the NumPy kernel. The even step count near T/dt puts T/2 on a
+    step."""
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
     require_positive(dt=dt)
     steps = max(2, round(T / dt))
     steps += steps % 2
-    x_half, x_full = _rk4(medium._fn, q, x0, T, steps)
+    x_half, x_full = _rk4(fn, q, x0, float(T), steps)
     r_hat = (x_full - x0) / T
     return r_hat, 2.0 * r_hat - (x_half - x0) / (T / 2.0)
 
@@ -198,9 +201,9 @@ def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
     """Clipped front against the obstacle r*t; returns the final phi and
     stores step k in positions[k], phis[k], each when given. A non-finite g or
     front raises, naming t: NaN compares False and would snap to the obstacle.
+    fn is the float kernel, and the loop keeps every scalar a Python float.
     """
-    h = T / steps
-    inv = 1.0 / eps
+    q, r, h, inv = float(q), float(r), float(T) / steps, 1.0 / float(eps)
     y = 0.0
     phi = 0.0
     is_super = side is Side.SUPER
@@ -247,7 +250,7 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     positions = np.empty(steps + 1)
     phis = np.empty(steps + 1)
     positions[0] = phis[0] = 0.0
-    _clipped(medium._fn, q, r, eps, side, T, steps, positions, phis)
+    _clipped(medium._float_fn, q, r, eps, side, T, steps, positions, phis)
     times = np.linspace(0.0, T, steps + 1)
     trace = FrontTrace(times=times, positions=positions, dt=T / steps)
     front = ObstacleFront(q=q, r=r, eps=eps, side=side, trace=trace)
@@ -375,7 +378,7 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     def flatness(r: float, side: Side) -> dict:
         if (r, side) not in runs:
             phis = np.zeros(K + 1)
-            _clipped(medium._fn, q, r, 1.0, side, K / 20.0, K, phis=phis)
+            _clipped(medium._float_fn, q, r, 1.0, side, K / 20.0, K, phis=phis)
             runs[r, side] = {e: float(e * phis[k]) for e, k in steps.items()}
         return runs[r, side]
 
@@ -402,8 +405,11 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
 def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
                    T: float = 200.0, dt: float = 0.02,
                    x0: float = 0.0) -> VelocityCurve:
-    """Effective velocities over a q-grid, integrated jointly in one sweep;
-    each entry equals effective_velocity(medium, q, T, x0, dt).r_hat."""
+    """Effective velocities over a q-grid, integrated jointly in one sweep
+    through the NumPy kernel. On the builtin media each entry equals
+    effective_velocity(medium, q, T, x0, dt).r_hat to the bit (tested);
+    otherwise it agrees to rounding, as an array and a float may round an
+    operation differently (x^2.0 is x*x on arrays, libm pow on floats)."""
     _admit(medium, 1)
     require_positive(qmin=q_min, qmax=q_max)
     require_finite(x0=x0)
@@ -412,6 +418,6 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     require_integer(2, samples=samples)
 
     qs = np.linspace(q_min, q_max, samples)
-    r_hat, refined = _averages(medium, qs, np.full(qs.shape, float(x0)), T, dt)
+    r_hat, refined = _averages(medium._fn, qs, np.full(qs.shape, float(x0)), T, dt)
     return VelocityCurve(q=qs, r_hat=r_hat, refined=refined,
                          T=T, error_bound=1.0 / T)

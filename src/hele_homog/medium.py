@@ -2,8 +2,10 @@
 
 A medium is a strictly positive scalar field on R^n x R, periodic with
 period 1 in every space coordinate and in time, given by a parsed
-arithmetic expression. One printer renders the parsed AST as text and as
-one generated positional NumPy kernel (x1, ..., xn, t) -> g that broadcasts.
+arithmetic expression. One printer renders the parsed AST as three texts:
+the formatted expression, a positional NumPy kernel (x1, ..., xn, t) -> g that
+broadcasts, and a float kernel for Python-float arguments that returns the
+value the NumPy kernel returns on them, without NumPy scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -233,6 +235,24 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 # NumPy functions and pi.
 _NAMESPACE = {"__builtins__": {}, **_FUNCS1, **_FUNCS2, "pi": math.pi}
 
+# The float kernel's functions round as the NumPy kernel's do on a float:
+# sqrt is correctly rounded on both sides, and math's sin and cos call libm,
+# as NumPy's float64 sin and cos loops do on the builds this was checked on
+# (NumPy 2.4, x86-64 Linux). A build that sends them to its own SIMD code may
+# round them differently by an ulp; TestFloatKernel::test_stays_on_floats
+# compares the two kernels' bits on every builtin and fails on such a build.
+# fabs, unlike abs, refuses the complex that '**' makes of a negative base;
+# exp goes through NumPy, whose own exp rounds unlike libm's, and so do min
+# and max, as Python's hide a NaN. float() on the way in refuses a complex too.
+_FLOAT_NAMESPACE = {
+    "__builtins__": {}, "pi": math.pi, "float": float, "type": type,
+    "isfinite": math.isfinite, "Errors": (ArithmeticError, ValueError, TypeError),
+    "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "abs": math.fabs,
+    "exp": lambda a: float(np.exp(float(a))),
+    "min": lambda a, b: float(np.minimum(float(a), float(b))),
+    "max": lambda a, b: float(np.maximum(float(a), float(b))),
+}
+
 
 def _print(node: Node, power: str) -> tuple[str, int]:
     """Text and precedence of node with the fewest parentheses that keep its
@@ -281,6 +301,26 @@ def _compile(node: Node, dim: int = 1) -> Callable:
     return eval(f"lambda {params}: {_print(node, '**')[0]}", dict(_NAMESPACE))
 
 
+def _compile_float(node: Node, dim: int, fn: Callable) -> Callable:
+    """The float kernel of fn = _compile(node, dim): the same printed
+    expression on Python floats, whose value it returns when that is a finite
+    float. Anything else (an exception, a complex from '**', inf or NaN) goes
+    back to float(fn(...)), so the value is always that of float(fn(...)).
+    NumPy's error state applies only where the result is non-finite or
+    Python raises: an inf or NaN that Python's float arithmetic makes silently
+    and a later operation removes (1/inf) raises no FloatingPointError here."""
+    params = ", ".join([f"x{i + 1}" for i in range(dim)] + ["t"])
+    namespace = dict(_FLOAT_NAMESPACE, fn=fn)
+    exec(f"def kernel({params}):\n"
+         f"    try:\n"
+         f"        v = {_print(node, '**')[0]}\n"
+         f"    except Errors:\n"
+         f"        return float(fn({params}))\n"
+         f"    return v if type(v) is float and isfinite(v) else float(fn({params}))\n",
+         namespace)
+    return namespace["kernel"]
+
+
 def format_expr(node: Node) -> str:
     """Render an AST to a string that parses back to an identical AST."""
     return _print(node, "^")[0]
@@ -322,6 +362,18 @@ class Medium:
             raise ValidationError("medium is not 1-periodic: a unit shift in x or t "
                                   f"changes g by up to {deviation:.6g}")
         return bounds
+
+    @cached_property
+    def _float_fn(self) -> Callable:
+        """g on Python-float coordinates, the value of float(self._fn(...))
+        to the bit: the kernel of the scalar loops, built on first use."""
+        try:
+            return _compile_float(self.ast, self.dim, self._fn)
+        except RecursionError:
+            # Python's compiler limit falls with the depth of the calling
+            # stack, so a chain parse_medium compiled may fail here
+            fn = self._fn
+            return lambda *coords: float(fn(*coords))
 
 
 def _admit(g: Medium, dim: int) -> MediumBounds:

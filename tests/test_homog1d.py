@@ -6,6 +6,7 @@ the harmonic-mean closed form sqrt(2)*q for g = 1 + sin^2(pi x); and an
 in-test Euler re-implementation for the obstacle bracketing.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from hele_homog import (
     FlatnessTrace,
     FrontProblem,
+    Medium,
     NumericalError,
     Side,
     ValidationError,
@@ -215,6 +217,16 @@ class TestHarmonicMeanOracle:
         exact = harmonic_mean_oracle(g, 0.8)
         est = effective_velocity(g, q=0.8, T=100.0)
         assert abs(est.r_hat - exact) <= 1.0 / 100.0
+
+    def test_oracle_stays_off_the_float_kernel(self):
+        # the quadrature reference cross-checks effective_velocity, so it
+        # evaluates the medium through Medium.__call__, not the float kernel
+        base = builtin_medium("static_sin")
+        g = Medium(dim=1, source=base.source, ast=base.ast, _fn=base._fn)
+        harmonic_mean_oracle(g, 1.0)
+        assert "_float_fn" not in vars(g)
+        effective_velocity(g, 1.0, T=10.0)
+        assert "_float_fn" in vars(g)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +440,14 @@ class TestVelocityCurve:
         assert np.all(np.abs(curve.r_hat - 1.0) <= 1.5 / T)
 
     def test_matches_effective_velocity(self):
-        g = builtin_medium("static_sin")
-        curve = velocity_curve(g, 0.5, 1.0, 3, T=20.0, dt=0.02)
-        for q, r in zip(curve.q, curve.r_hat):
-            est = effective_velocity(g, q=float(q), T=20.0, dt=0.02)
-            assert r == est.r_hat
+        # the array kernel and the float kernel agree to the bit on the
+        # builtins; a medium with x^2.0 need not (x*x on arrays, pow on floats)
+        for name in ("pinning", "antipinning", "two_wave", "static_sin"):
+            g = builtin_medium(name)
+            curve = velocity_curve(g, 0.25, 2.0, 12, T=20.0, dt=0.02)
+            for q, r, refined in zip(curve.q, curve.r_hat, curve.refined):
+                est = effective_velocity(g, q=float(q), T=20.0, dt=0.02)
+                assert (r, refined) == (est.r_hat, est.refined), (name, q)
 
     def test_validation(self):
         g = builtin_medium("pinning")
@@ -448,6 +463,28 @@ class TestVelocityCurve:
                 velocity_curve(g, 0.5, 1.0, 3, dt=dt)
         with pytest.raises(ValidationError, match="one-dimensional"):
             velocity_curve(builtin_medium("pinning2d"), 0.5, 1.0, 3)
+
+    def test_only_the_scalar_loops_take_the_float_kernel(self):
+        # the NumPy kernel sees no float coordinates from a scalar loop, and
+        # velocity_curve's q-array never reaches the float kernel
+        base = builtin_medium("static_sin")
+        float_calls, array_calls = [], []
+
+        def numpy_kernel(*coords):
+            is_float = all(isinstance(c, float) for c in coords)
+            (float_calls if is_float else array_calls).append(coords)
+            return base._fn(*coords)
+
+        g = Medium(dim=1, source=base.source, ast=base.ast, _fn=numpy_kernel)
+        integrate_front(FrontProblem(g, 0.75), T=1.0, dt=0.01)
+        effective_velocity(g, 0.75, T=10.0)
+        obstacle_front(g, 0.75, 1.0, 0.05, Side.SUB)
+        homogenized_candidates(g, 0.75, eps_list=(0.05,))
+        assert float_calls == [] and array_calls != []
+        array_calls.clear()
+        velocity_curve(g, 0.5, 1.0, 3, T=10.0)
+        assert len(array_calls) == 4 * 500 and float_calls == []
+        assert all(np.shape(x) == (3,) for x, _t in array_calls)
 
     def test_path_is_not_stored(self):
         # a stored path would hold (steps + 1) x 400 floats: 3.2 MB here
@@ -474,3 +511,44 @@ class TestVelocityCurve:
             _rk4(g, np.linspace(0.5, 1.0, 3), np.zeros(3), 200.0, 10000)
         with pytest.raises(NumericalError, match="increase"):
             _rk4(g, 0.75, 0.0, 200.0, 10000)
+
+
+# ---------------------------------------------------------------------------
+# The scalar loops' bits, frozen at the NumPy-kernel implementation
+# ---------------------------------------------------------------------------
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=float).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+class TestFrozenScalarBits:
+    """Values of the scalar loops from when they evaluated the medium through
+    the NumPy kernel; the float kernel and the float coercion keep every bit,
+    whether the scalars come in as Python floats or as NumPy scalars."""
+
+    def test_integrate_front_positions(self, kind):
+        p = FrontProblem(builtin_medium("pinning"), q=kind(0.75), x0=kind(0.0))
+        trace = integrate_front(p, T=kind(20.0), dt=0.01)
+        assert trace.positions.size == 2001
+        assert _sha256(trace.positions) == (
+            "fdd0a84dc48f5a1cb01d776af29fe0094fe4ec752063b0632ad2b75cd73d75de")
+
+    def test_obstacle_front_phi(self, kind):
+        front, flat = obstacle_front(builtin_medium("pinning"), kind(0.75), kind(1.0),
+                                     kind(0.005), Side.SUB, T=kind(1.0))
+        assert flat.phi.size == 4001
+        assert _sha256(flat.phi) == (
+            "edcf284836dbdfdc03100bb7f10925add906210420480e20a7545a9f7b20fc5b")
+        assert _sha256(front.trace.positions) == (
+            "c7591a53a361cd97cdb0852963bc5e12b5e9da6b42035abdf47b9e54b9c6cc15")
+
+    @pytest.mark.parametrize("name, q, r_hat, refined", [
+        ("pinning", 0.75, 0.9902043361992353, 0.999999999993245),
+        ("pinning", 1.5, 1.9999999877114327, 1.999999987711435),
+        ("two_wave", 1.0, 0.8425109666130121, 0.8387682736699223),
+        ("static_sin", 1.0, 1.411471871119587, 1.4125528390801376),
+    ])
+    def test_effective_velocity(self, kind, name, q, r_hat, refined):
+        est = effective_velocity(builtin_medium(name), kind(q), T=kind(20.0))
+        assert (est.r_hat, est.refined) == (r_hat, refined)

@@ -20,7 +20,8 @@ from hele_homog import (
     format_expr,
     parse_medium,
 )
-from hele_homog.medium import _FUNCS1, _FUNCS2, Bin, Call, Neg, Num, Var, _compile
+from hele_homog.medium import (_FUNCS1, _FUNCS2, Bin, Call, Neg, Num, Var, _compile,
+                                _compile_float)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,134 @@ class TestGeneratedEvaluator:
 
     def test_no_builtins_reachable(self):
         assert _compile(Var("pi")).__globals__["__builtins__"] == {}
+
+
+# ---------------------------------------------------------------------------
+# The float kernel against the NumPy kernel on Python floats
+# ---------------------------------------------------------------------------
+
+def _kernels(node, dim):
+    """The float kernel of a Medium and the NumPy kernel it must reproduce."""
+    fn = _compile(node, dim)
+    return Medium(dim=dim, source="", ast=node, _fn=fn)._float_fn, fn
+
+
+def _float_outcomes(kernel, fn, env):
+    """_outcome of the float kernel and of float(fn) on env; here a TypeError
+    is float() refusing the complex that '**' makes of a negative base, on
+    either side."""
+    def outcome(f):
+        try:
+            return _outcome(lambda env: f(**env), env)
+        except TypeError as exc:
+            return type(exc)
+    return outcome(kernel), outcome(lambda **env: float(fn(**env)))
+
+
+_FLOAT_POINTS = [{"x1": x, "t": t}
+                 for x in (-1.5, -0.7, -0.0, 0.0, 1e-300, 0.3, 1.0, 1.9, 2.0, 2.5)
+                 for t in (-1.25, 0.0, 0.5)]
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+class TestFloatKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.integers(min_value=1, max_value=3).flatmap(
+        lambda dim: st.tuples(st.just(dim), _nodes(dim))))
+    def test_matches_numpy_kernel_bit_for_bit(self, case):
+        dim, node = case
+        kernel, fn = _kernels(node, dim)
+        for env in _envs(dim)[:2]:  # the Python-float environments
+            got, want = _float_outcomes(kernel, fn, env)
+            assert got == want
+
+    @pytest.mark.parametrize("src", [
+        "min(1e999, 1/x) + 0*t",
+        "sqrt(sin(pi*x)) + 1",
+        "(x - 2)^0.5",
+        "(sin(x) - 2)^0.5",
+        "exp(1000*x)",
+        "1/(1/x)",
+        "min((sin(x)+10)^400, 5)",
+        "x^t",
+        "abs((sin(x) - 2)^0.5)",
+        "exp((sin(x) - 2)^0.5) + 0*t",
+        "max(sin(x) - 2, 0)^1.5 + min(t, 1e999)",
+    ], ids=["min-inf", "nan-region", "complex-power", "nan-power", "exp-overflow", "zero-division",
+            "overflow-then-min", "power-of-t", "abs-of-complex", "exp-of-complex",
+            "max-power"])
+    def test_explicit_sources(self, src):
+        # NumPy's inf and NaN semantics, Python's exceptions and complex powers
+        kernel, fn = _kernels(parse_medium(src, dim=1).ast, 1)
+        for env in _FLOAT_POINTS:
+            got, want = _float_outcomes(kernel, fn, env)
+            assert got == want
+
+    @pytest.mark.parametrize("src", ["sin(x)*1e308*10", "sin(x)*1e999 - 1e999"])
+    def test_nonfinite_values_keep_numpy_error_state(self, src):
+        # Python's float arithmetic makes this inf or NaN silently; NumPy's
+        # error state decides what the NumPy kernel does with it
+        kernel, fn = _kernels(parse_medium(src, dim=1).ast, 1)
+        with np.errstate(all="raise"):
+            for f in (fn, kernel):
+                with pytest.raises(FloatingPointError):
+                    f(0.3, 0.0)
+
+    def test_intermediate_overflow_escapes_numpy_error_state(self):
+        # the limit of the contract: an inf that a later operation removes
+        # leaves a finite value, so the float kernel never falls back and
+        # returns the same value with no warning, where the NumPy kernel
+        # overflows on np.float64 and raises under errstate(all="raise")
+        kernel, fn = _kernels(parse_medium("2 + 1/(1 + sin(x)*1e308*10)", dim=1).ast, 1)
+        with np.errstate(all="ignore"):
+            want = float(fn(0.3, 0.0))
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                fn(0.3, 0.0)
+            assert kernel(0.3, 0.0) == want == 2.0
+
+    @pytest.mark.parametrize("src, dim", [
+        *BUILTIN_MEDIA.values(),
+        ("exp(cos(2*pi*x)) * abs(sin(pi*t)) + max(sqrt(x^2 + 1), min(x, t)) - 1/(2 + x^2)", 1),
+        ("cos(pi*x1*x2)^3 + sqrt(abs(x3 - t)) / (1 + exp(-x1))", 3),
+    ], ids=[*BUILTIN_MEDIA, "every-function", "dim3"])
+    def test_stays_on_floats(self, src, dim):
+        # a float kernel that always fell back would pass every equality test
+        # and save nothing: on finite values no call may reach the NumPy kernel
+        g = parse_medium(src, dim)
+        fallbacks = []
+
+        def numpy_kernel(*coords):
+            fallbacks.append(coords)
+            return g._fn(*coords)
+
+        kernel = _compile_float(g.ast, dim, numpy_kernel)
+        points = np.random.default_rng(0).uniform(-50.0, 50.0, (10_000, dim + 1)).tolist()
+        values = np.array([kernel(*p) for p in points])
+        assert fallbacks == []
+        assert values.tobytes() == np.array([float(g._fn(*p)) for p in points]).tobytes()
+
+    def test_too_deep_to_compile_again_keeps_the_contract(self):
+        # the compiler's limit falls with the calling stack's depth: under a
+        # limit just above it the float kernel is float(g._fn(...)) itself
+        g = parse_medium(" + ".join(["sin(x)"] * 1000) + " + t", dim=1)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            kernel = g._float_fn
+        finally:
+            sys.setrecursionlimit(limit)
+        assert kernel.__name__ == "<lambda>"
+        assert kernel(0.3, 0.1) == float(g._fn(0.3, 0.1))
+        assert parse_medium("1 + x", dim=1)._float_fn.__name__ == "kernel"
+
+    def test_no_builtins_reachable(self):
+        kernel, _ = _kernels(Var("pi"), 1)
+        assert kernel.__globals__["__builtins__"] == {}
+        assert set(_FUNCS1) | set(_FUNCS2) <= set(kernel.__globals__)
 
 
 # ---------------------------------------------------------------------------
