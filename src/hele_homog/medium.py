@@ -11,6 +11,7 @@ value the NumPy kernel returns on them, without NumPy scalar arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -21,14 +22,18 @@ from .errors import ExpressionError, ValidationError, require_integer, require_p
 
 # Expression grammar (every binary op left-associative except '^'):
 #
-#   expr   := term  (('+' | '-') term)*
-#   term   := unary (('*' | '/') unary)*
+#   expr   := term  (('+' | '-') term)*      level 1 of _PREC
+#   term   := unary (('*' | '/') unary)*     level 2 of _PREC
 #   unary  := '-' unary | power
 #   power  := atom ('^' unary)?        right-associative, binds above unary '-'
 #   atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 #
 # IDENT is a space variable x1..xn (aliases: x for n <= 2, y for n = 2),
 # the time variable t, the constant pi, or a function name.
+
+# precedence levels of the parser's binary chains and of the printer; '^'
+# re-parses correctly with these
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 _FUNCS1 = {
     "sin": np.sin,
@@ -79,48 +84,23 @@ def _byte_offset(src: str, charpos: int) -> int:
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """Scan src into (kind, text, charpos) triples; kinds NUM/IDENT/OP/END."""
+    """Scan src into (kind, text, charpos) triples; kinds NUM/IDENT/OP/END,
+    and BAD for a character that starts no token, which is an error."""
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^(),":
-            tokens.append(("OP", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    for match in re.finditer(r"\s*(?:(?P<NUM>[\d.]+(?:[eE][+-]?\d+)?)|(?P<IDENT>[^\W\d]\w*)"
+                             r"|(?P<OP>[-+*/^(),])|(?P<END>\Z)|(?P<BAD>.))", src, re.S):
+        kind = match.lastgroup
+        text, pos = match[kind], match.start(kind)
+        if kind == "BAD":
+            raise ExpressionError(f"unexpected character {text!r}", _byte_offset(src, pos))
+        if kind == "NUM":
             try:
                 float(text)
             except ValueError:
-                raise ExpressionError(f"bad number {text!r}", _byte_offset(src, i))
-            tokens.append(("NUM", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", src[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", _byte_offset(src, i))
-    tokens.append(("END", "", n))
-    return tokens
+                raise ExpressionError(f"bad number {text!r}", _byte_offset(src, pos))
+        tokens.append((kind, text, pos))
+        if kind == "END":
+            return tokens
 
 
 class _Parser:
@@ -156,18 +136,14 @@ class _Parser:
             self.fail(f"unexpected token {text!r}")
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[:2] in (("OP", "+"), ("OP", "-")):
-            op = self.advance()[1]
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek()[:2] in (("OP", "*"), ("OP", "/")):
-            op = self.advance()[1]
-            node = Bin(op, node, self.unary())
+    def expr(self, level: int = 1) -> Node:
+        """A left-associative chain of the binary operators at this level of
+        _PREC, whose operands are the next level's: a chain, or a unary."""
+        last = level + 1 == _PREC["neg"]
+        node = self.unary() if last else self.expr(level + 1)
+        while (tok := self.peek())[0] == "OP" and _PREC.get(tok[1]) == level:
+            self.advance()
+            node = Bin(tok[1], node, self.unary() if last else self.expr(level + 1))
         return node
 
     def unary(self) -> Node:
@@ -227,9 +203,6 @@ class _Parser:
             self.fail(f"{name} takes {arity} argument(s), got {len(args)}", tok)
         return Call(name, tuple(args))
 
-
-# printer precedence levels; '^' re-parses correctly with these
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 # The generated evaluator sees only these names: no builtins, the seven
 # NumPy functions and pi.
@@ -293,12 +266,15 @@ def _print(node: Node, power: str) -> tuple[str, int]:
     return " ".join([f"({ls})" if lp < p else ls, *reversed(tail)]), p
 
 
+def _source(node: Node, dim: int) -> tuple[str, str]:
+    """The parameter list x1, ..., x{dim}, t and the body of node's kernels,
+    printed from the AST's reprs and table names, never from the user's string."""
+    return ", ".join([f"x{i + 1}" for i in range(dim)] + ["t"]), _print(node, "**")[0]
+
+
 def _compile(node: Node, dim: int = 1) -> Callable:
-    """One Python function (x1, ..., x{dim}, t) -> value that evaluates the
-    AST, printed from the AST alone (float reprs, parser variable names,
-    function table names), never from the user's string."""
-    params = ", ".join([f"x{i + 1}" for i in range(dim)] + ["t"])
-    return eval(f"lambda {params}: {_print(node, '**')[0]}", dict(_NAMESPACE))
+    """One Python function (x1, ..., x{dim}, t) -> value that evaluates the AST."""
+    return eval("lambda {}: {}".format(*_source(node, dim)), dict(_NAMESPACE))
 
 
 def _compile_float(node: Node, dim: int, fn: Callable) -> Callable:
@@ -309,11 +285,11 @@ def _compile_float(node: Node, dim: int, fn: Callable) -> Callable:
     NumPy's error state applies only where the result is non-finite or
     Python raises: an inf or NaN that Python's float arithmetic makes silently
     and a later operation removes (1/inf) raises no FloatingPointError here."""
-    params = ", ".join([f"x{i + 1}" for i in range(dim)] + ["t"])
+    params, body = _source(node, dim)
     namespace = dict(_FLOAT_NAMESPACE, fn=fn)
     exec(f"def kernel({params}):\n"
          f"    try:\n"
-         f"        v = {_print(node, '**')[0]}\n"
+         f"        v = {body}\n"
          f"    except Errors:\n"
          f"        return float(fn({params}))\n"
          f"    return v if type(v) is float and isfinite(v) else float(fn({params}))\n",
@@ -341,10 +317,8 @@ class Medium:
             raise ValidationError(  # a scalar point has one coordinate
                 f"point has {x.shape[-1] if x.ndim else 1} coordinates, medium has dim {self.dim}")
         coords = (x,) if self.dim == 1 else [x[..., i] for i in range(self.dim)]
-        out = self._fn(*coords, np.asarray(t, dtype=float))
-        if np.ndim(out) == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        out = _real(self._fn(*coords, np.asarray(t, dtype=float)))
+        return float(out) if out.ndim == 0 else out
 
     @cached_property
     def _admitted(self) -> MediumBounds:
@@ -355,7 +329,7 @@ class Medium:
             bounds = estimate_bounds(self, resolution=40)
         else:
             pts = np.random.default_rng(0).integers(40, size=(40 ** 3, self.dim + 1)) / 40
-            m, M = _sampled_range(self._fn(*pts.T))
+            m, M = _sampled_range(_real(self._fn(*pts.T)))
             bounds = MediumBounds(m=m, M=M, L=math.nan, resolution=0)
         deviation = check_periodicity(self).max_deviation
         if not deviation <= 1e-9 * bounds.M:
@@ -456,7 +430,7 @@ def estimate_bounds(g: Medium, resolution: int = 64) -> MediumBounds:
                               f"{points} points, above 2^24; lower --resolution")
     axes = np.arange(resolution) / resolution
     grids = np.meshgrid(*([axes] * (g.dim + 1)), indexing="ij", sparse=True)
-    vals = np.asarray(g._fn(*grids), dtype=float)
+    vals = _real(g._fn(*grids))
     vals = np.broadcast_to(vals, (resolution,) * (g.dim + 1))
     m, M = _sampled_range(vals)
     L = 0.0
@@ -464,6 +438,15 @@ def estimate_bounds(g: Medium, resolution: int = 64) -> MediumBounds:
         slope = np.abs(np.roll(vals, -1, axis=axis) - vals).max() * resolution
         L = max(L, float(slope))
     return MediumBounds(m=m, M=M, L=L, resolution=resolution)
+
+
+def _real(vals) -> np.ndarray:
+    """Medium values as a float array. A complex value, which '**' makes of a
+    negative base on Python floats, as in (-1)^0.5, is no speed."""
+    vals = np.asarray(vals)
+    if vals.dtype.kind == "c":
+        raise ValidationError("medium evaluates to a non-real value")
+    return vals.astype(float, copy=False)
 
 
 def _sampled_range(vals) -> tuple[float, float]:
@@ -487,8 +470,8 @@ def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> Periodicity
     require_integer(1, trials=trials)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(trials, g.dim + 1))
-    base = np.asarray(g._fn(*pts.T))
-    shifted = [np.asarray(g._fn(*(pts + e).T)) for e in np.eye(g.dim + 1)]
+    base = _real(g._fn(*pts.T))
+    shifted = [_real(g._fn(*(pts + e).T)) for e in np.eye(g.dim + 1)]
     if not all(np.all(np.isfinite(v)) for v in (base, *shifted)):
         raise ValidationError("medium evaluates to a non-finite value")
     worst = max(float(np.abs(v - base).max()) for v in shifted)

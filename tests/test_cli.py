@@ -855,6 +855,15 @@ class TestModelContract:
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["medium", "check", "--expr", "(-1)^0.5"],
+        ["rq", "candidates", "--medium", "(-1)^0.5 + 2", "--q", "1"],
+    ], ids=["medium-check", "rq-candidates"])
+    def test_non_real_medium_exits_one(self, argv):
+        # '**' makes a complex of a negative constant base on Python floats
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (1, "", "error: medium evaluates to a non-real value\n")
+
 
 # ---------------------------------------------------------------------------
 # top level behavior

@@ -2,7 +2,8 @@
 
 Oracles: exact constant-speed solutions; the traveling-wave phase x0 with
 q*g(x0, 0) = 1 (plug-in identity) on which the integrator is stage-exact;
-the harmonic-mean closed form sqrt(2)*q for g = 1 + sin^2(pi x); and an
+the harmonic-mean closed form sqrt(2)*q for g = 1 + sin^2(pi x); the
+closed-form r(q) of the pinning and antipinning traveling waves; and an
 in-test Euler re-implementation for the obstacle bracketing.
 """
 
@@ -13,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hele_homog import (
     FlatnessTrace,
@@ -511,6 +513,39 @@ class TestVelocityCurve:
             _rk4(g, np.linspace(0.5, 1.0, 3), np.zeros(3), 200.0, 10000)
         with pytest.raises(NumericalError, match="increase"):
             _rk4(g, 0.75, 0.0, 200.0, 10000)
+
+
+def _traveling_wave_r(c, q):
+    """Exact r(q) for g = G(x - c t), G = sin^2(pi y) + 1, c = +-1. In y = x - c t
+    the front solves y' = q G(y) - c: it locks at r = c where q G - c has a
+    zero, and otherwise r = c + 1/int_0^1 dy/(q G(y) - c)."""
+    q = np.asarray(q, dtype=float)
+    if c == -1:
+        return -1.0 + np.sqrt((q + 1.0) * (2.0 * q + 1.0))
+    above = 1.0 + np.sqrt(np.maximum((q - 1.0) * (2.0 * q - 1.0), 0.0))
+    below = 1.0 - np.sqrt(np.maximum((1.0 - q) * (1.0 - 2.0 * q), 0.0))
+    return np.where(q > 1.0, above, np.where(q < 0.5, below, 1.0))
+
+
+class TestTravelingWaveYardstick:
+    @pytest.mark.parametrize("name, c", [("pinning", 1), ("antipinning", -1)])
+    def test_velocity_curve_within_one_over_T(self, name, c):
+        # measured: largest error 9.92e-3 (pinning, at the plateau edge
+        # q = 1/2) and 7.42e-4 (antipinning); at T = 200 and 400 q, 2.29e-3
+        # and 2.2e-4
+        T = 50.0
+        curve = velocity_curve(builtin_medium(name), 0.05, 2.0, 40, T=T)
+        err = np.abs(curve.r_hat - _traveling_wave_r(c, curve.q))
+        assert err.max() <= curve.error_bound == 1.0 / T
+
+    def test_closed_forms_match_the_quadrature(self):
+        # the locked plateau of the pinning wave, and c + 1/int dy/(q G - c)
+        # off it
+        assert np.array_equal(_traveling_wave_r(1, [0.5, 0.75, 1.0]), [1.0, 1.0, 1.0])
+        for c, q in [(1, 0.1), (1, 0.45), (1, 1.2), (1, 2.0), (-1, 0.05), (-1, 1.3)]:
+            integral, _ = quad(lambda y: 1.0 / (q * (math.sin(math.pi * y) ** 2 + 1) - c),
+                               0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+            assert _traveling_wave_r(c, q) == pytest.approx(c + 1.0 / integral, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

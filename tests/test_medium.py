@@ -1,11 +1,12 @@
 """Tests for the mobility-expression parser and sampled medium diagnostics."""
 
 import math
+import string
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hele_homog import (
@@ -20,8 +21,8 @@ from hele_homog import (
     format_expr,
     parse_medium,
 )
-from hele_homog.medium import (_FUNCS1, _FUNCS2, Bin, Call, Neg, Num, Var, _compile,
-                                _compile_float)
+from hele_homog.medium import (_FUNCS1, _FUNCS2, Bin, Call, Neg, Num, Var, _admit,
+                                _byte_offset, _compile, _compile_float, _tokenize)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,96 @@ class TestParseErrors:
 
     def test_expression_error_is_validation_error(self):
         assert issubclass(ExpressionError, ValidationError)
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the character loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_tokenize(src):
+    """The character loop the one-pattern scanner replaced."""
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^(),":
+            tokens.append(("OP", c, i))
+            i += 1
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            text = src[i:j]
+            try:
+                float(text)
+            except ValueError:
+                raise ExpressionError(f"bad number {text!r}", _byte_offset(src, i))
+            tokens.append(("NUM", text, i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("IDENT", src[i:j], i))
+            i = j
+            continue
+        raise ExpressionError(f"unexpected character {c!r}", _byte_offset(src, i))
+    tokens.append(("END", "", n))
+    return tokens
+
+
+def _scan(tokenize, src):
+    """The token list, or the message and byte offset of the ExpressionError."""
+    try:
+        return tokenize(src)
+    except ExpressionError as exc:
+        return str(exc), exc.offset
+
+
+# every character str.isspace() accepts lies below U+3001
+_WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+
+
+class TestScanner:
+    @settings(max_examples=500, deadline=None)
+    @given(src=st.text(st.one_of(
+        st.sampled_from("0123456789.eE+-*/^(),_ xytpisncoamqrb$#"),
+        st.characters(categories=["L"]),
+        st.characters(categories=["Nd"]),
+        st.sampled_from(_WHITESPACE),
+    ), max_size=24))
+    def test_matches_the_character_loop(self, src):
+        assert _scan(_tokenize, src) == _scan(reference_tokenize, src)
+
+    @pytest.mark.parametrize("src", [
+        "1e5 + .5e-3*x - 2.E+1", "sin(x)^-2", "1e", "1e+", "1.2.3", ".", "x__1",
+        "\u00e9t\u00e9 + 1", "\u0663.\u0665 + \uff11", "x\u00a0+\u3000t\n", "", " \t",
+        "1 + $", "\u00e9 $", string.printable,
+    ])
+    def test_explicit_sources(self, src):
+        assert _scan(_tokenize, src) == _scan(reference_tokenize, src)
+
+    @pytest.mark.parametrize("src", ["\u00b2", "x + 1\u00b2", "1e\u00b2", "\u00bd",
+                                     "1 + \u00bdx", "\u2460", "x*\u2460"])
+    def test_non_decimal_digits_are_errors(self, src):
+        # a digit that is not decimal (superscript two, circled one) or a
+        # numeric character that is not a digit (one half) is a name
+        # character, so it makes an unknown name or an unexpected token
+        with pytest.raises(ExpressionError):
+            parse_medium(src, dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +462,28 @@ class TestGeneratedEvaluator:
     @settings(max_examples=100, deadline=None)
     @given(case=st.integers(min_value=2, max_value=3).flatmap(
         lambda dim: st.tuples(st.just(dim), _nodes(dim))))
+    @example(case=(2, Bin("^", Neg(Num(1.0)), Num(0.5))))
+    @example(case=(3, Bin("+", Var("x2"), Bin("^", Neg(Num(1.0)), Num(0.5)))))
     def test_public_call_matches_closure_tree(self, case):
-        # g(points, t) with the coordinates stacked on the last axis
+        # g(points, t) with the coordinates stacked on the last axis; a
+        # complex value, which '**' makes of a negative constant base, is a
+        # ValidationError
         dim, node = case
         g = Medium(dim=dim, source="", ast=node, _fn=_compile(node, dim))
         ref = reference_compile(node)
         names = [f"x{i + 1}" for i in range(dim)] + ["t"]
+
+        def reference(arrays):
+            out = ref(dict(zip(names, arrays)))
+            if np.iscomplexobj(out):
+                raise ValidationError("medium evaluates to a non-real value")
+            return np.asarray(out, dtype=float)
+
         for env in _envs(dim):
             arrays = np.broadcast_arrays(*(np.asarray(env[k], dtype=float) for k in names))
             got = _outcome(lambda _: np.asarray(g(np.stack(arrays[:-1], -1), arrays[-1])),
                            None)
-            want = _outcome(lambda _: np.asarray(ref(dict(zip(names, arrays))), dtype=float),
-                            None)
-            assert got == want
+            assert got == _outcome(reference, arrays)
         with pytest.raises(ValidationError, match=f"point has {dim + 1} coordinates"):
             g(np.zeros((4, dim + 1)), 0.0)
         with pytest.raises(ValidationError, match="point has 1 coordinates"):
@@ -606,6 +706,38 @@ class TestBounds:
         for resolution in (8.5, True, np.int64(16)):
             with pytest.raises(ValidationError, match="resolution must be an integer"):
                 estimate_bounds(parse_medium("1", dim=1), resolution=resolution)
+
+
+class TestNonReal:
+    """'**' makes a complex of a negative base on Python floats, and the
+    kernel of a constant subexpression computes on Python floats."""
+
+    @pytest.mark.parametrize("src", ["(-1)^0.5", "x + (-1)^0.5", "2 + 0*(-8)^(1/3)"])
+    def test_every_sample_rejects_a_complex(self, src):
+        g = parse_medium(src, dim=1)
+        for sample in (lambda: g(0.3, 0.1), lambda: g(np.linspace(0, 1, 5), 0.1),
+                       lambda: eval_scaled(g, 0.5, 0.3, 0.1),
+                       lambda: estimate_bounds(g, resolution=16),
+                       lambda: check_periodicity(g), lambda: _admit(g, 1)):
+            with pytest.raises(ValidationError, match="non-real"):
+                sample()
+
+    def test_random_sample_above_dim_two(self):
+        g = parse_medium("x3 + (-1)^0.5", dim=3)
+        with pytest.raises(ValidationError, match="non-real"):
+            _admit(g, 3)
+        with pytest.raises(ValidationError, match="non-real"):
+            g(np.array([0.1, 0.2, 0.3]), 0.0)
+
+    def test_nan_of_an_array_power_stays_a_float(self):
+        # NumPy's power on a negative array base is NaN, which the
+        # non-finite check reports
+        g = parse_medium("(x - 2)^0.5", dim=1)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(g(np.array([0.5]), 0.0)).all()
+            assert math.isnan(g(0.3, 0.0))
+            with pytest.raises(ValidationError, match="non-finite"):
+                estimate_bounds(g, resolution=16)
 
 
 class TestPeriodicity:
