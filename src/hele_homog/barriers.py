@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import lazy
-from .errors import (NumericalError, ValidationError, require_integer, require_nonnegative,
-                     require_positive)
+from .errors import (NumericalError, ValidationError, require_finite, require_integer,
+                     require_nonnegative, require_positive, require_vector)
 from .medium import Medium, _admit, eval_scaled
 
 quad = lazy("scipy.integrate", "quad")
@@ -392,14 +392,20 @@ def check_superbarrier(field, medium: Medium, samples, c: float,
     """Verify -lap > c inside and |Dphi+| > c, phi_t - g|Dphi+|^2 > c on the front.
 
     The medium must pass the model contract in the dimension of the sample
-    points. `field` provides value/dt/grad/laplacian at the sampled (x, t) points;
-    front points are those with |value| <= 1e-8 * (max sampled |value|).
+    points, and each sample must be a finite point of the first one's
+    dimension at a finite time. `field` provides value/dt/grad/laplacian at
+    the sampled (x, t) points; front points are those with
+    |value| <= 1e-8 * (max sampled |value|).
     """
     require_positive(c=c, eps=eps)
     samples = list(samples)
     if not samples:
         raise ValidationError("no sample points supplied")
-    _admit(medium, np.size(samples[0][0]))
+    dim = np.size(samples[0][0])
+    for i, (x, t) in enumerate(samples):
+        require_vector(f"sample {i} x", x, dim=dim)
+        require_finite(**{f"sample {i} t": t})
+    _admit(medium, dim)
     values = [float(field.value(x, t)) for x, t in samples]
     scale = max(max(abs(v) for v in values), 1e-300)
     front_tol = 1e-8 * scale

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import barriers, geometry, homog1d, hs2d, timescale
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_integer
 from .medium import (BUILTIN_MEDIA, Medium, builtin_medium, check_periodicity,
                      estimate_bounds, parse_medium)
 
@@ -275,6 +275,7 @@ def _cmd_barrier_verify(args) -> int:
         _emit(_json_text(out), args.out)
         return 0
     # superbarrier: perturbed contracting field vs a sampled medium
+    require_integer(1, samples=args.samples)
     g = load_medium(args.medium, args.dim if args.dim is not None else args.n)
     field = barriers.PerturbedContractingField(
         n=args.n, M=args.M, mu=args.mu, chi0=args.chi0, kappa=args.kappa)

@@ -39,6 +39,21 @@ def require_finite(**values) -> None:
     _require(values, "real", lambda v: True)
 
 
+def require_vector(name: str, value, dim: int | None = None, nonzero: bool = False) -> np.ndarray:
+    """Return value as a finite 1-D float array (a scalar is one coordinate) of dim
+    entries if dim is given, not all zero if nonzero is set; else raise ValidationError."""
+    try:
+        v = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):  # ragged, complex or not numbers
+        v = np.array([math.nan])
+    if v.ndim != 1 or not v.size or v.size != (dim or v.size) or not np.all(np.isfinite(v)):
+        size = f" of dimension {dim}" if dim else ""
+        raise ValidationError(f"{name} must be a finite vector{size}, got {value}")
+    if nonzero and not np.any(v):
+        raise ValidationError(f"{name} must be nonzero")
+    return v
+
+
 def require_integer(least: int, **values) -> None:
     """Raise ValidationError naming the first value that is not an int >= least (nor a bool)."""
     for name, value in values.items():

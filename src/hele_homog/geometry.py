@@ -15,7 +15,8 @@ from enum import Enum
 import numpy as np
 
 from ._lazy import lazy
-from .errors import ValidationError, require_integer, require_positive
+from .errors import (ValidationError, require_finite, require_integer,
+                     require_positive, require_vector)
 
 ndtri = lazy("scipy.special", "ndtri")
 
@@ -26,18 +27,17 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PlanarWave:
-    """Traveling wave (|q| r t + (x - eta*nu) . q)_+ with front speed r."""
+    """Traveling wave (|q| r t + (x - eta*nu) . q)_+ with front speed r, and its
+    own smooth field: positive-side limits of dt and grad at the front."""
 
     q: np.ndarray
     r: float
     eta: float = 0.0
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        if q.ndim != 1 or not np.any(q != 0.0):
-            raise ValidationError("q must be a nonzero vector")
+        object.__setattr__(self, "q", require_vector("q", self.q, nonzero=True))
         require_positive(r=self.r)
-        object.__setattr__(self, "q", q)
+        require_finite(eta=self.eta)
 
     @property
     def norm_q(self) -> float:
@@ -47,42 +47,30 @@ class PlanarWave:
     def nu(self) -> np.ndarray:
         return -self.q / self.norm_q
 
-    def as_field(self) -> "_PlanarField":
-        return _PlanarField(self)
+    def as_field(self) -> "PlanarWave":
+        return self
 
-
-def planar_eval(P: PlanarWave, x, t):
-    """Wave value at points x (last axis = coordinates) and times t."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    val = P.norm_q * P.r * t + x @ P.q + P.eta * P.norm_q
-    out = np.maximum(val, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-class _PlanarField:
-    """Smooth-field view of a planar wave: positive-side limits at the front."""
-
-    def __init__(self, P: PlanarWave):
-        self.P = P
-
-    def _mask(self, x, t):
-        P = self.P
-        return (P.norm_q * P.r * np.asarray(t, float)
-                + np.asarray(x, float) @ P.q + P.eta * P.norm_q) >= 0.0
+    def _phase(self, x, t):
+        return (self.norm_q * self.r * np.asarray(t, dtype=float)
+                + np.asarray(x, dtype=float) @ self.q + self.eta * self.norm_q)
 
     def value(self, x, t):
-        return planar_eval(self.P, x, t)
+        """Wave value at points x (last axis = coordinates) and times t."""
+        out = np.maximum(self._phase(x, t), 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def dt(self, x, t):
-        return np.where(self._mask(x, t), self.P.norm_q * self.P.r, 0.0)
+        return np.where(self._phase(x, t) >= 0.0, self.norm_q * self.r, 0.0)
 
     def grad(self, x, t):
-        m = np.asarray(self._mask(x, t), dtype=float)
-        return np.multiply.outer(m, self.P.q) if m.ndim else m * self.P.q
+        m = np.asarray(self._phase(x, t) >= 0.0, dtype=float)
+        return np.multiply.outer(m, self.q) if m.ndim else m * self.q
 
     def laplacian(self, x, t):
-        return np.zeros(np.shape(np.asarray(x, float) @ self.P.q))
+        return np.zeros(np.shape(self._phase(x, t)))
+
+
+planar_eval = PlanarWave.value  # planar_eval(P, x, t) is P.value(x, t)
 
 
 class Ordering(Enum):
@@ -94,7 +82,8 @@ class Ordering(Enum):
 
 def translation_order(P: PlanarWave, y, tau: float, tol: float = 0.0) -> Ordering:
     """Order of the translate P(x-y, t-tau) against P: set by y.nu - r*tau."""
-    s = float(np.asarray(y, dtype=float) @ P.nu - P.r * tau)
+    require_finite(tau=tau, tol=tol)
+    s = float(require_vector("y", y, dim=P.q.size) @ P.nu - P.r * tau)
     if abs(s) <= tol:
         return Ordering.BOTH
     return Ordering.BELOW_OR_EQUAL if s < 0 else Ordering.ABOVE_OR_EQUAL
@@ -109,9 +98,7 @@ class PlanarClass(Enum):
 
 def planar_admissible_range(q, r: float, m: float, M: float) -> PlanarClass:
     """Classify P_{q,r} against the speed band [m, M]: sub iff r <= m|q|."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.any(q != 0.0):
-        raise ValidationError("q must be nonzero")
+    q = require_vector("q", q, nonzero=True)
     require_positive(m=m, M=M, r=r)
     if not m <= M:
         raise ValidationError(f"need m <= M, got {m}, {M}")
@@ -129,12 +116,12 @@ def planar_admissible_range(q, r: float, m: float, M: float) -> PlanarClass:
 
 def in_cone(x, vertex, axis, angle: float, tol: float = 0.0) -> bool:
     """Strict membership of x in the open cone of given vertex/axis/angle."""
-    axis = np.asarray(axis, dtype=float)
-    if not np.any(axis != 0.0):
-        raise ValidationError("axis must be nonzero")
+    axis = require_vector("axis", axis, nonzero=True)
     if not 0 < angle < math.pi / 2:
         raise ValidationError(f"angle must be in (0, pi/2), got {angle}")
-    d = np.asarray(x, dtype=float) - np.asarray(vertex, dtype=float)
+    require_finite(tol=tol)
+    n = axis.shape[0]
+    d = require_vector("x", x, dim=n) - require_vector("vertex", vertex, dim=n)
     lhs = float(d @ axis)
     rhs = float(np.linalg.norm(d) * np.linalg.norm(axis) * math.cos(angle))
     return lhs - rhs > tol
@@ -183,11 +170,9 @@ class ConeGeometry:
 
 def cone_geometry(q, r: float, m: float, M: float) -> ConeGeometry:
     """Closed-form cone geometry for bounds 0 < m < M (m = M rejected)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.ndim != 1 or q.shape[0] < 2:
+    q = require_vector("q", q, nonzero=True)
+    if q.shape[0] < 2:
         raise ValidationError("cone geometry needs a gradient in dimension >= 2")
-    if not np.any(q != 0.0):
-        raise ValidationError("q must be nonzero")
     require_positive(r=r, m=m, M=M)
     if not m < M:
         raise ValidationError(f"need m < M (strict), got m={m}, M={M}")
@@ -236,8 +221,7 @@ class MatchingWave:
         return PlanarWave(q=-self.mu * self.eta_normal, r=self.speed)
 
     def eval(self, x, t):
-        t = np.asarray(t, dtype=float)
-        return planar_eval(self.as_planar(), x, t - self.T_shift)
+        return self.as_planar().value(x, np.asarray(t, dtype=float) - self.T_shift)
 
 
 def matching_wave(geom: ConeGeometry, xi) -> tuple[MatchingWave, MatchingWave]:
@@ -249,37 +233,24 @@ def matching_wave(geom: ConeGeometry, xi) -> tuple[MatchingWave, MatchingWave]:
     n = geom.q.shape[0]
     nq = geom.norm_q
     if np.isscalar(xi) and xi == 0:
-        xi_vec = np.zeros(n)
-        plus = MatchingWave(xi=xi_vec, sign="plus", eta_normal=geom.nu,
-                            mu=nq, speed=max(geom.M * nq, geom.r), T_shift=0.0)
-        minus = MatchingWave(xi=xi_vec, sign="minus", eta_normal=geom.nu,
-                             mu=nq, speed=min(geom.m * nq, geom.r), T_shift=0.0)
-        return plus, minus
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (n,):
-        raise ValidationError(f"xi must be a vector of dimension {n}")
-    if abs(float(np.linalg.norm(xi)) - 1.0) > 1e-9:
-        raise ValidationError("xi must be a unit vector")
-    ct = math.cos(geom.theta)
-    if abs(float(xi @ geom.nu) - ct) > 1e-12:
-        raise ValidationError("direction not on the cone boundary set Xi")
-    e = _unit(xi - ct * geom.nu)
-
-    cphi_minus = geom.m / geom.M  # = cos(phi_minus)
-    mu_plus = nq * ct
-    mu_minus = nq * ct / cphi_minus
-    r_plus = geom.r / ct
-    r_minus = geom.r * cphi_minus / ct
-    T_plus = 1.0 / geom.rV_plus - 1.0 / geom.r
-    T_minus = 1.0 / geom.rV_minus - 1.0 / geom.r
-    eta_plus = xi
-    eta_minus = math.sin(geom.theta_minus) * geom.nu - math.cos(geom.theta_minus) * e
-
-    plus = MatchingWave(xi=xi, sign="plus", eta_normal=eta_plus,
-                        mu=mu_plus, speed=r_plus, T_shift=T_plus)
-    minus = MatchingWave(xi=xi, sign="minus", eta_normal=eta_minus,
-                         mu=mu_minus, speed=r_minus, T_shift=T_minus)
-    return plus, minus
+        xi = np.zeros(n)
+        plus = (geom.nu, nq, max(geom.M * nq, geom.r), 0.0)
+        minus = (geom.nu, nq, min(geom.m * nq, geom.r), 0.0)
+    else:
+        xi = require_vector("xi", xi, dim=n)
+        if abs(float(np.linalg.norm(xi)) - 1.0) > 1e-9:
+            raise ValidationError("xi must be a unit vector")
+        ct = math.cos(geom.theta)
+        if abs(float(xi @ geom.nu) - ct) > 1e-12:
+            raise ValidationError("direction not on the cone boundary set Xi")
+        e = _unit(xi - ct * geom.nu)
+        cphi_minus = geom.m / geom.M  # = cos(phi_minus)
+        plus = (xi, nq * ct, geom.r / ct, 1.0 / geom.rV_plus - 1.0 / geom.r)
+        minus = (math.sin(geom.theta_minus) * geom.nu - math.cos(geom.theta_minus) * e,
+                 nq * ct / cphi_minus, geom.r * cphi_minus / ct,
+                 1.0 / geom.rV_minus - 1.0 / geom.r)
+    # each wave is (eta_normal, mu, speed, T_shift)
+    return tuple(MatchingWave(xi, s, *w) for s, w in (("plus", plus), ("minus", minus)))
 
 
 def xi_samples(geom: ConeGeometry, count: int) -> list[np.ndarray]:
@@ -295,8 +266,9 @@ def xi_samples(geom: ConeGeometry, count: int) -> list[np.ndarray]:
     if n == 2:
         dirs = [perp[:, 0] * (1 if k % 2 == 0 else -1) for k in range(count)]
     else:
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        alphas = np.sqrt(np.array(primes[: n - 1], dtype=float))
+        primes = (p for p in itertools.count(2)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1)))
+        alphas = np.sqrt(np.fromiter(itertools.islice(primes, n - 1), dtype=float))
         dirs = []
         for k in range(count):
             u = np.mod((k + 1) * alphas, 1.0)
@@ -352,10 +324,10 @@ def grid_cover_check(A, E, lam: float, eps: float, box,
     a cover failure under a verified hypothesis is reported as a
     counterexample (it would falsify the covering claim).
     """
-    lo = np.atleast_1d(np.asarray(box[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(box[1], dtype=float))
+    lo = require_vector("box lo", box[0])
     d = lo.shape[0]
-    if hi.shape != lo.shape or np.any(hi <= lo):
+    hi = require_vector("box hi", box[1], dim=d)
+    if np.any(hi <= lo):
         raise ValidationError("box must be (lo, hi) with hi > lo componentwise")
     require_positive(lam=lam, eps=eps)
     require_integer(1, samples_per_axis=samples_per_axis, probe_count=probe_count)

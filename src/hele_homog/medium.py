@@ -329,7 +329,9 @@ class Medium:
             bounds = estimate_bounds(self, resolution=40)
         else:
             pts = np.random.default_rng(0).integers(40, size=(40 ** 3, self.dim + 1)) / 40
-            m, M = _sampled_range(_real(self._fn(*pts.T)))
+            with np.errstate(all="ignore"):  # _sampled_range reports a non-finite value
+                vals = _real(self._fn(*pts.T))
+            m, M = _sampled_range(vals)
             bounds = MediumBounds(m=m, M=M, L=math.nan, resolution=0)
         deviation = check_periodicity(self).max_deviation
         if not deviation <= 1e-9 * bounds.M:
@@ -430,7 +432,8 @@ def estimate_bounds(g: Medium, resolution: int = 64) -> MediumBounds:
                               f"{points} points, above 2^24; lower --resolution")
     axes = np.arange(resolution) / resolution
     grids = np.meshgrid(*([axes] * (g.dim + 1)), indexing="ij", sparse=True)
-    vals = _real(g._fn(*grids))
+    with np.errstate(all="ignore"):  # _sampled_range reports a non-finite value
+        vals = _real(g._fn(*grids))
     vals = np.broadcast_to(vals, (resolution,) * (g.dim + 1))
     m, M = _sampled_range(vals)
     L = 0.0
@@ -470,8 +473,9 @@ def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> Periodicity
     require_integer(1, trials=trials)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(trials, g.dim + 1))
-    base = _real(g._fn(*pts.T))
-    shifted = [_real(g._fn(*(pts + e).T)) for e in np.eye(g.dim + 1)]
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        base = _real(g._fn(*pts.T))
+        shifted = [_real(g._fn(*(pts + e).T)) for e in np.eye(g.dim + 1)]
     if not all(np.all(np.isfinite(v)) for v in (base, *shifted)):
         raise ValidationError("medium evaluates to a non-finite value")
     worst = max(float(np.abs(v - base).max()) for v in shifted)

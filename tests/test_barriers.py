@@ -682,6 +682,20 @@ class TestCheckSuperbarrier:
         assert not rep.passed
         assert not rep.verdict["front_speed"]
 
+    @pytest.mark.parametrize("bad, message", [
+        ((np.array([math.nan, 0.5]), -0.1), "sample 3 x must be a finite vector of dimension 2"),
+        ((np.array([0.5, 0.0, 0.1]), -0.1), "sample 3 x must be a finite vector of dimension 2"),
+        ((np.array([0.5, 0.0]), math.inf), "sample 3 t must be real and finite"),
+    ], ids=["nan-point", "3-vector", "inf-time"])
+    def test_bad_sample_named(self, bad, message):
+        # a NaN point once made every margin infinite, and a 3-vector among
+        # 2-vectors passed when it was an interior point
+        f = PerturbedContractingField(2, M=1.2, mu=1.0, chi0=1.0, kappa=0.01)
+        samples = _annulus_samples(f, -0.1)
+        samples.insert(3, bad)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            check_superbarrier(f, parse_medium("1", dim=2), samples, c=1e-6)
+
     def test_validation(self):
         f = PerturbedContractingField(2, M=1.2, mu=1.0, chi0=1.0, kappa=0.01)
         g = parse_medium("1", dim=2)

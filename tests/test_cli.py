@@ -547,6 +547,12 @@ class TestBarrierVerify:
         assert code == 1
         assert "error: medium is not 1-periodic" in err
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_superbarrier_bad_sample_count_exits_one(self, count):
+        code, out, err = run_cli(SUPERBARRIER_PASS + ["--samples", count])
+        assert (code, out, err) == (
+            1, "", f"error: samples must be an integer >= 1, got {count}\n")
+
     def test_superbarrier_solves_the_radius_once(self, monkeypatch):
         # 256 interior and 64 front samples, all at one t
         calls = []
@@ -863,6 +869,19 @@ class TestModelContract:
         # '**' makes a complex of a negative constant base on Python floats
         code, out, err = run_cli(argv)
         assert (code, out, err) == (1, "", "error: medium evaluates to a non-real value\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["medium", "check", "--expr", NAN_MEDIUM],
+        ["medium", "check", "--expr", "1/x"],
+        ["rq", "curve", "--medium", "1/sin(pi*x)^2", "--qmin", "0.5", "--qmax", "1",
+         "--samples", "2"],
+    ], ids=["nan-at-shift", "inf-on-grid", "rq-curve"])
+    def test_non_finite_medium_warns_nothing(self, argv):
+        # the sampling sites' own finiteness checks report the fault
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv)
+        assert (code, out, err) == (1, "", "error: medium evaluates to a non-finite value\n")
 
 
 # ---------------------------------------------------------------------------

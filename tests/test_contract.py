@@ -4,12 +4,14 @@ Every public entry point that takes a medium admits it through
 `medium._admit`: g has the entry point's dimension and is finite, positive
 and 1-periodic on a sample of the unit cell. Scalar parameters go through
 `errors.require_positive` / `require_nonnegative`: finite, and > 0 (>= 0).
+Vector parameters go through `errors.require_vector`: 1-D and finite.
 """
 
 import dataclasses
 import inspect
 import math
 import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,7 +36,8 @@ from hele_homog import (
     velocity_curve,
 )
 from hele_homog import medium as medium_module
-from hele_homog.errors import require_integer, require_nonnegative, require_positive
+from hele_homog.errors import (require_integer, require_nonnegative, require_positive,
+                               require_vector)
 from hele_homog.medium import _admit
 
 # g has period 2 in x; its twin with 2*pi has period 1
@@ -106,6 +109,18 @@ class TestAdmit:
         with np.errstate(all="ignore"):
             with pytest.raises(ValidationError, match=message):
                 _admit(parse_medium(src, 1), 1)
+
+    @pytest.mark.parametrize("src", ["1/x{d}", "sqrt(sin(pi*x{d})) + 1"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_non_finite_sample_warns_nothing(self, src, dim):
+        # 1/x is inf on the grid (the resolution-40 grid, or above dim 2 its
+        # random points); the sqrt is NaN only at check_periodicity's shifts.
+        # The finiteness checks report it; NumPy must not warn first
+        g = parse_medium(src.format(d=dim if dim > 1 else ""), dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                _admit(g, dim)
 
     def test_dimension_messages(self):
         with pytest.raises(ValidationError,
@@ -191,6 +206,26 @@ class TestParameterRule:
         with pytest.raises(ValidationError,
                            match=rf"^n must be an integer >= 2, got {re.escape(repr(value))}$"):
             require_integer(2, n=value)
+
+    @pytest.mark.parametrize("value", [[1.0, math.nan], [math.inf], [], [[1.0, 2.0]],
+                                       [[1.0], [2.0, 3.0]], [1j, 1.0], None, "abc",
+                                       [1.0, 2.0, 3.0]])
+    def test_require_vector_rejects(self, value):
+        with pytest.raises(ValidationError, match=r"^v must be a finite vector of dimension 2"):
+            require_vector("v", value, dim=2)
+
+    def test_require_vector_refuses_empty_and_zero(self):
+        with pytest.raises(ValidationError, match=r"^v must be a finite vector, got \[\]$"):
+            require_vector("v", [], nonzero=True)
+        with pytest.raises(ValidationError, match="^v must be nonzero$"):
+            require_vector("v", [0.0, -0.0], nonzero=True)
+        assert require_vector("v", [0.0, -0.0]).tolist() == [0.0, -0.0]
+
+    def test_require_vector_returns_a_float_vector(self):
+        for value, want in [(2, [2.0]), ([1, -3], [1.0, -3.0]), (np.array([0.5, 0.0]), [0.5, 0.0]),
+                            (np.float64(1e300), [1e300])]:
+            v = require_vector("v", value, nonzero=True)
+            assert v.dtype == float and v.ndim == 1 and v.tolist() == want
 
     def test_accepts(self):
         require_integer(2, a=2, b=10 ** 30)

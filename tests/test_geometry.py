@@ -6,6 +6,9 @@ identities r+/mu+ = (r/|q|)(M/m), r-/mu- = (r/|q|)(m/M); and brute-force
 grid evaluation for translation ordering.
 """
 
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -30,6 +33,7 @@ from hele_homog import (
     verify_admissibility,
     xi_samples,
 )
+from hele_homog.cli import main
 
 
 def _reference():
@@ -71,6 +75,10 @@ class TestPlanarWave:
         assert np.linalg.norm(g) == pytest.approx(5.0)
         assert f.dt(x_wet, 0.0) == pytest.approx(5.0 * 1.0)
         assert f.laplacian(x_wet, 0.0) == pytest.approx(0.0)
+
+    def test_is_its_own_field(self):
+        P = PlanarWave(q=[3.0, -4.0], r=1.0)
+        assert P.as_field() is P
 
     def test_batch_eval(self):
         P = PlanarWave(q=[0.0, -1.0], r=1.0)
@@ -337,6 +345,16 @@ class TestMatchingWave:
                 assert float(xi @ g.nu) == pytest.approx(ct, abs=1e-12)
                 matching_wave(g, xi)  # accepted
 
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_xi_samples_any_dimension(self, n):
+        # one irrational rotation sqrt(p) per perpendicular axis, p prime
+        g = cone_geometry(np.r_[np.ones(n - 1), -2.0], 1.0, 1.0, 2.0)
+        ct = math.cos(g.theta)
+        for xi in xi_samples(g, 8):
+            assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+            assert float(xi @ g.nu) == pytest.approx(ct, abs=1e-12)
+            matching_wave(g, xi)  # accepted
+
     def test_xi_samples_bad_count(self):
         with pytest.raises(ValidationError):
             xi_samples(_reference(), 0)
@@ -452,17 +470,102 @@ class TestGridCover:
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_parameters_rejected(bad):
-    # an infinite r once gave rV_plus = inf; every positive scalar is finite
+    # an infinite r once gave rV_plus = inf; every positive scalar is finite.
+    # A non-finite vector entry once gave a plausible answer too: a class, an
+    # ordering, a cone with NaN normal, a pair of matching waves, a report
+    g = _reference()
+    P = PlanarWave(q=[0.0, -1.0], r=1.0)
     calls = [
-        (lambda v: cone_geometry([0.0, -1.0], v, 1.0, 2.0), "r"),
-        (lambda v: cone_geometry([0.0, -1.0], 1.0, 1.0, v), "M"),
-        (lambda v: PlanarWave(q=[0.0, -1.0], r=v), "r"),
-        (lambda v: planar_admissible_range([0.0, -1.0], 1.0, v, 2.0), "m"),
+        (lambda v: cone_geometry([0.0, -1.0], v, 1.0, 2.0), "r must be > 0 and finite"),
+        (lambda v: cone_geometry([0.0, -1.0], 1.0, 1.0, v), "M must be > 0 and finite"),
+        (lambda v: PlanarWave(q=[0.0, -1.0], r=v), "r must be > 0 and finite"),
+        (lambda v: planar_admissible_range([0.0, -1.0], 1.0, v, 2.0),
+         "m must be > 0 and finite"),
         (lambda v: grid_cover_check(A=lambda x: True, E=lambda x: True,
-                                    lam=v, eps=0.1, box=(0.0, 1.0)), "lam"),
+                                    lam=v, eps=0.1, box=(0.0, 1.0)),
+         "lam must be > 0 and finite"),
         (lambda v: grid_cover_check(A=lambda x: True, E=lambda x: True,
-                                    lam=0.51, eps=v, box=(0.0, 1.0)), "eps"),
+                                    lam=0.51, eps=v, box=(0.0, 1.0)),
+         "eps must be > 0 and finite"),
+        (lambda v: cone_geometry([v, -1.0], 1.0, 1.0, 2.0), "q must be a finite vector"),
+        (lambda v: PlanarWave(q=[v, -1.0], r=1.0), "q must be a finite vector"),
+        (lambda v: PlanarWave(q=[0.0, -1.0], r=1.0, eta=v), "eta must be real and finite"),
+        (lambda v: planar_admissible_range([v, 1.0], 1.0, 1.0, 2.0),
+         "q must be a finite vector"),
+        (lambda v: translation_order(P, [v, 0.0], 0.0), "y must be a finite vector"),
+        (lambda v: translation_order(P, [0.0, 0.0], v), "tau must be real and finite"),
+        (lambda v: translation_order(P, [0.0, 0.0], 0.0, tol=v), "tol must be real"),
+        (lambda v: matching_wave(g, [v, v]), "xi must be a finite vector of dimension 2"),
+        (lambda v: in_cone([v, 1.0], [0.0, 0.0], [0.0, 1.0], 0.5),
+         "x must be a finite vector of dimension 2"),
+        (lambda v: in_cone([0.0, 1.0], [0.0, v], [0.0, 1.0], 0.5), "vertex must be"),
+        (lambda v: in_cone([0.0, 1.0], [0.0, 0.0], [v, 1.0], 0.5), "axis must be"),
+        (lambda v: in_cone([0.0, 1.0], [0.0, 0.0], [0.0, 1.0], 0.5, tol=v), "tol must be"),
+        (lambda v: grid_cover_check(A=lambda x: True, E=lambda x: True, lam=0.51,
+                                    eps=0.1, box=([v], [1.0])), "box lo must be"),
+        (lambda v: grid_cover_check(A=lambda x: True, E=lambda x: True, lam=0.51,
+                                    eps=0.1, box=(0.0, v)), "box hi must be"),
     ]
-    for call, name in calls:
-        with pytest.raises(ValidationError, match=f"^{name} must be > 0 and finite"):
+    for call, message in calls:
+        with pytest.raises(ValidationError, match=f"^{message}"):
             call(bad)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["geometry", "report", "--q", f"{bad},-1", "--r", "1",
+                     "--m", "1", "--M", "2"])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", f"error: q must be a finite vector, got [{bad} -1.]\n")
+
+
+def test_vector_shapes_rejected():
+    g = _reference()
+    P = PlanarWave(q=[0.0, -1.0], r=1.0)
+    calls = [
+        (lambda: translation_order(P, [0.0, 0.0, 0.0], 0.0), "y must be a finite vector"),
+        (lambda: in_cone([0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0], 0.5), "vertex must be"),
+        (lambda: in_cone([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], 0.5), "axis must be nonzero"),
+        (lambda: matching_wave(g, [[0.6, 0.8]]), "xi must be a finite vector"),
+        (lambda: grid_cover_check(A=lambda x: True, E=lambda x: True, lam=0.8,
+                                  eps=0.1, box=([0.0, 0.0], [1.0])), "box hi must be"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call()
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+_AXIS = np.linspace(-2.0, 2.0, 9)
+_PTS = np.stack(np.meshgrid(_AXIS, _AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
+_TS = np.linspace(-1.0, 2.0, _PTS.shape[0])
+
+
+class TestFrozenWaveBits:
+    """Values from when the planar field was a wrapper around the wave and
+    each matching wave was built on its own; every bit is kept."""
+
+    @pytest.mark.parametrize("q, digest", [
+        ([0.0, -1.0], "e5f683c5a009e8e044a227d63fe66952ffc8f7cb84fa44ce2c4076478f83b762"),
+        ([1.0, 1.0, -1.0], "3a77f33d4bfac8ed230d7d70ad70a0bf4b5123fbbfff0c424b77feef1d7d0ed2"),
+    ], ids=["reference", "dim3"])
+    def test_matching_waves(self, q, digest):
+        g = cone_geometry(q, 1.0, 1.0, 2.0)
+        pts = _PTS if len(q) == 2 else np.column_stack([_PTS, _PTS[::-1, 0]])
+        arrays = []
+        for xi in [0] + xi_samples(g, 3):
+            for w in matching_wave(g, xi):
+                arrays += [w.eta_normal, w.mu, w.speed, w.T_shift, w.eval(pts, _TS)]
+        assert _sha256(*arrays) == digest
+
+    def test_planar_values(self):
+        g = _reference()
+        P = PlanarWave(q=g.q, r=g.r, eta=0.25)
+        f = P.as_field()
+        assert _sha256(planar_eval(P, _PTS, _TS), f.dt(_PTS, _TS), f.grad(_PTS, _TS),
+                       planar_eval(P, _PTS[5], 0.3), f.grad(_PTS[5], 0.3)) == (
+            "81f947392e6d09beb2be2a1dd8b88295a96f10fb6cefe15de62ba57b8b4486f8")
