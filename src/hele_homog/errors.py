@@ -41,12 +41,16 @@ def require_finite(**values) -> None:
 
 def require_vector(name: str, value, dim: int | None = None, nonzero: bool = False) -> np.ndarray:
     """Return value as a finite 1-D float array (a scalar is one coordinate) of dim
-    entries if dim is given, not all zero if nonzero is set; else raise ValidationError."""
+    entries if dim is given, not all zero if nonzero is set; else raise ValidationError.
+    Finite means that np.linalg.norm, which the geometry divides by, is finite:
+    every entry is finite and the sum of their squares does not overflow."""
     try:
         v = np.atleast_1d(np.asarray(value, dtype=float))
     except (TypeError, ValueError):  # ragged, complex or not numbers
         v = np.array([math.nan])
-    if v.ndim != 1 or not v.size or v.size != (dim or v.size) or not np.all(np.isfinite(v)):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        norm = float(np.linalg.norm(v)) if v.ndim == 1 else math.nan
+    if v.ndim != 1 or not v.size or v.size != (dim or v.size) or not math.isfinite(norm):
         size = f" of dimension {dim}" if dim else ""
         raise ValidationError(f"{name} must be a finite vector{size}, got {value}")
     if nonzero and not np.any(v):

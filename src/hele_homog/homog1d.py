@@ -7,11 +7,14 @@ flatness functionals whose decay thresholds define the candidate velocities
 r_lower and r_upper.
 
 Each numerical idea has one loop: `_rk4` integrates one front (a float q)
-or a whole q-grid (an array q) with the same arithmetic, `_clipped` runs the
-obstacle-clipped front with or without a stored trace, and `_bisect` halves
-the candidate brackets for both sides. The scalar loops evaluate the medium
-through its float kernel and coerce their scalars to Python floats, so they
-run on float arithmetic with the bits the NumPy kernel would give.
+or a whole array of fronts with the same arithmetic, `_averages` turns a
+q-array into long-time averages by iterating each q's tabulated time-1 map
+(g is 1-periodic in t, so the orbit is that map iterated) or, where no table
+within its budget resolves the map, by the direct orbit, `_clipped` runs
+the obstacle-clipped front with or without a stored trace, and `_bisect`
+halves the candidate brackets for both sides. The scalar loops evaluate the
+medium through its float kernel and coerce their scalars to Python floats,
+so they run on float arithmetic with the bits the NumPy kernel would give.
 """
 
 from __future__ import annotations
@@ -82,24 +85,28 @@ class FlatnessTrace:
 
 @dataclass(frozen=True)
 class VelocityEstimate:
-    """Finite-T effective velocity r_hat = (x(T) - x0)/T with 1/T error bar."""
+    """Finite-T effective velocity r_hat = (x(T) - x0)/T with 1/T error bar;
+    nodes is the size of the time-1 table, 0 where the orbit ran directly."""
 
     q: float
     r_hat: float
     T: float
     error_bound: float
     refined: float
+    nodes: int
 
 
 @dataclass(frozen=True, eq=False)
 class VelocityCurve:
-    """Effective-velocity samples over a q-grid with a shared error bound."""
+    """Effective-velocity samples over a q-grid with a shared error bound and
+    each q's time-1 table size (0: the direct orbit)."""
 
     q: np.ndarray
     r_hat: np.ndarray
     refined: np.ndarray
     T: float
     error_bound: float
+    nodes: np.ndarray
 
 
 def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None):
@@ -151,48 +158,199 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
     """Estimate r(q) by (x(T) - x0)/T; the period squeeze gives error 1/T.
 
     Also reports a Richardson-style extrapolation from the T and T/2 averages.
+    This is velocity_curve's kernel on a one-element q-array, so the two agree
+    to the bit on the builtins.
     """
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
-    r_hat, refined = map(float, _averages(medium._float_fn, float(p.q), float(x0), T, dt))
-    return VelocityEstimate(q=q, r_hat=r_hat, T=T, error_bound=1.0 / T,
-                            refined=refined)
+    r_hat, refined, nodes = _averages(medium, np.array([float(p.q)]), float(x0), T, dt)
+    return VelocityEstimate(q=q, r_hat=float(r_hat[0]), T=T, error_bound=1.0 / T,
+                            refined=float(refined[0]), nodes=int(nodes[0]))
 
 
-def _averages(fn, q, x0, T: float, dt: float):
-    """(x(T) - x0)/T at eps = 1 and its extrapolation from the T/2 average,
-    for a float q with the float kernel fn or an array q (with x0 of the same
-    shape) with the NumPy kernel. The even step count near T/dt puts T/2 on a
-    step."""
+_FIRST_NODES = 16  # the first table; each later one doubles it
+# A table is trusted when its interpolant reproduces D_q to _TOL at
+# _WITNESSES: 13 points frac(k*phi), phi the golden ratio, spread over [0, 1)
+# and off every lattice j/N, so no node spacing aliases onto them (a medium
+# of x-period 1/N reads the same at every node). A map moved by at most delta
+# moves the rotation number by at most delta, so r_hat moves by ~_TOL, far
+# inside the 1/T error bar.
+_TOL = 1e-8
+_WITNESSES = np.arange(1.0, 14.0) * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
+# A table costs one period of _rk4 per node and per witness. A q's tables may
+# cost _BUDGET times the T periods of its direct orbit, so a q whose table
+# does not resolve costs at most three orbits. Tables run every node of a
+# block in one array and pay NumPy's fixed cost per RK4 step (~500 entries'
+# worth on the builtins) once per table, while the batched orbit pays it in
+# each of its T/dt steps: at a budget of one orbit the pinning medium's
+# plateau (256 nodes at T = 200) takes that orbit, and the velocity curves
+# of the four builtins at T = 200 cost about 1.3x those at _BUDGET = 2.
+_BUDGET = 2
+_BLOCK = 64  # q rows per table block
+_CELLS = 8192  # table entries per _rk4 call: a block's working set stays under ~1 MB
+
+
+def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
+    """(x(T) - x0)/T at eps = 1, its extrapolation from the T/2 average, and
+    the table size per q (0: the direct orbit), for a q-array.
+
+    A tabled q takes steps of 1/n, n = round(1/dt) (dt <= 1, so n >= 1), and
+    n steps make one period of g: its orbit is the time-1 map Phi_q applied
+    floor(T) times (floor(T/2) to reach T/2). The fractional periods
+    T - floor(T) and T/2 - floor(T/2) are integrated directly from t = 0 (g
+    is 1-periodic in t) in round(f*n) steps, at least one. The other q run
+    the direct orbit: an even step count near T/dt, on the float kernel for
+    a single q as integrate_front does.
+    """
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
     require_positive(dt=dt)
-    steps = max(2, round(T / dt))
-    steps += steps % 2
-    x_half, x_full = _rk4(fn, q, x0, float(T), steps)
-    r_hat = (x_full - x0) / T
-    return r_hat, 2.0 * r_hat - (x_half - x0) / (T / 2.0)
+    if dt > 1.0:
+        raise ValidationError(f"dt must be <= 1, the period of g, got {dt}")
+    fn, n = medium._fn, round(1.0 / dt)
+    K_half, K = math.floor(T / 2.0), math.floor(T)
+    x_mid, x_end = np.full(q.shape, float(x0)), np.empty(q.shape)
+    nodes = np.zeros(q.shape, dtype=int)
+    for start in range(0, q.size, _BLOCK):
+        nodes[start:start + _BLOCK], rows, c = _tables(fn, q[start:start + _BLOCK], n, T)
+        if rows.size:
+            rows += start
+            x_mid[rows] = _iterate(c, x_mid[rows], K_half)
+            x_end[rows] = _iterate(c, x_mid[rows], K - K_half)
+
+    tabled = nodes > 0
+
+    def fraction(x, f):
+        return x if f == 0 or not x.size else _rk4(fn, q[tabled], x, f, max(1, round(f * n)))[1]
+
+    x_end[tabled] = fraction(x_end[tabled], T - K)
+    x_mid[tabled] = fraction(x_mid[tabled], T / 2.0 - K_half)
+    direct = ~tabled
+    if direct.any():
+        steps = round(T / dt)
+        steps += steps % 2  # puts T/2 on a step
+        if q.size == 1:
+            x_mid[0], x_end[0] = _rk4(medium._float_fn, float(q[0]), float(x0), float(T), steps)
+        else:
+            x_mid[direct], x_end[direct] = _rk4(fn, q[direct], x_mid[direct], float(T), steps)
+    r_hat = (x_end - x0) / T
+    return r_hat, 2.0 * r_hat - (x_mid - x0) / (T / 2.0), nodes
+
+
+def _tables(fn, q: np.ndarray, n: int, T: float):
+    """The node count N per q (0 where no table resolved it), the resolved
+    rows of q, and one column per such row: the coefficients c of the
+    trigonometric interpolant D(x) = Re sum_m c[m] e^(2 pi i m x) of
+    D_q(x) = Phi_q(x) - x on the nodes x_j = j/N, zero-padded to the largest
+    N.
+
+    A table is one period of _rk4 from its nodes and the witnesses; the
+    table of 2N nodes integrates only the N new midpoints. A q goes on to
+    the next table while one within its budget can still reach _TOL, if, as
+    for an analytic D_q, each doubling squares the ratio of its last two
+    errors.
+    """
+    def increments(rows, x):
+        per = max(1, _CELLS // x.size)  # table rows per _rk4 call
+        return np.concatenate([_rk4(fn, q[r, None], x, 1.0, n)[1] - x
+                               for r in np.split(rows, range(per, rows.size, per))])
+
+    nodes = np.zeros(q.size, dtype=int)
+    found = [(np.arange(0), np.zeros((1, 0), dtype=complex))]  # no row yet
+    N = _FIRST_NODES
+    rows = np.arange(q.size if N + _WITNESSES.size <= _BUDGET * T else 0)
+    if rows.size:
+        D = increments(rows, np.concatenate([np.arange(N) / N, _WITNESSES]))
+        D, W = D[:, :N], D[:, N:]
+    prev = np.inf  # the error of the table before
+    while rows.size:
+        c = np.fft.rfft(D, axis=1, norm="forward").T
+        c[1:N // 2] *= 2.0  # the conjugate modes: all but the mean and Nyquist's
+        witnessed = np.stack([_value(c, np.full(rows.size, w)) for w in _WITNESSES], axis=1)
+        err = np.abs(witnessed - W).max(axis=1)
+        done = err <= _TOL
+        nodes[rows[done]] = N
+        found.append((rows[done], c[:, done]))
+        doublings = math.floor(math.log2((_BUDGET * T - _WITNESSES.size) / N))
+        shrink = np.minimum(err / prev, 1.0) ** (2.0 ** (doublings + 1) - 2.0)
+        keep = ~done & (err * shrink <= _TOL)
+        rows, D, W, prev = rows[keep], D[keep], W[keep], err[keep]
+        if not rows.size:
+            break
+        D = np.stack([D, increments(rows, (np.arange(N) + 0.5) / N)],
+                     axis=2).reshape(rows.size, 2 * N)
+        N *= 2
+    return nodes, np.concatenate([r for r, _ in found]), _join([c for _, c in found])
+
+
+def _join(parts: list) -> np.ndarray:
+    """The columns of the coefficient arrays in parts, zero-padded to the
+    longest."""
+    c = np.zeros((max(len(p) for p in parts), sum(p.shape[1] for p in parts)), dtype=complex)
+    col = 0
+    for p in parts:
+        c[:len(p), col:col + p.shape[1]] = p
+        col += p.shape[1]
+    return c
+
+
+def _value(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D(x) = Re sum_m c[m] e^(2 pi i m x), one column of c per position in
+    x. The sum runs in the order of m, so a column's bits depend neither on
+    the other columns nor on zero padding."""
+    powers = np.cumprod(np.broadcast_to(np.exp(2j * math.pi * (x % 1.0)), c[1:].shape), axis=0)
+    powers *= c[1:]
+    return c[0].real + np.cumsum(powers.real, axis=0)[-1]
+
+
+def _iterate(c: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Apply x <- x + D(x) k times (see _value). Raises NumericalError when
+    an increment is not finite and > 0."""
+    advancing = True
+    with np.errstate(invalid="ignore"):  # a non-finite position is reported below
+        for _ in range(k):
+            d = _value(c, x)
+            advancing &= d > 0
+            x = x + d
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("the time-1 map produced a non-finite front position")
+    if not np.all(advancing):
+        raise NumericalError("the time-1 map failed to advance the front; reduce dt")
+    return x
+
+
+def traveling_wave_oracle(medium: Medium, c: float, q: float) -> float:
+    """Exact r(q) for a traveling wave g(x, t) = G(x - c t), G = g(., 0).
+
+    In y = x - c t the front solves the autonomous y' = q G(y) - c. Where
+    q G - c changes sign on the sample grid, the front locks to the wave:
+    r = c. Otherwise r = c + 1/integral_0^1 dy/(q G(y) - c), by quadrature.
+    The wave form is checked on the grid at three times. The medium is
+    evaluated through Medium.__call__ and no ODE is integrated, so this
+    value cross-checks effective_velocity and velocity_curve.
+    """
+    _admit(medium, 1)
+    require_finite(c=c)
+    require_positive(q=q)
+    c, q = float(c), float(q)
+    ys = np.linspace(0.0, 1.0, 257)
+    G = np.asarray(medium(ys, 0.0))
+    for t in (0.25, 0.5, 0.75):
+        dev = float(np.abs(np.asarray(medium(ys + c * t, t)) - G).max())
+        if dev > 1e-9:
+            raise ValidationError(f"medium is not a traveling wave g(x - c*t) at c = {c!r} "
+                                  f"(deviation {dev:.3g} at t = {t})")
+    speeds = q * G - c
+    if speeds.min() <= 0.0 <= speeds.max():
+        return c
+    integral, _err = quad(lambda y: 1.0 / (q * medium(y, 0.0) - c), 0.0, 1.0,
+                          epsabs=1e-12, epsrel=1e-12, limit=200)
+    return c + 1.0 / integral
 
 
 def harmonic_mean_oracle(medium: Medium, q: float) -> float:
-    """Effective velocity q / integral(1/g) for time-independent media.
-
-    Independent quadrature route: no ODE integration is involved, so this
-    value cross-checks effective_velocity on static media.
-    """
-    _admit(medium, 1)
-    require_positive(q=q)
-    xs = np.linspace(0.0, 1.0, 33)
-    base = np.asarray(medium(xs, 0.0))
-    for tt in (0.25, 0.5, 0.75):
-        dev = float(np.abs(np.asarray(medium(xs, tt)) - base).max())
-        if dev > 1e-9:
-            raise ValidationError(
-                f"medium is time-dependent (deviation {dev} at t={tt}); "
-                "the harmonic-mean formula only applies to static media"
-            )
-    integral, _err = quad(lambda s: 1.0 / medium(s, 0.0), 0.0, 1.0,
-                          epsabs=1e-12, epsrel=1e-12, limit=200)
-    return q / integral
+    """Effective velocity q / integral(1/g) of a time-independent medium: the
+    traveling-wave oracle at c = 0."""
+    return traveling_wave_oracle(medium, 0.0, q)
 
 
 def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
@@ -405,11 +563,13 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
 def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
                    T: float = 200.0, dt: float = 0.02,
                    x0: float = 0.0) -> VelocityCurve:
-    """Effective velocities over a q-grid, integrated jointly in one sweep
-    through the NumPy kernel. On the builtin media each entry equals
-    effective_velocity(medium, q, T, x0, dt).r_hat to the bit (tested);
-    otherwise it agrees to rounding, as an array and a float may round an
-    operation differently (x^2.0 is x*x on arrays, libm pow on floats)."""
+    """Effective velocities over a q-grid from the time-1 map kernel, with
+    the table size per q in nodes. A table is computed row by row, and the
+    q without one share a direct orbit through the NumPy kernel, so on the
+    builtins each entry equals effective_velocity(medium, q, T, x0,
+    dt).r_hat to the bit (tested); otherwise the direct orbit agrees to
+    rounding, as an array and a float may round an operation differently
+    (x^2.0 is x*x on arrays, libm pow on floats)."""
     _admit(medium, 1)
     require_positive(qmin=q_min, qmax=q_max)
     require_finite(x0=x0)
@@ -418,6 +578,6 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     require_integer(2, samples=samples)
 
     qs = np.linspace(q_min, q_max, samples)
-    r_hat, refined = _averages(medium._fn, qs, np.full(qs.shape, float(x0)), T, dt)
+    r_hat, refined, nodes = _averages(medium, qs, float(x0), T, dt)
     return VelocityCurve(q=qs, r_hat=r_hat, refined=refined,
-                         T=T, error_bound=1.0 / T)
+                         T=T, error_bound=1.0 / T, nodes=nodes)

@@ -854,6 +854,10 @@ class TestModelContract:
          "t must be > 0 and finite, got inf"),
         (["timescale", "eval", "--kind", "sub", "--gamma", "inf", "--t", "1"],
          "gamma must be > 0 and finite, got inf"),
+        (["geometry", "report", "--q", "1e308,1e308", "--r", "1", "--m", "1", "--M", "2"],
+         "q must be a finite vector, got [1.e+308 1.e+308]"),
+        (["rq", "curve", "--medium", "builtin:pinning", "--qmin", "0.5", "--qmax", "1.5",
+          "--samples", "3", "--dt", "2"], "dt must be <= 1, the period of g, got 2.0"),
     ])
     def test_violation_exits_one(self, argv, message):
         code, out, err = run_cli(argv)

@@ -4,7 +4,8 @@ Every public entry point that takes a medium admits it through
 `medium._admit`: g has the entry point's dimension and is finite, positive
 and 1-periodic on a sample of the unit cell. Scalar parameters go through
 `errors.require_positive` / `require_nonnegative`: finite, and > 0 (>= 0).
-Vector parameters go through `errors.require_vector`: 1-D and finite.
+Vector parameters go through `errors.require_vector`: 1-D, with finite entries
+and a finite norm.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from hele_homog import (
     homogenized_candidates,
     obstacle_front,
     parse_medium,
+    traveling_wave_oracle,
     velocity_curve,
 )
 from hele_homog import medium as medium_module
@@ -53,6 +55,7 @@ ENTRY_POINTS = {
     "FrontProblem": (1, lambda g: FrontProblem(medium=g, q=1.0)),
     "effective_velocity": (1, lambda g: effective_velocity(g, 1.0, T=10.0, dt=0.5)),
     "harmonic_mean_oracle": (1, lambda g: harmonic_mean_oracle(g, 1.0)),
+    "traveling_wave_oracle": (1, lambda g: traveling_wave_oracle(g, 0.0, 1.0)),
     "obstacle_front": (1, lambda g: obstacle_front(g, q=1.0, r=0.5, eps=0.5,
                                                    side=Side.SUB, T=0.1)),
     "homogenized_candidates": (1, lambda g: homogenized_candidates(
@@ -223,9 +226,18 @@ class TestParameterRule:
 
     def test_require_vector_returns_a_float_vector(self):
         for value, want in [(2, [2.0]), ([1, -3], [1.0, -3.0]), (np.array([0.5, 0.0]), [0.5, 0.0]),
-                            (np.float64(1e300), [1e300])]:
+                            (np.float64(1e150), [1e150])]:
             v = require_vector("v", value, nonzero=True)
             assert v.dtype == float and v.ndim == 1 and v.tolist() == want
+
+    @pytest.mark.parametrize("value", [np.float64(1e300), [1e308, 1e308], [1e200, 0.0]])
+    def test_require_vector_refuses_an_overflowing_norm(self, value):
+        # finite entries whose squares overflow: np.linalg.norm is inf, and a
+        # unit normal q/|q| would be the zero vector
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^v must be a finite vector, got"):
+                require_vector("v", value)
 
     def test_accepts(self):
         require_integer(2, a=2, b=10 ** 30)

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -515,6 +516,23 @@ def test_non_finite_parameters_rejected(bad):
                      "--m", "1", "--M", "2"])
     assert (code, out.getvalue(), err.getvalue()) == (
         1, "", f"error: q must be a finite vector, got [{bad} -1.]\n")
+
+
+def test_overflowing_norm_rejected():
+    # finite entries whose norm overflows gave a zero normal nu = [-0, -0],
+    # a NaN value at the origin and an exit 0 report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: PlanarWave(q=[1e308, 1e308], r=1.0),
+                     lambda: cone_geometry([1e308, 1e308], 1.0, 1.0, 2.0)):
+            with pytest.raises(ValidationError, match=r"^q must be a finite vector, got"):
+                call()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["geometry", "report", "--q", "1e308,1e308", "--r", "1",
+                         "--m", "1", "--M", "2"])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "error: q must be a finite vector, got [1.e+308 1.e+308]\n")
 
 
 def test_vector_shapes_rejected():

@@ -9,12 +9,15 @@ in-test Euler re-implementation for the obstacle bracketing.
 
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
+from test_medium import _expr_strings
 
 from hele_homog import (
     FlatnessTrace,
@@ -33,6 +36,7 @@ from hele_homog import (
     integrate_front,
     obstacle_front,
     parse_medium,
+    traveling_wave_oracle,
     velocity_curve,
 )
 from hele_homog import homog1d
@@ -548,6 +552,240 @@ class TestTravelingWaveYardstick:
             assert _traveling_wave_r(c, q) == pytest.approx(c + 1.0 / integral, rel=1e-12)
 
 
+class TestTravelingWaveOracle:
+    @pytest.mark.parametrize("name, c", [("pinning", 1), ("antipinning", -1)])
+    def test_matches_the_closed_forms(self, name, c):
+        # the locked plateau [1/2, 1] of the pinning wave included, ends and all
+        g = builtin_medium(name)
+        for q in (0.05, 0.3, 0.45, 0.5, 0.75, 1.0, 1.2, 2.0):
+            assert traveling_wave_oracle(g, c, q) == pytest.approx(
+                float(_traveling_wave_r(c, q)), rel=1e-11, abs=0.0), q
+
+    def test_harmonic_mean_is_its_static_call(self):
+        g = builtin_medium("static_sin")
+        for q in (0.5, 1.0, 2.0):
+            assert harmonic_mean_oracle(g, q) == traveling_wave_oracle(g, 0.0, q)
+
+    def test_a_medium_that_is_no_such_wave_is_rejected(self):
+        for name, c in (("pinning", -1), ("antipinning", 1), ("pinning", 0),
+                        ("two_wave", 1), ("static_sin", 1)):
+            with pytest.raises(ValidationError, match="not a traveling wave"):
+                traveling_wave_oracle(builtin_medium(name), c, 1.0)
+        with pytest.raises(ValidationError, match="c must be real and finite"):
+            traveling_wave_oracle(builtin_medium("pinning"), math.nan, 1.0)
+
+    def test_integrates_no_orbit(self, monkeypatch):
+        # an independent route: Medium.__call__ and quad, no RK4 and no table
+        def forbidden(*args):
+            raise AssertionError("the oracle integrated the front ODE")
+
+        monkeypatch.setattr(homog1d, "_rk4", forbidden)
+        monkeypatch.setattr(homog1d, "_averages", forbidden)
+        base = builtin_medium("pinning")
+        g = Medium(dim=1, source=base.source, ast=base.ast, _fn=base._fn)
+        assert traveling_wave_oracle(g, 1, 1.2) == pytest.approx(
+            float(_traveling_wave_r(1, 1.2)), rel=1e-11)
+        assert "_float_fn" not in vars(g)
+
+
+def _direct(g, q, T, n):
+    """r_hat and refined of the direct RK4 orbit: T*n steps of 1/n from 0."""
+    x_half, x = _rk4(g._fn, np.asarray(q, dtype=float), np.zeros(np.shape(q)), float(T),
+                     round(T * n))
+    return x / T, 2.0 * x / T - x_half / (T / 2.0)
+
+
+def _periodic(src):
+    """A 1-periodic medium in [0.6, 1.4] from a random expression in x and t."""
+    src = re.sub(r"\bt\b", "cos(2*pi*t)", re.sub(r"\bx\b", "sin(2*pi*x)", src))
+    return parse_medium(f"1 + 0.4*sin({src})", 1)
+
+
+def _assert_map_matches(curve, r_hat, refined, bound):
+    """Tabled rows within bound of the direct orbit, the others equal to it."""
+    tabled = curve.nodes > 0
+    assert np.abs(curve.r_hat - r_hat)[tabled].max(initial=0.0) <= bound
+    assert np.abs(curve.refined - refined)[tabled].max(initial=0.0) <= bound
+    assert np.array_equal(curve.r_hat[~tabled], r_hat[~tabled])
+    assert np.array_equal(curve.refined[~tabled], refined[~tabled])
+
+
+class TestTimeOneMap:
+    """velocity_curve and effective_velocity iterate a tabulated time-1 map."""
+
+    @pytest.mark.parametrize("name, q_min, q_max, T, sizes", [
+        ("pinning", 0.05, 2.0, 200.0, {16, 32, 64, 128, 256}),
+        ("antipinning", 0.05, 2.0, 200.0, {16, 32}),
+        ("static_sin", 0.05, 2.0, 200.0, {16, 32}),
+        ("two_wave", 0.05, 2.0, 200.0, {0, 16, 32, 64, 128, 256}),
+        ("two_wave", 0.7, 0.9, 600.0, {0, 1024})])
+    def test_matches_the_direct_orbit(self, name, q_min, q_max, T, sizes):
+        # measured: at most 3.6e-10 (pinning, refined); two_wave on [0.7, 0.9],
+        # where the front nearly stalls, needs 1024 nodes, which T = 600
+        # affords: 6 of its 40 q get them, and the other 34, whose errors
+        # fall too slowly to reach 1e-8 in time, stop early for the orbit
+        g = builtin_medium(name)
+        curve = velocity_curve(g, q_min, q_max, 40, T=T)
+        assert set(curve.nodes.tolist()) == sizes
+        _assert_map_matches(curve, *_direct(g, curve.q, T, 50), 1e-8)
+
+    @pytest.mark.parametrize("name, c", [("pinning", 1), ("antipinning", -1)])
+    def test_closed_forms_at_T_200_and_400_q(self, name, c):
+        # measured: 2.29e-3 (pinning, at the plateau edge q = 1/2) and 2.2e-4
+        curve = velocity_curve(builtin_medium(name), 0.05, 2.0, 400, T=200.0)
+        err = np.abs(curve.r_hat - _traveling_wave_r(c, curve.q))
+        assert err.max() <= curve.error_bound == 1.0 / 200.0
+
+    @pytest.mark.parametrize("src, c", [
+        ("1 + 0.5*sin(2*pi*(16*x - t))", 1.0 / 16.0), ("1 + 0.5*sin(64*pi*x)", 0.0),
+        ("1 + 0.5*sin(2*pi*(17*x - t))", 1.0 / 17.0)])
+    def test_fine_media_are_not_aliased(self, src, c):
+        # D_q has x-period 1/16 or 1/32, so every node and midpoint of a
+        # 16-node table reads one value; mode 17 aliases onto mode 1. At small
+        # q, where the front crosses under one period of g per unit time, a
+        # constant interpolant's r_hat is off by more than 1/T (4.2e-2 at
+        # q = 0.12 for the first); the witnesses reject it
+        g = parse_medium(src, 1)
+        curve = velocity_curve(g, 0.02, 0.6, 30, T=200.0)
+        oracle = np.array([traveling_wave_oracle(g, c, float(q)) for q in curve.q])
+        assert np.abs(curve.r_hat - oracle).max() <= 1.0 / 200.0
+        assert not np.any(curve.nodes == 16)
+        _assert_map_matches(curve, *_direct(g, curve.q, 200.0, 50), 1e-8)
+
+    def test_witnesses_are_off_every_lattice(self):
+        # the golden-ratio points: spread over [0, 1), none on a grid j/2^k
+        w = homog1d._WITNESSES
+        assert w.size == 13 and np.all((0.0 < w) & (w < 1.0))
+        assert np.diff(np.sort(w)).min() > 0.04
+        for N in (16, 1024, 2 ** 20):
+            assert np.abs(w * N - np.round(w * N)).min() > 1e-6
+
+    def test_budget_follows_T(self, monkeypatch):
+        # a q's tables cost 16, 32, ... nodes plus 13 witnesses, at most 2T
+        # periods: none at T = 14, 16 nodes at T = 20, up to 256 at T = 200.
+        # At T = 50 the budget affords 64 nodes, but the errors at 16 and 32
+        # nodes predict that 64 will not reach 1e-8, so it is not built
+        widths = []
+
+        def rk4(fn, q, x0, T, steps, positions=None):
+            if T == 1.0:  # one period: a table
+                widths.append(np.shape(x0)[-1])
+            return _rk4(fn, q, x0, T, steps, positions)
+
+        monkeypatch.setattr(homog1d, "_rk4", rk4)
+        g = builtin_medium("pinning")
+        for T, nodes, tables in ((14.0, 0, []), (20.0, 0, [29]), (50.0, 0, [29, 16]),
+                                 (200.0, 256, [29, 16, 32, 64, 128])):
+            widths.clear()
+            est = effective_velocity(g, 0.75, T=T)
+            assert (est.nodes, widths) == (nodes, tables), T
+            assert isinstance(est.nodes, int)
+
+    def test_table_calls_are_counted(self):
+        # T = 50: 16 nodes and 13 witnesses for the three q in one _rk4
+        # period of 50 steps, then the 16 midpoints of the last one; the
+        # first evaluation of each sees the bare x; no float kernel
+        base = builtin_medium("antipinning")
+        calls = []
+
+        def numpy_kernel(*coords):
+            calls.append(np.shape(coords[0]))
+            return base._fn(*coords)
+
+        g = Medium(dim=1, source=base.source, ast=base.ast, _fn=numpy_kernel)
+        vars(g)["_float_fn"] = None  # a float call would raise
+        homog1d._admit(g, 1)  # admission samples g once per medium
+        calls.clear()
+        curve = velocity_curve(g, 0.5, 1.0, 3, T=50.0)
+        assert curve.nodes.tolist() == [16, 16, 32]
+        assert calls == ([(29,)] + [(3, 29)] * 199 + [(16,)] + [(1, 16)] * 199)
+
+    def test_dt_rounds_to_a_period_fraction(self):
+        # a tabled q steps 1/round(1/dt): dt = 0.03 steps 1/33, the same as
+        # dt = 1/33; the direct orbit keeps an even step count near T/dt
+        g = builtin_medium("static_sin")
+        a = effective_velocity(g, 0.8, T=50.0, dt=0.03)
+        b = effective_velocity(g, 0.8, T=50.0, dt=1.0 / 33.0)
+        assert a.nodes == 16 and (a.r_hat, a.refined, a.nodes) == (b.r_hat, b.refined, b.nodes)
+        curve = velocity_curve(g, 0.5, 1.5, 5, T=50.0, dt=0.03)
+        assert np.all(curve.nodes > 0)
+        _assert_map_matches(curve, *_direct(g, curve.q, 50.0, 33), 1e-8)
+        est = effective_velocity(builtin_medium("pinning"), 0.8, T=20.0, dt=0.03)
+        x_half, x = _rk4(builtin_medium("pinning")._float_fn, 0.8, 0.0, 20.0, 668)
+        assert est.nodes == 0 and (est.r_hat, est.refined) == (x / 20.0, 2.0 * x / 20.0 - x_half / 10.0)
+
+    def test_dt_above_one_period_is_refused(self):
+        g = builtin_medium("static_sin")
+        assert math.isfinite(effective_velocity(g, 1.0, T=20.0, dt=1.0).r_hat)
+        for call in (lambda: effective_velocity(g, 1.0, T=20.0, dt=1.5),
+                     lambda: velocity_curve(g, 0.5, 1.0, 2, T=20.0, dt=3.0)):
+            with pytest.raises(ValidationError, match="dt must be <= 1, the period of g, got"):
+                call()
+
+    def test_fractional_periods_are_integrated_directly(self):
+        # T = 60.6: 60 map periods, then 0.6 of a period in round(0.6*50) = 30
+        # steps from t = 0; T/2 = 30.3: 30 periods and 15 steps
+        g = builtin_medium("static_sin")
+        curve = velocity_curve(g, 0.6, 1.7, 3, T=60.6)
+        assert np.all(curve.nodes == 32)
+        fn, q = g._fn, curve.q
+        x_mid = _rk4(fn, q, np.zeros(3), 30.0, 1500)[1]
+        x_end = _rk4(fn, q, x_mid, 30.0, 1500)[1]
+        x_half = _rk4(fn, q, x_mid, 0.3, 15)[1]
+        x_end = _rk4(fn, q, x_end, 0.6, 30)[1]
+        r_hat = x_end / 60.6
+        assert np.abs(curve.r_hat - r_hat).max() <= 1e-8
+        assert np.abs(curve.refined - (2.0 * r_hat - x_half / 30.3)).max() <= 1e-8
+
+    def test_unresolved_rows_take_the_direct_orbit(self):
+        # the locked wave G = 1.02 + sin(2 pi y), c = 1: the front waits where
+        # q G ~ 1, and no table within the budget resolves its time-1 map
+        g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
+        curve = velocity_curve(g, 1.0, 1.5, 3, T=100.0, dt=0.05)
+        assert curve.nodes.tolist() == [0, 0, 0]
+        _assert_map_matches(curve, *_direct(g, curve.q, 100.0, 20), 0.0)
+        assert np.all(np.abs(curve.r_hat - 1.0) <= 1.0 / 100.0)
+        assert traveling_wave_oracle(g, 1, 1.2) == 1.0
+
+    def test_nodes_reported(self):
+        g = builtin_medium("pinning")
+        est = effective_velocity(g, 0.75, T=200.0)
+        assert est.nodes == 256 and isinstance(est.nodes, int)
+        curve = velocity_curve(g, 0.5, 2.0, 4, T=50.0)
+        assert curve.nodes.tolist() == [
+            effective_velocity(g, float(q), T=50.0, dt=0.02).nodes for q in curve.q]
+        assert curve.nodes.tolist() == [64, 0, 16, 64]
+
+    def test_tabled_rows_match_effective_velocity(self):
+        # the bit equality of test_matches_effective_velocity, on tables
+        for name in ("pinning", "antipinning", "two_wave", "static_sin"):
+            g = builtin_medium(name)
+            curve = velocity_curve(g, 0.25, 2.0, 12, T=60.0)
+            assert np.any(curve.nodes > 0), name
+            for q, r, refined in zip(curve.q, curve.r_hat, curve.refined):
+                est = effective_velocity(g, q=float(q), T=60.0, dt=0.02)
+                assert (r, refined) == (est.r_hat, est.refined), (name, q)
+
+    def test_bad_increment_raises(self):
+        x = np.zeros(1)
+        for mean, message in ((-0.1, "failed to advance"), (0.0, "failed to advance"),
+                              (math.nan, "non-finite"), (math.inf, "non-finite")):
+            c = np.array([[mean], [0.0]], dtype=complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match=message):
+                    homog1d._iterate(c, x, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(src=_expr_strings())
+    def test_random_media_match_the_direct_orbit(self, src):
+        # T = 30 affords tables of 16 and 32 nodes; measured over 300
+        # examples: at most 9.7e-10, and 133 of 600 rows took the direct orbit
+        g = _periodic(src)
+        curve = velocity_curve(g, 0.5, 1.3, 2, T=30.0, dt=0.05)
+        _assert_map_matches(curve, *_direct(g, curve.q, 30.0, 20), 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # The scalar loops' bits, frozen at the NumPy-kernel implementation
 # ---------------------------------------------------------------------------
@@ -585,5 +823,19 @@ class TestFrozenScalarBits:
         ("static_sin", 1.0, 1.411471871119587, 1.4125528390801376),
     ])
     def test_effective_velocity(self, kind, name, q, r_hat, refined):
+        # integrate_front runs the direct float-kernel orbit bit for bit:
+        # 2000 steps of 0.01
+        p = FrontProblem(builtin_medium(name), q=kind(q), x0=kind(0.0))
+        x = integrate_front(p, T=kind(20.0), dt=0.01).positions
+        direct = (x[2000] - 0.0) / 20.0
+        assert (direct, 2.0 * direct - (x[1000] - 0.0) / 10.0) == (r_hat, refined)
+        # effective_velocity runs that orbit where no table resolves the map
+        # (all but pinning at q = 1.5), and otherwise moves r_hat by the
+        # table's interpolation error alone
         est = effective_velocity(builtin_medium(name), kind(q), T=kind(20.0))
-        assert (est.r_hat, est.refined) == (r_hat, refined)
+        assert est.nodes == (16 if (name, q) == ("pinning", 1.5) else 0)
+        if est.nodes == 0:
+            assert (est.r_hat, est.refined) == (r_hat, refined)
+        else:
+            assert abs(est.r_hat - r_hat) <= 1e-8 and abs(est.refined - refined) <= 1e-8
+        assert abs(est.r_hat - r_hat) <= 1e-8 and abs(est.refined - refined) <= 1e-8
