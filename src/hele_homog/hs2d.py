@@ -6,12 +6,13 @@ harmonic in the wet region with u = psi0 at the inlet x = 0 and u = 0 on the
 front, and the front graph h advances along its normal at speed g^eps |Du+|.
 
 Every step solves the mapped 9-point pressure stencil matrix-free: first by
-the flat-front fast Poisson solve (DST-I in xt, real FFT in y), kept when it
-already meets GMRES's tolerance, otherwise by GMRES warm-started from it and
-preconditioned by it. A step fails with NumericalError, naming t, when the
-front heights or g are not finite, when the solve does not converge to a
-relative residual of 1e-10, or when u leaves [0, psi0] (the discrete maximum
-principle). Iterations and residual are recorded per saved step.
+the flat-front fast Poisson solve (four products with the grid's cached dense
+DST-I and real Fourier matrices), kept when it already meets GMRES's
+tolerance, otherwise by GMRES warm-started from it and preconditioned by it.
+A step fails with NumericalError, naming t, when the front heights or g are
+not finite, when the solve does not converge to a relative residual of 1e-10,
+or when u leaves [0, psi0] (the discrete maximum principle). Iterations and
+residual are recorded per saved step.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from .geometry import PlanarWave
 from .homog1d import FlatnessTrace, Side, _eps_list
 from .medium import Medium, _admit, eval_scaled
 
-dst = lazy("scipy.fft", "dst")
-idst = lazy("scipy.fft", "idst")
-rfft = lazy("scipy.fft", "rfft")
-irfft = lazy("scipy.fft", "irfft")
 LinearOperator = lazy("scipy.sparse.linalg", "LinearOperator")
 gmres = lazy("scipy.sparse.linalg", "gmres")
 cdist = lazy("scipy.spatial.distance", "cdist")
@@ -64,16 +61,30 @@ class StripDomain:
         return np.arange(self.ny) * self.dy
 
     @cached_property
-    def _pressure_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _pressure_factors(self) -> tuple[np.ndarray, ...]:
         """Per-grid constants of the pressure solve: the xt column of the
-        unknown rows, -4/dxt^2 sin^2(pi m/2nx) over the DST-I modes m, and
-        4/dy^2 sin^2(pi k/ny) over the real-FFT modes k without its
-        mean(h^2) factor."""
+        unknown rows; the eigenvalues -4/dxt^2 sin^2(pi m/2nx) of the xt
+        second difference over the sine modes m = 1..nx-1; sin^2(pi k/ny),
+        the y second difference's eigenvalue without its -4/dy^2 factor, in
+        Fy's column order; Sx, the orthonormal DST-I matrix
+        sqrt(2/nx) sin(pi i m/nx), symmetric and its own inverse; and Fy, the
+        real orthonormal Fourier basis in y: the mean 1/sqrt(ny), then
+        sqrt(2/ny) cos and sin(2 pi k j/ny) for each 0 < k < ny/2, then
+        (-1)^j/sqrt(ny) when ny is even. Sine and cosine arguments are
+        integer products reduced mod 2nx or ny, so no entry loses digits to
+        a large argument."""
         nx, ny = self.nx, self.ny
         dxt = 1.0 / nx
-        m, k = np.arange(1, nx)[:, None], np.arange(ny // 2 + 1)
-        return (m * dxt, -4.0 / dxt ** 2 * np.sin(np.pi * m / (2 * nx)) ** 2,
-                np.sin(np.pi * k / ny) ** 2)
+        m = np.arange(1, nx)
+        Sx = math.sqrt(2.0 / nx) * np.sin(np.pi / nx * (np.outer(m, m) % (2 * nx)))
+        col = np.arange(ny)
+        k = (col + 1) // 2  # columns 2k - 1 and 2k are mode k's cos and sin
+        phase = 2.0 * np.pi / ny * (np.outer(col, k) % ny)
+        is_sin = (col % 2 == 0) & (col > 0)
+        scale = np.where((k == 0) | (2 * k == ny), 1.0, math.sqrt(2.0)) / math.sqrt(ny)
+        Fy = np.where(is_sin, np.sin(phase), np.cos(phase)) * scale
+        return (m[:, None] * dxt, -4.0 / dxt ** 2 * np.sin(np.pi * m[:, None] / (2 * nx)) ** 2,
+                np.sin(np.pi * k / ny) ** 2, Sx, Fy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +152,34 @@ _MAX_PRINCIPLE_TOL = 1e-12
 _SLICES = 60  # space-time samples per history in convergence_study's distances
 
 
+def _fast_poisson(domain: StripDomain, beta: float):
+    """The solver of the flat operator u_xtxt + beta u_yy on the unknown rows
+    (u = 0 at xt = 0 and 1, periodic in y), centered differences as in
+    _solve_pressure: it maps (nx - 1) * ny right-hand side values, of any
+    shape, to the solution, raveled.
+
+    The operator is diagonal in the grid's cached orthonormal bases, Sx in xt
+    and Fy in y, so u = Sx ((Sx r Fy) / lam) Fy^T: four dense products,
+    O(nx^2 ny + nx ny^2) per call (the matrix decomposition form of the fast
+    Poisson solver; Lynch, Rice and Thomas 1964).
+    """
+    nx, ny = domain.nx, domain.ny
+    _xt, lam_x, sin2_y, Sx, Fy = domain._pressure_factors
+    lam = lam_x - 4.0 * beta / domain.dy ** 2 * sin2_y
+
+    def solve(r):
+        r = r.reshape(nx - 1, ny)
+        # y-coefficients of r - r[:, :1], which vanish exactly where r is
+        # constant in y; the mean column gets r[:, 0] sqrt(ny) back. So a
+        # y-constant r gives an exactly y-constant solution, and a flat front
+        # stays flat to the bit.
+        r_hat = (r - r[:, :1]) @ Fy
+        r_hat[:, 0] += r[:, 0] * math.sqrt(ny)
+        return (Sx @ ((Sx @ r_hat) / lam) @ Fy.T).ravel()
+
+    return solve
+
+
 def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
                     hpp: np.ndarray, psi0: float, t: float
                     ) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -153,17 +192,17 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
         + xt (2 h'^2 - h h'') u_xt = 0,
     discretized with centered second-order differences on the unit square,
     u = psi0 at xt = 0, u = 0 at xt = 1, periodic in y. The 9-point operator
-    is applied matrix-free. The flat operator u_xtxt + mean(h^2) u_yy,
-    diagonal after a DST-I in xt and a real FFT in y, is solved first; its
-    solution is kept when it meets GMRES's own stopping test
-    |A u - b| <= 1e-12 |b| (iterations is then 1), which a flat front does.
-    Otherwise GMRES (rtol 1e-12), preconditioned by the same fast solve,
-    starts from it, and iterations is GMRES's count. NumericalError when the
-    solution is not finite, GMRES does not converge or the residual > 1e-10.
+    is applied matrix-free. The flat operator u_xtxt + mean(h^2) u_yy is
+    solved first, by _fast_poisson; that solution is kept when it meets
+    GMRES's own stopping test |A u - b| <= 1e-12 |b| (iterations is then 1),
+    which a flat front does. Otherwise GMRES (rtol 1e-12), preconditioned by
+    the same fast solve, starts from it, and iterations is GMRES's count.
+    NumericalError when the solution is not finite, GMRES does not converge
+    or the residual > 1e-10.
     """
     nx, ny, dy = domain.nx, domain.ny, domain.dy
     dxt = 1.0 / nx
-    xt, lam_x, sin2_y = domain._pressure_factors
+    xt = domain._pressure_factors[0]
     a = 1.0 + xt ** 2 * hp ** 2
     b = h ** 2
     c = xt * h * hp
@@ -181,12 +220,7 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
                 + north * (g[1:-1, 2:] + g[1:-1, :-2])
                 - cross * (step_x[:, 2:] - step_x[:, :-2]))
 
-    lam = lam_x - 4.0 * np.mean(b) / dy ** 2 * sin2_y
-
-    def fast_poisson(r):
-        r_hat = rfft(dst(r.reshape(nx - 1, ny), type=1, axis=0), axis=1)
-        return idst(irfft(r_hat / lam, n=ny, axis=1), type=1, axis=0).ravel()
-
+    fast_poisson = _fast_poisson(domain, float(np.mean(b)))
     work = np.zeros((nx + 1, ny + 2))  # zero inlet and front rows
 
     def matvec(v):

@@ -416,3 +416,20 @@ def test_12_cli_determinism(tmp_path, capsys):
     identical = outputs[0] == outputs[1]
     _report("CLI determinism: reruns with the same config and seed are "
             "byte-identical across run, curve, and barrier outputs", identical)
+
+
+def test_13_traveling_wave_oracle():
+    """Traveling waves: the simulated speed meets the exact one within 1/T."""
+    T = 200.0
+    worst = {}
+    for name, c in (("pinning", 1.0), ("antipinning", -1.0)):
+        g = builtin_medium(name)
+        # off pinning's locked plateau [0.5, 1], on it, and at its ends
+        worst[name] = max(
+            abs(homog1d.effective_velocity(g, q, T=T).r_hat
+                - homog1d.traveling_wave_oracle(g, c, q))
+            for q in (0.2, 0.45, 0.5, 0.75, 1.0, 1.2, 2.0))
+    _report("traveling waves: |r_hat - oracle| <= 1/T at T = 200 for pinning "
+            "(c = 1) and antipinning (c = -1), on and off the plateau [0.5, 1]",
+            max(worst.values()) <= 1.0 / T,
+            ", ".join(f"{k} {v:.1e}" for k, v in worst.items()))

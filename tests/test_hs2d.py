@@ -10,6 +10,8 @@ Oracles used here:
 - The pressure solver (matrix-free stencil, GMRES with a fast-Poisson
   preconditioner) against the assembled sparse matrix and SuperLU direct
   solve kept below as `reference_pressure`.
+- The fast Poisson solve by dense transforms against the same diagonalization
+  by SciPy's DST-I and real FFT, kept below as `reference_fast_poisson`.
 - An exact curved front: the zero set of the harmonic
   u = psi0 - a x + b sinh(kx) cos(ky), on which |Du| is known, so the
   pressure solve and one step's normal speed show their order of accuracy.
@@ -19,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dst, idst, irfft, rfft
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import gmres, spsolve
@@ -34,6 +37,7 @@ from hele_homog.hs2d import (
     convergence_study,
     flatness2d,
     hausdorff,
+    _fast_poisson,
     _front_derivatives,
     _solve_pressure,
     simulate,
@@ -527,7 +531,7 @@ SOLVER_GRIDS = [
     StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=64),
     StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=8),
     StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=20),
-    StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=9),  # odd ny: odd-length irfft
+    StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=9),  # odd ny: no Nyquist column in Fy
 ]
 
 
@@ -667,6 +671,57 @@ class TestPressureSolver:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite values at t=0.5"):
                 solve_pressure(dom, h, 1.0, 0.5)
+
+
+def reference_fast_poisson(domain, beta, r):
+    """u_xtxt + beta u_yy = r solved by SciPy's DST-I in xt and real FFT in y."""
+    nx, ny = domain.nx, domain.ny
+    m, k = np.arange(1, nx)[:, None], np.arange(ny // 2 + 1)
+    lam = (-4.0 * nx ** 2 * np.sin(np.pi * m / (2 * nx)) ** 2
+           - 4.0 * beta / domain.dy ** 2 * np.sin(np.pi * k / ny) ** 2)
+    r_hat = rfft(dst(r, type=1, axis=0), axis=1)
+    return idst(irfft(r_hat / lam, n=ny, axis=1), type=1, axis=0)
+
+
+FAST_POISSON_GRIDS = [(8, 8), (16, 9), (128, 8), (128, 20), (64, 64)]
+
+
+class TestFastPoisson:
+    @pytest.mark.parametrize("nx, ny", FAST_POISSON_GRIDS)
+    def test_matches_the_fft_reference(self, nx, ny):
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=nx, ny=ny)
+        rng = np.random.default_rng(nx * ny)
+        for beta in (1.0, 2.89):
+            r = rng.standard_normal((nx - 1, ny))
+            u = _fast_poisson(dom, beta)(r).reshape(nx - 1, ny)
+            u_ref = reference_fast_poisson(dom, beta, r)
+            assert np.abs(u - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
+
+    @pytest.mark.parametrize("nx, ny", FAST_POISSON_GRIDS)
+    def test_bases_are_orthonormal(self, nx, ny):
+        _, _, _, Sx, Fy = StripDomain(Lx=4.0, Ly=1.0, nx=nx, ny=ny)._pressure_factors
+        assert np.array_equal(Sx, Sx.T)  # the DST-I is its own inverse
+        assert np.abs(Sx @ Sx - np.eye(nx - 1)).max() <= 1e-13
+        assert np.abs(Fy.T @ Fy - np.eye(ny)).max() <= 1e-13
+        assert np.abs(Fy @ Fy.T - np.eye(ny)).max() <= 1e-13
+
+    @pytest.mark.parametrize("ny", [8, 9, 16, 20, 64])
+    def test_y_constant_right_hand_side_gives_y_constant_solution(self, ny):
+        # what keeps a flat front flat to the bit
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=ny)
+        column = np.random.default_rng(ny).standard_normal((31, 1))
+        u = _fast_poisson(dom, 1.7)(np.tile(column, ny)).reshape(31, ny)
+        assert np.ptp(u, axis=1).max() == 0.0
+        assert np.any(u != 0.0)
+
+    def test_curved_bench_job_keeps_its_gmres_work(self):
+        # the bench's strip2d_curved job at phase 0.3: 66 steps and 569 GMRES
+        # iterations, as with the SciPy DST/FFT solve
+        medium = parse_medium("sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2)
+        hist = simulate(SimConfig(domain=StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=64),
+                                  medium=medium, eps=0.25, psi0=1.0, T=0.15, h0=1.0))
+        assert hist.total_steps == 66
+        assert int(hist.iterations.sum()) == 569
 
 
 # u = psi0 - a x + b sinh(k x) cos(k y), k = 2 pi / Ly, is harmonic, equals

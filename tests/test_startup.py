@@ -36,10 +36,6 @@ LAZY_NAMES = [
     (geometry, "ndtri", "scipy.special"),
     (timescale, "lambertw", "scipy.special"),
     (timescale, "wrightomega", "scipy.special"),
-    (hs2d, "dst", "scipy.fft"),
-    (hs2d, "idst", "scipy.fft"),
-    (hs2d, "rfft", "scipy.fft"),
-    (hs2d, "irfft", "scipy.fft"),
     (hs2d, "LinearOperator", "scipy.sparse.linalg"),
     (hs2d, "gmres", "scipy.sparse.linalg"),
     (hs2d, "cdist", "scipy.spatial.distance"),
@@ -76,6 +72,23 @@ def test_numpy_only_commands_load_no_scipy():
     assert out == "[0, 0] []\n"
 
 
+def test_flat_sim2d_loads_no_scipy_and_a_curved_one_no_fft():
+    # the fast Poisson solve is NumPy alone; only GMRES, which a curved front
+    # needs, loads SciPy
+    out = fresh("import contextlib, io\n"
+                "from hele_homog.cli import main\n"
+                "def run(medium):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        return main(['sim2d', 'run', '--medium', medium, '--dim', '2',\n"
+                "                     '--Lx', '4', '--Ly', '1', '--nx', '16', '--ny', '8',\n"
+                "                     '--eps', '0.5', '--T', '0.05', '--h0', '1'])\n"
+                "print(run('1'), scipy_loaded())\n"
+                "code, loaded = run('1 + sin(pi*y)^2/2'), scipy_loaded()\n"
+                "print(code, 'scipy.sparse.linalg' in loaded,\n"
+                "      [m for m in loaded if m.startswith('scipy.fft')])\n")
+    assert out == "0 []\n0 True []\n"
+
+
 def test_patch_before_first_use_is_called():
     # the stub is never called, so SciPy is never imported
     out = fresh("from types import SimpleNamespace\n"
@@ -108,7 +121,7 @@ def test_stub_imports_on_first_call_and_forwards():
 
 def test_every_lazy_name_forwards_to_the_scipy_object():
     stubs = [getattr(module, name) for module, name, _ in LAZY_NAMES]
-    # first use of all 13 names, through the public functions that call them
+    # first use of all 9 names, through the public functions that call them
     contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)  # brentq
     contracting_barrier(2, 1.0, 1.0, chi=lambda s: 1.0)  # quad
     harmonic_mean_oracle(builtin_medium("static_sin"), 1.0)  # quad
@@ -117,7 +130,7 @@ def test_every_lazy_name_forwards_to_the_scipy_object():
     f_super(0.1, SuperScaling(alpha=1.2, gamma=1.0, lam=0.2))  # lambertw
     dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=8)
     h0 = 1.0 + 0.1 * np.cos(2 * np.pi * dom.y_nodes)
-    # a curved front: the fast Poisson solve preconditions GMRES
+    # a curved front: GMRES runs
     simulate(SimConfig(domain=dom, medium=parse_medium("1", dim=2), eps=0.5,
                        psi0=1.0, T=0.01, dt=0.005, h0=h0))
     hausdorff([[0.0, 1.0]], [[0.5, 1.0]], period=1.0, axis=0)  # cdist
