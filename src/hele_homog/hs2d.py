@@ -8,10 +8,13 @@ front, and the front graph h advances along its normal at speed g^eps |Du+|.
 Every step solves the mapped 9-point pressure stencil matrix-free: first by
 the flat-front fast Poisson solve (four products with the grid's cached dense
 DST-I and real Fourier matrices), kept when it already meets GMRES's
-tolerance, otherwise by GMRES warm-started from it and preconditioned by it.
-A step fails with NumericalError, naming t, when the front heights or g are
-not finite, when the solve does not converge to a relative residual of 1e-10,
-or when u leaves [0, psi0] (the discrete maximum principle). Iterations and
+tolerance, otherwise by the module's own restarted GMRES, right-preconditioned
+by that fast solve and started from the previous step's pressure (from the
+fast solve on a run's first step or a lone step()). A step fails with
+NumericalError, naming t, when the front heights or g are not finite, when
+the front leaves the strip or its graph condition, when the solve does not
+converge to a relative residual of 1e-10, when u leaves [0, psi0] (the
+discrete maximum principle), or when no step size can be set. Iterations and
 residual are recorded per saved step.
 """
 
@@ -30,8 +33,6 @@ from .geometry import PlanarWave
 from .homog1d import FlatnessTrace, Side, _eps_list
 from .medium import Medium, _admit, eval_scaled
 
-LinearOperator = lazy("scipy.sparse.linalg", "LinearOperator")
-gmres = lazy("scipy.sparse.linalg", "gmres")
 cdist = lazy("scipy.spatial.distance", "cdist")
 
 
@@ -180,8 +181,63 @@ def _fast_poisson(domain: StripDomain, beta: float):
     return solve
 
 
+def _gmres(matvec, precond, b: np.ndarray, x0: np.ndarray,
+           target: float) -> tuple[np.ndarray, int, float]:
+    """Restarted GMRES (Saad and Schultz 1986) for A x = b, right-preconditioned
+    by the linear map M^-1 = precond: Arnoldi runs on A M^-1 from the residual
+    r0 = b - A x0, and x = x0 + M^-1 V y, so the rotated residual estimate
+    |g| is |b - A x| itself in exact arithmetic. Arnoldi orthogonalizes by
+    classical Gram-Schmidt applied twice, two BLAS products a pass; the
+    Givens rotations of the Hessenberg columns run on Python floats.
+
+    Runs up to _GMRES_CYCLES cycles of _GMRES_RESTART iterations and stops as
+    soon as the estimate falls to `target` or is NaN; a breakdown (the new
+    Arnoldi vector vanishes) means the cycle's solution is exact, and its
+    estimate is 0. Returns (x, iterations, last estimate); the caller
+    decides from the estimate and its own residual whether x is good.
+    """
+    x, iterations, estimate = x0.copy(), 0, math.inf
+    V = np.empty((_GMRES_RESTART + 1, b.size))
+    R = np.zeros((_GMRES_RESTART, _GMRES_RESTART))  # the rotated Hessenberg
+    for _cycle in range(_GMRES_CYCLES):
+        r = b - matvec(x)
+        estimate = float(np.linalg.norm(r))
+        if not estimate > target:
+            break
+        V[0] = r / estimate
+        g, rotations = [estimate], []
+        for j in range(_GMRES_RESTART):
+            w, basis = matvec(precond(V[j])), V[:j + 1]
+            col = basis @ w
+            w -= col @ basis
+            again = basis @ w
+            w -= again @ basis
+            col = (col + again).tolist()
+            norm = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], norm)
+            c, s = col[j] / rho, norm / rho
+            rotations.append((c, s))
+            col[j] = rho
+            R[:j + 1, j] = col[:j + 1]
+            g.append(-s * g[j])
+            g[j] *= c
+            iterations += 1
+            estimate = abs(g[j + 1])
+            if not estimate > target:  # converged, broke down (norm 0) or NaN
+                break
+            V[j + 1] = w / norm
+        k = len(rotations)
+        x += precond(np.linalg.solve(R[:k, :k], g[:k]) @ V[:k])
+        if not estimate > target:
+            break
+    return x, iterations, estimate
+
+
 def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
-                    hpp: np.ndarray, psi0: float, t: float
+                    hpp: np.ndarray, psi0: float, t: float,
+                    guess: Optional[np.ndarray] = None
                     ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Solve the mapped Laplace equation under the front h with derivatives
     (hp, hpp) = _front_derivatives(h, dy); return (u grid, |Du| at the front,
@@ -195,8 +251,11 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     is applied matrix-free. The flat operator u_xtxt + mean(h^2) u_yy is
     solved first, by _fast_poisson; that solution is kept when it meets
     GMRES's own stopping test |A u - b| <= 1e-12 |b| (iterations is then 1),
-    which a flat front does. Otherwise GMRES (rtol 1e-12), preconditioned by
-    the same fast solve, starts from it, and iterations is GMRES's count.
+    which a flat front does. Otherwise _gmres, right-preconditioned by the
+    same fast solve, runs to that test on its residual estimate; it starts
+    from `guess`, a pressure grid of the same shape (the previous step's,
+    on the same mapped grid), when given, else from the fast solve, and
+    iterations is its count. The residual is then recomputed explicitly.
     NumericalError when the solution is not finite, GMRES does not converge
     or the residual > 1e-10.
     """
@@ -237,23 +296,19 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     u[0] = psi0
     u[1:nx, 1:-1] = fast_poisson(rhs).reshape(nx - 1, ny)
     residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
-    iterations, status = 1, 0
+    iterations, converged = 1, True
     if residual > _GMRES_RTOL:  # GMRES's stopping test; False for NaN
-        n = (nx - 1) * ny
-        residuals = []  # one preconditioned residual per GMRES iteration
-        sol, status = gmres(LinearOperator((n, n), matvec=matvec, dtype=float),
-                            rhs.ravel(), x0=u[1:nx, 1:-1].ravel(),
-                            rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-                            maxiter=_GMRES_CYCLES,
-                            M=LinearOperator((n, n), matvec=fast_poisson, dtype=float),
-                            callback=residuals.append, callback_type="pr_norm")
+        x0 = u[1:nx, 1:-1] if guess is None else guess[1:nx]
+        target = _GMRES_RTOL * rhs_norm
+        sol, iterations, estimate = _gmres(matvec, fast_poisson, rhs.ravel(), x0.ravel(),
+                                           target)
         u[1:nx, 1:-1] = sol.reshape(nx - 1, ny)
         residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
-        iterations = len(residuals)
+        converged = estimate <= target
     u = u[:, 1:-1]
     why = ("produced non-finite values"
            if not (np.all(np.isfinite(u)) and math.isfinite(residual))
-           else "did not converge" if status != 0
+           else "did not converge" if not converged
            else "left a large residual" if not residual <= _RESIDUAL_TOL else None)
     if why is not None:
         raise NumericalError(f"pressure solve {why} at t={t:.6g}: {iterations} "
@@ -265,29 +320,27 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     return u, grad, iterations, residual
 
 
-def _advance(state: FrontGraph, config: SimConfig,
-             dt_cap: Optional[float] = None) -> tuple[FrontGraph, dict]:
+def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
+             guess: Optional[np.ndarray] = None) -> tuple[FrontGraph, dict]:
+    """One explicit step from `state`; info holds dt, the pressure range, the
+    solve's iterations and residual, and the pressure grid ("u") that the
+    next step's solve may start from as its `guess`."""
     domain = config.domain
     h = np.asarray(state.heights, dtype=float)
     if not np.all(np.isfinite(h)):
         raise NumericalError(f"front heights are not finite at t={state.t:.6g}")
     margin = 2.0 * domain.dx_ref
-    if np.any(h >= domain.Lx - margin):
-        raise NumericalError(
-            "front leaves the strip: heights within 2 grid cells of x = Lx"
-        )
-    if np.any(h <= margin):
-        raise NumericalError(
-            "front leaves the strip: heights within 2 grid cells of x = 0"
-        )
+    for wall, bad in (("Lx", h >= domain.Lx - margin), ("0", h <= margin)):
+        if np.any(bad):
+            raise NumericalError(f"front leaves the strip at t={state.t:.6g}: "
+                                 f"heights within 2 grid cells of x = {wall}")
     hp, hpp = _front_derivatives(h, domain.dy)
     if np.abs(hp).max() > 5.0:
-        raise NumericalError(
-            f"graph condition violated: front slope {np.abs(hp).max():.3g} > 5"
-        )
+        raise NumericalError(f"graph condition violated at t={state.t:.6g}: "
+                             f"front slope {np.abs(hp).max():.3g} > 5")
 
     u, grad, iterations, residual = _solve_pressure(
-        domain, h, hp, hpp, config.psi0, state.t)
+        domain, h, hp, hpp, config.psi0, state.t, guess)
     u_min, u_max = float(u.min()), float(u.max())
     excess = max(-u_min, u_max - config.psi0)
     if not excess <= _MAX_PRINCIPLE_TOL:
@@ -306,18 +359,19 @@ def _advance(state: FrontGraph, config: SimConfig,
     spacing = min(float(h.min()) / domain.nx, domain.dy)
     peak = _admit(config.medium, 2).M * float(slope.max())
     if not peak > 0:
-        raise NumericalError("front slope estimate vanished; cannot set a step")
+        raise NumericalError(
+            f"front slope estimate vanished at t={state.t:.6g}; cannot set a step")
     dt = config.cfl * spacing / peak
     if config.dt is not None:
         dt = min(dt, config.dt)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     if not dt > 0:
-        raise NumericalError(f"step size collapsed to {dt}")
+        raise NumericalError(f"step size collapsed to {dt} at t={state.t:.6g}")
 
     new = FrontGraph(heights=h + dt * rate, t=state.t + dt)
     info = {"dt": dt, "u_min": u_min, "u_max": u_max,
-            "iterations": iterations, "residual": residual}
+            "iterations": iterations, "residual": residual, "u": u}
     return new, info
 
 
@@ -335,7 +389,8 @@ class SimHistory:
     u_min, u_max, iterations and residual (relative, |A u - b| / |b|) hold
     one entry per saved front after the initial one. iterations is 1 when the
     fast Poisson solve met GMRES's tolerance and was kept, otherwise the
-    count of the GMRES run warm-started from it.
+    count of the right-preconditioned GMRES run, which starts from the
+    previous step's pressure (from the fast solve on the first step).
     """
 
     config: SimConfig
@@ -388,12 +443,13 @@ def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
     times = [0.0]
     fronts = [state]
     saved = {"u_min": [], "u_max": [], "iterations": [], "residual": []}
-    k = 0
+    k, u = 0, None
     while state.t < config.T - 1e-12:
-        state, info = _advance(state, config, dt_cap=config.T - state.t)
-        k += 1
-        if k > max_steps:
-            raise NumericalError(f"exceeded {max_steps} steps before reaching T")
+        if k == max_steps:
+            raise NumericalError(f"exceeded {max_steps} steps before reaching T: "
+                                 f"at t={state.t:.6g} of T={config.T:.6g}")
+        state, info = _advance(state, config, config.T - state.t, u)
+        k, u = k + 1, info["u"]
         if k % config.save_every == 0 or state.t >= config.T - 1e-12:
             times.append(state.t)
             fronts.append(state)

@@ -7,9 +7,10 @@ Oracles used here:
 - Reflection symmetry: a y-even initial front in a y-independent medium stays
   y-even for all time (the discretization commutes with the reflection).
 - Hausdorff distances on hand-built point sets.
-- The pressure solver (matrix-free stencil, GMRES with a fast-Poisson
-  preconditioner) against the assembled sparse matrix and SuperLU direct
-  solve kept below as `reference_pressure`.
+- The pressure solver (matrix-free stencil, the module's GMRES with a
+  fast-Poisson preconditioner) against the assembled sparse matrix and
+  SuperLU direct solve kept below as `reference_pressure`; that GMRES alone
+  against NumPy's dense solve on seeded random systems.
 - The fast Poisson solve by dense transforms against the same diagonalization
   by SciPy's DST-I and real FFT, kept below as `reference_fast_poisson`.
 - An exact curved front: the zero set of the harmonic
@@ -24,7 +25,7 @@ import pytest
 from scipy.fft import dst, idst, irfft, rfft
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import gmres, spsolve
+from scipy.sparse.linalg import spsolve
 
 from hele_homog import hs2d
 from hele_homog.errors import NumericalError, ValidationError
@@ -39,6 +40,7 @@ from hele_homog.hs2d import (
     hausdorff,
     _fast_poisson,
     _front_derivatives,
+    _gmres,
     _solve_pressure,
     simulate,
     step,
@@ -254,9 +256,45 @@ class TestErrorPaths:
     def test_step_budget_is_enforced(self):
         with pytest.raises(NumericalError, match="exceeded 3 steps"):
             simulate(basic_config(T=1.0), max_steps=3)
+        # three steps of dt = 0.01, under the CFL step 0.025
+        with pytest.raises(NumericalError, match=r"exceeded 3 steps before reaching T: "
+                                                 r"at t=0\.03 of T=1$"):
+            simulate(basic_config(T=1.0, dt=0.01), max_steps=3)
         for bad in (0, 2.5):
             with pytest.raises(ValidationError, match="max_steps must be an integer >= 1"):
                 simulate(basic_config(T=1.0), max_steps=bad)
+
+
+    @pytest.mark.parametrize("height, wall", [(3.9, "Lx"), (0.01, "0")])
+    def test_front_leaving_the_strip_names_t(self, height, wall):
+        front = FrontGraph(heights=np.full(8, height), t=0.7)
+        with pytest.raises(NumericalError, match=rf"front leaves the strip at t=0\.7: "
+                                                 rf"heights within 2 grid cells of x = {wall}$"):
+            step(front, basic_config())
+
+    def test_graph_condition_names_t(self):
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
+        steep = FrontGraph(heights=2.0 + 0.9 * np.sin(2 * np.pi * dom.y_nodes), t=0.7)
+        with pytest.raises(NumericalError,
+                           match=r"graph condition violated at t=0\.7: front slope 5\.\d+ > 5$"):
+            step(steep, basic_config(domain=dom))
+
+    def test_vanished_slope_estimate_names_t(self, monkeypatch):
+        # a zero front gradient leaves no speed to set the CFL step from
+        solve = hs2d._solve_pressure
+
+        def zero_gradient(*args):
+            u, grad, iterations, residual = solve(*args)
+            return u, 0.0 * grad, iterations, residual
+
+        monkeypatch.setattr(hs2d, "_solve_pressure", zero_gradient)
+        with pytest.raises(NumericalError, match=r"front slope estimate vanished at "
+                                                 r"t=0\.7; cannot set a step$"):
+            step(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config())
+
+    def test_collapsed_step_names_t(self):
+        with pytest.raises(NumericalError, match=r"step size collapsed to 0\.0 at t=0\.7$"):
+            step(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config(), dt_cap=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +651,12 @@ class TestPressureSolver:
     def test_flat_steps_skip_gmres_and_curved_steps_call_it_once(self, monkeypatch):
         calls = []
 
-        def counting_gmres(*args, **kwargs):
-            calls.append(kwargs["x0"])
-            return gmres(*args, **kwargs)
+        def counting_gmres(matvec, precond, b, x0, target):
+            x, iterations, estimate = _gmres(matvec, precond, b, x0, target)
+            calls.append({"x0": x0.copy(), "fast": precond(b), "x": x.copy()})
+            return x, iterations, estimate
 
-        monkeypatch.setattr(hs2d, "gmres", counting_gmres)
+        monkeypatch.setattr(hs2d, "_gmres", counting_gmres)
         flat = simulate(basic_config(T=0.1, dt=0.01))
         assert flat.total_steps == 10
         assert calls == []
@@ -627,8 +666,22 @@ class TestPressureSolver:
                                     h0=sine_front(dom, 0.5)))
         assert curved.total_steps == 10
         assert len(calls) == 10
-        # warm-started from the fast Poisson solve, not from zero
-        assert all(np.any(x0 != 0.0) for x0 in calls)
+        # the first solve starts from the fast Poisson solve; every later one
+        # from the pressure rows the step before it solved
+        assert np.array_equal(calls[0]["x0"], calls[0]["fast"])
+        for before, after in zip(calls, calls[1:]):
+            assert np.array_equal(after["x0"], before["x"])
+            assert not np.array_equal(after["x0"], after["fast"])
+
+    def test_lone_step_matches_the_first_simulated_step(self):
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16)
+        cfg = SimConfig(domain=dom, medium=parse_medium("1 + sin(pi*y)^2/2", dim=2),
+                        eps=0.5, psi0=1.0, T=0.05, h0=sine_front(dom, 0.5))
+        hist = simulate(cfg)
+        assert hist.total_steps > 1 and hist.iterations[0] > 1
+        first = step(cfg.initial_front(), cfg, dt_cap=cfg.T)
+        assert first.t == hist.times[1]
+        assert np.array_equal(first.heights, hist.fronts[1].heights)
 
     @pytest.mark.parametrize("dom", SOLVER_GRIDS,
                              ids=lambda d: f"{d.nx}x{d.ny}")
@@ -636,7 +689,7 @@ class TestPressureSolver:
         def no_gmres(*args, **kwargs):
             raise AssertionError("a flat front must not reach GMRES")
 
-        monkeypatch.setattr(hs2d, "gmres", no_gmres)
+        monkeypatch.setattr(hs2d, "_gmres", no_gmres)
         h = sine_front(dom, 0.0)
         u, _, iterations, residual = solve_pressure(dom, h, 0.7, 0.0)
         mat, rhs = reference_system(dom, h, 0.7)
@@ -671,6 +724,102 @@ class TestPressureSolver:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite values at t=0.5"):
                 solve_pressure(dom, h, 1.0, 0.5)
+
+
+class TestGmres:
+    """hs2d._gmres on its own: restarted, right-preconditioned GMRES."""
+
+    @staticmethod
+    def random_system(n, seed):
+        # nonsymmetric, eigenvalues in the disk |z - 4| <= ~1: well conditioned
+        rng = np.random.default_rng(seed)
+        B = 4.0 * np.eye(n) + rng.standard_normal((n, n)) / math.sqrt(n)
+        return B, rng.standard_normal(n), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n, seed", [(20, 1), (45, 2), (80, 3)])
+    def test_matches_dense_solve_unpreconditioned(self, n, seed):
+        A, b, x0 = self.random_system(n, seed)
+        target = 1e-12 * np.linalg.norm(b)
+        x, iterations, estimate = _gmres(lambda v: A @ v, lambda v: v.copy(), b, x0, target)
+        x_ref = np.linalg.solve(A, b)
+        assert estimate <= target
+        assert np.linalg.norm(b - A @ x) <= 10.0 * target
+        assert np.abs(x - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
+        assert 1 <= iterations <= n
+        assert np.array_equal(x0, self.random_system(n, seed)[2])  # x0 untouched
+
+    @pytest.mark.parametrize("n, seed", [(45, 5), (80, 6)])
+    def test_matches_dense_solve_with_a_diagonal_preconditioner(self, n, seed):
+        # A = B diag(d) with d over four decades: unpreconditioned GMRES takes
+        # 500 iterations or fails; right preconditioning by diag(1/d) gives B
+        # back, and 24-25
+        B, b, x0 = self.random_system(n, seed)
+        d = np.logspace(0, 4, n)
+        A = B * d
+        target = 1e-12 * np.linalg.norm(b)
+        x, iterations, estimate = _gmres(lambda v: A @ v, lambda v: v / d, b, x0, target)
+        x_ref = np.linalg.solve(A, b)
+        assert estimate <= target
+        assert np.linalg.norm(b - A @ x) <= 10.0 * target
+        assert np.abs(x - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
+        plain = _gmres(lambda v: A @ v, lambda v: v.copy(), b, x0, target)[1]
+        assert iterations <= 30 and plain >= 500
+
+    def test_breakdown_returns_the_exact_solution(self):
+        # a 5-cycle inside a 40-dim system: from x0 = 0 and b = e0 the Krylov
+        # space closes after 5 iterations, the new Arnoldi vector is exactly
+        # 0, and the solution is exact; no division by that zero norm
+        n = 40
+        A = 2.0 * np.eye(n)
+        A[:5, :5] = np.roll(np.eye(5), 1, axis=0)
+        b = np.zeros(n)
+        b[0] = 1.0
+        with np.errstate(all="raise"):
+            x, iterations, estimate = _gmres(lambda v: A @ v, lambda v: v.copy(), b,
+                                             np.zeros(n), 1e-12)
+        assert iterations == 5 and estimate == 0.0
+        assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-15
+
+    def test_exact_start_takes_no_iteration(self):
+        A, b, _ = self.random_system(20, 7)
+        x_ref = np.linalg.solve(A, b)
+        x, iterations, estimate = _gmres(lambda v: A @ v, lambda v: v.copy(), b, x_ref,
+                                         1e-12 * np.linalg.norm(b))
+        assert iterations == 0 and np.array_equal(x, x_ref)
+
+    def test_steep_front_solve_crosses_five_restarts(self):
+        # slope 4.4 on 64x64: more than 5 cycles of _GMRES_RESTART iterations,
+        # and still the sparse direct solution
+        dom = SOLVER_GRIDS[0]
+        h = sine_front(dom, 4.4)
+        u, grad, iterations, residual = solve_pressure(dom, h, 0.7, 0.0)
+        assert iterations > 5 * hs2d._GMRES_RESTART
+        u_ref, grad_ref = reference_pressure(dom, h, 0.7)
+        assert np.abs(u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+        assert np.abs(grad - grad_ref).max() <= 1e-9 * np.abs(grad_ref).max()
+        assert residual <= 1e-10
+
+    def test_non_finite_operator_stops_at_once(self):
+        A, b, x0 = self.random_system(20, 8)
+        count = []
+
+        def matvec(v):
+            count.append(1)
+            return A @ v if len(count) < 4 else np.full_like(v, np.nan)
+
+        with np.errstate(invalid="ignore"):
+            x, iterations, estimate = _gmres(matvec, lambda v: v.copy(), b, x0, 1e-12)
+        assert iterations == 3 and len(count) == 4  # the NaN estimate ends the run
+        assert math.isnan(estimate) and not np.all(np.isfinite(x))
+
+    def test_non_finite_start_raises_through_the_pressure_solve(self):
+        dom = SOLVER_GRIDS[3]
+        h = sine_front(dom, 0.25)
+        guess = np.full((dom.nx + 1, dom.ny), np.nan)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"non-finite values at t=0\.5: 0 GMRES "
+                                                     r"iterations, relative residual nan"):
+                _solve_pressure(dom, h, *_front_derivatives(h, dom.dy), 1.0, 0.5, guess)
 
 
 def reference_fast_poisson(domain, beta, r):
@@ -715,13 +864,14 @@ class TestFastPoisson:
         assert np.any(u != 0.0)
 
     def test_curved_bench_job_keeps_its_gmres_work(self):
-        # the bench's strip2d_curved job at phase 0.3: 66 steps and 569 GMRES
-        # iterations, as with the SciPy DST/FFT solve
+        # the bench's strip2d_curved job at phase 0.3: 66 steps and 441 GMRES
+        # iterations, each solve after the first starting from the pressure of
+        # the step before
         medium = parse_medium("sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2)
         hist = simulate(SimConfig(domain=StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=64),
                                   medium=medium, eps=0.25, psi0=1.0, T=0.15, h0=1.0))
         assert hist.total_steps == 66
-        assert int(hist.iterations.sum()) == 569
+        assert int(hist.iterations.sum()) == 441
 
 
 # u = psi0 - a x + b sinh(k x) cos(k y), k = 2 pi / Ly, is harmonic, equals
