@@ -58,6 +58,14 @@ def require_vector(name: str, value, dim: int | None = None, nonzero: bool = Fal
     return v
 
 
+def require_steps(T: float, dt: float) -> None:
+    """Raise ValidationError naming T and dt when a time grid of steps dt over
+    T (both finite and > 0) has more than 2**52 steps: there k*h no longer
+    resolves a step, and the step count may not even be finite."""
+    if not float(T) / float(dt) <= 2.0 ** 52:
+        raise ValidationError(f"T/dt must be at most 2**52 steps, got T = {T}, dt = {dt}")
+
+
 def require_integer(least: int, **values) -> None:
     """Raise ValidationError naming the first value that is not an int >= least (nor a bool)."""
     for name, value in values.items():

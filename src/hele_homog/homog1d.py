@@ -9,7 +9,9 @@ r_lower and r_upper.
 Each numerical idea has one loop: `_rk4` integrates one front (a float q)
 or a whole array of fronts with the same arithmetic, `_averages` turns a
 q-array into long-time averages by iterating each q's tabulated time-1 map
-(g is 1-periodic in t, so the orbit is that map iterated) or, where no table
+(g is 1-periodic in t, so the orbit is that map iterated; where the map is
+too distorted to tabulate whole, as near a locking plateau, the table
+composes maps over recursive halves of the period) or, where no table
 within its budget resolves the map, by the direct orbit, `_clipped` runs
 the obstacle-clipped front with or without a stored trace, and `_bisect`
 halves the candidate brackets for both sides. The scalar loops evaluate the
@@ -28,7 +30,7 @@ import numpy as np
 
 from ._lazy import lazy
 from .errors import (NumericalError, ValidationError, require_finite, require_integer,
-                     require_positive)
+                     require_positive, require_steps)
 from .medium import Medium, MediumBounds, _admit, estimate_bounds
 
 quad = lazy("scipy.integrate", "quad")
@@ -86,7 +88,8 @@ class FlatnessTrace:
 @dataclass(frozen=True)
 class VelocityEstimate:
     """Finite-T effective velocity r_hat = (x(T) - x0)/T with 1/T error bar;
-    nodes is the size of the time-1 table, 0 where the orbit ran directly."""
+    the time-1 table has `stages` stage maps of `nodes` nodes each, both 0
+    where the orbit ran directly."""
 
     q: float
     r_hat: float
@@ -94,12 +97,14 @@ class VelocityEstimate:
     error_bound: float
     refined: float
     nodes: int
+    stages: int
 
 
 @dataclass(frozen=True, eq=False)
 class VelocityCurve:
     """Effective-velocity samples over a q-grid with a shared error bound and
-    each q's time-1 table size (0: the direct orbit)."""
+    each q's time-1 table: its nodes per stage and stages (0: the direct
+    orbit)."""
 
     q: np.ndarray
     r_hat: np.ndarray
@@ -107,10 +112,13 @@ class VelocityCurve:
     T: float
     error_bound: float
     nodes: np.ndarray
+    stages: np.ndarray
 
 
-def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None):
-    """RK4 for x' = q * g(x, t) over `steps` steps; q, x0 floats or arrays.
+def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None,
+         t0: float = 0.0):
+    """RK4 for x' = q * g(x, t) over `steps` steps of T/steps from time t0;
+    q, x0 floats or arrays.
 
     Returns the positions after steps//2 and after all steps, and stores
     step k in positions[k] when given (a q-array never stores its path).
@@ -122,7 +130,7 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None)
     x = x_half = x0
     increasing = True
     for k in range(steps):
-        t = k * h
+        t = t0 + k * h
         k1 = q * g(x, t)
         k2 = q * g(x + half * k1, t + half)
         k3 = q * g(x + half * k2, t + half)
@@ -144,6 +152,7 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None)
 def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
     """Classical fourth-order one-step integration of the front ODE."""
     require_positive(T=T, dt=dt)
+    require_steps(T, dt)
     steps = max(1, round(T / dt))
     positions = np.empty(steps + 1)
     positions[0] = x0 = float(p.x0)
@@ -162,13 +171,14 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
     to the bit on the builtins.
     """
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
-    r_hat, refined, nodes = _averages(medium, np.array([float(p.q)]), float(x0), T, dt)
+    r_hat, refined, nodes, stages = _averages(medium, np.array([float(p.q)]), float(x0), T, dt)
     return VelocityEstimate(q=q, r_hat=float(r_hat[0]), T=T, error_bound=1.0 / T,
-                            refined=float(refined[0]), nodes=int(nodes[0]))
+                            refined=float(refined[0]), nodes=int(nodes[0]),
+                            stages=int(stages[0]))
 
 
 _FIRST_NODES = 16  # the first table; each later one doubles it
-# A table is trusted when its interpolant reproduces D_q to _TOL at
+# A table is trusted when its interpolants reproduce D_q to _TOL at
 # _WITNESSES: 13 points frac(k*phi), phi the golden ratio, spread over [0, 1)
 # and off every lattice j/N, so no node spacing aliases onto them (a medium
 # of x-period 1/N reads the same at every node). A map moved by at most delta
@@ -176,14 +186,16 @@ _FIRST_NODES = 16  # the first table; each later one doubles it
 # inside the 1/T error bar.
 _TOL = 1e-8
 _WITNESSES = np.arange(1.0, 14.0) * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
-# A table costs one period of _rk4 per node and per witness. A q's tables may
-# cost _BUDGET times the T periods of its direct orbit, so a q whose table
-# does not resolve costs at most three orbits. Tables run every node of a
-# block in one array and pay NumPy's fixed cost per RK4 step (~500 entries'
-# worth on the builtins) once per table, while the batched orbit pays it in
-# each of its T/dt steps: at a budget of one orbit the pinning medium's
-# plateau (256 nodes at T = 200) takes that orbit, and the velocity curves
-# of the four builtins at T = 200 cost about 1.3x those at _BUDGET = 2.
+# A table costs one period of _rk4 per node and per witness, and a split one
+# period per node. A q's tables may cost _BUDGET times the T periods of its
+# direct orbit, so a q whose table does not resolve costs at most three
+# orbits. Tables run every node of a block in one array and pay NumPy's fixed
+# cost per RK4 step (~500 entries' worth on the builtins) once per table,
+# while the batched orbit pays it in each of its T/dt steps. On the eight
+# velocity curves of the benchmark (seed 1: four builtins, 400 and 50 q, T = 200)
+# a budget of one orbit leaves 227 q to that orbit, the pinning medium's
+# plateau (256 nodes) among them, and costs 1.4x the time at _BUDGET = 2,
+# where split tables leave none; _BUDGET = 3 costs 1.06x.
 _BUDGET = 2
 _BLOCK = 64  # q rows per table block
 _CELLS = 8192  # table entries per _rk4 call: a block's working set stays under ~1 MB
@@ -191,11 +203,13 @@ _CELLS = 8192  # table entries per _rk4 call: a block's working set stays under 
 
 def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     """(x(T) - x0)/T at eps = 1, its extrapolation from the T/2 average, and
-    the table size per q (0: the direct orbit), for a q-array.
+    the node and stage counts of each q's table (0: the direct orbit), for a
+    q-array.
 
     A tabled q takes steps of 1/n, n = round(1/dt) (dt <= 1, so n >= 1), and
     n steps make one period of g: its orbit is the time-1 map Phi_q applied
-    floor(T) times (floor(T/2) to reach T/2). The fractional periods
+    floor(T) times (floor(T/2) to reach T/2), each application the
+    composition of its table's stage maps. The fractional periods
     T - floor(T) and T/2 - floor(T/2) are integrated directly from t = 0 (g
     is 1-periodic in t) in round(f*n) steps, at least one. The other q run
     the direct orbit: an even step count near T/dt, on the float kernel for
@@ -206,16 +220,22 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     require_positive(dt=dt)
     if dt > 1.0:
         raise ValidationError(f"dt must be <= 1, the period of g, got {dt}")
+    require_steps(T, dt)  # so 1/dt too, as T >= 10
     fn, n = medium._fn, round(1.0 / dt)
     K_half, K = math.floor(T / 2.0), math.floor(T)
     x_mid, x_end = np.full(q.shape, float(x0)), np.empty(q.shape)
-    nodes = np.zeros(q.shape, dtype=int)
+    nodes, stages = np.zeros(q.shape, dtype=int), np.zeros(q.shape, dtype=int)
+    found: dict = {}  # (stages, modes): the (rows, coefficients) of that shape
     for start in range(0, q.size, _BLOCK):
-        nodes[start:start + _BLOCK], rows, c = _tables(fn, q[start:start + _BLOCK], n, T)
-        if rows.size:
-            rows += start
-            x_mid[rows] = _iterate(c, x_mid[rows], K_half)
-            x_end[rows] = _iterate(c, x_mid[rows], K - K_half)
+        block = slice(start, start + _BLOCK)
+        nodes[block], stages[block], parts = _tables(fn, q[block], n, T)
+        for rows, c in parts:
+            found.setdefault(c.shape[:2], []).append((rows + start, c))
+    while found:  # the columns of c are independent, bit for bit
+        rows, c = zip(*found.popitem()[1])  # popped, so each part is freed once joined
+        rows, c = np.concatenate(rows), np.concatenate(c, axis=2)
+        x_mid[rows] = _iterate(c, x_mid[rows], K_half)
+        x_end[rows] = _iterate(c, x_mid[rows], K - K_half)
 
     tabled = nodes > 0
 
@@ -233,84 +253,107 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
         else:
             x_mid[direct], x_end[direct] = _rk4(fn, q[direct], x_mid[direct], float(T), steps)
     r_hat = (x_end - x0) / T
-    return r_hat, 2.0 * r_hat - (x_mid - x0) / (T / 2.0), nodes
+    return r_hat, 2.0 * r_hat - (x_mid - x0) / (T / 2.0), nodes, stages
 
 
 def _tables(fn, q: np.ndarray, n: int, T: float):
-    """The node count N per q (0 where no table resolved it), the resolved
-    rows of q, and one column per such row: the coefficients c of the
-    trigonometric interpolant D(x) = Re sum_m c[m] e^(2 pi i m x) of
-    D_q(x) = Phi_q(x) - x on the nodes x_j = j/N, zero-padded to the largest
-    N.
+    """The node count N and stage count S per q (0 where no table resolved
+    it), and the resolved rows of q in parts (rows, c): c[s] holds one
+    column per row, the coefficients of the trigonometric interpolant
+    D_s(x) = Re sum_m c[s, m] e^(2 pi i m x) of stage s's map minus x on the
+    nodes x_j = j/N. The stages cut the period's n steps at recursive halves
+    b + (b1 - b)//2, and their maps compose to Phi_q.
 
-    A table is one period of _rk4 from its nodes and the witnesses; the
-    table of 2N nodes integrates only the N new midpoints. A q goes on to
-    the next table while one within its budget can still reach _TOL, if, as
-    for an analytic D_q, each doubling squares the ratio of its last two
-    errors.
+    A table starts as one stage: one period of _rk4 from its nodes and the
+    witnesses, whose values stay the reference for every later table of the
+    row. The table of 2N nodes integrates only the N new midpoints through
+    each stage. A q goes on to the next table while one within its budget
+    can still reach _TOL, if, as for an analytic map, each doubling squares
+    the ratio of its last two errors. Otherwise, while every stage has two
+    steps and the budget affords it, the q splits each stage in two (a
+    fresh period from the N nodes, N periods of its budget), and the split
+    table's error is set against the unsplit one's: near a locking plateau
+    Phi_q stretches some arcs and squeezes others by factors up to ~1000,
+    which no affordable table resolves, and each stage map is far less
+    distorted than the whole (multiple shooting). A row that never splits
+    keeps the bits of a single-stage table.
     """
-    def increments(rows, x):
+    budget = _BUDGET * T
+
+    def increments(rows, x, b, b1):  # stage maps from step b to b1, minus x
         per = max(1, _CELLS // x.size)  # table rows per _rk4 call
-        return np.concatenate([_rk4(fn, q[r, None], x, 1.0, n)[1] - x
+        return np.concatenate([_rk4(fn, q[r, None], x, (b1 - b) / n, b1 - b, t0=b / n)[1] - x
                                for r in np.split(rows, range(per, rows.size, per))])
 
-    nodes = np.zeros(q.size, dtype=int)
-    found = [(np.arange(0), np.zeros((1, 0), dtype=complex))]  # no row yet
+    def stage_tables(rows, bounds, x):  # (stage, row, point)
+        return np.stack([increments(rows, x, b, b1) for b, b1 in zip(bounds, bounds[1:])])
+
+    nodes, stages, found = np.zeros(q.size, dtype=int), np.zeros(q.size, dtype=int), []
     N = _FIRST_NODES
-    rows = np.arange(q.size if N + _WITNESSES.size <= _BUDGET * T else 0)
-    if rows.size:
-        D = increments(rows, np.concatenate([np.arange(N) / N, _WITNESSES]))
-        D, W = D[:, :N], D[:, N:]
-    prev = np.inf  # the error of the table before
-    while rows.size:
-        c = np.fft.rfft(D, axis=1, norm="forward").T
-        c[1:N // 2] *= 2.0  # the conjugate modes: all but the mean and Nyquist's
-        witnessed = np.stack([_value(c, np.full(rows.size, w)) for w in _WITNESSES], axis=1)
-        err = np.abs(witnessed - W).max(axis=1)
+    if N + _WITNESSES.size > budget:
+        return nodes, stages, found
+    rows = np.arange(q.size)
+    D = increments(rows, np.concatenate([np.arange(N) / N, _WITNESSES]), 0, n)
+    # rows of one history: its stage cuts, nodes, tables, witness values and
+    # errors of the table before, and the periods its doublings did not spend
+    groups = [(rows, [0, n], N, D[None, :, :N], D[:, N:], np.inf, _WITNESSES.size)]
+    while groups:
+        rows, bounds, N, D, W, prev, fixed = groups.pop()
+        c = np.fft.rfft(D, axis=2, norm="forward").transpose(0, 2, 1)
+        c[:, 1:N // 2] *= 2.0  # the conjugate modes: all but the mean and Nyquist's
+        err = np.abs(np.stack([_moved(c, np.full(rows.size, w)) for w in _WITNESSES], axis=1)
+                     - W).max(axis=1)
         done = err <= _TOL
-        nodes[rows[done]] = N
-        found.append((rows[done], c[:, done]))
-        doublings = math.floor(math.log2((_BUDGET * T - _WITNESSES.size) / N))
+        if done.any():
+            nodes[rows[done]], stages[rows[done]] = N, len(bounds) - 1
+            found.append((rows[done], c[:, :, done]))
+        doublings = math.floor(math.log2((budget - fixed) / N))
         shrink = np.minimum(err / prev, 1.0) ** (2.0 ** (doublings + 1) - 2.0)
-        keep = ~done & (err * shrink <= _TOL)
-        rows, D, W, prev = rows[keep], D[keep], W[keep], err[keep]
-        if not rows.size:
-            break
-        D = np.stack([D, increments(rows, (np.arange(N) + 0.5) / N)],
-                     axis=2).reshape(rows.size, 2 * N)
-        N *= 2
-    return nodes, np.concatenate([r for r, _ in found]), _join([c for _, c in found])
+        double = ~done & (err * shrink <= _TOL)
+        if double.any():
+            r = rows[double]
+            D = np.stack([D[:, double], stage_tables(r, bounds, (np.arange(N) + 0.5) / N)],
+                         axis=3).reshape(len(bounds) - 1, r.size, 2 * N)
+            groups.append((r, bounds, 2 * N, D, W[double], err[double], fixed))
+        split = ~done & ~double
+        if split.any() and min(np.diff(bounds)) >= 2 and fixed + 2 * N <= budget:
+            r, cuts = rows[split], [b + (b1 - b) // 2 for b, b1 in zip(bounds, bounds[1:])]
+            bounds = sorted(bounds + cuts)
+            groups.append((r, bounds, N, stage_tables(r, bounds, np.arange(N) / N), W[split],
+                           err[split], fixed + N))
+    return nodes, stages, found
 
 
-def _join(parts: list) -> np.ndarray:
-    """The columns of the coefficient arrays in parts, zero-padded to the
-    longest."""
-    c = np.zeros((max(len(p) for p in parts), sum(p.shape[1] for p in parts)), dtype=complex)
-    col = 0
-    for p in parts:
-        c[:len(p), col:col + p.shape[1]] = p
-        col += p.shape[1]
-    return c
+def _moved(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The sum of the stage increments D_s (see _value) along one
+    application of the composed map from x."""
+    moved = 0.0
+    for cs in c:
+        d = _value(cs, x)
+        moved, x = moved + d, x + d
+    return moved
 
 
 def _value(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """D(x) = Re sum_m c[m] e^(2 pi i m x), one column of c per position in
-    x. The sum runs in the order of m, so a column's bits depend neither on
-    the other columns nor on zero padding."""
+    x. The sum runs in the order of m, so a column's bits do not depend on
+    the other columns."""
     powers = np.cumprod(np.broadcast_to(np.exp(2j * math.pi * (x % 1.0)), c[1:].shape), axis=0)
     powers *= c[1:]
     return c[0].real + np.cumsum(powers.real, axis=0)[-1]
 
 
 def _iterate(c: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """Apply x <- x + D(x) k times (see _value). Raises NumericalError when
-    an increment is not finite and > 0."""
+    """Apply the composed map k times: x <- x + D_s(x) for each stage s of
+    c in order (see _value). Raises NumericalError when an increment is not
+    finite and > 0."""
     advancing = True
     with np.errstate(invalid="ignore"):  # a non-finite position is reported below
         for _ in range(k):
-            d = _value(c, x)
-            advancing &= d > 0
-            x = x + d
+            for cs in c:
+                d = _value(cs, x)
+                advancing &= d > 0
+                x = x + d
     if not np.all(np.isfinite(x)):
         raise NumericalError("the time-1 map produced a non-finite front position")
     if not np.all(advancing):
@@ -404,6 +447,7 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
         dt = eps / 20.0
     if not 0 < dt <= eps / 10.0 + 1e-15:
         raise ValidationError(f"dt must satisfy 0 < dt <= eps/10, got {dt}")
+    require_steps(T, dt)
     steps = max(1, round(T / dt))
     positions = np.empty(steps + 1)
     phis = np.empty(steps + 1)
@@ -528,6 +572,7 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     if not 0.8 < beta < 1.0:
         raise ValidationError(f"beta must lie in (4/5, 1), got {beta}")
     eps_list = _eps_list(eps_list, at_least=1)
+    require_steps(T, min(eps_list) / 20.0)
     bounds = estimate_bounds(medium, resolution=_RESOLUTION)
     steps = {e: max(1, round(T / (e / 20.0))) for e in eps_list}
     K = max(steps.values())
@@ -578,6 +623,6 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     require_integer(2, samples=samples)
 
     qs = np.linspace(q_min, q_max, samples)
-    r_hat, refined, nodes = _averages(medium, qs, float(x0), T, dt)
+    r_hat, refined, nodes, stages = _averages(medium, qs, float(x0), T, dt)
     return VelocityCurve(q=qs, r_hat=r_hat, refined=refined,
-                         T=T, error_bound=1.0 / T, nodes=nodes)
+                         T=T, error_bound=1.0 / T, nodes=nodes, stages=stages)

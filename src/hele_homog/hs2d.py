@@ -248,14 +248,15 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
         + xt (2 h'^2 - h h'') u_xt = 0,
     discretized with centered second-order differences on the unit square,
     u = psi0 at xt = 0, u = 0 at xt = 1, periodic in y. The 9-point operator
-    is applied matrix-free. The flat operator u_xtxt + mean(h^2) u_yy is
-    solved first, by _fast_poisson; that solution is kept when it meets
-    GMRES's own stopping test |A u - b| <= 1e-12 |b| (iterations is then 1),
-    which a flat front does. Otherwise _gmres, right-preconditioned by the
-    same fast solve, runs to that test on its residual estimate; it starts
-    from `guess`, a pressure grid of the same shape (the previous step's,
-    on the same mapped grid), when given, else from the fast solve, and
-    iterations is its count. The residual is then recomputed explicitly.
+    is applied matrix-free. Without a `guess`, or on a flat front (h
+    constant), the flat operator u_xtxt + mean(h^2) u_yy is solved first, by
+    _fast_poisson; that solution is kept when it meets GMRES's own stopping
+    test |A u - b| <= 1e-12 |b| (iterations is then 1), which a flat front
+    does. Otherwise _gmres, right-preconditioned by the same fast solve,
+    runs to that test on its residual estimate; it starts from `guess`, a
+    pressure grid of the same shape (the previous step's, on the same
+    mapped grid), when given, else from the fast solve, and iterations is
+    its count. The residual is then recomputed explicitly.
     NumericalError when the solution is not finite, GMRES does not converge
     or the residual > 1e-10.
     """
@@ -294,9 +295,10 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     rhs_norm = np.linalg.norm(rhs)
     u = np.zeros((nx + 1, ny + 2))
     u[0] = psi0
-    u[1:nx, 1:-1] = fast_poisson(rhs).reshape(nx - 1, ny)
-    residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
-    iterations, converged = 1, True
+    iterations, converged, residual = 1, True, math.inf
+    if guess is None or h.max() == h.min():  # a curved front goes to GMRES at once
+        u[1:nx, 1:-1] = fast_poisson(rhs).reshape(nx - 1, ny)
+        residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
     if residual > _GMRES_RTOL:  # GMRES's stopping test; False for NaN
         x0 = u[1:nx, 1:-1] if guess is None else guess[1:nx]
         target = _GMRES_RTOL * rhs_norm

@@ -981,3 +981,20 @@ class TestSeedPlumbing:
         monkeypatch.setenv("HELE_HOMOG_SEED", "7")
         _, via_env, _ = run_cli(SUPERBARRIER_PASS)
         assert via_env == flagged
+
+
+class TestStepCountOverflow:
+    """A time grid too fine to count exits 1 with one error line, where an
+    infinite step count ended in an OverflowError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--qmin", "0.5", "--qmax", "1", "--samples", "3", "--T", "1e308"],
+        ["curve", "--qmin", "0.5", "--qmax", "1", "--samples", "3", "--dt", "1e-310"],
+        ["obstacle", "--q", "1", "--r", "1", "--eps", "0.1", "--side", "super", "--T", "1e308"],
+        ["candidates", "--q", "1", "--T", "1e308"],
+    ], ids=["curve_T", "curve_dt", "obstacle", "candidates"])
+    def test_exits_one(self, argv):
+        code, out, err = run_cli(["rq", *argv, "--medium", "builtin:pinning"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: T/dt must be at most 2**52 steps, got T = ")
+        assert err.count("\n") == 1

@@ -32,6 +32,7 @@ from hele_homog import (
     effective_velocity,
     harmonic_mean_oracle,
     homogenized_candidates,
+    integrate_front,
     obstacle_front,
     parse_medium,
     traveling_wave_oracle,
@@ -39,7 +40,7 @@ from hele_homog import (
 )
 from hele_homog import medium as medium_module
 from hele_homog.errors import (require_integer, require_nonnegative, require_positive,
-                               require_vector)
+                               require_steps, require_vector)
 from hele_homog.medium import _admit
 
 # g has period 2 in x; its twin with 2*pi has period 1
@@ -244,3 +245,36 @@ class TestParameterRule:
         require_positive(a=1e-300, b=3, c=np.float64(1e300), d=np.array(0.5),
                          e=Fraction(1, 2), f=Decimal("0.5"))
         require_nonnegative(a=0.0, b=0, c=2.5, d=np.array(0.0))
+
+
+_PINNING = "sin(pi*(x - t))^2 + 1"
+
+
+class TestStepCountRule:
+    """A time grid of more than 2**52 steps is refused before its step count
+    is rounded, where an infinite T/dt raised OverflowError."""
+
+    @pytest.mark.parametrize("call, T, dt", [
+        (lambda g: integrate_front(FrontProblem(g, q=1.0), T=1e308, dt=0.01), "1e+308", "0.01"),
+        (lambda g: velocity_curve(g, 0.5, 1.0, 3, T=1e308), "1e+308", "0.02"),
+        (lambda g: velocity_curve(g, 0.5, 1.0, 3, dt=1e-310), "200.0", "1e-310"),
+        (lambda g: obstacle_front(g, 1.0, 1.0, 0.1, Side.SUPER, T=1e308), "1e+308", "0.005"),
+        (lambda g: homogenized_candidates(g, 1.0, T=1e308), "1e+308", "0.00025"),
+    ], ids=["integrate_front", "averages_T", "averages_dt", "obstacle_front",
+            "homogenized_candidates"])
+    def test_entry_point_refuses_the_grid(self, call, T, dt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"T/dt must be at most 2**52 steps, got T = {T}, dt = {dt}")):
+                call(parse_medium(_PINNING, 1))
+
+    def test_bound(self):
+        require_steps(2.0 ** 52, 1.0)
+        require_steps(1e10, 1e-5)
+        for T, dt in ((2.0 ** 53, 1.0), (1.0, 1e-310), (1e308, 1e-10),
+                      (np.float64(1e300), 1e-300)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="^T/dt must be at most 2"):
+                    require_steps(T, dt)

@@ -7,6 +7,7 @@ closed-form r(q) of the pinning and antipinning traveling waves; and an
 in-test Euler re-implementation for the obstacle bracketing.
 """
 
+import functools
 import hashlib
 import math
 import re
@@ -601,6 +602,12 @@ def _periodic(src):
     return parse_medium(f"1 + 0.4*sin({src})", 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _bench_curve(name, q_min, q_max, samples):
+    """A velocity curve of the benchmark's shape (T = 200), computed once."""
+    return velocity_curve(builtin_medium(name), q_min, q_max, samples, T=200.0)
+
+
 def _assert_map_matches(curve, r_hat, refined, bound):
     """Tabled rows within bound of the direct orbit, the others equal to it."""
     tabled = curve.nodes > 0
@@ -617,16 +624,18 @@ class TestTimeOneMap:
         ("pinning", 0.05, 2.0, 200.0, {16, 32, 64, 128, 256}),
         ("antipinning", 0.05, 2.0, 200.0, {16, 32}),
         ("static_sin", 0.05, 2.0, 200.0, {16, 32}),
-        ("two_wave", 0.05, 2.0, 200.0, {0, 16, 32, 64, 128, 256}),
-        ("two_wave", 0.7, 0.9, 600.0, {0, 1024})])
+        ("two_wave", 0.05, 2.0, 200.0, {16, 32, 64, 128, 256}),
+        ("two_wave", 0.7, 0.9, 600.0, {256, 512, 1024})])
     def test_matches_the_direct_orbit(self, name, q_min, q_max, T, sizes):
-        # measured: at most 3.6e-10 (pinning, refined); two_wave on [0.7, 0.9],
-        # where the front nearly stalls, needs 1024 nodes, which T = 600
-        # affords: 6 of its 40 q get them, and the other 34, whose errors
-        # fall too slowly to reach 1e-8 in time, stop early for the orbit
+        # measured: at most 3.6e-10 (pinning, refined) and 5.8e-9 (two_wave
+        # on [0.7, 0.9], refined); there, where the front nearly stalls, a
+        # single-stage table needs 1024 nodes, which T = 600 affords: 6 of its
+        # 40 q get them, and the other 34, whose errors fall too slowly to
+        # reach 1e-8 in time, split into two stages of 256 or 512 nodes
         g = builtin_medium(name)
         curve = velocity_curve(g, q_min, q_max, 40, T=T)
         assert set(curve.nodes.tolist()) == sizes
+        assert np.all(curve.stages > 0)
         _assert_map_matches(curve, *_direct(g, curve.q, T, 50), 1e-8)
 
     @pytest.mark.parametrize("name, c", [("pinning", 1), ("antipinning", -1)])
@@ -664,18 +673,22 @@ class TestTimeOneMap:
         # a q's tables cost 16, 32, ... nodes plus 13 witnesses, at most 2T
         # periods: none at T = 14, 16 nodes at T = 20, up to 256 at T = 200.
         # At T = 50 the budget affords 64 nodes, but the errors at 16 and 32
-        # nodes predict that 64 will not reach 1e-8, so it is not built
+        # nodes predict that 64 will not reach 1e-8, so the 32-node table
+        # splits into two stages of 50 steps instead (32 more periods); that
+        # does not resolve the map either, and a second split is over budget
         widths = []
 
-        def rk4(fn, q, x0, T, steps, positions=None):
-            if T == 1.0:  # one period: a table
-                widths.append(np.shape(x0)[-1])
-            return _rk4(fn, q, x0, T, steps, positions)
+        def rk4(fn, q, x0, T, steps, positions=None, t0=0.0):
+            if T <= 1.0:  # one period or one stage of it: a table
+                widths.append((np.shape(x0)[-1], steps))
+            return _rk4(fn, q, x0, T, steps, positions, t0)
 
         monkeypatch.setattr(homog1d, "_rk4", rk4)
         g = builtin_medium("pinning")
-        for T, nodes, tables in ((14.0, 0, []), (20.0, 0, [29]), (50.0, 0, [29, 16]),
+        for T, nodes, tables in ((14.0, 0, []), (20.0, 0, [29]),
+                                 (50.0, 0, [29, 16, (32, 50), (32, 50)]),
                                  (200.0, 256, [29, 16, 32, 64, 128])):
+            tables = [w if isinstance(w, tuple) else (w, 100) for w in tables]
             widths.clear()
             est = effective_velocity(g, 0.75, T=T)
             assert (est.nodes, widths) == (nodes, tables), T
@@ -739,11 +752,13 @@ class TestTimeOneMap:
 
     def test_unresolved_rows_take_the_direct_orbit(self):
         # the locked wave G = 1.02 + sin(2 pi y), c = 1: the front waits where
-        # q G ~ 1, and no table within the budget resolves its time-1 map
+        # q G ~ 1; four stages of 64 nodes resolve the time-1 map at q = 1,
+        # and no table within the budget resolves it at q = 1.25 and 1.5,
+        # which run the direct orbit, bit for bit
         g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
         curve = velocity_curve(g, 1.0, 1.5, 3, T=100.0, dt=0.05)
-        assert curve.nodes.tolist() == [0, 0, 0]
-        _assert_map_matches(curve, *_direct(g, curve.q, 100.0, 20), 0.0)
+        assert curve.nodes.tolist() == [64, 0, 0] and curve.stages.tolist() == [4, 0, 0]
+        _assert_map_matches(curve, *_direct(g, curve.q, 100.0, 20), 1e-8)
         assert np.all(np.abs(curve.r_hat - 1.0) <= 1.0 / 100.0)
         assert traveling_wave_oracle(g, 1, 1.2) == 1.0
 
@@ -755,26 +770,88 @@ class TestTimeOneMap:
         assert curve.nodes.tolist() == [
             effective_velocity(g, float(q), T=50.0, dt=0.02).nodes for q in curve.q]
         assert curve.nodes.tolist() == [64, 0, 16, 64]
+        assert curve.stages.tolist() == [1, 0, 1, 1] and est.stages == 1
+        assert curve.stages.tolist() == [
+            effective_velocity(g, float(q), T=50.0, dt=0.02).stages for q in curve.q]
 
     def test_tabled_rows_match_effective_velocity(self):
-        # the bit equality of test_matches_effective_velocity, on tables
-        for name in ("pinning", "antipinning", "two_wave", "static_sin"):
+        # the bit equality of test_matches_effective_velocity, on tables; at
+        # T = 150 every two_wave q on [0.45, 1] has a table of 1 to 8 stages
+        for name, q_min, q_max, T in (("pinning", 0.25, 2.0, 60.0),
+                                      ("antipinning", 0.25, 2.0, 60.0),
+                                      ("two_wave", 0.25, 2.0, 60.0),
+                                      ("static_sin", 0.25, 2.0, 60.0),
+                                      ("two_wave", 0.45, 1.0, 150.0)):
             g = builtin_medium(name)
-            curve = velocity_curve(g, 0.25, 2.0, 12, T=60.0)
+            curve = velocity_curve(g, q_min, q_max, 12, T=T)
             assert np.any(curve.nodes > 0), name
-            for q, r, refined in zip(curve.q, curve.r_hat, curve.refined):
-                est = effective_velocity(g, q=float(q), T=60.0, dt=0.02)
-                assert (r, refined) == (est.r_hat, est.refined), (name, q)
+            for q, r, refined, nodes, stages in zip(curve.q, curve.r_hat, curve.refined,
+                                                    curve.nodes, curve.stages):
+                est = effective_velocity(g, q=float(q), T=T, dt=0.02)
+                assert (r, refined, nodes, stages) == (
+                    est.r_hat, est.refined, est.nodes, est.stages), (name, q)
+        assert set(curve.stages.tolist()) == {1, 2, 4, 8}
 
     def test_bad_increment_raises(self):
         x = np.zeros(1)
         for mean, message in ((-0.1, "failed to advance"), (0.0, "failed to advance"),
                               (math.nan, "non-finite"), (math.inf, "non-finite")):
-            c = np.array([[mean], [0.0]], dtype=complex)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NumericalError, match=message):
-                    homog1d._iterate(c, x, 3)
+            bad = np.array([[mean], [0.0]], dtype=complex)
+            good = np.array([[0.1], [0.0]], dtype=complex)
+            for c in (bad[None], np.stack([good, bad])):  # one stage; the second of two
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NumericalError, match=message):
+                        homog1d._iterate(c, x, 3)
+
+    @pytest.mark.parametrize("q_min, q_max, samples", [(0.45, 2.0, 400), (0.5, 1.5, 50)])
+    def test_bench_two_wave_curves_take_no_direct_orbit(self, q_min, q_max, samples):
+        # the benchmark's two_wave grids, where 142 and 25 q had no single-
+        # stage table within the budget; split tables resolve every q.
+        # Measured: r_hat within 5.9e-9 of the direct orbit, refined within
+        # 1.03e-8; refined = 2 r_hat - r_half weighs the shifts of the two
+        # averages by 2 and 1, so its bound is three times the map error
+        curve = _bench_curve("two_wave", q_min, q_max, samples)
+        assert np.all(curve.nodes > 0) and np.all(curve.stages > 0)
+        assert np.any(curve.stages > 1)
+        r_hat, refined = _direct(builtin_medium("two_wave"), curve.q, 200.0, 50)
+        assert np.abs(curve.r_hat - r_hat).max() <= 1e-8
+        assert np.abs(curve.refined - refined).max() <= 3e-8
+
+    @pytest.mark.parametrize("name, q_min, q_max, samples, unsplit, digests", [
+        ("two_wave", 0.45, 2.0, 400, 258,
+         ("0147e9cf5c311e167a6207cf6d0d986701a9170b83a8ed7db6144475632a3298",
+          "f041497ba0f9c83d03c3f7c8f95414b867a4d512b441ac466fd0cd9ae9fc936c",
+          "3f3c60f7b7bb6c37c1018e84dc4c44795d02352e86de9285f5ca27e3e2bfdd5a")),
+        ("two_wave", 0.5, 1.5, 50, 25,
+         ("9bcc820ac7e0790c13317173d03c450fb89805c16c25a68a9731ef58848bda68",
+          "606e7e5e3d0487b3513f05095b76e621ff05d339efdbc835270aeaef256c5dae",
+          "aa808aadc198aebccb1916fe8bc0a56f6bc5ce90cf7ae1e6a3de943229f550b3")),
+        ("pinning", 0.45, 2.0, 400, 400,
+         ("dfe1fa5d0bae8b2ea3f22229076028784d90a909c1544e4e4fffc65aaace38e1",
+          "291a63a2bf13752988b3d5e0bfa29a83de3069c3f19f5d6eb9be898aeab139a3",
+          "c5b12c1dcb8e19e2b80126854325053ca0feef1a900286378629f4fa4616cd1f"))])
+    def test_unsplit_rows_keep_their_bits(self, name, q_min, q_max, samples, unsplit,
+                                          digests):
+        # r_hat, refined and nodes of the single-stage rows, frozen from when
+        # every table had one stage and the other q ran the direct orbit
+        curve = _bench_curve(name, q_min, q_max, samples)
+        one = curve.stages == 1
+        assert one.sum() == unsplit
+        assert tuple(_sha256(a[one]) for a in (curve.r_hat, curve.refined, curve.nodes)) == digests
+
+    def test_stages_compose_in_order(self):
+        # two_wave at q = 0.6 splits into stages; composed in order they meet
+        # the witness check against the whole period, in reverse they miss it
+        g, n = builtin_medium("two_wave"), 50
+        nodes, stages, parts = homog1d._tables(g._fn, np.array([0.6]), n, 200.0)
+        assert stages[0] > 1
+        ((rows, c),) = parts
+        w = homog1d._WITNESSES
+        exact = _rk4(g._fn, np.full((1, 1), 0.6), w, 1.0, n)[1][0]
+        cols = np.zeros((c.shape[0], c.shape[1], w.size), dtype=complex) + c
+        assert np.abs(homog1d._iterate(cols, w, 1) - exact).max() <= 1e-8
+        assert np.abs(homog1d._iterate(cols[::-1], w, 1) - exact).max() > 1e-3
 
     @settings(max_examples=60, deadline=None)
     @given(src=_expr_strings())

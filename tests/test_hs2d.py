@@ -873,6 +873,34 @@ class TestFastPoisson:
         assert hist.total_steps == 66
         assert int(hist.iterations.sum()) == 441
 
+    def test_curved_step_from_a_guess_skips_the_flat_solve(self, monkeypatch):
+        # with a guess, a curved front goes straight to GMRES, so the fast
+        # solver runs only as its preconditioner: once per iteration and once
+        # per cycle. Without a guess, and on a flat front, it is tried first
+        calls = []
+        fast = hs2d._fast_poisson
+
+        def counted(domain, beta):
+            solve = fast(domain, beta)
+            return lambda r: calls.append(1) or solve(r)
+
+        monkeypatch.setattr(hs2d, "_fast_poisson", counted)
+        dom = SOLVER_GRIDS[0]
+        for slope, guess_slope, tried_first in ((0.3, None, 1), (0.3, 0.29, 0),
+                                                (0.0, 0.0, 1)):
+            guess = (None if guess_slope is None
+                     else solve_pressure(dom, sine_front(dom, guess_slope), 1.0, 0.0)[0])
+            calls.clear()
+            h = sine_front(dom, slope)
+            _u, _grad, iterations, _res = _solve_pressure(
+                dom, h, *_front_derivatives(h, dom.dy), 1.0, 0.0, guess)
+            if slope == 0.0:
+                assert (iterations, len(calls)) == (1, 1)
+            else:
+                assert iterations > 0
+                cycles = math.ceil(iterations / hs2d._GMRES_RESTART)
+                assert len(calls) == tried_first + iterations + cycles
+
 
 # u = psi0 - a x + b sinh(k x) cos(k y), k = 2 pi / Ly, is harmonic, equals
 # psi0 at the inlet and vanishes on the curved front x = h(y) (max slope 0.195)
