@@ -527,6 +527,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except MemoryError as exc:  # a size past the memory, e.g. --samples or T/dt
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return 1
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0

@@ -47,9 +47,6 @@ class PlanarWave:
     def nu(self) -> np.ndarray:
         return -self.q / self.norm_q
 
-    def as_field(self) -> "PlanarWave":
-        return self
-
     def _phase(self, x, t):
         return (self.norm_q * self.r * np.asarray(t, dtype=float)
                 + np.asarray(x, dtype=float) @ self.q + self.eta * self.norm_q)

@@ -95,7 +95,6 @@ class VelocityEstimate:
     r_hat: float
     T: float
     error_bound: float
-    refined: float
     nodes: int
     stages: int
 
@@ -108,7 +107,6 @@ class VelocityCurve:
 
     q: np.ndarray
     r_hat: np.ndarray
-    refined: np.ndarray
     T: float
     error_bound: float
     nodes: np.ndarray
@@ -120,14 +118,13 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None,
     """RK4 for x' = q * g(x, t) over `steps` steps of T/steps from time t0;
     q, x0 floats or arrays.
 
-    Returns the positions after steps//2 and after all steps, and stores
-    step k in positions[k] when given (a q-array never stores its path).
+    Returns the final position, and stores step k in positions[k] when
+    given (a q-array never stores its path).
     Raises NumericalError when a position is not finite or fails to increase.
     """
     h = T / steps
     half = 0.5 * h
-    mid = steps // 2
-    x = x_half = x0
+    x = x0
     increasing = True
     for k in range(steps):
         t = t0 + k * h
@@ -140,13 +137,11 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None,
         x = x_next
         if positions is not None:
             positions[k + 1] = x
-        if k + 1 == mid:
-            x_half = x
     if not np.all(np.isfinite(x)):
         raise NumericalError("medium evaluation produced a non-finite front position")
     if not np.all(increasing):
         raise NumericalError("front positions failed to increase; reduce dt")
-    return x_half, x
+    return x
 
 
 def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
@@ -166,24 +161,24 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
                        x0: float = 0.0, dt: float = 0.01) -> VelocityEstimate:
     """Estimate r(q) by (x(T) - x0)/T; the period squeeze gives error 1/T.
 
-    Also reports a Richardson-style extrapolation from the T and T/2 averages.
     This is velocity_curve's kernel on a one-element q-array, so the two agree
-    to the bit on the builtins.
+    to the bit on the builtins. Where no table resolves the map, r_hat is
+    integrate_front's final position, minus x0, over T.
     """
     p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
-    r_hat, refined, nodes, stages = _averages(medium, np.array([float(p.q)]), float(x0), T, dt)
+    r_hat, nodes, stages = _averages(medium, np.array([float(p.q)]), float(x0), T, dt)
     return VelocityEstimate(q=q, r_hat=float(r_hat[0]), T=T, error_bound=1.0 / T,
-                            refined=float(refined[0]), nodes=int(nodes[0]),
-                            stages=int(stages[0]))
+                            nodes=int(nodes[0]), stages=int(stages[0]))
 
 
 _FIRST_NODES = 16  # the first table; each later one doubles it
 # A table is trusted when its interpolants reproduce D_q to _TOL at
 # _WITNESSES: 13 points frac(k*phi), phi the golden ratio, spread over [0, 1)
 # and off every lattice j/N, so no node spacing aliases onto them (a medium
-# of x-period 1/N reads the same at every node). A map moved by at most delta
-# moves the rotation number by at most delta, so r_hat moves by ~_TOL, far
-# inside the 1/T error bar.
+# of x-period 1/N reads the same at every node). They bound the map's error
+# there only: two_wave's table of 2 stages of 256 nodes at q = 0.83847
+# (T = 200) is 1.9e-9 off at them and 2.98e-8 on 1000 points of [0, 1). A map
+# moved by delta moves the rotation number, and so r_hat, by at most delta.
 _TOL = 1e-8
 _WITNESSES = np.arange(1.0, 14.0) * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
 # A table costs one period of _rk4 per node and per witness, and a split one
@@ -202,18 +197,16 @@ _CELLS = 8192  # table entries per _rk4 call: a block's working set stays under 
 
 
 def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
-    """(x(T) - x0)/T at eps = 1, its extrapolation from the T/2 average, and
-    the node and stage counts of each q's table (0: the direct orbit), for a
-    q-array.
+    """(x(T) - x0)/T at eps = 1 and the node and stage counts of each q's
+    table (0: the direct orbit), for a q-array.
 
     A tabled q takes steps of 1/n, n = round(1/dt) (dt <= 1, so n >= 1), and
     n steps make one period of g: its orbit is the time-1 map Phi_q applied
-    floor(T) times (floor(T/2) to reach T/2), each application the
-    composition of its table's stage maps. The fractional periods
-    T - floor(T) and T/2 - floor(T/2) are integrated directly from t = 0 (g
-    is 1-periodic in t) in round(f*n) steps, at least one. The other q run
-    the direct orbit: an even step count near T/dt, on the float kernel for
-    a single q as integrate_front does.
+    floor(T) times, each application the composition of its table's stage
+    maps. The fractional period f = T - floor(T) is integrated directly from
+    t = 0 (g is 1-periodic in t) in round(f*n) steps, at least one. The
+    other q run integrate_front's orbit, round(T/dt) steps, on the float
+    kernel for a single q.
     """
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
@@ -222,8 +215,7 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
         raise ValidationError(f"dt must be <= 1, the period of g, got {dt}")
     require_steps(T, dt)  # so 1/dt too, as T >= 10
     fn, n = medium._fn, round(1.0 / dt)
-    K_half, K = math.floor(T / 2.0), math.floor(T)
-    x_mid, x_end = np.full(q.shape, float(x0)), np.empty(q.shape)
+    x = np.full(q.shape, float(x0))
     nodes, stages = np.zeros(q.shape, dtype=int), np.zeros(q.shape, dtype=int)
     found: dict = {}  # (stages, modes): the (rows, coefficients) of that shape
     for start in range(0, q.size, _BLOCK):
@@ -234,26 +226,15 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     while found:  # the columns of c are independent, bit for bit
         rows, c = zip(*found.popitem()[1])  # popped, so each part is freed once joined
         rows, c = np.concatenate(rows), np.concatenate(c, axis=2)
-        x_mid[rows] = _iterate(c, x_mid[rows], K_half)
-        x_end[rows] = _iterate(c, x_mid[rows], K - K_half)
-
-    tabled = nodes > 0
-
-    def fraction(x, f):
-        return x if f == 0 or not x.size else _rk4(fn, q[tabled], x, f, max(1, round(f * n)))[1]
-
-    x_end[tabled] = fraction(x_end[tabled], T - K)
-    x_mid[tabled] = fraction(x_mid[tabled], T / 2.0 - K_half)
-    direct = ~tabled
-    if direct.any():
-        steps = round(T / dt)
-        steps += steps % 2  # puts T/2 on a step
-        if q.size == 1:
-            x_mid[0], x_end[0] = _rk4(medium._float_fn, float(q[0]), float(x0), float(T), steps)
-        else:
-            x_mid[direct], x_end[direct] = _rk4(fn, q[direct], x_mid[direct], float(T), steps)
-    r_hat = (x_end - x0) / T
-    return r_hat, 2.0 * r_hat - (x_mid - x0) / (T / 2.0), nodes, stages
+        x[rows] = _iterate(c, x[rows], math.floor(T))
+    direct, f = nodes == 0, T - math.floor(T)
+    if f and not direct.all():
+        x[~direct] = _rk4(fn, q[~direct], x[~direct], f, max(1, round(f * n)))
+    if direct.any() and q.size == 1:
+        x[0] = _rk4(medium._float_fn, float(q[0]), x0, float(T), round(T / dt))
+    elif direct.any():
+        x[direct] = _rk4(fn, q[direct], x[direct], float(T), round(T / dt))
+    return (x - x0) / T, nodes, stages
 
 
 def _tables(fn, q: np.ndarray, n: int, T: float):
@@ -282,7 +263,7 @@ def _tables(fn, q: np.ndarray, n: int, T: float):
 
     def increments(rows, x, b, b1):  # stage maps from step b to b1, minus x
         per = max(1, _CELLS // x.size)  # table rows per _rk4 call
-        return np.concatenate([_rk4(fn, q[r, None], x, (b1 - b) / n, b1 - b, t0=b / n)[1] - x
+        return np.concatenate([_rk4(fn, q[r, None], x, (b1 - b) / n, b1 - b, t0=b / n) - x
                                for r in np.split(rows, range(per, rows.size, per))])
 
     def stage_tables(rows, bounds, x):  # (stage, row, point)
@@ -623,6 +604,6 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     require_integer(2, samples=samples)
 
     qs = np.linspace(q_min, q_max, samples)
-    r_hat, refined, nodes, stages = _averages(medium, qs, float(x0), T, dt)
-    return VelocityCurve(q=qs, r_hat=r_hat, refined=refined,
-                         T=T, error_bound=1.0 / T, nodes=nodes, stages=stages)
+    r_hat, nodes, stages = _averages(medium, qs, float(x0), T, dt)
+    return VelocityCurve(q=qs, r_hat=r_hat, T=T, error_bound=1.0 / T, nodes=nodes,
+                         stages=stages)

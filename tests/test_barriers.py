@@ -670,7 +670,7 @@ class TestCheckSuperbarrier:
         P = PlanarWave(q=[0.0, -1.0], r=3.0)
         g = parse_medium("1", dim=2)
         samples = [(np.array([0.3, -1.0]), 0.0), (np.array([-0.2, -2.0]), 0.0)]
-        rep = check_superbarrier(P.as_field(), g, samples, c=0.01)
+        rep = check_superbarrier(P, g, samples, c=0.01)
         assert not rep.passed
         assert rep.interior_count == 2
 

@@ -343,6 +343,17 @@ class TestRqCurve:
         assert err.startswith("error: medium is not 1-periodic")
         assert not csv_path.exists()
 
+    def test_out_of_memory_exits_one(self, tmp_path):
+        # 1e14 samples need 728 TiB, past the 47-bit address space, so the
+        # allocation is refused at once
+        csv_path = tmp_path / "curve.csv"
+        code, out, err = run_cli(
+            ["rq", "curve", "--medium", "builtin:pinning", "--qmin", "0.5", "--qmax", "1",
+             "--samples", "100000000000000", "--T", "10", "--out", str(csv_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not csv_path.exists()
+
 
 class TestRqObstacle:
     def test_super_side_traces_detachment(self, tmp_path):
@@ -378,6 +389,16 @@ class TestRqObstacle:
                  "--out", str(csv_path)])
         assert code == 1
         assert err == "error: medium evaluates to a non-finite value\n"
+        assert not csv_path.exists()
+
+    def test_out_of_memory_exits_one(self, tmp_path):
+        # T/dt = 1e15 steps need 7.11 PiB of positions, refused at once
+        csv_path = tmp_path / "obstacle.csv"
+        code, out, err = run_cli(
+            ["rq", "obstacle", "--medium", "builtin:pinning", "--q", "1", "--r", "1",
+             "--eps", "0.001", "--side", "sub", "--T", "50000000000", "--out", str(csv_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not csv_path.exists()
 
     def test_invalid_side_rejected(self):

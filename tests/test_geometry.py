@@ -70,16 +70,11 @@ class TestPlanarWave:
 
     def test_gradient_magnitude(self):
         P = PlanarWave(q=[3.0, -4.0], r=1.0)
-        f = P.as_field()
         x_wet = -10.0 * P.nu
-        g = f.grad(x_wet, 0.0)
+        g = P.grad(x_wet, 0.0)
         assert np.linalg.norm(g) == pytest.approx(5.0)
-        assert f.dt(x_wet, 0.0) == pytest.approx(5.0 * 1.0)
-        assert f.laplacian(x_wet, 0.0) == pytest.approx(0.0)
-
-    def test_is_its_own_field(self):
-        P = PlanarWave(q=[3.0, -4.0], r=1.0)
-        assert P.as_field() is P
+        assert P.dt(x_wet, 0.0) == pytest.approx(5.0 * 1.0)
+        assert P.laplacian(x_wet, 0.0) == pytest.approx(0.0)
 
     def test_batch_eval(self):
         P = PlanarWave(q=[0.0, -1.0], r=1.0)
@@ -583,7 +578,6 @@ class TestFrozenWaveBits:
     def test_planar_values(self):
         g = _reference()
         P = PlanarWave(q=g.q, r=g.r, eta=0.25)
-        f = P.as_field()
-        assert _sha256(planar_eval(P, _PTS, _TS), f.dt(_PTS, _TS), f.grad(_PTS, _TS),
-                       planar_eval(P, _PTS[5], 0.3), f.grad(_PTS[5], 0.3)) == (
+        assert _sha256(planar_eval(P, _PTS, _TS), P.dt(_PTS, _TS), P.grad(_PTS, _TS),
+                       planar_eval(P, _PTS[5], 0.3), P.grad(_PTS[5], 0.3)) == (
             "81f947392e6d09beb2be2a1dd8b88295a96f10fb6cefe15de62ba57b8b4486f8")

@@ -158,9 +158,6 @@ class TestEffectiveVelocity:
         g = builtin_medium("static_sin")
         est = effective_velocity(g, q=1.0)
         assert est.r_hat == pytest.approx(math.sqrt(2.0), abs=5e-3)
-        # the error term oscillates with the landing phase, so extrapolation
-        # is not guaranteed to improve it -- only to stay within the bound
-        assert est.refined == pytest.approx(math.sqrt(2.0), abs=5e-3)
 
     def test_bounds_invariant(self):
         g = builtin_medium("two_wave")
@@ -187,7 +184,6 @@ class TestEffectiveVelocity:
     def test_constant_medium_exact(self):
         est = effective_velocity(parse_medium("1.5", 1), q=2.0, T=10.0)
         assert est.r_hat == pytest.approx(3.0, abs=1e-12)
-        assert est.refined == pytest.approx(3.0, abs=1e-12)
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValidationError):
@@ -452,9 +448,9 @@ class TestVelocityCurve:
         for name in ("pinning", "antipinning", "two_wave", "static_sin"):
             g = builtin_medium(name)
             curve = velocity_curve(g, 0.25, 2.0, 12, T=20.0, dt=0.02)
-            for q, r, refined in zip(curve.q, curve.r_hat, curve.refined):
+            for q, r in zip(curve.q, curve.r_hat):
                 est = effective_velocity(g, q=float(q), T=20.0, dt=0.02)
-                assert (r, refined) == (est.r_hat, est.refined), (name, q)
+                assert r == est.r_hat, (name, q)
 
     def test_validation(self):
         g = builtin_medium("pinning")
@@ -590,10 +586,9 @@ class TestTravelingWaveOracle:
 
 
 def _direct(g, q, T, n):
-    """r_hat and refined of the direct RK4 orbit: T*n steps of 1/n from 0."""
-    x_half, x = _rk4(g._fn, np.asarray(q, dtype=float), np.zeros(np.shape(q)), float(T),
-                     round(T * n))
-    return x / T, 2.0 * x / T - x_half / (T / 2.0)
+    """r_hat of the direct RK4 orbit: T*n steps of 1/n from 0."""
+    return _rk4(g._fn, np.asarray(q, dtype=float), np.zeros(np.shape(q)), float(T),
+                round(T * n)) / T
 
 
 def _periodic(src):
@@ -608,13 +603,11 @@ def _bench_curve(name, q_min, q_max, samples):
     return velocity_curve(builtin_medium(name), q_min, q_max, samples, T=200.0)
 
 
-def _assert_map_matches(curve, r_hat, refined, bound):
+def _assert_map_matches(curve, r_hat, bound):
     """Tabled rows within bound of the direct orbit, the others equal to it."""
     tabled = curve.nodes > 0
     assert np.abs(curve.r_hat - r_hat)[tabled].max(initial=0.0) <= bound
-    assert np.abs(curve.refined - refined)[tabled].max(initial=0.0) <= bound
     assert np.array_equal(curve.r_hat[~tabled], r_hat[~tabled])
-    assert np.array_equal(curve.refined[~tabled], refined[~tabled])
 
 
 class TestTimeOneMap:
@@ -627,8 +620,8 @@ class TestTimeOneMap:
         ("two_wave", 0.05, 2.0, 200.0, {16, 32, 64, 128, 256}),
         ("two_wave", 0.7, 0.9, 600.0, {256, 512, 1024})])
     def test_matches_the_direct_orbit(self, name, q_min, q_max, T, sizes):
-        # measured: at most 3.6e-10 (pinning, refined) and 5.8e-9 (two_wave
-        # on [0.7, 0.9], refined); there, where the front nearly stalls, a
+        # measured: at most 2.9e-10 (pinning) and 2.9e-9 (two_wave on
+        # [0.7, 0.9]); there, where the front nearly stalls, a
         # single-stage table needs 1024 nodes, which T = 600 affords: 6 of its
         # 40 q get them, and the other 34, whose errors fall too slowly to
         # reach 1e-8 in time, split into two stages of 256 or 512 nodes
@@ -636,7 +629,7 @@ class TestTimeOneMap:
         curve = velocity_curve(g, q_min, q_max, 40, T=T)
         assert set(curve.nodes.tolist()) == sizes
         assert np.all(curve.stages > 0)
-        _assert_map_matches(curve, *_direct(g, curve.q, T, 50), 1e-8)
+        _assert_map_matches(curve, _direct(g, curve.q, T, 50), 1e-8)
 
     @pytest.mark.parametrize("name, c", [("pinning", 1), ("antipinning", -1)])
     def test_closed_forms_at_T_200_and_400_q(self, name, c):
@@ -659,7 +652,7 @@ class TestTimeOneMap:
         oracle = np.array([traveling_wave_oracle(g, c, float(q)) for q in curve.q])
         assert np.abs(curve.r_hat - oracle).max() <= 1.0 / 200.0
         assert not np.any(curve.nodes == 16)
-        _assert_map_matches(curve, *_direct(g, curve.q, 200.0, 50), 1e-8)
+        _assert_map_matches(curve, _direct(g, curve.q, 200.0, 50), 1e-8)
 
     def test_witnesses_are_off_every_lattice(self):
         # the golden-ratio points: spread over [0, 1), none on a grid j/2^k
@@ -715,17 +708,22 @@ class TestTimeOneMap:
 
     def test_dt_rounds_to_a_period_fraction(self):
         # a tabled q steps 1/round(1/dt): dt = 0.03 steps 1/33, the same as
-        # dt = 1/33; the direct orbit keeps an even step count near T/dt
+        # dt = 1/33
         g = builtin_medium("static_sin")
         a = effective_velocity(g, 0.8, T=50.0, dt=0.03)
         b = effective_velocity(g, 0.8, T=50.0, dt=1.0 / 33.0)
-        assert a.nodes == 16 and (a.r_hat, a.refined, a.nodes) == (b.r_hat, b.refined, b.nodes)
+        assert a.nodes == 16 and (a.r_hat, a.nodes) == (b.r_hat, b.nodes)
         curve = velocity_curve(g, 0.5, 1.5, 5, T=50.0, dt=0.03)
         assert np.all(curve.nodes > 0)
-        _assert_map_matches(curve, *_direct(g, curve.q, 50.0, 33), 1e-8)
-        est = effective_velocity(builtin_medium("pinning"), 0.8, T=20.0, dt=0.03)
-        x_half, x = _rk4(builtin_medium("pinning")._float_fn, 0.8, 0.0, 20.0, 668)
-        assert est.nodes == 0 and (est.r_hat, est.refined) == (x / 20.0, 2.0 * x / 20.0 - x_half / 10.0)
+        _assert_map_matches(curve, _direct(g, curve.q, 50.0, 33), 1e-8)
+        # no table by T = 20: r_hat is integrate_front's final position over
+        # T, also for an odd step count round(T/dt) = 667
+        g = builtin_medium("pinning")
+        for q in (0.75, 0.8):
+            est = effective_velocity(g, q, T=20.0, dt=0.03)
+            trace = integrate_front(FrontProblem(g, q=q), T=20.0, dt=0.03)
+            assert est.nodes == 0 and trace.positions.size == 668
+            assert est.r_hat == trace.positions[-1] / 20.0
 
     def test_dt_above_one_period_is_refused(self):
         g = builtin_medium("static_sin")
@@ -737,18 +735,13 @@ class TestTimeOneMap:
 
     def test_fractional_periods_are_integrated_directly(self):
         # T = 60.6: 60 map periods, then 0.6 of a period in round(0.6*50) = 30
-        # steps from t = 0; T/2 = 30.3: 30 periods and 15 steps
+        # steps from t = 0
         g = builtin_medium("static_sin")
         curve = velocity_curve(g, 0.6, 1.7, 3, T=60.6)
         assert np.all(curve.nodes == 32)
         fn, q = g._fn, curve.q
-        x_mid = _rk4(fn, q, np.zeros(3), 30.0, 1500)[1]
-        x_end = _rk4(fn, q, x_mid, 30.0, 1500)[1]
-        x_half = _rk4(fn, q, x_mid, 0.3, 15)[1]
-        x_end = _rk4(fn, q, x_end, 0.6, 30)[1]
-        r_hat = x_end / 60.6
-        assert np.abs(curve.r_hat - r_hat).max() <= 1e-8
-        assert np.abs(curve.refined - (2.0 * r_hat - x_half / 30.3)).max() <= 1e-8
+        x_end = _rk4(fn, q, _rk4(fn, q, np.zeros(3), 60.0, 3000), 0.6, 30)
+        assert np.abs(curve.r_hat - x_end / 60.6).max() <= 1e-8
 
     def test_unresolved_rows_take_the_direct_orbit(self):
         # the locked wave G = 1.02 + sin(2 pi y), c = 1: the front waits where
@@ -758,7 +751,7 @@ class TestTimeOneMap:
         g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
         curve = velocity_curve(g, 1.0, 1.5, 3, T=100.0, dt=0.05)
         assert curve.nodes.tolist() == [64, 0, 0] and curve.stages.tolist() == [4, 0, 0]
-        _assert_map_matches(curve, *_direct(g, curve.q, 100.0, 20), 1e-8)
+        _assert_map_matches(curve, _direct(g, curve.q, 100.0, 20), 1e-8)
         assert np.all(np.abs(curve.r_hat - 1.0) <= 1.0 / 100.0)
         assert traveling_wave_oracle(g, 1, 1.2) == 1.0
 
@@ -785,11 +778,9 @@ class TestTimeOneMap:
             g = builtin_medium(name)
             curve = velocity_curve(g, q_min, q_max, 12, T=T)
             assert np.any(curve.nodes > 0), name
-            for q, r, refined, nodes, stages in zip(curve.q, curve.r_hat, curve.refined,
-                                                    curve.nodes, curve.stages):
+            for q, r, nodes, stages in zip(curve.q, curve.r_hat, curve.nodes, curve.stages):
                 est = effective_velocity(g, q=float(q), T=T, dt=0.02)
-                assert (r, refined, nodes, stages) == (
-                    est.r_hat, est.refined, est.nodes, est.stages), (name, q)
+                assert (r, nodes, stages) == (est.r_hat, est.nodes, est.stages), (name, q)
         assert set(curve.stages.tolist()) == {1, 2, 4, 8}
 
     def test_bad_increment_raises(self):
@@ -808,37 +799,31 @@ class TestTimeOneMap:
     def test_bench_two_wave_curves_take_no_direct_orbit(self, q_min, q_max, samples):
         # the benchmark's two_wave grids, where 142 and 25 q had no single-
         # stage table within the budget; split tables resolve every q.
-        # Measured: r_hat within 5.9e-9 of the direct orbit, refined within
-        # 1.03e-8; refined = 2 r_hat - r_half weighs the shifts of the two
-        # averages by 2 and 1, so its bound is three times the map error
+        # Measured: r_hat within 5.9e-9 of the direct orbit
         curve = _bench_curve("two_wave", q_min, q_max, samples)
         assert np.all(curve.nodes > 0) and np.all(curve.stages > 0)
         assert np.any(curve.stages > 1)
-        r_hat, refined = _direct(builtin_medium("two_wave"), curve.q, 200.0, 50)
+        r_hat = _direct(builtin_medium("two_wave"), curve.q, 200.0, 50)
         assert np.abs(curve.r_hat - r_hat).max() <= 1e-8
-        assert np.abs(curve.refined - refined).max() <= 3e-8
 
     @pytest.mark.parametrize("name, q_min, q_max, samples, unsplit, digests", [
         ("two_wave", 0.45, 2.0, 400, 258,
          ("0147e9cf5c311e167a6207cf6d0d986701a9170b83a8ed7db6144475632a3298",
-          "f041497ba0f9c83d03c3f7c8f95414b867a4d512b441ac466fd0cd9ae9fc936c",
           "3f3c60f7b7bb6c37c1018e84dc4c44795d02352e86de9285f5ca27e3e2bfdd5a")),
         ("two_wave", 0.5, 1.5, 50, 25,
          ("9bcc820ac7e0790c13317173d03c450fb89805c16c25a68a9731ef58848bda68",
-          "606e7e5e3d0487b3513f05095b76e621ff05d339efdbc835270aeaef256c5dae",
           "aa808aadc198aebccb1916fe8bc0a56f6bc5ce90cf7ae1e6a3de943229f550b3")),
         ("pinning", 0.45, 2.0, 400, 400,
          ("dfe1fa5d0bae8b2ea3f22229076028784d90a909c1544e4e4fffc65aaace38e1",
-          "291a63a2bf13752988b3d5e0bfa29a83de3069c3f19f5d6eb9be898aeab139a3",
           "c5b12c1dcb8e19e2b80126854325053ca0feef1a900286378629f4fa4616cd1f"))])
     def test_unsplit_rows_keep_their_bits(self, name, q_min, q_max, samples, unsplit,
                                           digests):
-        # r_hat, refined and nodes of the single-stage rows, frozen from when
-        # every table had one stage and the other q ran the direct orbit
+        # r_hat and nodes of the single-stage rows, frozen from when every
+        # table had one stage and the other q ran the direct orbit
         curve = _bench_curve(name, q_min, q_max, samples)
         one = curve.stages == 1
         assert one.sum() == unsplit
-        assert tuple(_sha256(a[one]) for a in (curve.r_hat, curve.refined, curve.nodes)) == digests
+        assert tuple(_sha256(a[one]) for a in (curve.r_hat, curve.nodes)) == digests
 
     def test_stages_compose_in_order(self):
         # two_wave at q = 0.6 splits into stages; composed in order they meet
@@ -848,10 +833,24 @@ class TestTimeOneMap:
         assert stages[0] > 1
         ((rows, c),) = parts
         w = homog1d._WITNESSES
-        exact = _rk4(g._fn, np.full((1, 1), 0.6), w, 1.0, n)[1][0]
+        exact = _rk4(g._fn, np.full((1, 1), 0.6), w, 1.0, n)[0]
         cols = np.zeros((c.shape[0], c.shape[1], w.size), dtype=complex) + c
         assert np.abs(homog1d._iterate(cols, w, 1) - exact).max() <= 1e-8
         assert np.abs(homog1d._iterate(cols[::-1], w, 1) - exact).max() > 1e-3
+
+    def test_split_map_between_the_witnesses(self):
+        # the witnesses bound a table's error at 13 points only; two_wave at
+        # q = 0.83847 (the benchmark's 400-q grid on [0.45, 2], T = 200)
+        # splits into 2 stages of 256 nodes. Measured: 1.9e-9 from the
+        # full-period RK4 map at the witnesses, 2.98e-8 on 1000 points
+        g, n = builtin_medium("two_wave"), 50
+        q = np.linspace(0.45, 2.0, 400)[100:101]
+        nodes, stages, ((rows, c),) = homog1d._tables(g._fn, q, n, 200.0)
+        assert (nodes[0], stages[0]) == (256, 2)
+        x = np.arange(1000) / 1000.0
+        exact = _rk4(g._fn, q[:, None], x, 1.0, n)[0]
+        cols = np.zeros(c.shape[:2] + x.shape, dtype=complex) + c
+        assert np.abs(homog1d._iterate(cols, x, 1) - exact).max() <= 1e-7
 
     @settings(max_examples=60, deadline=None)
     @given(src=_expr_strings())
@@ -860,7 +859,7 @@ class TestTimeOneMap:
         # examples: at most 9.7e-10, and 133 of 600 rows took the direct orbit
         g = _periodic(src)
         curve = velocity_curve(g, 0.5, 1.3, 2, T=30.0, dt=0.05)
-        _assert_map_matches(curve, *_direct(g, curve.q, 30.0, 20), 1e-8)
+        _assert_map_matches(curve, _direct(g, curve.q, 30.0, 20), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -893,26 +892,25 @@ class TestFrozenScalarBits:
         assert _sha256(front.trace.positions) == (
             "c7591a53a361cd97cdb0852963bc5e12b5e9da6b42035abdf47b9e54b9c6cc15")
 
-    @pytest.mark.parametrize("name, q, r_hat, refined", [
+    @pytest.mark.parametrize("name, q, r_hat, r_mix", [
         ("pinning", 0.75, 0.9902043361992353, 0.999999999993245),
         ("pinning", 1.5, 1.9999999877114327, 1.999999987711435),
         ("two_wave", 1.0, 0.8425109666130121, 0.8387682736699223),
         ("static_sin", 1.0, 1.411471871119587, 1.4125528390801376),
     ])
-    def test_effective_velocity(self, kind, name, q, r_hat, refined):
+    def test_effective_velocity(self, kind, name, q, r_hat, r_mix):
         # integrate_front runs the direct float-kernel orbit bit for bit:
-        # 2000 steps of 0.01
+        # 2000 steps of 0.01; r_mix = 2 r(20) - r(10) freezes its position
+        # at T/2 too
         p = FrontProblem(builtin_medium(name), q=kind(q), x0=kind(0.0))
         x = integrate_front(p, T=kind(20.0), dt=0.01).positions
         direct = (x[2000] - 0.0) / 20.0
-        assert (direct, 2.0 * direct - (x[1000] - 0.0) / 10.0) == (r_hat, refined)
+        assert (direct, 2.0 * direct - (x[1000] - 0.0) / 10.0) == (r_hat, r_mix)
         # effective_velocity runs that orbit where no table resolves the map
         # (all but pinning at q = 1.5), and otherwise moves r_hat by the
         # table's interpolation error alone
         est = effective_velocity(builtin_medium(name), kind(q), T=kind(20.0))
         assert est.nodes == (16 if (name, q) == ("pinning", 1.5) else 0)
         if est.nodes == 0:
-            assert (est.r_hat, est.refined) == (r_hat, refined)
-        else:
-            assert abs(est.r_hat - r_hat) <= 1e-8 and abs(est.refined - refined) <= 1e-8
-        assert abs(est.r_hat - r_hat) <= 1e-8 and abs(est.refined - refined) <= 1e-8
+            assert est.r_hat == r_hat
+        assert abs(est.r_hat - r_hat) <= 1e-8
