@@ -35,11 +35,13 @@ def _emit(text: str, path) -> None:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns) -> str:
+    """CSV text of equal-length numeric columns, each value written as
+    _fmt writes it: the rows become Python floats first, as %r of an
+    np.float64 would print its type."""
+    rows = np.column_stack(columns).astype(float).tolist()
+    line = ",".join(["%r"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % tuple(row) for row in rows])
 
 
 def _json_text(obj) -> str:
@@ -209,10 +211,10 @@ def _cmd_rq_curve(args) -> int:
     g = load_medium(args.medium, args.dim)
     curve = homog1d.velocity_curve(g, args.qmin, args.qmax, args.samples,
                                    T=args.T, dt=args.dt)
-    rows = [(q, r, curve.error_bound) for q, r in zip(curve.q, curve.r_hat)]
+    columns = (curve.q, curve.r_hat, np.full(len(curve.q), curve.error_bound))
     text = _csv(["q (gradient magnitude; dimensionless)",
                  "r_hat (front speed; length per unit time)",
-                 "err (speed error bound 1/T; length per unit time)"], rows)
+                 "err (speed error bound 1/T; length per unit time)"], columns)
     _emit(text, args.out)
     if args.svg:
         _emit(_svg_curve(curve.q, curve.r_hat, "q", "r_hat"), args.svg)
@@ -224,10 +226,10 @@ def _cmd_rq_obstacle(args) -> int:
     side = homog1d.Side(args.side)
     front, flat = homog1d.obstacle_front(
         g, q=args.q, r=args.r, eps=args.eps, side=side, T=args.T, dt=args.dt)
-    rows = zip(front.trace.times, front.trace.positions, flat.phi)
+    columns = (front.trace.times, front.trace.positions, flat.phi)
     text = _csv(["t (time units)",
                  "front (clipped front position; length units)",
-                 "phi (running max detachment; length units)"], rows)
+                 "phi (running max detachment; length units)"], columns)
     _emit(text, args.out)
     return 0
 
@@ -341,10 +343,11 @@ def _cmd_sim2d_run(args) -> int:
         "u_max": float(history.u_max.max()),
         "front_speed_fit": history.front_speed(0.25 * config.T, config.T),
     }
-    ys = config.domain.y_nodes
-    rows = [(f.t, y, h) for f in history.fronts for y, h in zip(ys, f.heights)]
+    ys, fronts = config.domain.y_nodes, history.fronts
+    columns = (np.repeat(history.times, ys.size), np.tile(ys, len(fronts)),
+               np.concatenate([f.heights for f in fronts]))
     text = _csv(["t (time units)", "y (tangential position; length units)",
-                 "h (front depth; length units)"], rows)
+                 "h (front depth; length units)"], columns)
     _emit(text, args.out)
     _emit(_json_text(summary), args.summary)
     return 0

@@ -1019,3 +1019,28 @@ class TestStepCountOverflow:
         assert (code, out) == (1, "")
         assert err.startswith("error: T/dt must be at most 2**52 steps, got T = ")
         assert err.count("\n") == 1
+
+
+class TestCsvWriter:
+    """cli._csv against the row-by-row writer it replaced."""
+
+    @staticmethod
+    def row_by_row(header, rows):
+        lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_matches_row_by_row_repr_on_awkward_values(self):
+        columns = ([-0.0, 5e-324, 1e300, 0.1 + 0.2, np.float64(1 / 3), 7],
+                   [np.float64(-2.5e-310), 3, -1e-300, np.nextafter(1.0, 2.0), 0.0, -0.0],
+                   np.array([1e16, 2 ** 53 + 1, -7, 1e-5, 123456789.125, math.pi]))
+        header = ["a (unit)", "b", "c"]
+        text = cli._csv(header, columns)
+        assert text == self.row_by_row(header, zip(*columns))
+        assert "np.float64" not in text and "-0.0,-2.5e-310," in text
+
+    def test_no_rows_writes_the_header_alone(self):
+        assert cli._csv(["t", "y"], ([], [])) == "t,y\n"
+
+    def test_unequal_columns_are_refused(self):
+        with pytest.raises(ValueError):
+            cli._csv(["t", "y"], ([1.0, 2.0], [1.0]))

@@ -666,12 +666,20 @@ class TestPressureSolver:
                                     h0=sine_front(dom, 0.5)))
         assert curved.total_steps == 10
         assert len(calls) == 10
-        # the first solve starts from the fast Poisson solve; every later one
-        # from the pressure rows the step before it solved
+        # the first solve starts from the fast Poisson solve, the second from
+        # the pressure rows the first solved, and every later one from the
+        # Lagrange extrapolation to its time of the (up to six) solves before
+        # it; save_every is 1, so times[k] is the time of solve k
         assert np.array_equal(calls[0]["x0"], calls[0]["fast"])
-        for before, after in zip(calls, calls[1:]):
-            assert np.array_equal(after["x0"], before["x"])
-            assert not np.array_equal(after["x0"], after["fast"])
+        assert np.array_equal(calls[1]["x0"], calls[0]["x"])
+        times = curved.times
+        for k in range(2, len(calls)):
+            stamps = times[max(0, k - hs2d._START_GRIDS):k]
+            weights = [np.prod([(times[k] - s) / (r - s) for s in stamps if s != r])
+                       for r in stamps]
+            expected = np.tensordot(weights, [c["x"] for c in calls[k - len(stamps):k]], 1)
+            assert np.allclose(calls[k]["x0"], expected, rtol=1e-14, atol=0)
+            assert not np.array_equal(calls[k]["x0"], calls[k]["fast"])
 
     def test_lone_step_matches_the_first_simulated_step(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16)
@@ -832,6 +840,64 @@ def reference_fast_poisson(domain, beta, r):
     return idst(irfft(r_hat / lam, n=ny, axis=1), type=1, axis=0)
 
 
+class TestExtrapolatedStart:
+    """hs2d._extrapolate, and the GMRES start that simulate forms with it."""
+
+    # uneven solve times; the targets are one tiny last step and one ordinary
+    STAMPS = [0.0, 0.21, 0.33, 0.6, 0.74, 0.9]
+    TARGETS = [0.9 + 1e-9, 1.05]
+
+    @pytest.mark.parametrize("t", TARGETS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_reproduces_polynomials_of_degree_below_the_grid_count(self, n, t):
+        rng = np.random.default_rng(n)
+        stamps = self.STAMPS[-n:]
+        weights = hs2d._extrapolate(stamps, np.eye(n), t)
+        for degree in range(n):
+            coeffs = rng.standard_normal((degree + 1, 3, 4))
+            grids = [np.polynomial.polynomial.polyval(s, coeffs) for s in stamps]
+            exact = np.polynomial.polynomial.polyval(t, coeffs)
+            scale = np.abs(weights).sum() * max(np.abs(g).max() for g in grids)
+            err = np.abs(hs2d._extrapolate(stamps, grids, t) - exact).max()
+            assert err <= 8 * n * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("t", TARGETS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_weights_sum_to_one(self, n, t):
+        weights = hs2d._extrapolate(self.STAMPS[-n:], np.eye(n), t)
+        assert weights.shape == (n,)
+        assert abs(weights.sum() - 1.0) <= 8 * n * np.finfo(float).eps * np.abs(weights).sum()
+
+    def test_one_grid_comes_back_unchanged(self):
+        grid = np.random.default_rng(7).standard_normal((5, 6))
+        assert np.array_equal(hs2d._extrapolate([0.3], [grid], 0.7), grid)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (32, 16)])
+    def test_the_start_is_only_a_start(self, nx, ny, monkeypatch):
+        # every solve started from the fast solve, as without a history,
+        # gives the same run to GMRES's 1e-12 tolerance; the CFL steps follow
+        # the pressure, so the times too agree to rounding only
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=nx, ny=ny)
+        cfg = SimConfig(domain=dom, medium=parse_medium("1 + sin(pi*(y + 0.3))^2/2", dim=2),
+                        eps=0.5, psi0=1.0, T=0.6, h0=sine_front(dom, 0.5))
+        extrapolated = simulate(cfg)
+        advance = hs2d._advance
+        monkeypatch.setattr(hs2d, "_advance",
+                            lambda state, config, dt_cap, guess: advance(state, config, dt_cap))
+        plain = simulate(cfg)
+        assert extrapolated.total_steps == plain.total_steps > 2 * hs2d._START_GRIDS
+        assert np.abs(extrapolated.times - plain.times).max() <= 1e-10
+        for a, b in zip(extrapolated.fronts, plain.fronts):
+            assert np.abs(a.heights - b.heights).max() <= 1e-10
+
+    def test_flat_run_never_extrapolates(self, monkeypatch):
+        def no_extrapolation(*args):
+            raise AssertionError("a flat front must not form a GMRES start")
+
+        monkeypatch.setattr(hs2d, "_extrapolate", no_extrapolation)
+        assert simulate(basic_config(T=0.1, dt=0.01)).total_steps == 10
+
+
 FAST_POISSON_GRIDS = [(8, 8), (16, 9), (128, 8), (128, 20), (64, 64)]
 
 
@@ -864,14 +930,15 @@ class TestFastPoisson:
         assert np.any(u != 0.0)
 
     def test_curved_bench_job_keeps_its_gmres_work(self):
-        # the bench's strip2d_curved job at phase 0.3: 66 steps and 441 GMRES
-        # iterations, each solve after the first starting from the pressure of
-        # the step before
+        # the bench's strip2d_curved job at phase 0.3: 66 steps and 163 GMRES
+        # iterations, each solve after the first starting from the Lagrange
+        # extrapolation of the last six solved pressures (441 from the
+        # previous pressure alone)
         medium = parse_medium("sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2)
         hist = simulate(SimConfig(domain=StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=64),
                                   medium=medium, eps=0.25, psi0=1.0, T=0.15, h0=1.0))
         assert hist.total_steps == 66
-        assert int(hist.iterations.sum()) == 441
+        assert int(hist.iterations.sum()) == 163
 
     def test_curved_step_from_a_guess_skips_the_flat_solve(self, monkeypatch):
         # with a guess, a curved front goes straight to GMRES, so the fast
