@@ -18,7 +18,6 @@ from .errors import (NumericalError, ValidationError, require_finite, require_in
                      require_nonnegative, require_positive, require_vector)
 from .medium import Medium, _admit, eval_scaled
 
-quad = lazy("scipy.integrate", "quad")
 brentq = lazy("scipy.optimize", "brentq")
 
 
@@ -128,53 +127,6 @@ def check_contracting_radius(n: int, M: float, mu: float,
     return abs(_contracting_lhs(n, mu, rho) - M * float(Kfun(t)))
 
 
-@dataclass(frozen=True, eq=False)
-class RadialContracting:
-    """Contracting barrier data: flux chi, its integral K, earliest time t0."""
-
-    n: int
-    M: float
-    mu: float
-    chi: Callable[[float], float]
-    Kfun: Callable[[float], float]
-    t0: float
-
-    def rho(self, t: float) -> float:
-        return contracting_radius(self.n, self.M, self.mu, self.Kfun, t)
-
-
-def contracting_barrier(n: int, M: float, mu: float,
-                        chi: Callable[[float], float],
-                        Kfun: Callable[[float], float] | None = None
-                        ) -> RadialContracting:
-    """Package a contracting barrier; quadrature supplies K when not given."""
-    require_integer(2, n=n)
-    require_positive(M=M, mu=mu)
-    if Kfun is None:
-        def Kfun(t, _chi=chi):
-            val, _err = quad(_chi, 0.0, t, epsabs=1e-10, epsrel=1e-10)
-            return val
-    target = -(mu ** 2) / (2 * n * M)
-    lo = -1.0
-    while lo >= -1e9 and Kfun(lo) > target:
-        lo *= 2.0
-    t0 = (-math.inf if lo < -1e9
-          else _brentq(lambda s: Kfun(s) - target, lo, 0.0, "contracting barrier t0"))
-    return RadialContracting(n=n, M=M, mu=mu, chi=chi, Kfun=Kfun, t0=t0)
-
-
-def closing_criterion(n: int, M: float, mu: float,
-                      chi: Callable[[float], float],
-                      t1: float, t2: float) -> bool:
-    """True iff the integral of chi over [t1, t2] is below mu^2/(2nM)."""
-    require_integer(2, n=n)
-    require_positive(M=M, mu=mu)
-    if not t1 < t2:
-        raise ValidationError(f"need t1 < t2, got {t1}, {t2}")
-    integral, _err = quad(chi, t1, t2, epsabs=1e-10, epsrel=1e-10)
-    return integral < mu ** 2 / (2 * n * M)
-
-
 def nondegeneracy_bound(n: int, M: float, mu: float, dt: float) -> float:
     """Lower bound mu^2/(2nM*dt) on the peak value needed to close a hole."""
     require_integer(2, n=n)
@@ -190,23 +142,21 @@ def expansion_radius(n: int, K: float, M: float, dt: float) -> float:
     return math.sqrt(2 * n * K * M * dt)
 
 
-def rational_bound_check(n: int, M: float, mu: float, sigma: float,
-                         A: float, eps: float) -> bool:
-    """Evaluate sigma < eps*(exp(mu^2/(2nMA)) - 1) exactly as written."""
-    require_integer(2, n=n)
-    require_positive(M=M, mu=mu, A=A, eps=eps)
-    require_nonnegative(sigma=sigma)
-    return sigma < eps * (math.exp(mu ** 2 / (2 * n * M * A)) - 1.0)
-
-
 def thin_cylinder_phi(xp_norm, xn, n: int):
     """Comparison profile sqrt(1+|x'|^2/n)*cos(x_n) - 3/2 and its Laplacian.
 
-    Superharmonic (laplacian < 0) on |x_n| < pi/2; vectorized over inputs.
+    Superharmonic (laplacian < 0) on |x_n| < pi/2; vectorized over inputs,
+    which must be finite with |x'| >= 0.
     """
     require_integer(1, n=n)
     r = np.asarray(xp_norm, dtype=float)
     xn = np.asarray(xn, dtype=float)
+    bad = r[~(np.isfinite(r) & (r >= 0))]
+    if bad.size:
+        raise ValidationError(f"xp_norm must be finite and >= 0, got {bad[0]}")
+    bad = xn[~np.isfinite(xn)]
+    if bad.size:
+        raise ValidationError(f"xn must be finite, got {bad[0]}")
     w = np.sqrt(1.0 + r ** 2 / n)
     value = w * np.cos(xn) - 1.5
     lap = -(n + 2 * r ** 2 + n * r ** 2 + r ** 4) * np.cos(xn) / (
@@ -214,80 +164,6 @@ def thin_cylinder_phi(xp_norm, xn, n: int):
     if value.ndim == 0:
         return float(value), float(lap)
     return value, lap
-
-
-def thin_cylinder_margin(R: float, K: float, delta: float, n: int) -> float:
-    """Shrunk radius R' = R - (6 sqrt(n)/pi) (K+2) delta."""
-    require_integer(1, n=n)
-    require_positive(R=R, K=K, delta=delta)
-    return R - (6.0 * math.sqrt(n) / math.pi) * (K + 2.0) * delta
-
-
-@dataclass(frozen=True)
-class RadialPerturbation:
-    """Radial profile phi on the annulus 1 <= |x| <= 2 with phi^(2-n) harmonic.
-
-    Fixed by phi(2) = 1 and phi(1) = 6; satisfies phi*lap(phi) =
-    (n-1)|Dphi|^2 (the perturbation inequality holds with equality).
-    """
-
-    n: int
-    a: float
-    b: float
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        w = self.a + self.b * s ** (2 - self.n)
-        out = w ** (1.0 / (2 - self.n))
-        return float(out) if out.ndim == 0 else out
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        n = self.n
-        w = self.a + self.b * s ** (2 - n)
-        beta = (n - 1.0) / (2.0 - n)
-        out = self.b * s ** (1 - n) * w ** beta
-        return float(out) if out.ndim == 0 else out
-
-    def second_deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        n = self.n
-        w = self.a + self.b * s ** (2 - n)
-        beta = (n - 1.0) / (2.0 - n)
-        out = (self.b * (1 - n) * s ** (-n) * w ** beta
-               + self.b ** 2 * (n - 1) * s ** (2 - 2 * n) * w ** (beta - 1))
-        return float(out) if out.ndim == 0 else out
-
-    def laplacian(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.second_deriv(s) + (self.n - 1) * self.deriv(s) / s
-        return float(out) if out.ndim == 0 else out
-
-    def inequality_residual(self, s):
-        """phi*lap(phi) - (n-1)|Dphi|^2, nonnegative up to rounding."""
-        s = np.asarray(s, dtype=float)
-        out = self(s) * self.laplacian(s) - (self.n - 1) * self.deriv(s) ** 2
-        return float(out) if out.ndim == 0 else out
-
-
-def radial_perturbation(n: int) -> RadialPerturbation:
-    """Solve the two boundary conditions for (a, b) and verify the inequality."""
-    require_integer(3, n=n)
-    # phi(2) = 1 and phi(1) = 6 in the harmonic variable w = phi^(2-n)
-    b = (1.0 - 6.0 ** (2 - n)) / (2.0 ** (2 - n) - 1.0)
-    a = 6.0 ** (2 - n) - b
-    rp = RadialPerturbation(n=n, a=a, b=b)
-    radii = np.linspace(1.0, 2.0, 100)
-    res = rp.inequality_residual(radii)
-    # The identity holds exactly; the tolerance only absorbs rounding, so it
-    # must scale with the size of the cancelling terms (which grows ~6^{2n-2}).
-    budget = 1e-9 * np.maximum(1.0, (n - 1) * rp.deriv(radii) ** 2)
-    if np.any(res < -budget):
-        worst = np.min(res / budget)
-        raise NumericalError(
-            f"radial perturbation inequality violated: scaled residual {worst}"
-        )
-    return rp
 
 
 class PerturbedContractingField:

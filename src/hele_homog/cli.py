@@ -59,13 +59,15 @@ def _float_list(text: str) -> list[float]:
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("HELE_HOMOG_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"HELE_HOMOG_SEED must be an integer, got {raw!r}")
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        raw = os.environ.get("HELE_HOMOG_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"HELE_HOMOG_SEED must be an integer, got {raw!r}")
+    require_integer(0, seed=seed)
+    return seed
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}

@@ -2,7 +2,7 @@
 
 Conventions: a planar wave with gradient q moves along the unit normal
 nu = -q/|q| at speed r; its wet region at time t is {x . nu < r t + eta}.
-Cones are open; membership is tested with strict inequalities.
+Cones are open.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -70,60 +69,6 @@ class PlanarWave:
 planar_eval = PlanarWave.value  # planar_eval(P, x, t) is P.value(x, t)
 
 
-class Ordering(Enum):
-    BELOW_OR_EQUAL = "below_or_equal"
-    ABOVE_OR_EQUAL = "above_or_equal"
-    BOTH = "both"
-    NEITHER = "neither"  # unreachable for planar waves; kept for the contract
-
-
-def translation_order(P: PlanarWave, y, tau: float, tol: float = 0.0) -> Ordering:
-    """Order of the translate P(x-y, t-tau) against P: set by y.nu - r*tau."""
-    require_finite(tau=tau, tol=tol)
-    s = float(require_vector("y", y, dim=P.q.size) @ P.nu - P.r * tau)
-    if abs(s) <= tol:
-        return Ordering.BOTH
-    return Ordering.BELOW_OR_EQUAL if s < 0 else Ordering.ABOVE_OR_EQUAL
-
-
-class PlanarClass(Enum):
-    SUBSOLUTION = "subsolution"
-    SUPERSOLUTION = "supersolution"
-    BOTH = "both"
-    NEITHER = "neither"
-
-
-def planar_admissible_range(q, r: float, m: float, M: float) -> PlanarClass:
-    """Classify P_{q,r} against the speed band [m, M]: sub iff r <= m|q|."""
-    q = require_vector("q", q, nonzero=True)
-    require_positive(m=m, M=M, r=r)
-    if not m <= M:
-        raise ValidationError(f"need m <= M, got {m}, {M}")
-    nq = float(np.linalg.norm(q))
-    sub = r <= m * nq
-    sup = r >= M * nq
-    if sub and sup:
-        return PlanarClass.BOTH
-    if sub:
-        return PlanarClass.SUBSOLUTION
-    if sup:
-        return PlanarClass.SUPERSOLUTION
-    return PlanarClass.NEITHER
-
-
-def in_cone(x, vertex, axis, angle: float, tol: float = 0.0) -> bool:
-    """Strict membership of x in the open cone of given vertex/axis/angle."""
-    axis = require_vector("axis", axis, nonzero=True)
-    if not 0 < angle < math.pi / 2:
-        raise ValidationError(f"angle must be in (0, pi/2), got {angle}")
-    require_finite(tol=tol)
-    n = axis.shape[0]
-    d = require_vector("x", x, dim=n) - require_vector("vertex", vertex, dim=n)
-    lhs = float(d @ axis)
-    rhs = float(np.linalg.norm(d) * np.linalg.norm(axis) * math.cos(angle))
-    return lhs - rhs > tol
-
-
 @dataclass(frozen=True, eq=False)
 class ConeGeometry:
     """Angles, vertices and vertex velocities of the cone obstacle domain."""
@@ -152,17 +97,6 @@ class ConeGeometry:
 
     def vertex_minus(self, t: float) -> np.ndarray:
         return self.V0_minus + self.rV_minus * t * self.nu
-
-    def cone_domain(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(vertex, axis, angle) of the domain cone Omega_q."""
-        return self.V, self.nu, self.theta
-
-    def cone_minus(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        return self.vertex_minus(t), self.nu, self.theta_minus
-
-    def cone_plus(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        # the upper cone opens backwards, along -nu
-        return self.vertex_plus(t), -self.nu, self.theta_plus
 
 
 def cone_geometry(q, r: float, m: float, M: float) -> ConeGeometry:
@@ -277,31 +211,6 @@ def xi_samples(geom: ConeGeometry, count: int) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
-    ratio_plus: float
-    ratio_minus: float
-    margin_plus: float
-    margin_minus: float
-    ok: bool
-
-
-def verify_admissibility(geom: ConeGeometry, xi) -> AdmissibilityReport:
-    """Check r+/mu+ >= M and r-/mu- <= m for the matching waves at xi."""
-    s = geom.r / geom.norm_q
-    if not geom.m <= s <= geom.M:
-        raise ValidationError(
-            f"admissibility needs m <= r/|q| <= M, got r/|q| = {s}"
-        )
-    plus, minus = matching_wave(geom, xi)
-    ratio_plus = plus.speed / plus.mu
-    ratio_minus = minus.speed / minus.mu
-    margin_plus = ratio_plus - geom.M
-    margin_minus = geom.m - ratio_minus
-    ok = margin_plus >= -1e-12 and margin_minus >= -1e-12
-    return AdmissibilityReport(ratio_plus, ratio_minus, margin_plus, margin_minus, ok)
-
-
-@dataclass(frozen=True)
 class GridCoverReport:
     covered: bool
     hypothesis_ok: bool
@@ -328,6 +237,7 @@ def grid_cover_check(A, E, lam: float, eps: float, box,
         raise ValidationError("box must be (lo, hi) with hi > lo componentwise")
     require_positive(lam=lam, eps=eps)
     require_integer(1, samples_per_axis=samples_per_axis, probe_count=probe_count)
+    require_integer(0, seed=seed)
     if not lam > math.sqrt(d) / 2:
         raise ValidationError(f"lam must exceed sqrt(d)/2 = {math.sqrt(d) / 2}")
 

@@ -490,9 +490,9 @@ def hausdorff(A, B, period: Optional[float] = None,
               axis: Optional[int] = None) -> float:
     """Hausdorff distance between finite point sets, optionally periodic.
 
-    When period (finite, > 0) is given, coordinate `axis` of B is
-    additionally shifted by -period, 0, +period and the pointwise minimum
-    over shifts is used. A non-finite point is a ValidationError.
+    When period (finite, > 0) is given, coordinate `axis` (an int in
+    [0, dim)) of B is additionally shifted by -period, 0, +period and the
+    pointwise minimum over shifts is used. A non-finite point is a ValidationError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -508,8 +508,9 @@ def hausdorff(A, B, period: Optional[float] = None,
         raise ValidationError("point sets must be finite")
     if period is not None:
         require_positive(period=period)
-        if axis is None or not 0 <= axis < A.shape[1]:
-            raise ValidationError("periodic hausdorff needs a valid axis")
+        require_integer(0, axis=axis)
+        if not axis < A.shape[1]:
+            raise ValidationError(f"axis must be < {A.shape[1]}, got {axis}")
     dist = cdist(A, B)
     if period is not None:
         # minimum taken in place: two distance matrices alive, not three

@@ -471,6 +471,7 @@ class PeriodicityReport:
 def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> PeriodicityReport:
     """Max |g(x+k, t+l) - g(x, t)| over random points and unit lattice shifts."""
     require_integer(1, trials=trials)
+    require_integer(0, seed=seed)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(trials, g.dim + 1))
     with np.errstate(all="ignore"):  # a non-finite value is reported below

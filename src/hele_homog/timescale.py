@@ -186,8 +186,3 @@ class ThetaShift:
 def theta_shift(t, sh: ThetaShift):
     """theta(t; lam) = t - gamma*W(-(lam/gamma) e^{-lam/gamma} e^{t/gamma})."""
     return _rescale(t, -sh.lam, sh.gamma, deriv=False, closed=True) + sh.lam
-
-
-def theta_shift_deriv(t, sh: ThetaShift):
-    """theta'(t) = 1/(1+W(...)) >= 1; infinite at the endpoint t_lambda."""
-    return _rescale(t, -sh.lam, sh.gamma, deriv=True, closed=True)

@@ -2,11 +2,11 @@
 
 Oracles: finite differences against every closed-form derivative;
 scipy.optimize.brentq as an independent root-finder for the contracting
-radius; hand-evaluated formulas for the quantitative bounds; a 2x2 linear
-solve for the radial perturbation coefficients.
+radius; hand-evaluated formulas for the quantitative bounds.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,16 +22,11 @@ from hele_homog import (
     check_contracting_radius,
     check_expanding_fbc,
     check_superbarrier,
-    closing_criterion,
-    contracting_barrier,
     contracting_radius,
     expanding_barrier,
     expansion_radius,
     nondegeneracy_bound,
     parse_medium,
-    radial_perturbation,
-    rational_bound_check,
-    thin_cylinder_margin,
     thin_cylinder_phi,
 )
 
@@ -350,59 +345,9 @@ class TestContractingRadius:
         monkeypatch.setattr(barriers, "brentq", stalled)
         with pytest.raises(NumericalError, match="did not converge"):
             contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)
-        with pytest.raises(NumericalError, match="did not converge"):
-            contracting_barrier(2, 1.0, 1.0, chi=lambda s: 1.0, Kfun=lambda s: s)
-
-
-class TestContractingBarrier:
-    def test_default_quadrature_matches_exact(self):
-        bar = contracting_barrier(2, 1.0, 1.0, chi=lambda s: 1.0)
-        assert bar.Kfun(-0.1) == pytest.approx(-0.1, abs=1e-10)
-        assert bar.rho(-0.1) == pytest.approx(
-            contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1), abs=1e-10
-        )
-
-    def test_t0_constant_flux(self):
-        # M*K(t0) = -mu^2/(2n): for chi=1, t0 = -mu^2/(2nM)
-        bar = contracting_barrier(2, 2.0, 1.0, chi=lambda s: 1.0)
-        assert bar.t0 == pytest.approx(-1.0 / 8.0, abs=1e-9)
-
-    def test_t0_linear_flux(self):
-        # chi(s) = |s| on t < 0: K(t) = -t^2/2; M*K(t0) = -mu^2/(2n)
-        # => t0 = -mu/sqrt(2nM... ) solve: 2*(t0^2/2) = 1/4 -> t0 = -0.5
-        bar = contracting_barrier(2, 2.0, 1.0, chi=lambda s: abs(s))
-        assert bar.t0 == pytest.approx(-0.5, abs=1e-8)
-
-    def test_t0_without_sign_change_is_numerical_error(self):
-        # K never reaches zero on [lo, 0]: no root, so no t0 may be reported
-        with pytest.raises(NumericalError, match="bracket"):
-            contracting_barrier(2, 1.0, 1.0, chi=lambda s: 0.0, Kfun=lambda s: -10.0)
-
-    def test_rho_decreasing(self):
-        bar = contracting_barrier(2, 1.0, 1.0, chi=lambda s: 1.0)
-        ts = np.linspace(bar.t0 * 0.98, -1e-3, 50)
-        rhos = [bar.rho(float(t)) for t in ts]
-        assert all(b < a for a, b in zip(rhos, rhos[1:]))
 
 
 class TestQuantitativeBounds:
-    def test_closing_criterion_constant(self):
-        assert closing_criterion(2, 1.0, 1.0, lambda s: 1.0, 0.0, 0.2) is True
-        assert closing_criterion(2, 1.0, 1.0, lambda s: 1.0, 0.0, 0.3) is False
-
-    def test_closing_criterion_validates(self):
-        with pytest.raises(ValidationError):
-            closing_criterion(2, 1.0, 1.0, lambda s: 1.0, 1.0, 0.0)
-        # a zero M once ended in ZeroDivisionError, n = 1.5 in a plain False
-        with pytest.raises(ValidationError, match="M must be > 0"):
-            closing_criterion(2, 0.0, 1.0, lambda s: 1.0, 0.0, 1.0)
-        with pytest.raises(ValidationError, match="n must be an integer"):
-            closing_criterion(1.5, 1.0, 1.0, lambda s: 1.0, 0.0, 1.0)
-        with pytest.raises(ValidationError, match="n must be an integer >= 2, got True"):
-            closing_criterion(True, 1.0, 1.0, lambda s: 1.0, 0.0, 1.0)
-        with pytest.raises(ValidationError, match="M must be > 0"):
-            contracting_barrier(2, 0.0, 1.0, lambda s: 1.0)
-
     def test_nondegeneracy_hand_value(self):
         assert nondegeneracy_bound(2, 1.0, 1.0, 1.0) == pytest.approx(0.25)
 
@@ -416,15 +361,6 @@ class TestQuantitativeBounds:
         assert expansion_radius(3, 2.0, 1.0, 1.0) == pytest.approx(math.sqrt(12.0))
         assert expansion_radius(2, 1.0, 1.0, 0.0) == 0.0
 
-    def test_rational_bound_threshold(self):
-        # mu^2/(2nMA) = ln 2 with n=2, M=1, A=0.5 and mu = sqrt(2 ln 2):
-        # threshold is sigma < eps * (e^{ln 2} - 1) = eps
-        mu = math.sqrt(2 * math.log(2.0))
-        assert rational_bound_check(2, 1.0, mu, 0.999, 0.5, 1.0) is True
-        assert rational_bound_check(2, 1.0, mu, 1.001, 0.5, 1.0) is False
-        assert rational_bound_check(2, 1.0, mu, 0.0, 0.5, 1.0) is True
-        assert rational_bound_check(2, 1.0, mu, 0.5, 0.5, 1e-12) is False
-
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_parameters_rejected(self, bad):
         # check_expanding_fbc(b, inf) once returned a residual of nan
@@ -436,12 +372,8 @@ class TestQuantitativeBounds:
             (lambda v: b.value(0.1, v), "t > 0"),
             (lambda v: expanding_barrier(n=2, m=1.0, K=v, A=0.5), "K > 0"),
             (lambda v: contracting_radius(2, v, 1.0, lambda t: t, -0.1), "M > 0"),
-            (lambda v: contracting_barrier(2, 1.0, v, lambda s: 1.0), "mu > 0"),
-            (lambda v: closing_criterion(2, v, 1.0, lambda s: 1.0, 0.0, 1.0), "M > 0"),
             (lambda v: nondegeneracy_bound(2, 1.0, 1.0, v), "dt > 0"),
             (lambda v: expansion_radius(2, 1.0, 1.0, v), "dt >= 0"),
-            (lambda v: rational_bound_check(2, 1.0, 1.0, v, 0.5, 1.0), "sigma >= 0"),
-            (lambda v: thin_cylinder_margin(1.0, 1.0, v, 2), "delta > 0"),
             (lambda v: PerturbedContractingField(2, 1.2, 1.0, 1.0, v), "kappa >= 0"),
             (lambda v: check_superbarrier(f, g, _annulus_samples(f, -0.1), c=v),
              "c > 0"),
@@ -494,70 +426,21 @@ class TestThinCylinder:
             fd = d_rr + (n - 2) / r0 * d_r + d_zz
             assert thin_cylinder_phi(r0, z0, n)[1] == pytest.approx(fd, abs=1e-5)
 
-    def test_margin_formula(self):
-        expect = 1.0 - (6.0 * math.sqrt(2.0) / math.pi) * 3.0 * 0.1
-        assert thin_cylinder_margin(1.0, 1.0, 0.1, 2) == pytest.approx(expect, abs=1e-15)
-        assert expect == pytest.approx(0.1897153, abs=1e-6)
-
-    def test_margin_validation(self):
-        with pytest.raises(ValidationError):
-            thin_cylinder_margin(0.0, 1.0, 0.1, 2)
-
-
-# ---------------------------------------------------------------------------
-# Radial perturbation (n >= 3)
-# ---------------------------------------------------------------------------
-
-class TestRadialPerturbation:
-    def test_boundary_values(self):
-        for n in (3, 4, 7):
-            rp = radial_perturbation(n)
-            assert rp(2.0) == pytest.approx(1.0, abs=1e-12)
-            assert rp(1.0) == pytest.approx(6.0, abs=1e-12)
-
-    def test_n3_midpoint_value(self):
-        # w = phi^{-1} is harmonic (affine in 1/s) with w(2)=1, w(1)=1/6:
-        # w(1.5) = 13/18, so phi(1.5) = 18/13.
-        rp = radial_perturbation(3)
-        assert rp(1.5) == pytest.approx(18.0 / 13.0, abs=1e-12)
-
-    def test_coefficients_against_linear_solve(self):
-        for n in (3, 4, 5):
-            # a + b*2^{2-n} = 1^{2-n}, a + b*1^{2-n} = 6^{2-n}
-            mat = np.array([[1.0, 2.0 ** (2 - n)], [1.0, 1.0]])
-            rhs = np.array([1.0, 6.0 ** (2 - n)])
-            a, b = np.linalg.solve(mat, rhs)
-            rp = radial_perturbation(n)
-            assert rp.a == pytest.approx(a, rel=1e-12)
-            assert rp.b == pytest.approx(b, rel=1e-12)
-
-    def test_inequality_residual_on_annulus(self):
-        # n=3: the exact-identity terms are O(10^3), so the plain absolute
-        # tolerance applies; larger n scale like 6^{2n-2} and the budget must
-        # scale with the cancelling magnitude.
-        rp = radial_perturbation(3)
-        res = rp.inequality_residual(np.linspace(1.0, 2.0, 100))
-        assert np.min(res) >= -1e-9
-        for n in (5, 9):
-            rp = radial_perturbation(n)
-            radii = np.linspace(1.0, 2.0, 100)
-            res = rp.inequality_residual(radii)
-            scale = np.maximum(1.0, (n - 1) * rp.deriv(radii) ** 2)
-            assert np.min(res / scale) >= -1e-9
-
-    def test_derivatives_by_finite_differences(self):
-        rp = radial_perturbation(3)
-        for s in (1.1, 1.5, 1.9):
-            h = 1e-6
-            fd1 = (rp(s + h) - rp(s - h)) / (2 * h)
-            assert rp.deriv(s) == pytest.approx(fd1, rel=1e-7)
-            h = 1e-4  # second difference: larger step keeps rounding below truncation
-            fd2 = (rp(s + h) - 2 * rp(s) + rp(s - h)) / h ** 2
-            assert rp.second_deriv(s) == pytest.approx(fd2, rel=1e-5)
-
-    def test_n2_unsupported(self):
-        with pytest.raises(ValidationError):
-            radial_perturbation(2)
+    @pytest.mark.parametrize("xp_norm, xn, rule", [
+        (-1.0, 0.0, "xp_norm must be finite and >= 0"),
+        ([0.5, -1e-300], 0.0, "xp_norm must be finite and >= 0"),
+        (math.inf, 0.0, "xp_norm must be finite and >= 0"),
+        ([0.5, math.nan], [0.0, 0.1], "xp_norm must be finite and >= 0"),
+        (0.5, math.nan, "xn must be finite"),
+        ([0.5, 1.0], [0.0, -math.inf], "xn must be finite"),
+    ])
+    def test_contract_rejects_before_any_arithmetic(self, xp_norm, xn, rule):
+        # |x'| = -1 once gave the value at +1, and |x'| = inf a nan Laplacian
+        # after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rule):
+                thin_cylinder_phi(xp_norm, xn, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,16 @@ class TestMediumCheck:
         assert code == 1
         assert "HELE_HOMOG_SEED" in err
 
+    @pytest.mark.parametrize("argv, env", [
+        (["--seed", "-1"], "0"),
+        ([], "-1"),
+    ])
+    def test_negative_seed_rejected(self, monkeypatch, argv, env):
+        # once a traceback out of NumPy's SeedSequence, not an exit 1
+        monkeypatch.setenv("HELE_HOMOG_SEED", env)
+        code, out, err = run_cli([*argv, "medium", "check", "--expr", "1"])
+        assert (code, out, err) == (1, "", "error: seed must be an integer >= 0, got -1\n")
+
     def test_seed_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("HELE_HOMOG_SEED", "abc")
         code, _, _ = run_cli(["--seed", "3", "medium", "check", "--expr", "1"])

@@ -405,6 +405,15 @@ class TestHausdorff:
         with pytest.raises(ValidationError, match="axis"):
             hausdorff(A, A, period=1.0, axis=5)
 
+    @pytest.mark.parametrize("axis", [True, 1.0, -1])
+    def test_period_axis_must_be_an_int(self, axis):
+        # axis=True once passed the bound and shifted every coordinate, which
+        # read 0.8 here against the 0.2 of axis=1; axis=1.0 an IndexError
+        A, B = [[0.0, 0.1]], [[0.0, 0.9]]
+        assert hausdorff(A, B, period=1.0, axis=1) == pytest.approx(0.2)
+        with pytest.raises(ValidationError, match="axis must be an integer >= 0"):
+            hausdorff(A, B, period=1.0, axis=axis)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_points(self, bad):
         # a NaN point used to give a nan distance and an inf point inf

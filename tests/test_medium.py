@@ -761,6 +761,12 @@ class TestPeriodicity:
             with pytest.raises(ValidationError, match="trials must be an integer"):
                 check_periodicity(builtin_medium("pinning"), trials=trials)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, True])
+    def test_bad_seed(self, seed):
+        # seed=-3 once leaked NumPy's ValueError, seed=1.5 a TypeError
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            check_periodicity(builtin_medium("pinning"), seed=seed)
+
     def test_builtin_deviations_frozen(self):
         # pinned to the last bit: each shift must keep every float operation of g
         frozen = {"pinning": 6.661338147750939e-16, "antipinning": 1.1102230246251565e-15,
