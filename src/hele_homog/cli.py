@@ -59,7 +59,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _seed(args) -> int:
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if seed is None:
         raw = os.environ.get("HELE_HOMOG_SEED", "0")
         try:
@@ -194,7 +194,7 @@ def _cmd_medium_check(args) -> int:
     g = (parse_medium(spec, args.dim if args.dim is not None else 1)
          if args.expr is not None else load_medium(spec, args.dim))
     bounds = estimate_bounds(g, resolution=args.resolution)
-    per = check_periodicity(g, trials=args.trials, seed=_seed(args))
+    per = check_periodicity(g, trials=args.trials, seed=args.seed)
     out = {
         "source": g.source,
         "dim": g.dim,
@@ -288,7 +288,7 @@ def _cmd_barrier_verify(args) -> int:
         raise ValidationError(
             f"hole radius rho = {rho} too close to mu = {args.mu} for sampling"
         )
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     dirs = rng.normal(size=(args.samples, args.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(rho * 1.05, args.mu * 0.999, size=args.samples)
@@ -519,6 +519,7 @@ def dispatch(argv) -> int:
     """Parse argv and run the selected subcommand; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.seed = _seed(args)  # every command, so a bad seed never exits 0
     return args.func(args)
 
 

@@ -5,8 +5,10 @@ rectangle by the boundary-fitted coordinate xt = x / h(y); the pressure is
 harmonic in the wet region with u = psi0 at the inlet x = 0 and u = 0 on the
 front, and the front graph h advances along its normal at speed g^eps |Du+|.
 
-Every step solves the mapped 9-point pressure stencil matrix-free: first by
-the flat-front fast Poisson solve (four products with the grid's cached dense
+On a flat front the discrete pressure is the planar profile psi0 (1 - xt),
+taken in closed form and checked against the stencil like any solve. A curved
+front's mapped 9-point pressure stencil is solved matrix-free: first by the
+flat-front fast Poisson solve (four products with the grid's cached dense
 DST-I and real Fourier matrices), kept when it already meets GMRES's
 tolerance, otherwise by the module's own restarted GMRES, right-preconditioned
 by that fast solve. In a run, a curved step's GMRES starts from the Lagrange
@@ -175,8 +177,7 @@ def _fast_poisson(domain: StripDomain, beta: float):
         r = r.reshape(nx - 1, ny)
         # y-coefficients of r - r[:, :1], which vanish exactly where r is
         # constant in y; the mean column gets r[:, 0] sqrt(ny) back. So a
-        # y-constant r gives an exactly y-constant solution, and a flat front
-        # stays flat to the bit.
+        # y-constant r gives an exactly y-constant solution.
         r_hat = (r - r[:, :1]) @ Fy
         r_hat[:, 0] += r[:, 0] * math.sqrt(ny)
         return (Sx @ ((Sx @ r_hat) / lam) @ Fy.T).ravel()
@@ -251,32 +252,32 @@ def _extrapolate(times: Sequence[float], grids: Sequence[np.ndarray],
     return start
 
 
-def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
-                    hpp: np.ndarray, psi0: float, t: float,
-                    guess: Optional[np.ndarray] = None
-                    ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Solve the mapped Laplace equation under the front h with derivatives
-    (hp, hpp) = _front_derivatives(h, dy); return (u grid, |Du| at the front,
-    iterations, relative residual |A u - b| / |b|).
+def _flat_pressure(domain: StripDomain, psi0: float
+                   ) -> tuple[np.ndarray, int, bool, float]:
+    """The exact discrete pressure under a flat front, as (u grid, iterations,
+    converged, relative residual) for _solve_pressure's checks.
 
-    In xt = x/h(y) the equation becomes
-      (1 + xt^2 h'^2) u_xtxt + h^2 u_yy - 2 xt h h' u_xty
-        + xt (2 h'^2 - h h'') u_xt = 0,
-    discretized with centered second-order differences on the unit square,
-    u = psi0 at xt = 0, u = 0 at xt = 1, periodic in y. The 9-point operator
-    is applied matrix-free. Without a `guess`, or on a flat front (h
-    constant), the flat operator u_xtxt + mean(h^2) u_yy is solved first, by
-    _fast_poisson; that solution is kept when it meets GMRES's own stopping
-    test |A u - b| <= 1e-12 |b| (iterations is then 1), which a flat front
-    does. Otherwise _gmres, right-preconditioned by the same fast solve,
-    runs to that test on its residual estimate; it starts from `guess`, a
-    pressure grid of the same shape (in simulate, the extrapolation of the
-    last solved pressures, which share the mapped grid), when given, else
-    from the fast solve, and iterations is its count. The residual is then
-    recomputed explicitly.
-    NumericalError when the solution is not finite, GMRES does not converge
-    or the residual > 1e-10.
+    On a flat front h' = h'' = 0, so the mapped stencil has a = 1 and
+    c = d = 0, and its y terms cancel on a y-constant grid: what is left on
+    each xt column is the second difference (u[i-1] - 2 u[i] + u[i+1])/dxt^2
+    with u[0] = psi0 and u[nx] = 0, whose solution is the planar profile
+    u = psi0 (1 - i/nx). One direct solve, so iterations is 1; the residual
+    of that column, |A u - b| / |b| with |b| = psi0/dxt^2 (each column
+    carries the same share of both norms), is still computed and checked.
     """
+    nx, ny = domain.nx, domain.ny
+    dxt = 1.0 / nx
+    column = np.arange(nx, -1, -1) / nx * psi0  # (nx - i)/nx: no cancellation
+    defect = (column[:-2] - 2.0 * column[1:-1] + column[2:]) / dxt ** 2  # A u - b
+    residual = float(np.linalg.norm(defect) / (psi0 / dxt ** 2))
+    return np.repeat(column[:, None], ny, axis=1), 1, True, residual
+
+
+def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
+                     hpp: np.ndarray, psi0: float, guess: Optional[np.ndarray]
+                     ) -> tuple[np.ndarray, int, bool, float]:
+    """The pressure under a curved front, as (u grid, iterations, converged,
+    relative residual) for _solve_pressure's checks (see there)."""
     nx, ny, dy = domain.nx, domain.ny, domain.dy
     dxt = 1.0 / nx
     xt = domain._pressure_factors[0]
@@ -313,7 +314,7 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     u = np.zeros((nx + 1, ny + 2))
     u[0] = psi0
     iterations, converged, residual = 1, True, math.inf
-    if guess is None or h.max() == h.min():  # a curved front goes to GMRES at once
+    if guess is None:
         u[1:nx, 1:-1] = fast_poisson(rhs).reshape(nx - 1, ny)
         residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
     if residual > _GMRES_RTOL:  # GMRES's stopping test; False for NaN
@@ -324,7 +325,42 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
         u[1:nx, 1:-1] = sol.reshape(nx - 1, ny)
         residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
         converged = estimate <= target
-    u = u[:, 1:-1]
+    return u[:, 1:-1], iterations, converged, residual
+
+
+def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
+                    hpp: np.ndarray, psi0: float, t: float,
+                    guess: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Solve the mapped Laplace equation under the front h with derivatives
+    (hp, hpp) = _front_derivatives(h, dy); return (u grid, |Du| at the front,
+    iterations, relative residual |A u - b| / |b|).
+
+    In xt = x/h(y) the equation becomes
+      (1 + xt^2 h'^2) u_xtxt + h^2 u_yy - 2 xt h h' u_xty
+        + xt (2 h'^2 - h h'') u_xt = 0,
+    discretized with centered second-order differences on the unit square,
+    u = psi0 at xt = 0, u = 0 at xt = 1, periodic in y. On a flat front (h
+    constant) the discrete solution is the planar profile psi0 (1 - xt),
+    taken in closed form by _flat_pressure (iterations 1), whose residual on
+    the flat stencil is still computed. A curved front's 9-point operator
+    is applied matrix-free. Without a `guess`, the flat operator
+    u_xtxt + mean(h^2) u_yy is solved first, by _fast_poisson; that solution
+    is kept when it meets GMRES's own stopping test |A u - b| <= 1e-12 |b|
+    (iterations is then 1). Otherwise _gmres, right-preconditioned by the
+    same fast solve, runs to that test on its residual estimate; it starts
+    from `guess`, a pressure grid of the same shape (in simulate, the
+    extrapolation of the last solved pressures, which share the mapped
+    grid), when given, else from the fast solve, and iterations is its
+    count. The residual is then recomputed explicitly.
+    NumericalError when the solution is not finite, GMRES does not converge
+    or the residual > 1e-10.
+    """
+    if h.max() == h.min():
+        u, iterations, converged, residual = _flat_pressure(domain, psi0)
+    else:
+        u, iterations, converged, residual = _curved_pressure(domain, h, hp, hpp,
+                                                              psi0, guess)
     why = ("produced non-finite values"
            if not (np.all(np.isfinite(u)) and math.isfinite(residual))
            else "did not converge" if not converged
@@ -334,6 +370,7 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
                              f"GMRES iterations, relative residual {residual:.3g}")
 
     # one-sided second-order normal slope at xt = 1 (u[nx] = 0)
+    nx, dxt = domain.nx, 1.0 / domain.nx
     uxt = (u[nx - 2, :] - 4.0 * u[nx - 1, :]) / (2.0 * dxt)
     grad = np.abs(uxt) * np.sqrt(1.0 + hp ** 2) / h
     return u, grad, iterations, residual
@@ -406,13 +443,14 @@ class SimHistory:
     """Saved fronts plus per-step pressure ranges and solver work.
 
     u_min, u_max, iterations and residual (relative, |A u - b| / |b|) hold
-    one entry per saved front after the initial one. iterations is 1 when the
-    fast Poisson solve met GMRES's tolerance and was kept, otherwise the
-    count of the right-preconditioned GMRES run. It starts from the fast
-    solve on the first step and from the Lagrange extrapolation to the
-    step's time of the last (up to six) solved pressures after it; the
-    bench's curved job at phase 0.3 takes 163 iterations over 66 steps,
-    against 441 from the previous pressure alone.
+    one entry per saved front after the initial one. iterations is 1 on a
+    flat front (one direct solve: the closed-form planar pressure) and when
+    a curved front's fast Poisson solve met GMRES's tolerance and was kept,
+    otherwise the count of the right-preconditioned GMRES run. It starts
+    from the fast solve on the first step and from the Lagrange
+    extrapolation to the step's time of the last (up to six) solved
+    pressures after it; the bench's curved job at phase 0.3 takes 163
+    iterations over 66 steps, against 441 from the previous pressure alone.
     """
 
     config: SimConfig

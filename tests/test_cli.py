@@ -1013,6 +1013,18 @@ class TestSeedPlumbing:
         _, via_env, _ = run_cli(SUPERBARRIER_PASS)
         assert via_env == flagged
 
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--seed", "-1"], "0", "seed must be an integer >= 0, got -1"),
+        ([], "abc", "HELE_HOMOG_SEED must be an integer, got 'abc'"),
+    ])
+    def test_bad_seed_rejected_by_every_command(self, monkeypatch, argv, env, message):
+        # once read only by the two sampling commands; geometry report
+        # samples nothing and exited 0
+        monkeypatch.setenv("HELE_HOMOG_SEED", env)
+        code, out, err = run_cli([*argv, "geometry", "report", "--q", "0,-1", "--r", "1",
+                                  "--m", "1", "--M", "2"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestStepCountOverflow:
     """A time grid too fine to count exits 1 with one error line, where an

@@ -4,6 +4,9 @@ Oracles used here:
 - With a constant medium and a flat front the pressure is linear in x, the
   discrete solve is exact, and the mean depth obeys h' = psi0 / h, so
   h(t) = sqrt(h0^2 + 2 psi0 t) up to time-stepping error only.
+- A flat front's closed-form pressure against the fast Poisson solve and the
+  sparse reference, and a flat run against the scalar forward-Euler loop
+  h += dt g^eps(h, t) psi0 / h over the same steps.
 - Reflection symmetry: a y-even initial front in a y-independent medium stays
   y-even for all time (the discretization commutes with the reflection).
 - Hausdorff distances on hand-built point sets.
@@ -45,7 +48,7 @@ from hele_homog.hs2d import (
     simulate,
     step,
 )
-from hele_homog.medium import builtin_medium, parse_medium
+from hele_homog.medium import builtin_medium, eval_scaled, parse_medium
 
 
 def constant_medium():
@@ -623,7 +626,7 @@ class TestPressureSolver:
     @pytest.mark.parametrize("dom", SOLVER_GRIDS,
                              ids=lambda d: f"{d.nx}x{d.ny}")
     def test_flat_front_takes_one_iteration(self, dom):
-        # the preconditioner is the flat-front operator itself
+        # one direct solve: the closed-form planar pressure
         _, _, iterations, _ = solve_pressure(dom, sine_front(dom, 0.0), 1.0, 0.0)
         assert iterations == 1
 
@@ -741,6 +744,102 @@ class TestPressureSolver:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite values at t=0.5"):
                 solve_pressure(dom, h, 1.0, 0.5)
+
+
+FLAT_CASES = [(0.3, 0.7), (0.45, 1.0), (0.8, 3.2)]  # (h / Lx, psi0)
+
+
+def flat_rhs(dom, psi0):
+    """The stencil's right-hand side on a flat front: -west psi0 on the
+    first unknown row, west = 1/dxt^2 (a = 1, d = 0)."""
+    rhs = np.zeros((dom.nx - 1, dom.ny))
+    rhs[0] = -psi0 / (1.0 / dom.nx) ** 2
+    return rhs
+
+
+class TestFlatPressure:
+    """The closed-form pressure psi0 (1 - xt) that a flat front takes."""
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS, ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_matches_the_fast_solve_and_the_sparse_reference(self, dom):
+        for frac, psi0 in FLAT_CASES:
+            h = np.full(dom.ny, frac * dom.Lx)
+            u, _grad, iterations, _res = solve_pressure(dom, h, psi0, 0.0)
+            fast = _fast_poisson(dom, h[0] ** 2)(flat_rhs(dom, psi0))
+            assert np.abs(u[1:-1].ravel() - fast).max() <= 1e-13 * np.abs(fast).max()
+            u_ref, _ = reference_pressure(dom, h, psi0)
+            assert np.abs(u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+            assert np.all(u[0] == psi0) and np.all(u[-1] == 0.0)
+            assert np.ptp(u, axis=1).max() == 0.0  # y-constant to the bit
+            assert iterations == 1
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS + [StripDomain(4.0, 1.0, 100, 12)],
+                             ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_front_gradient_is_psi0_over_h(self, dom):
+        for frac, psi0 in FLAT_CASES:
+            h = np.full(dom.ny, frac * dom.Lx)
+            grad = solve_pressure(dom, h, psi0, 0.0)[1]
+            assert np.abs(grad - psi0 / h).max() <= 1e-14 * psi0 / h[0]
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS, ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_residual_comes_from_the_stencil(self, dom):
+        residuals = []
+        for frac, psi0 in FLAT_CASES:
+            h = np.full(dom.ny, frac * dom.Lx)
+            u, _grad, _it, residual = solve_pressure(dom, h, psi0, 0.0)
+            mat, rhs = reference_system(dom, h, psi0)
+            true = np.linalg.norm(mat @ u[1:-1].ravel() - rhs) / np.linalg.norm(rhs)
+            assert residual <= 1e-12 and true <= 1e-12
+            residuals.append(residual)
+        # psi0 = 0.7 is not a power of two: the profile rounds, and the
+        # column's second difference sees it
+        assert residuals[0] > 0.0
+
+    def test_residual_check_runs_on_a_flat_step(self, monkeypatch):
+        monkeypatch.setattr(hs2d, "_RESIDUAL_TOL", 1e-300)
+        cfg = basic_config(psi0=0.7)
+        front = FrontGraph(heights=np.full(cfg.domain.ny, 1.0), t=0.25)
+        with pytest.raises(NumericalError,
+                           match=r"large residual at t=0\.25: 1 GMRES iterations, "
+                                 r"relative residual [1-9]"):
+            step(front, cfg)
+
+    def test_non_finite_pressure_raises(self):
+        dom = SOLVER_GRIDS[3]
+        h = np.full(dom.ny, 1.8)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match=r"non-finite values at t=0\.5"):
+                solve_pressure(dom, h, np.inf, 0.5)
+
+    def test_maximum_principle_checks_a_flat_step(self, monkeypatch):
+        flat = hs2d._flat_pressure
+
+        def overshoot(domain, psi0):
+            u, iterations, converged, residual = flat(domain, psi0)
+            return u + 1e-9, iterations, converged, residual
+
+        monkeypatch.setattr(hs2d, "_flat_pressure", overshoot)
+        cfg = basic_config()
+        with pytest.raises(NumericalError,
+                           match=r"maximum principle violated at t=0\.25"):
+            step(FrontGraph(heights=np.full(cfg.domain.ny, 1.0), t=0.25), cfg)
+
+    def test_laminar_run_is_the_scalar_euler_loop(self):
+        # pinning2d is independent of y, so the front stays flat and the
+        # run is the flat law h' = g^eps(h, t) psi0 / h by forward Euler
+        medium = builtin_medium("pinning2d")
+        cfg = SimConfig(domain=StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=8),
+                        medium=medium, eps=0.25, psi0=0.7, T=0.5, h0=0.72)
+        hist = simulate(cfg)
+        assert hist.total_steps == len(hist.times) - 1 > 50
+        h = 0.72
+        for k, dt in enumerate(np.diff(hist.times)):
+            t = hist.times[k]
+            g = float(eval_scaled(medium, cfg.eps, np.array([[h, 0.0]]), t)[0])
+            h += dt * g * cfg.psi0 / h
+            heights = hist.fronts[k + 1].heights
+            assert np.ptp(heights) == 0.0
+            assert abs(heights[0] - h) <= 1e-12
 
 
 class TestGmres:
@@ -931,7 +1030,6 @@ class TestFastPoisson:
 
     @pytest.mark.parametrize("ny", [8, 9, 16, 20, 64])
     def test_y_constant_right_hand_side_gives_y_constant_solution(self, ny):
-        # what keeps a flat front flat to the bit
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=ny)
         column = np.random.default_rng(ny).standard_normal((31, 1))
         u = _fast_poisson(dom, 1.7)(np.tile(column, ny)).reshape(31, ny)
@@ -952,7 +1050,8 @@ class TestFastPoisson:
     def test_curved_step_from_a_guess_skips_the_flat_solve(self, monkeypatch):
         # with a guess, a curved front goes straight to GMRES, so the fast
         # solver runs only as its preconditioner: once per iteration and once
-        # per cycle. Without a guess, and on a flat front, it is tried first
+        # per cycle. Without a guess it is tried first; a flat front takes
+        # its closed-form pressure and never calls it
         calls = []
         fast = hs2d._fast_poisson
 
@@ -971,7 +1070,7 @@ class TestFastPoisson:
             _u, _grad, iterations, _res = _solve_pressure(
                 dom, h, *_front_derivatives(h, dom.dy), 1.0, 0.0, guess)
             if slope == 0.0:
-                assert (iterations, len(calls)) == (1, 1)
+                assert (iterations, len(calls)) == (1, 0)
             else:
                 assert iterations > 0
                 cycles = math.ceil(iterations / hs2d._GMRES_RESTART)
