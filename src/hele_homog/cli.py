@@ -345,11 +345,9 @@ def _cmd_sim2d_run(args) -> int:
         "u_max": float(history.u_max.max()),
         "front_speed_fit": history.front_speed(0.25 * config.T, config.T),
     }
-    ys, fronts = config.domain.y_nodes, history.fronts
-    columns = (np.repeat(history.times, ys.size), np.tile(ys, len(fronts)),
-               np.concatenate([f.heights for f in fronts]))
+    points = history.spacetime_points(len(history.fronts))
     text = _csv(["t (time units)", "y (tangential position; length units)",
-                 "h (front depth; length units)"], columns)
+                 "h (front depth; length units)"], points.T)
     _emit(text, args.out)
     _emit(_json_text(summary), args.summary)
     return 0

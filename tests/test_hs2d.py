@@ -9,7 +9,10 @@ Oracles used here:
   h += dt g^eps(h, t) psi0 / h over the same steps.
 - Reflection symmetry: a y-even initial front in a y-independent medium stays
   y-even for all time (the discretization commutes with the reflection).
-- Hausdorff distances on hand-built point sets.
+- Hausdorff distances on hand-built point sets, and bit for bit against
+  the dense formula kept below as `reference_hausdorff` (SciPy's `cdist`
+  over the periodic images) on seeded random sets and on the space-time
+  sets of a bench-shaped convergence study.
 - The pressure solver (matrix-free stencil, the module's GMRES with a
   fast-Poisson preconditioner) against the assembled sparse matrix and
   SuperLU direct solve kept below as `reference_pressure`; that GMRES alone
@@ -29,6 +32,7 @@ from scipy.fft import dst, idst, irfft, rfft
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
+from scipy.spatial.distance import cdist
 
 from hele_homog import hs2d
 from hele_homog.errors import NumericalError, ValidationError
@@ -343,6 +347,17 @@ class TestHistory:
         assert pts[0, 0] == 0.0
         assert np.all(np.diff(pts[:, 0]) >= 0)
 
+    def test_spacetime_points_of_every_front_is_the_full_table(self):
+        # sim2d run writes its front CSV from this table
+        hist = simulate(basic_config(T=0.5))
+        ys, count = hist.config.domain.y_nodes, len(hist.fronts)
+        pts = hist.spacetime_points(count)
+        assert pts.shape == (count * ys.size, 3)
+        np.testing.assert_array_equal(pts[:, 0], np.repeat(hist.times, ys.size))
+        np.testing.assert_array_equal(pts[:, 1], np.tile(ys, count))
+        np.testing.assert_array_equal(pts[:, 2],
+                                      np.concatenate([f.heights for f in hist.fronts]))
+
     def test_final_points_pairs_nodes_with_heights(self):
         hist = simulate(basic_config(T=0.5))
         pts = hist.final_points()
@@ -354,6 +369,22 @@ class TestHistory:
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 # ---------------------------------------------------------------------------
+
+
+def reference_hausdorff(A, B, period=None, axis=None):
+    """The dense formula: the n x m cdist matrices of A against B and its
+    -period and +period images along `axis`, their elementwise minimum, then
+    the larger of the two directed maxima. O(nm) time and memory."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    images = [B]
+    if period is not None:
+        for k in (-1.0, 1.0):
+            shifted = B.copy()
+            shifted[:, axis] += k * period
+            images.append(shifted)
+    dist = np.min([cdist(A, image) for image in images], axis=0)
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
 class TestHausdorff:
@@ -433,6 +464,60 @@ class TestHausdorff:
         B = np.array([[0.95, 1.0]])
         with pytest.raises(ValidationError, match="period must be > 0 and finite"):
             hausdorff(A, B, period=period, axis=0)
+
+    def test_axis_needs_a_period(self):
+        # axis=1 without a period once read the non-periodic 0.8 here
+        A, B = [[0.0, 0.1]], [[0.0, 0.9]]
+        for axis in (0, 1):
+            with pytest.raises(ValidationError, match="needs a period"):
+                hausdorff(A, B, axis=axis)
+
+    def test_equals_the_dense_formula_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for _case in range(400):
+            dim = int(rng.integers(1, 4))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            A = scale * rng.normal(size=(int(rng.integers(1, 301)), dim))
+            B = scale * rng.normal(size=(int(rng.integers(1, 301)), dim))
+            # duplicate points, within each set and shared between them
+            A = np.concatenate([A, A[rng.integers(0, len(A), 3)]])
+            B = np.concatenate([B, A[rng.integers(0, len(A), 2)]])
+            for axis in (None, *range(dim)):
+                period = None if axis is None else scale * rng.uniform(0.5, 4.0)
+                for X, Y in ((A, B), (B, A)):
+                    assert (hausdorff(X, Y, period=period, axis=axis)
+                            == reference_hausdorff(X, Y, period, axis))
+
+    def test_equals_the_dense_formula_on_a_convergence_study(self, monkeypatch):
+        # the bench's converge job: pinning2d on 128x20, eps 0.2, 0.1, 0.05
+        calls = []
+
+        def recorded(A, B, period=None, axis=None):
+            d = hausdorff(A, B, period=period, axis=axis)
+            calls.append((d, reference_hausdorff(A, B, period, axis), len(A)))
+            return d
+
+        monkeypatch.setattr(hs2d, "hausdorff", recorded)
+        config = SimConfig(domain=StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=20),
+                           medium=builtin_medium("pinning2d"), eps=0.2, psi0=0.7,
+                           T=0.65, h0=0.72)
+        report = convergence_study(config, [0.2, 0.1, 0.05])
+        assert len(calls) == 4  # a final and a space-time distance per pair
+        assert {n for _d, _ref, n in calls} == {20, 1200}
+        assert all(d == ref for d, ref, _n in calls)
+        assert [d for d, _ref, _n in calls] == [
+            x for p in report.pairs for x in (p.final_distance, p.spacetime_distance)]
+
+    def test_large_space_time_sets_need_no_distance_matrix(self):
+        # 60 slices of 512 y-nodes: a dense n x m path would hold ~15 GB
+        # here; the tree queries take about a second and O(n + m) memory
+        Ly, slices, ny = 0.25, 60, 512
+        t = np.repeat(np.linspace(0.0, 0.65, slices), ny)
+        y = np.tile(np.arange(ny) * (Ly / ny), slices)
+        h = 0.72 + 0.5 * t + 0.01 * np.sin(2.0 * np.pi * y / Ly)
+        A = np.column_stack([t, y, h])
+        B = np.column_stack([t, y, h + 1e-4])
+        assert hausdorff(A, B, period=Ly, axis=1) == pytest.approx(1e-4, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ LAZY_NAMES = [
     (geometry, "ndtri", "scipy.special"),
     (timescale, "lambertw", "scipy.special"),
     (timescale, "wrightomega", "scipy.special"),
-    (hs2d, "cdist", "scipy.spatial.distance"),
+    (hs2d, "cKDTree", "scipy.spatial"),
 ]
 
 
@@ -122,7 +122,7 @@ def test_every_lazy_name_forwards_to_the_scipy_object():
     xi_samples(cone_geometry([0.0, 0.0, -1.0], 1.0, 1.0, 2.0), 3)  # ndtri
     f_sub(1.0, SubScaling(alpha=0.5, gamma=1.0, lam=0.25))  # wrightomega
     f_super(0.1, SuperScaling(alpha=1.2, gamma=1.0, lam=0.2))  # lambertw
-    hausdorff([[0.0, 1.0]], [[0.5, 1.0]], period=1.0, axis=0)  # cdist
+    hausdorff([[0.0, 1.0]], [[0.5, 1.0]], period=1.0, axis=0)  # cKDTree
     for stub, (module, name, home) in zip(stubs, LAZY_NAMES):
         # the binding stays the stub; a misspelt spec fails here, not at a
         # user's first 2D step
