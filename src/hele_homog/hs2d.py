@@ -7,19 +7,15 @@ front, and the front graph h advances along its normal at speed g^eps |Du+|.
 
 On a flat front the discrete pressure is the planar profile psi0 (1 - xt),
 taken in closed form and checked against the stencil like any solve. A curved
-front's mapped 9-point pressure stencil is solved matrix-free: first by the
-flat-front fast Poisson solve (four products with the grid's cached dense
-DST-I and real Fourier matrices), kept when it already meets GMRES's
-tolerance, otherwise by the module's own restarted GMRES, right-preconditioned
-by that fast solve. In a run, a curved step's GMRES starts from the Lagrange
-extrapolation in time of the last six solved pressures (fewer early on: the
-previous pressure alone on the second step); the first step of a run, and a
-lone step(), start from the fast solve. A step fails with
-NumericalError, naming t, when the front heights or g are not finite, when
-the front leaves the strip or its graph condition, when the solve does not
-converge to a relative residual of 1e-10, when u leaves [0, psi0] (the
-discrete maximum principle), or when no step size can be set. Iterations and
-residual are recorded per saved step.
+front's mapped 9-point pressure stencil is solved matrix-free by one run of
+the module's own restarted GMRES, right-preconditioned by the flat-front fast
+Poisson solve (four products with the grid's cached dense DST-I and real
+Fourier matrices), from the start that _curved_pressure chooses. A step
+fails with NumericalError, naming t, when the front heights or g are not
+finite, when the front leaves the strip or its graph condition, when the
+solve does not converge to a relative residual of 1e-10, when u leaves
+[0, psi0] (the discrete maximum principle), or when no step size can be set.
+Iterations and residual are recorded per saved step.
 """
 
 from __future__ import annotations
@@ -32,9 +28,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._lazy import lazy
-from .errors import NumericalError, ValidationError, require_integer, require_positive
-from .geometry import PlanarWave
-from .homog1d import FlatnessTrace, Side, _eps_list
+from .errors import (NumericalError, ValidationError, require_integer, require_positive,
+                     require_vector)
+from .homog1d import _eps_list
 from .medium import Medium, _admit, eval_scaled
 
 cKDTree = lazy("scipy.spatial", "cKDTree")
@@ -127,22 +123,20 @@ class SimConfig:
         if self.dt is not None:
             require_positive(dt=self.dt)
         require_integer(1, save_every=self.save_every)
-
-    def initial_front(self) -> FrontGraph:
         ny = self.domain.ny
-        h = np.asarray(self.h0, dtype=float)
-        if h.ndim == 0:
-            h = np.full(ny, float(h))
-        if h.shape != (ny,):
+        h = require_vector("h0", self.h0)
+        if h.shape != (ny,) and np.ndim(self.h0) != 0:
             raise ValidationError(
-                f"h0 must be a scalar or a length-{ny} array, got shape {h.shape}"
+                f"h0 must be a scalar or a length-{ny} array, got shape {np.shape(self.h0)}"
             )
         margin = 2.0 * self.domain.dx_ref
         if not (np.all(h > margin) and np.all(h < self.domain.Lx - margin)):
             raise ValidationError(
                 "initial front must stay 2 grid cells inside the strip"
             )
-        return FrontGraph(heights=h, t=0.0)
+
+    def initial_front(self) -> FrontGraph:
+        return FrontGraph(heights=np.full(self.domain.ny, self.h0, dtype=float), t=0.0)
 
 
 def _front_derivatives(h: np.ndarray, dy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,13 +168,7 @@ def _fast_poisson(domain: StripDomain, beta: float):
     lam = lam_x - 4.0 * beta / domain.dy ** 2 * sin2_y
 
     def solve(r):
-        r = r.reshape(nx - 1, ny)
-        # y-coefficients of r - r[:, :1], which vanish exactly where r is
-        # constant in y; the mean column gets r[:, 0] sqrt(ny) back. So a
-        # y-constant r gives an exactly y-constant solution.
-        r_hat = (r - r[:, :1]) @ Fy
-        r_hat[:, 0] += r[:, 0] * math.sqrt(ny)
-        return (Sx @ ((Sx @ r_hat) / lam) @ Fy.T).ravel()
+        return (Sx @ ((Sx @ (r.reshape(nx - 1, ny) @ Fy)) / lam) @ Fy.T).ravel()
 
     return solve
 
@@ -274,10 +262,22 @@ def _flat_pressure(domain: StripDomain, psi0: float
 
 
 def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
-                     hpp: np.ndarray, psi0: float, guess: Optional[np.ndarray]
+                     hpp: np.ndarray, psi0: float, t: float,
+                     solved: Sequence[tuple[float, np.ndarray]]
                      ) -> tuple[np.ndarray, int, bool, float]:
     """The pressure under a curved front, as (u grid, iterations, converged,
-    relative residual) for _solve_pressure's checks (see there)."""
+    relative residual) for _solve_pressure's checks (see there).
+
+    One _gmres run, right-preconditioned by _fast_poisson(domain, mean(h^2)),
+    solves the 9-point stencil. This is the one place that picks its start
+    x0: given `solved`, the (t_i, u_i) pressure grids of earlier solves on
+    the same mapped grid (in simulate, the last six), it is their Lagrange
+    extrapolation to t (one grid comes back as it is), since the pressure
+    under a smoothly moving front is smooth in t; given none, it is the fast
+    solve of the right-hand side. iterations is GMRES's count, so 0 when x0
+    already meets GMRES's first test |b - A x0| <= 1e-12 |b| and comes back
+    unchanged.
+    """
     nx, ny, dy = domain.nx, domain.ny, domain.dy
     dxt = 1.0 / nx
     xt = domain._pressure_factors[0]
@@ -311,26 +311,19 @@ def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     rhs = np.zeros((nx - 1, ny))
     rhs[0] = -west[0] * psi0
     rhs_norm = np.linalg.norm(rhs)
+    x0 = _extrapolate(*zip(*solved), t)[1:nx] if solved else fast_poisson(rhs)
+    target = _GMRES_RTOL * rhs_norm
+    sol, iterations, estimate = _gmres(matvec, fast_poisson, rhs.ravel(), x0.ravel(), target)
     u = np.zeros((nx + 1, ny + 2))
     u[0] = psi0
-    iterations, converged, residual = 1, True, math.inf
-    if guess is None:
-        u[1:nx, 1:-1] = fast_poisson(rhs).reshape(nx - 1, ny)
-        residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
-    if residual > _GMRES_RTOL:  # GMRES's stopping test; False for NaN
-        x0 = u[1:nx, 1:-1] if guess is None else guess[1:nx]
-        target = _GMRES_RTOL * rhs_norm
-        sol, iterations, estimate = _gmres(matvec, fast_poisson, rhs.ravel(), x0.ravel(),
-                                           target)
-        u[1:nx, 1:-1] = sol.reshape(nx - 1, ny)
-        residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
-        converged = estimate <= target
-    return u[:, 1:-1], iterations, converged, residual
+    u[1:nx, 1:-1] = sol.reshape(nx - 1, ny)
+    residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
+    return u[:, 1:-1], iterations, estimate <= target, residual
 
 
 def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
                     hpp: np.ndarray, psi0: float, t: float,
-                    guess: Optional[np.ndarray] = None
+                    solved: Sequence[tuple[float, np.ndarray]] = ()
                     ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Solve the mapped Laplace equation under the front h with derivatives
     (hp, hpp) = _front_derivatives(h, dy); return (u grid, |Du| at the front,
@@ -344,23 +337,17 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     constant) the discrete solution is the planar profile psi0 (1 - xt),
     taken in closed form by _flat_pressure (iterations 1), whose residual on
     the flat stencil is still computed. A curved front's 9-point operator
-    is applied matrix-free. Without a `guess`, the flat operator
-    u_xtxt + mean(h^2) u_yy is solved first, by _fast_poisson; that solution
-    is kept when it meets GMRES's own stopping test |A u - b| <= 1e-12 |b|
-    (iterations is then 1). Otherwise _gmres, right-preconditioned by the
-    same fast solve, runs to that test on its residual estimate; it starts
-    from `guess`, a pressure grid of the same shape (in simulate, the
-    extrapolation of the last solved pressures, which share the mapped
-    grid), when given, else from the fast solve, and iterations is its
-    count. The residual is then recomputed explicitly.
-    NumericalError when the solution is not finite, GMRES does not converge
-    or the residual > 1e-10.
+    is applied matrix-free and solved by GMRES to |A u - b| <= 1e-12 |b| on
+    its residual estimate, from the start that _curved_pressure forms out
+    of the `solved` history (see there); the residual is then recomputed
+    explicitly. NumericalError when the solution is not finite, GMRES does
+    not converge or the residual > 1e-10.
     """
     if h.max() == h.min():
         u, iterations, converged, residual = _flat_pressure(domain, psi0)
     else:
         u, iterations, converged, residual = _curved_pressure(domain, h, hp, hpp,
-                                                              psi0, guess)
+                                                              psi0, t, solved)
     why = ("produced non-finite values"
            if not (np.all(np.isfinite(u)) and math.isfinite(residual))
            else "did not converge" if not converged
@@ -377,10 +364,11 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
 
 
 def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
-             guess: Optional[np.ndarray] = None) -> tuple[FrontGraph, dict]:
-    """One explicit step from `state`; info holds dt, the pressure range, the
-    solve's iterations and residual, and the pressure grid ("u") that the
-    next step's solve may start from as its `guess`."""
+             solved: Sequence[tuple[float, np.ndarray]] = ()) -> tuple[FrontGraph, dict]:
+    """One explicit step from `state`, its pressure solve started from the
+    `solved` history as _curved_pressure says; info holds dt, the pressure
+    range, the solve's iterations and residual, and the pressure grid ("u")
+    that later steps add to their history."""
     domain = config.domain
     h = np.asarray(state.heights, dtype=float)
     if not np.all(np.isfinite(h)):
@@ -396,7 +384,7 @@ def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = Non
                              f"front slope {np.abs(hp).max():.3g} > 5")
 
     u, grad, iterations, residual = _solve_pressure(
-        domain, h, hp, hpp, config.psi0, state.t, guess)
+        domain, h, hp, hpp, config.psi0, state.t, solved)
     u_min, u_max = float(u.min()), float(u.max())
     excess = max(-u_min, u_max - config.psi0)
     if not excess <= _MAX_PRINCIPLE_TOL:
@@ -444,13 +432,11 @@ class SimHistory:
 
     u_min, u_max, iterations and residual (relative, |A u - b| / |b|) hold
     one entry per saved front after the initial one. iterations is 1 on a
-    flat front (one direct solve: the closed-form planar pressure) and when
-    a curved front's fast Poisson solve met GMRES's tolerance and was kept,
-    otherwise the count of the right-preconditioned GMRES run. It starts
-    from the fast solve on the first step and from the Lagrange
-    extrapolation to the step's time of the last (up to six) solved
-    pressures after it; the bench's curved job at phase 0.3 takes 163
-    iterations over 66 steps, against 441 from the previous pressure alone.
+    flat front (one direct solve: the closed-form planar pressure), else
+    the count of the curved solve's GMRES run, whose start
+    _curved_pressure forms from the last (up to six) solved pressures of
+    the run; the bench's curved job at phase 0.3 takes 163 iterations over
+    66 steps, against 441 from the previous pressure alone.
     """
 
     config: SimConfig
@@ -506,11 +492,8 @@ def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
         if k == max_steps:
             raise NumericalError(f"exceeded {max_steps} steps before reaching T: "
                                  f"at t={state.t:.6g} of T={config.T:.6g}")
-        # only a curved front runs GMRES, so only it needs a start
-        h, t = state.heights, state.t
-        guess = (_extrapolate(*zip(*solved), t)
-                 if solved and h.max() != h.min() else None)
-        state, info = _advance(state, config, config.T - t, guess)
+        t = state.t
+        state, info = _advance(state, config, config.T - t, solved)
         k, solved = k + 1, (solved + [(t, info["u"])])[-_START_GRIDS:]
         if k % config.save_every == 0 or state.t >= config.T - 1e-12:
             times.append(state.t)
@@ -617,24 +600,3 @@ def convergence_study(config: SimConfig, eps_list: Sequence[float]) -> Hausdorff
         pairs.append(PairDistance(eps_a=ea, eps_b=eb, final_distance=d_final,
                                   spacetime_distance=d_st))
     return HausdorffReport(eps_list=eps_list, pairs=tuple(pairs), speeds=speeds)
-
-
-def flatness2d(history: SimHistory, P: PlanarWave) -> FlatnessTrace:
-    """Running max excess of the simulated front over the planar front of P.
-
-    The wave must propagate along the depth axis (nu close to e_x) so the
-    planar front is the graph x = r t + eta0, anchored to the initial front.
-    """
-    nu = P.nu
-    if nu.shape != (2,) or abs(nu[0] - 1.0) > 1e-9 or abs(nu[1]) > 1e-9:
-        raise ValidationError(
-            "planar wave must propagate along the depth axis (+x) for "
-            "graph-front comparison"
-        )
-    f0 = history.fronts[0]
-    eta0 = float(np.max(f0.heights)) - P.r * f0.t
-    detach = np.array([float(np.max(f.heights)) - (P.r * f.t + eta0)
-                       for f in history.fronts])
-    phi = np.maximum.accumulate(np.maximum(detach, 0.0))
-    return FlatnessTrace(times=np.asarray(history.times, dtype=float),
-                         phi=phi, side=Side.SUPER)
