@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._lazy import lazy
-from .errors import (NumericalError, ValidationError, require_integer, require_positive,
-                     require_vector)
+from .errors import (NumericalError, ValidationError, require_finite, require_integer,
+                     require_positive, require_vector)
 from .homog1d import _eps_list
 from .medium import Medium, _admit, eval_scaled
 
@@ -118,6 +118,7 @@ class SimConfig:
     def __post_init__(self):
         _admit(self.medium, 2)
         require_positive(eps=self.eps, psi0=self.psi0, T=self.T)
+        require_finite(cfl=self.cfl)
         if not 0 < self.cfl <= 1:
             raise ValidationError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.dt is not None:
@@ -155,7 +156,7 @@ _SLICES = 60  # space-time samples per history in convergence_study's distances
 def _fast_poisson(domain: StripDomain, beta: float):
     """The solver of the flat operator u_xtxt + beta u_yy on the unknown rows
     (u = 0 at xt = 0 and 1, periodic in y), centered differences as in
-    _solve_pressure: it maps (nx - 1) * ny right-hand side values, of any
+    _velocity: it maps (nx - 1) * ny right-hand side values, of any
     shape, to the solution, raveled.
 
     The operator is diagonal in the grid's cached orthonormal bases, Sx in xt
@@ -243,7 +244,7 @@ def _extrapolate(times: Sequence[float], grids: Sequence[np.ndarray],
 def _flat_pressure(domain: StripDomain, psi0: float
                    ) -> tuple[np.ndarray, int, bool, float]:
     """The exact discrete pressure under a flat front, as (u grid, iterations,
-    converged, relative residual) for _solve_pressure's checks.
+    converged, relative residual) for _velocity's checks.
 
     On a flat front h' = h'' = 0, so the mapped stencil has a = 1 and
     c = d = 0, and its y terms cancel on a y-constant grid: what is left on
@@ -266,7 +267,7 @@ def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
                      solved: Sequence[tuple[float, np.ndarray]]
                      ) -> tuple[np.ndarray, int, bool, float]:
     """The pressure under a curved front, as (u grid, iterations, converged,
-    relative residual) for _solve_pressure's checks (see there).
+    relative residual) for _velocity's checks (see there).
 
     One _gmres run, right-preconditioned by _fast_poisson(domain, mean(h^2)),
     solves the 9-point stencil. This is the one place that picks its start
@@ -321,15 +322,15 @@ def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     return u[:, 1:-1], iterations, estimate <= target, residual
 
 
-def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
-                    hpp: np.ndarray, psi0: float, t: float,
-                    solved: Sequence[tuple[float, np.ndarray]] = ()
-                    ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Solve the mapped Laplace equation under the front h with derivatives
-    (hp, hpp) = _front_derivatives(h, dy); return (u grid, |Du| at the front,
-    iterations, relative residual |A u - b| / |b|).
+def _velocity(config: SimConfig, h: np.ndarray, t: float,
+              solved: Sequence[tuple[float, np.ndarray]] = ()
+              ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The front's rate dh/dt = g^eps |Du| sqrt(1 + h'^2) under the heights h
+    at time t, as (rate, slope = |Du| sqrt(1 + h'^2), info); info holds the
+    pressure range, the solve's iterations and relative residual
+    |A u - b| / |b|, and the pressure grid ("u") for later `solved` histories.
 
-    In xt = x/h(y) the equation becomes
+    In xt = x/h(y) the pressure equation becomes
       (1 + xt^2 h'^2) u_xtxt + h^2 u_yy - 2 xt h h' u_xty
         + xt (2 h'^2 - h h'') u_xt = 0,
     discretized with centered second-order differences on the unit square,
@@ -340,14 +341,27 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     is applied matrix-free and solved by GMRES to |A u - b| <= 1e-12 |b| on
     its residual estimate, from the start that _curved_pressure forms out
     of the `solved` history (see there); the residual is then recomputed
-    explicitly. NumericalError when the solution is not finite, GMRES does
-    not converge or the residual > 1e-10.
+    explicitly. NumericalError, naming t, on every failure listed in the
+    module docstring but the step size's.
     """
+    domain = config.domain
+    if not np.all(np.isfinite(h)):
+        raise NumericalError(f"front heights are not finite at t={t:.6g}")
+    margin = 2.0 * domain.dx_ref
+    for wall, bad in (("Lx", h >= domain.Lx - margin), ("0", h <= margin)):
+        if np.any(bad):
+            raise NumericalError(f"front leaves the strip at t={t:.6g}: "
+                                 f"heights within 2 grid cells of x = {wall}")
+    hp, hpp = _front_derivatives(h, domain.dy)
+    if np.abs(hp).max() > 5.0:
+        raise NumericalError(f"graph condition violated at t={t:.6g}: "
+                             f"front slope {np.abs(hp).max():.3g} > 5")
+
     if h.max() == h.min():
-        u, iterations, converged, residual = _flat_pressure(domain, psi0)
+        u, iterations, converged, residual = _flat_pressure(domain, config.psi0)
     else:
         u, iterations, converged, residual = _curved_pressure(domain, h, hp, hpp,
-                                                              psi0, t, solved)
+                                                              config.psi0, t, solved)
     why = ("produced non-finite values"
            if not (np.all(np.isfinite(u)) and math.isfinite(residual))
            else "did not converge" if not converged
@@ -355,51 +369,36 @@ def _solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     if why is not None:
         raise NumericalError(f"pressure solve {why} at t={t:.6g}: {iterations} "
                              f"GMRES iterations, relative residual {residual:.3g}")
-
     # one-sided second-order normal slope at xt = 1 (u[nx] = 0)
     nx, dxt = domain.nx, 1.0 / domain.nx
     uxt = (u[nx - 2, :] - 4.0 * u[nx - 1, :]) / (2.0 * dxt)
     grad = np.abs(uxt) * np.sqrt(1.0 + hp ** 2) / h
-    return u, grad, iterations, residual
 
-
-def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
-             solved: Sequence[tuple[float, np.ndarray]] = ()) -> tuple[FrontGraph, dict]:
-    """One explicit step from `state`, its pressure solve started from the
-    `solved` history as _curved_pressure says; info holds dt, the pressure
-    range, the solve's iterations and residual, and the pressure grid ("u")
-    that later steps add to their history."""
-    domain = config.domain
-    h = np.asarray(state.heights, dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise NumericalError(f"front heights are not finite at t={state.t:.6g}")
-    margin = 2.0 * domain.dx_ref
-    for wall, bad in (("Lx", h >= domain.Lx - margin), ("0", h <= margin)):
-        if np.any(bad):
-            raise NumericalError(f"front leaves the strip at t={state.t:.6g}: "
-                                 f"heights within 2 grid cells of x = {wall}")
-    hp, hpp = _front_derivatives(h, domain.dy)
-    if np.abs(hp).max() > 5.0:
-        raise NumericalError(f"graph condition violated at t={state.t:.6g}: "
-                             f"front slope {np.abs(hp).max():.3g} > 5")
-
-    u, grad, iterations, residual = _solve_pressure(
-        domain, h, hp, hpp, config.psi0, state.t, solved)
     u_min, u_max = float(u.min()), float(u.max())
     excess = max(-u_min, u_max - config.psi0)
     if not excess <= _MAX_PRINCIPLE_TOL:
         raise NumericalError(
-            f"discrete maximum principle violated at t={state.t:.6g}: u in "
+            f"discrete maximum principle violated at t={t:.6g}: u in "
             f"[{u_min:.6g}, {u_max:.6g}] leaves [0, psi0 = {config.psi0:.6g}] "
             f"by {excess:.3g}")
     points = np.stack([h, domain.y_nodes], axis=-1)
-    g = np.asarray(eval_scaled(config.medium, config.eps, points, state.t))
+    g = np.asarray(eval_scaled(config.medium, config.eps, points, t))
     if not np.all(np.isfinite(g)):
-        raise NumericalError(
-            f"medium g is not finite at the front at t={state.t:.6g}")
+        raise NumericalError(f"medium g is not finite at the front at t={t:.6g}")
     slope = grad * np.sqrt(1.0 + hp ** 2)  # dh/dt = V * sqrt(1 + h_y^2)
-    rate = g * slope
+    info = {"u_min": u_min, "u_max": u_max, "iterations": iterations,
+            "residual": residual, "u": u}
+    return g * slope, slope, info
 
+
+def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
+             solved: Sequence[tuple[float, np.ndarray]] = ()) -> tuple[FrontGraph, dict]:
+    """One forward Euler step h + dt * rate from `state`, the rate from
+    _velocity (its solve started from the `solved` history) and dt from the
+    CFL policy, capped by config.dt and dt_cap; info is _velocity's plus dt."""
+    domain = config.domain
+    h = np.asarray(state.heights, dtype=float)
+    rate, slope, info = _velocity(config, h, state.t, solved)
     spacing = min(float(h.min()) / domain.nx, domain.dy)
     peak = _admit(config.medium, 2).M * float(slope.max())
     if not peak > 0:
@@ -412,18 +411,7 @@ def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = Non
         dt = min(dt, dt_cap)
     if not dt > 0:
         raise NumericalError(f"step size collapsed to {dt} at t={state.t:.6g}")
-
-    new = FrontGraph(heights=h + dt * rate, t=state.t + dt)
-    info = {"dt": dt, "u_min": u_min, "u_max": u_max,
-            "iterations": iterations, "residual": residual, "u": u}
-    return new, info
-
-
-def step(state: FrontGraph, config: SimConfig,
-         dt_cap: Optional[float] = None) -> FrontGraph:
-    """One explicit front advance: solve pressure, move h along the normal."""
-    new, _info = _advance(state, config, dt_cap)
-    return new
+    return FrontGraph(heights=h + dt * rate, t=state.t + dt), {"dt": dt, **info}
 
 
 @dataclass(frozen=True, eq=False)
