@@ -12,11 +12,12 @@ q-array into long-time averages by iterating each q's tabulated time-1 map
 (g is 1-periodic in t, so the orbit is that map iterated; where the map is
 too distorted to tabulate whole, as near a locking plateau, the table
 composes maps over recursive halves of the period) or, where no table
-within its budget resolves the map, by the direct orbit, `_clipped` runs
-the obstacle-clipped front with or without a stored trace, and `_bisect`
-halves the candidate brackets for both sides. The scalar loops evaluate the
-medium through its float kernel and coerce their scalars to Python floats,
-so they run on float arithmetic with the bits the NumPy kernel would give.
+within its budget resolves the map, by the direct orbit (on the float
+kernel for a single q), `_clipped` runs the obstacle-clipped front with or
+without a stored trace, and `_bisect` halves the candidate brackets for
+both sides. The scalar loops evaluate the medium through its float kernel
+and coerce their scalars to Python floats, so they run on float arithmetic
+with the bits the NumPy kernel would give.
 """
 
 from __future__ import annotations
@@ -34,21 +35,6 @@ from .errors import (NumericalError, ValidationError, require_finite, require_in
 from .medium import Medium, MediumBounds, _admit, estimate_bounds
 
 quad = lazy("scipy.integrate", "quad")
-
-
-@dataclass(frozen=True)
-class FrontProblem:
-    """Front ODE data: x' = q * g(x/eps, t/eps) from position x0."""
-
-    medium: Medium
-    q: float
-    x0: float = 0.0
-    eps: float = 1.0
-
-    def __post_init__(self):
-        _admit(self.medium, 1)
-        require_positive(q=self.q, eps=self.eps)
-        require_finite(x0=self.x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +99,9 @@ class VelocityCurve:
     stages: np.ndarray
 
 
-def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None,
-         t0: float = 0.0):
+def _rk4(g, q, x0, T: float, steps: int, t0: float = 0.0):
     """RK4 for x' = q * g(x, t) over `steps` steps of T/steps from time t0;
-    q, x0 floats or arrays.
-
-    Returns the final position, and stores step k in positions[k] when
-    given (a q-array never stores its path).
+    q, x0 floats or arrays. Returns the final position.
     Raises NumericalError when a position is not finite or fails to increase.
     """
     h = T / steps
@@ -135,8 +117,6 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None,
         x_next = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         increasing &= x_next > x
         x = x_next
-        if positions is not None:
-            positions[k + 1] = x
     if not np.all(np.isfinite(x)):
         raise NumericalError("medium evaluation produced a non-finite front position")
     if not np.all(increasing):
@@ -144,29 +124,19 @@ def _rk4(g, q, x0, T: float, steps: int, positions: Optional[np.ndarray] = None,
     return x
 
 
-def integrate_front(p: FrontProblem, T: float, dt: float) -> FrontTrace:
-    """Classical fourth-order one-step integration of the front ODE."""
-    require_positive(T=T, dt=dt)
-    require_steps(T, dt)
-    steps = max(1, round(T / dt))
-    positions = np.empty(steps + 1)
-    positions[0] = x0 = float(p.x0)
-    fn, inv = p.medium._float_fn, 1.0 / float(p.eps)
-    _rk4(lambda x, t: fn(x * inv, t * inv), float(p.q), x0, float(T), steps, positions)
-    times = np.linspace(0.0, T, steps + 1)
-    return FrontTrace(times=times, positions=positions, dt=T / steps)
-
-
 def effective_velocity(medium: Medium, q: float, T: float = 100.0,
                        x0: float = 0.0, dt: float = 0.01) -> VelocityEstimate:
     """Estimate r(q) by (x(T) - x0)/T; the period squeeze gives error 1/T.
 
     This is velocity_curve's kernel on a one-element q-array, so the two agree
-    to the bit on the builtins. Where no table resolves the map, r_hat is
-    integrate_front's final position, minus x0, over T.
+    to the bit on the builtins. Where no table resolves the map, r_hat is the
+    direct orbit's final position, minus x0, over T: round(T/dt) RK4 steps
+    on the float kernel.
     """
-    p = FrontProblem(medium=medium, q=q, x0=x0, eps=1.0)
-    r_hat, nodes, stages = _averages(medium, np.array([float(p.q)]), float(x0), T, dt)
+    _admit(medium, 1)
+    require_positive(q=q)
+    require_finite(x0=x0)
+    r_hat, nodes, stages = _averages(medium, np.array([float(q)]), float(x0), T, dt)
     return VelocityEstimate(q=q, r_hat=float(r_hat[0]), T=T, error_bound=1.0 / T,
                             nodes=int(nodes[0]), stages=int(stages[0]))
 
@@ -192,8 +162,7 @@ _WITNESSES = np.arange(1.0, 14.0) * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
 # plateau (256 nodes) among them, and costs 1.4x the time at _BUDGET = 2,
 # where split tables leave none; _BUDGET = 3 costs 1.06x.
 _BUDGET = 2
-_BLOCK = 64  # q rows per table block
-_CELLS = 8192  # table entries per _rk4 call: a block's working set stays under ~1 MB
+_BLOCK = 64  # q rows per table block, so one _rk4 call per stage keeps its arrays small
 
 
 def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
@@ -205,8 +174,8 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     floor(T) times, each application the composition of its table's stage
     maps. The fractional period f = T - floor(T) is integrated directly from
     t = 0 (g is 1-periodic in t) in round(f*n) steps, at least one. The
-    other q run integrate_front's orbit, round(T/dt) steps, on the float
-    kernel for a single q.
+    other q run the direct orbit, round(T/dt) RK4 steps, on the float kernel
+    for a single q.
     """
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
@@ -261,20 +230,16 @@ def _tables(fn, q: np.ndarray, n: int, T: float):
     """
     budget = _BUDGET * T
 
-    def increments(rows, x, b, b1):  # stage maps from step b to b1, minus x
-        per = max(1, _CELLS // x.size)  # table rows per _rk4 call
-        return np.concatenate([_rk4(fn, q[r, None], x, (b1 - b) / n, b1 - b, t0=b / n) - x
-                               for r in np.split(rows, range(per, rows.size, per))])
-
-    def stage_tables(rows, bounds, x):  # (stage, row, point)
-        return np.stack([increments(rows, x, b, b1) for b, b1 in zip(bounds, bounds[1:])])
+    def stage_tables(rows, bounds, x):  # (stage, row, point): each stage map minus x
+        return np.stack([_rk4(fn, q[rows, None], x, (b1 - b) / n, b1 - b, t0=b / n) - x
+                         for b, b1 in zip(bounds, bounds[1:])])
 
     nodes, stages, found = np.zeros(q.size, dtype=int), np.zeros(q.size, dtype=int), []
     N = _FIRST_NODES
     if N + _WITNESSES.size > budget:
         return nodes, stages, found
     rows = np.arange(q.size)
-    D = increments(rows, np.concatenate([np.arange(N) / N, _WITNESSES]), 0, n)
+    D = stage_tables(rows, [0, n], np.concatenate([np.arange(N) / N, _WITNESSES]))[0]
     # rows of one history: its stage cuts, nodes, tables, witness values and
     # errors of the table before, and the periods its doublings did not spend
     groups = [(rows, [0, n], N, D[None, :, :N], D[:, N:], np.inf, _WITNESSES.size)]
@@ -306,7 +271,7 @@ def _tables(fn, q: np.ndarray, n: int, T: float):
 
 
 def _moved(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The sum of the stage increments D_s (see _value) along one
+    """The sum of the stage differences D_s (see _value) along one
     application of the composed map from x."""
     moved = 0.0
     for cs in c:
@@ -455,7 +420,7 @@ class FlatnessCheckReport:
 def flatness_lipschitz_check(trace: FlatnessTrace, q: float, r: float,
                              bounds: MediumBounds,
                              side: Optional[Side] = None) -> FlatnessCheckReport:
-    """Check phi nondecreasing and increments <= h*(rate + q*L*dt).
+    """Check phi nondecreasing and each rise of phi <= h*(rate + q*L*dt).
 
     The rate is (M*q - r)+ on the Super side and (r - m*q)+ on the Sub side;
     the q*L*dt term absorbs the explicit-step sampling of g along one step
@@ -508,10 +473,11 @@ class CandidateReport:
 
 def _eps_list(eps_list: Sequence[float], at_least: int) -> tuple:
     """eps_list as floats: at least at_least, finite, > 0, strictly decreasing."""
-    eps_list = tuple(float(e) for e in eps_list)
+    eps_list = tuple(eps_list)
     if len(eps_list) < at_least:
         raise ValidationError(f"eps_list needs at least {at_least} value(s)")
     require_positive(**{f"eps_list[{i}]": e for i, e in enumerate(eps_list)})
+    eps_list = tuple(float(e) for e in eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
     return eps_list

@@ -10,18 +10,20 @@ and a finite norm.
 
 import dataclasses
 import inspect
+import io
 import math
 import re
+import tokenize
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hele_homog
 from hele_homog import (
-    FrontProblem,
     Medium,
     PerturbedContractingField,
     Side,
@@ -32,7 +34,6 @@ from hele_homog import (
     effective_velocity,
     harmonic_mean_oracle,
     homogenized_candidates,
-    integrate_front,
     obstacle_front,
     parse_medium,
     traveling_wave_oracle,
@@ -53,7 +54,6 @@ _FIELD = PerturbedContractingField(2, M=1.2, mu=1.0, chi0=1.0, kappa=0.01)
 
 # entry point -> (medium dimension, call with valid arguments apart from g)
 ENTRY_POINTS = {
-    "FrontProblem": (1, lambda g: FrontProblem(medium=g, q=1.0)),
     "effective_velocity": (1, lambda g: effective_velocity(g, 1.0, T=10.0, dt=0.5)),
     "harmonic_mean_oracle": (1, lambda g: harmonic_mean_oracle(g, 1.0)),
     "traveling_wave_oracle": (1, lambda g: traveling_wave_oracle(g, 0.0, 1.0)),
@@ -98,6 +98,39 @@ class TestEveryEntryPointAdmits:
         dim, call = ENTRY_POINTS[name]
         with pytest.raises(ValidationError, match=f"got dim {3 - dim}$"):
             call(parse_medium(PERIODIC, 3 - dim))
+
+
+# a public function that no command, bench job, demo or acceptance check
+# calls does not pay for itself; these are exempt, each for its reason
+UNUSED_PUBLIC = {
+    "format_expr": "the printer of the public Medium.ast",
+}
+
+
+def _identifiers(paths) -> set:
+    """The names in the files' code, and the string literals that are a name
+    (the bench's tracer looks its layer functions up by name)."""
+    names = set()
+    for path in paths:
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME:
+                names.add(tok.string)
+            elif tok.type == tokenize.STRING and tok.string[1:-1].isidentifier():
+                names.add(tok.string[1:-1])
+    return names
+
+
+class TestPublicFunctionsAreUsed:
+    def test_every_public_function_has_a_caller(self):
+        root = Path(__file__).resolve().parents[1]
+        callers = [root / "src" / "hele_homog" / "cli.py", root / "tests" / "test_acceptance.py",
+                   *sorted((root / "bench").glob("*.py")), *sorted((root / "demos").glob("*.py"))]
+        used = _identifiers(callers)
+        functions = {name for name in hele_homog.__all__
+                     if callable(getattr(hele_homog, name))
+                     and not inspect.isclass(getattr(hele_homog, name))}
+        assert UNUSED_PUBLIC.keys() <= functions
+        assert sorted(functions - used - UNUSED_PUBLIC.keys()) == []
 
 
 class TestAdmit:
@@ -177,7 +210,7 @@ class TestAdmit:
         monkeypatch.setattr(medium_module, "estimate_bounds", counting)
         g = parse_medium(PERIODIC, 1)
         for q in (0.5, 1.0, 2.0):
-            FrontProblem(medium=g, q=q)
+            obstacle_front(g, q=q, r=0.5, eps=0.5, side=Side.SUB, T=0.1)
         velocity_curve(g, 0.5, 1.0, 2, T=10.0, dt=0.5)
         assert calls == [40]
         # convergence_study re-creates its config once per eps
@@ -194,7 +227,8 @@ class TestParameterRule:
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan,
                                        "1", None, np.array([1.0]), 1j,
-                                       np.array(-1.0)])
+                                       np.array(-1.0), True, np.True_,
+                                       np.array(True)])
     def test_require_positive_rejects(self, value):
         with pytest.raises(ValidationError, match="x must be > 0"):
             require_positive(x=value)
@@ -255,12 +289,12 @@ class TestStepCountRule:
     is rounded, where an infinite T/dt raised OverflowError."""
 
     @pytest.mark.parametrize("call, T, dt", [
-        (lambda g: integrate_front(FrontProblem(g, q=1.0), T=1e308, dt=0.01), "1e+308", "0.01"),
+        (lambda g: effective_velocity(g, 1.0, T=1e308), "1e+308", "0.01"),
         (lambda g: velocity_curve(g, 0.5, 1.0, 3, T=1e308), "1e+308", "0.02"),
         (lambda g: velocity_curve(g, 0.5, 1.0, 3, dt=1e-310), "200.0", "1e-310"),
         (lambda g: obstacle_front(g, 1.0, 1.0, 0.1, Side.SUPER, T=1e308), "1e+308", "0.005"),
         (lambda g: homogenized_candidates(g, 1.0, T=1e308), "1e+308", "0.00025"),
-    ], ids=["integrate_front", "averages_T", "averages_dt", "obstacle_front",
+    ], ids=["effective_velocity", "averages_T", "averages_dt", "obstacle_front",
             "homogenized_candidates"])
     def test_entry_point_refuses_the_grid(self, call, T, dt):
         with warnings.catch_warnings():

@@ -22,7 +22,6 @@ from test_medium import _expr_strings
 
 from hele_homog import (
     FlatnessTrace,
-    FrontProblem,
     Medium,
     NumericalError,
     Side,
@@ -34,7 +33,6 @@ from hele_homog import (
     flatness_lipschitz_check,
     harmonic_mean_oracle,
     homogenized_candidates,
-    integrate_front,
     obstacle_front,
     parse_medium,
     traveling_wave_oracle,
@@ -54,23 +52,15 @@ def _pinning_phase(q):
 
 
 # ---------------------------------------------------------------------------
-# integrate_front
+# The RK4 kernel and the front ODE's public entry point
 # ---------------------------------------------------------------------------
 
 class TestIntegrateFront:
-    def test_constant_medium_exact(self):
-        p = FrontProblem(medium=parse_medium("1", 1), q=2.0)
-        tr = integrate_front(p, 1.0, 0.01)
-        assert tr.positions[-1] == pytest.approx(2.0, abs=1e-13)
-        assert tr.times[-1] == pytest.approx(1.0)
-        assert tr.dt == 0.01
+    """`_rk4` on the float kernel, and effective_velocity's argument checks."""
 
-    def test_trace_shapes(self):
-        p = FrontProblem(medium=builtin_medium("pinning"), q=0.75)
-        tr = integrate_front(p, 0.5, 0.01)
-        assert tr.times.shape == tr.positions.shape
-        assert tr.times[0] == 0.0 and tr.positions[0] == 0.0
-        assert np.all(np.diff(tr.times) > 0)
+    def test_constant_medium_exact(self):
+        x = _rk4(parse_medium("1", 1)._float_fn, 2.0, 0.0, 1.0, 100)
+        assert x == pytest.approx(2.0, abs=1e-13)
 
     def test_traveling_wave_is_stage_exact(self):
         # On the wave x(t) = x0 + t every integration stage sees g = 1/q,
@@ -79,30 +69,19 @@ class TestIntegrateFront:
         x0 = _pinning_phase(q)
         g = builtin_medium("pinning")
         assert q * g(x0, 0.0) == pytest.approx(1.0, abs=1e-14)
-        p = FrontProblem(medium=g, q=q, x0=x0)
-        tr = integrate_front(p, 1.0, 0.01)
-        assert tr.positions[-1] == pytest.approx(x0 + 1.0, abs=1e-12)
+        assert _rk4(g._float_fn, q, x0, 1.0, 100) == pytest.approx(x0 + 1.0, abs=1e-12)
 
     def test_fourth_order_dt_halving(self):
-        p = FrontProblem(medium=builtin_medium("pinning"), q=0.75)
-        ref = integrate_front(p, 1.0, 1.0 / 6400).positions[-1]
-        e1 = abs(integrate_front(p, 1.0, 1.0 / 50).positions[-1] - ref)
-        e2 = abs(integrate_front(p, 1.0, 1.0 / 100).positions[-1] - ref)
+        fn = builtin_medium("pinning")._float_fn
+        ref = _rk4(fn, 0.75, 0.0, 1.0, 6400)
+        e1 = abs(_rk4(fn, 0.75, 0.0, 1.0, 50) - ref)
+        e2 = abs(_rk4(fn, 0.75, 0.0, 1.0, 100) - ref)
         assert 12.0 < e1 / e2 < 20.0
-
-    def test_eps_scaling(self):
-        # g^eps(x, t) = g(x/eps, t/eps): integrating at eps is the eps-blow-up
-        # of the unit-cell run: x_eps(t) = eps * x_1(t/eps)
-        g = builtin_medium("pinning")
-        eps = 0.5
-        a = integrate_front(FrontProblem(medium=g, q=0.75, eps=eps), 1.0, 0.001)
-        b = integrate_front(FrontProblem(medium=g, q=0.75, eps=1.0), 1.0 / eps, 0.001 / eps)
-        assert a.positions[-1] == pytest.approx(eps * b.positions[-1], abs=1e-10)
 
     def test_decreasing_position_rejected(self):
         g = parse_medium("sin(2*pi*x) - 2", 1)
         with pytest.raises(ValidationError, match="not positive"):
-            FrontProblem(medium=g, q=1.0)
+            effective_velocity(g, 1.0, T=10.0)
         # the kernel's own check, for a g < 0 the sampled contract misses
         with pytest.raises(NumericalError, match="increase"):
             _rk4(g, 1.0, 0.0, 1.0, 100)
@@ -110,37 +89,43 @@ class TestIntegrateFront:
     def test_nonfinite_rejected(self):
         g = parse_medium("exp(x^2)", 1)
         with pytest.raises(ValidationError, match="1-periodic"):
-            FrontProblem(medium=g, q=5.0)
+            effective_velocity(g, 5.0, T=10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalError, match="finite"):
                 _rk4(g, 5.0, 0.0, 4.0, 80)
 
     def test_validation(self):
+        # the medium, then q, then x0, then the time grid
         g = builtin_medium("pinning")
-        with pytest.raises(ValidationError):
-            FrontProblem(medium=builtin_medium("pinning2d"), q=1.0)  # dim 2
-        with pytest.raises(ValidationError):
-            FrontProblem(medium=g, q=0.0)
-        with pytest.raises(ValidationError):
-            FrontProblem(medium=g, q=1.0, eps=0.0)
-        p = FrontProblem(medium=g, q=1.0)
-        with pytest.raises(ValidationError):
-            integrate_front(p, 0.0, 0.01)
-        with pytest.raises(ValidationError):
-            integrate_front(p, 1.0, 0.0)
+        for call, message in (
+                (lambda: effective_velocity(builtin_medium("pinning2d"), 0.0, T=5.0,
+                                            x0=math.nan), "one-dimensional"),
+                (lambda: effective_velocity(g, 0.0, T=5.0, x0=math.nan), "^q must be > 0"),
+                (lambda: effective_velocity(g, 1.0, T=5.0, x0=math.nan), "^x0 must be real"),
+                (lambda: effective_velocity(g, 1.0, T=0.0), "^T must be >= 10"),
+                (lambda: effective_velocity(g, 1.0, T=20.0, dt=0.0), "^dt must be > 0")):
+            with pytest.raises(ValidationError, match=message):
+                call()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_x0_rejected(self, bad):
         # a NaN or infinite start once failed as a non-finite medium value
         g = builtin_medium("pinning")
-        calls = [lambda: FrontProblem(medium=g, q=1.0, x0=bad),
-                 lambda: effective_velocity(g, 1.0, T=10.0, x0=bad),
+        calls = [lambda: effective_velocity(g, 1.0, T=10.0, x0=bad),
                  lambda: velocity_curve(g, 0.5, 1.0, 2, T=10.0, x0=bad)]
         for call in calls:
             with pytest.raises(ValidationError, match="^x0 must be real and finite"):
                 call()
-        assert FrontProblem(medium=g, q=1.0, x0=-0.3).x0 == -0.3
+        assert effective_velocity(g, 1.0, T=10.0, x0=-0.3).r_hat > 0.0
+
+    def test_bools_are_not_numbers(self):
+        g = builtin_medium("pinning")
+        for call, name in ((lambda: effective_velocity(g, True, T=20.0), "q"),
+                           (lambda: velocity_curve(g, True, 2.0, 3, T=20.0), "qmin"),
+                           (lambda: obstacle_front(g, np.True_, 1.0, 0.05, Side.SUB), "q")):
+            with pytest.raises(ValidationError, match=f"^{name} must be > 0 and finite, got True$"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +271,11 @@ class TestObstacleFront:
         with pytest.raises(ValidationError):
             obstacle_front(g, q=1.0, r=0.5, eps=0.1, side=Side.SUPER, dt=0.02)
 
+    def test_side_must_be_a_side(self):
+        g = parse_medium("1", 1)
+        with pytest.raises(ValidationError, match="^side must be a Side, got 'sub'$"):
+            obstacle_front(g, q=1.0, r=0.5, eps=0.1, side="sub")
+
     @pytest.mark.parametrize("side", [Side.SUPER, Side.SUB])
     def test_nonfinite_medium_rejected_with_time(self, side):
         # g is NaN for x/eps in (1, 2): the model contract rejects it
@@ -340,6 +330,17 @@ class TestFlatnessCheck:
         )
         rep = flatness_lipschitz_check(trace, q=0.75, r=0.9, bounds=b)
         assert not rep.monotone and not rep.passed
+
+    @pytest.mark.parametrize("times, phi, side, message", [
+        ([0.0, 0.1], [0.0, 0.0], None, "flatness trace has no side"),
+        ([0.0], [0.0], Side.SUPER, "trace needs matching times/phi with >= 2 samples"),
+        ([0.0, 0.1], [0.0], Side.SUPER, "trace needs matching times/phi with >= 2 samples"),
+    ], ids=["no_side", "one_sample", "mismatched"])
+    def test_malformed_trace_rejected(self, times, phi, side, message):
+        b = estimate_bounds(builtin_medium("pinning"), resolution=32)
+        trace = FlatnessTrace(times=np.array(times), phi=np.array(phi), side=side)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            flatness_lipschitz_check(trace, q=0.75, r=0.9, bounds=b)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +430,13 @@ class TestCandidates:
         with pytest.raises(ValidationError):
             homogenized_candidates(g, q=-1.0)
 
+    @pytest.mark.parametrize("bad", ["abc", None, 1j, True, "0.05"])
+    def test_eps_list_entries_are_numbers(self, bad):
+        # each once leaked a bare ValueError or TypeError, or passed as a float
+        g = builtin_medium("pinning")
+        with pytest.raises(ValidationError, match=r"^eps_list\[1\] must be > 0 and finite"):
+            homogenized_candidates(g, q=1.0, eps_list=(0.1, bad))
+
 
 # ---------------------------------------------------------------------------
 # Velocity curves
@@ -479,7 +487,6 @@ class TestVelocityCurve:
             return base._fn(*coords)
 
         g = Medium(dim=1, source=base.source, ast=base.ast, _fn=numpy_kernel)
-        integrate_front(FrontProblem(g, 0.75), T=1.0, dt=0.01)
         effective_velocity(g, 0.75, T=10.0)
         obstacle_front(g, 0.75, 1.0, 0.05, Side.SUB)
         homogenized_candidates(g, 0.75, eps_list=(0.05,))
@@ -671,10 +678,10 @@ class TestTimeOneMap:
         # does not resolve the map either, and a second split is over budget
         widths = []
 
-        def rk4(fn, q, x0, T, steps, positions=None, t0=0.0):
+        def rk4(fn, q, x0, T, steps, t0=0.0):
             if T <= 1.0:  # one period or one stage of it: a table
                 widths.append((np.shape(x0)[-1], steps))
-            return _rk4(fn, q, x0, T, steps, positions, t0)
+            return _rk4(fn, q, x0, T, steps, t0)
 
         monkeypatch.setattr(homog1d, "_rk4", rk4)
         g = builtin_medium("pinning")
@@ -716,14 +723,13 @@ class TestTimeOneMap:
         curve = velocity_curve(g, 0.5, 1.5, 5, T=50.0, dt=0.03)
         assert np.all(curve.nodes > 0)
         _assert_map_matches(curve, _direct(g, curve.q, 50.0, 33), 1e-8)
-        # no table by T = 20: r_hat is integrate_front's final position over
-        # T, also for an odd step count round(T/dt) = 667
+        # no table by T = 20: r_hat is the direct float-kernel orbit's final
+        # position over T, also for an odd step count round(T/dt) = 667
         g = builtin_medium("pinning")
         for q in (0.75, 0.8):
             est = effective_velocity(g, q, T=20.0, dt=0.03)
-            trace = integrate_front(FrontProblem(g, q=q), T=20.0, dt=0.03)
-            assert est.nodes == 0 and trace.positions.size == 668
-            assert est.r_hat == trace.positions[-1] / 20.0
+            assert est.nodes == 0
+            assert est.r_hat == _rk4(g._float_fn, q, 0.0, 20.0, 667) / 20.0
 
     def test_dt_above_one_period_is_refused(self):
         g = builtin_medium("static_sin")
@@ -825,6 +831,16 @@ class TestTimeOneMap:
         assert one.sum() == unsplit
         assert tuple(_sha256(a[one]) for a in (curve.r_hat, curve.nodes)) == digests
 
+    def test_a_block_of_wide_tables_keeps_its_bits(self):
+        # two_wave near its plateau at T = 1500: tables of up to 2048 nodes,
+        # whose stage maps once ran in several _rk4 calls per block. r_hat,
+        # nodes and stages frozen from then
+        curve = velocity_curve(builtin_medium("two_wave"), 0.7, 0.9, 64, T=1500.0)
+        assert tuple(_sha256(a) for a in (curve.r_hat, curve.nodes, curve.stages)) == (
+            "86a063df3c410710f06c97fbdc30f30e617a81c1bb4990b41a37ebae8eb7f70a",
+            "aea6f2af8ed02a8584870f9ecb7b81309bacf451af36ad1cf75179721a0efbfc",
+            "f4fd9576f72f943053f64813b498dc02551dde701da01b65831019ea968979da")
+
     def test_stages_compose_in_order(self):
         # two_wave at q = 0.6 splits into stages; composed in order they meet
         # the witness check against the whole period, in reverse they miss it
@@ -877,10 +893,12 @@ class TestFrozenScalarBits:
     whether the scalars come in as Python floats or as NumPy scalars."""
 
     def test_integrate_front_positions(self, kind):
-        p = FrontProblem(builtin_medium("pinning"), q=kind(0.75), x0=kind(0.0))
-        trace = integrate_front(p, T=kind(20.0), dt=0.01)
-        assert trace.positions.size == 2001
-        assert _sha256(trace.positions) == (
+        # the direct orbit's path, one _rk4 step of 0.01 at a time
+        fn, q, h = builtin_medium("pinning")._float_fn, kind(0.75), kind(20.0) / 2000
+        positions = [kind(0.0)]
+        for k in range(2000):
+            positions.append(_rk4(fn, q, positions[-1], h, 1, t0=k * h))
+        assert _sha256(positions) == (
             "fdd0a84dc48f5a1cb01d776af29fe0094fe4ec752063b0632ad2b75cd73d75de")
 
     def test_obstacle_front_phi(self, kind):
@@ -899,13 +917,13 @@ class TestFrozenScalarBits:
         ("static_sin", 1.0, 1.411471871119587, 1.4125528390801376),
     ])
     def test_effective_velocity(self, kind, name, q, r_hat, r_mix):
-        # integrate_front runs the direct float-kernel orbit bit for bit:
-        # 2000 steps of 0.01; r_mix = 2 r(20) - r(10) freezes its position
-        # at T/2 too
-        p = FrontProblem(builtin_medium(name), q=kind(q), x0=kind(0.0))
-        x = integrate_front(p, T=kind(20.0), dt=0.01).positions
-        direct = (x[2000] - 0.0) / 20.0
-        assert (direct, 2.0 * direct - (x[1000] - 0.0) / 10.0) == (r_hat, r_mix)
+        # the direct float-kernel orbit: 2000 steps of 0.01; r_mix =
+        # 2 r(20) - r(10) freezes its position at T/2 too
+        fn = builtin_medium(name)._float_fn
+        x_20 = _rk4(fn, kind(q), kind(0.0), kind(20.0), 2000)
+        x_10 = _rk4(fn, kind(q), kind(0.0), kind(10.0), 1000)
+        direct = (x_20 - 0.0) / 20.0
+        assert (direct, 2.0 * direct - (x_10 - 0.0) / 10.0) == (r_hat, r_mix)
         # effective_velocity runs that orbit where no table resolves the map
         # (all but pinning at q = 1.5), and otherwise moves r_hat by the
         # table's interpolation error alone

@@ -86,6 +86,8 @@ class TestValidation:
             StripDomain(Lx=0.0, Ly=1.0, nx=16, ny=8)
         with pytest.raises(ValidationError, match="Ly must be > 0"):
             StripDomain(Lx=1.0, Ly=-2.0, nx=16, ny=8)
+        with pytest.raises(ValidationError, match="Lx must be > 0 and finite, got True"):
+            StripDomain(Lx=True, Ly=1.0, nx=16, ny=8)
 
     def test_domain_rejects_small_or_nonint_grids(self):
         with pytest.raises(ValidationError, match="nx, ny"):
@@ -125,6 +127,11 @@ class TestValidation:
             ("cfl", None, "cfl must be real and finite"),
             ("cfl", 1j, "cfl must be real and finite"),
             ("cfl", np.array([0.4, 0.5]), "cfl must be real and finite"),
+            # a bool once passed as 1.0
+            ("eps", True, "eps must be > 0 and finite, got True"),
+            ("psi0", True, "psi0 must be > 0 and finite, got True"),
+            ("T", True, "T must be > 0 and finite, got True"),
+            ("cfl", True, "cfl must be real and finite, got True"),
         ],
     )
     def test_config_scalar_validation(self, field, value, pattern):
@@ -833,21 +840,6 @@ class TestPressureSolver:
         assert first.t == hist.times[1]
         assert np.array_equal(first.heights, hist.fronts[1].heights)
 
-    @pytest.mark.parametrize("dom", SOLVER_GRIDS,
-                             ids=lambda d: f"{d.nx}x{d.ny}")
-    def test_accepted_fast_solve_meets_gmres_tolerance(self, dom, monkeypatch):
-        def no_gmres(*args, **kwargs):
-            raise AssertionError("a flat front must not reach GMRES")
-
-        monkeypatch.setattr(hs2d, "_gmres", no_gmres)
-        h = sine_front(dom, 0.0)
-        u, _, iterations, residual = solve_pressure(dom, h, 0.7, 0.0)
-        mat, rhs = reference_system(dom, h, 0.7)
-        true_residual = np.linalg.norm(mat @ u[1:-1].ravel() - rhs)
-        assert true_residual <= 1e-12 * np.linalg.norm(rhs)
-        assert residual <= 1e-12
-        assert iterations == 1
-
     def test_gmres_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(hs2d, "_GMRES_RESTART", 2)
         monkeypatch.setattr(hs2d, "_GMRES_CYCLES", 1)
@@ -893,6 +885,21 @@ def flat_rhs(dom, psi0):
 
 class TestFlatPressure:
     """The closed-form pressure psi0 (1 - xt) that a flat front takes."""
+
+    @pytest.mark.parametrize("dom", SOLVER_GRIDS,
+                             ids=lambda d: f"{d.nx}x{d.ny}")
+    def test_flat_front_meets_the_tolerance_without_gmres(self, dom, monkeypatch):
+        def no_gmres(*args, **kwargs):
+            raise AssertionError("a flat front must not reach GMRES")
+
+        monkeypatch.setattr(hs2d, "_gmres", no_gmres)
+        h = sine_front(dom, 0.0)
+        u, _, iterations, residual = solve_pressure(dom, h, 0.7, 0.0)
+        mat, rhs = reference_system(dom, h, 0.7)
+        true_residual = np.linalg.norm(mat @ u[1:-1].ravel() - rhs)
+        assert true_residual <= 1e-12 * np.linalg.norm(rhs)
+        assert residual <= 1e-12
+        assert iterations == 1
 
     @pytest.mark.parametrize("dom", SOLVER_GRIDS, ids=lambda d: f"{d.nx}x{d.ny}")
     def test_matches_the_fast_solve_and_the_sparse_reference(self, dom):

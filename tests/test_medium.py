@@ -1,6 +1,7 @@
 """Tests for the mobility-expression parser and sampled medium diagnostics."""
 
 import math
+import re
 import string
 import sys
 
@@ -94,6 +95,15 @@ class TestParseErrors:
     def test_bad_character_offset(self):
         with pytest.raises(ExpressionError, match=r"byte offset 4"):
             parse_medium("1 + $", dim=1)
+
+    @pytest.mark.parametrize("src, message", [
+        ("sin + 1", "expected '(' after function name 'sin' (byte offset 0)"),
+        ("1 + )", "unexpected token ')' (byte offset 4)"),
+        ("min(1, 2", "expected ')' in call arguments (byte offset 8)"),
+    ], ids=["bare_function", "stray_paren", "open_call"])
+    def test_syntax_error_message_and_offset(self, src, message):
+        with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+            parse_medium(src, dim=1)
 
     def test_unknown_identifier(self):
         with pytest.raises(ExpressionError, match="foo"):
