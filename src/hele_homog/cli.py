@@ -37,11 +37,14 @@ def _emit(text: str, path) -> None:
 
 def _csv(header: list[str], columns) -> str:
     """CSV text of equal-length numeric columns, each value written as
-    _fmt writes it: the rows become Python floats first, as %r of an
-    np.float64 would print its type."""
-    rows = np.column_stack(columns).astype(float).tolist()
-    line = ",".join(["%r"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join([line % tuple(row) for row in rows])
+    _fmt writes it. Each distinct value is written once and reused; values
+    are told apart by their bits, so -0.0 and 0.0 stay distinct. A front
+    file repeats one t per front and the same y on every front."""
+    table = np.column_stack(columns).astype(float)
+    keys, where = np.unique(table.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+    rows = texts[where].reshape(table.shape).tolist()
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _json_text(obj) -> str:

@@ -6,11 +6,14 @@ harmonic in the wet region with u = psi0 at the inlet x = 0 and u = 0 on the
 front, and the front graph h advances along its normal at speed g^eps |Du+|.
 
 On a flat front the discrete pressure is the planar profile psi0 (1 - xt),
-taken in closed form and checked against the stencil like any solve. A curved
-front's mapped 9-point pressure stencil is solved matrix-free by one run of
-the module's own restarted GMRES, right-preconditioned by the flat-front fast
-Poisson solve (four products with the grid's cached dense DST-I and real
-Fourier matrices), from the start that _curved_pressure chooses. A step
+taken in closed form and checked against the stencil like any solve; it
+depends on the domain and psi0 alone, so it is computed once per SimConfig,
+and a flat step pays only for its checks, g at the front and the rate. A
+curved front's mapped 9-point pressure stencil is solved matrix-free by one
+run of the module's own restarted GMRES, right-preconditioned by the
+flat-front fast Poisson solve (four products with the grid's cached dense
+DST-I and real Fourier matrices), from the start that _curved_pressure
+chooses. A step
 fails with NumericalError, naming t, when the front heights or g are not
 finite, when the front leaves the strip or its graph condition, when the
 solve does not converge to a relative residual of 1e-10, when u leaves
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,9 +60,12 @@ class StripDomain:
     def dx_ref(self) -> float:
         return self.Lx / self.nx
 
-    @property
+    @cached_property
     def y_nodes(self) -> np.ndarray:
-        return np.arange(self.ny) * self.dy
+        """The ny nodes j * dy along the strip, read-only and cached per grid."""
+        nodes = np.arange(self.ny) * self.dy
+        nodes.flags.writeable = False
+        return nodes
 
     @cached_property
     def _pressure_factors(self) -> tuple[np.ndarray, ...]:
@@ -138,6 +144,15 @@ class SimConfig:
 
     def initial_front(self) -> FrontGraph:
         return FrontGraph(heights=np.full(self.domain.ny, self.h0, dtype=float), t=0.0)
+
+    @cached_property
+    def _flat_solve(self) -> _Solve:
+        """_flat_pressure's solve for this domain and psi0, the same on every
+        flat step of a run: computed once per config, its grid and |u_xt|
+        read-only. _velocity still checks it on every step."""
+        solve = _Solve.of(self.domain, *_flat_pressure(self.domain, self.psi0))
+        solve.u.flags.writeable = solve.uxt.flags.writeable = False
+        return solve
 
 
 def _front_derivatives(h: np.ndarray, dy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +256,37 @@ def _extrapolate(times: Sequence[float], grids: Sequence[np.ndarray],
     return start
 
 
+class _Solve(NamedTuple):
+    """One pressure solve as _velocity checks and uses it: the u grid, the
+    solve's iterations, converged flag and relative residual, the grid's
+    range (finite exactly when u is, as min and max propagate NaN), and
+    |u_xt| along the front xt = 1."""
+
+    u: np.ndarray
+    iterations: int
+    converged: bool
+    residual: float
+    u_min: float
+    u_max: float
+    uxt: np.ndarray
+
+    @classmethod
+    def of(cls, domain: StripDomain, u: np.ndarray, iterations: int,
+           converged: bool, residual: float) -> _Solve:
+        nx, dxt = domain.nx, 1.0 / domain.nx
+        # one-sided second-order normal slope at xt = 1 (u[nx] = 0); a u
+        # that is not finite fails _velocity's checks before uxt is used
+        with np.errstate(invalid="ignore", over="ignore"):
+            uxt = (u[nx - 2, :] - 4.0 * u[nx - 1, :]) / (2.0 * dxt)
+        return cls(u, iterations, converged, residual, float(u.min()), float(u.max()),
+                   np.abs(uxt))
+
+
 def _flat_pressure(domain: StripDomain, psi0: float
                    ) -> tuple[np.ndarray, int, bool, float]:
     """The exact discrete pressure under a flat front, as (u grid, iterations,
-    converged, relative residual) for _velocity's checks.
+    converged, relative residual) for _velocity's checks. It depends on the
+    domain and psi0 alone, so SimConfig._flat_solve calls it once per config.
 
     On a flat front h' = h'' = 0, so the mapped stencil has a = 1 and
     c = d = 0, and its y terms cancel on a y-constant grid: what is left on
@@ -334,47 +376,50 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
       (1 + xt^2 h'^2) u_xtxt + h^2 u_yy - 2 xt h h' u_xty
         + xt (2 h'^2 - h h'') u_xt = 0,
     discretized with centered second-order differences on the unit square,
-    u = psi0 at xt = 0, u = 0 at xt = 1, periodic in y. On a flat front (h
-    constant) the discrete solution is the planar profile psi0 (1 - xt),
-    taken in closed form by _flat_pressure (iterations 1), whose residual on
-    the flat stencil is still computed. A curved front's 9-point operator
-    is applied matrix-free and solved by GMRES to |A u - b| <= 1e-12 |b| on
-    its residual estimate, from the start that _curved_pressure forms out
-    of the `solved` history (see there); the residual is then recomputed
-    explicitly. NumericalError, naming t, on every failure listed in the
-    module docstring but the step size's.
+    u = psi0 at xt = 0, u = 0 at xt = 1, periodic in y.
+
+    Per config: on a flat front (h constant) h' = h'' = 0, so the graph
+    condition holds and sqrt(1 + h'^2) is 1, and the discrete solution is
+    _flat_pressure's planar profile psi0 (1 - xt) (iterations 1), which
+    depends on the config alone: config._flat_solve holds it, with its
+    residual on the flat stencil. Per step: a flat front costs the checks
+    on h and the reused solve, one evaluation of g and the rate. A curved
+    front takes h' and h'', and its 9-point operator is applied matrix-free
+    and solved by GMRES to |A u - b| <= 1e-12 |b| on its residual estimate,
+    from the start that _curved_pressure forms out of the `solved` history
+    (see there); the residual is then recomputed explicitly. NumericalError,
+    naming t, on every failure listed in the module docstring but the step
+    size's.
     """
     domain = config.domain
-    if not np.all(np.isfinite(h)):
+    lo, hi = float(h.min()), float(h.max())
+    # min and max propagate NaN, so both are finite exactly when all of h is
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalError(f"front heights are not finite at t={t:.6g}")
     margin = 2.0 * domain.dx_ref
-    for wall, bad in (("Lx", h >= domain.Lx - margin), ("0", h <= margin)):
-        if np.any(bad):
+    for wall, bad in (("Lx", hi >= domain.Lx - margin), ("0", lo <= margin)):
+        if bad:
             raise NumericalError(f"front leaves the strip at t={t:.6g}: "
                                  f"heights within 2 grid cells of x = {wall}")
-    hp, hpp = _front_derivatives(h, domain.dy)
-    if np.abs(hp).max() > 5.0:
-        raise NumericalError(f"graph condition violated at t={t:.6g}: "
-                             f"front slope {np.abs(hp).max():.3g} > 5")
-
-    if h.max() == h.min():
-        u, iterations, converged, residual = _flat_pressure(domain, config.psi0)
+    if lo == hi:
+        solve, stretch = config._flat_solve, 1.0
     else:
-        u, iterations, converged, residual = _curved_pressure(domain, h, hp, hpp,
-                                                              config.psi0, t, solved)
+        hp, hpp = _front_derivatives(h, domain.dy)
+        if np.abs(hp).max() > 5.0:
+            raise NumericalError(f"graph condition violated at t={t:.6g}: "
+                                 f"front slope {np.abs(hp).max():.3g} > 5")
+        solve = _Solve.of(domain, *_curved_pressure(domain, h, hp, hpp, config.psi0,
+                                                    t, solved))
+        stretch = np.sqrt(1.0 + hp ** 2)
+
+    u_min, u_max, residual = solve.u_min, solve.u_max, solve.residual
     why = ("produced non-finite values"
-           if not (np.all(np.isfinite(u)) and math.isfinite(residual))
-           else "did not converge" if not converged
+           if not (math.isfinite(u_min) and math.isfinite(u_max) and math.isfinite(residual))
+           else "did not converge" if not solve.converged
            else "left a large residual" if not residual <= _RESIDUAL_TOL else None)
     if why is not None:
-        raise NumericalError(f"pressure solve {why} at t={t:.6g}: {iterations} "
+        raise NumericalError(f"pressure solve {why} at t={t:.6g}: {solve.iterations} "
                              f"GMRES iterations, relative residual {residual:.3g}")
-    # one-sided second-order normal slope at xt = 1 (u[nx] = 0)
-    nx, dxt = domain.nx, 1.0 / domain.nx
-    uxt = (u[nx - 2, :] - 4.0 * u[nx - 1, :]) / (2.0 * dxt)
-    grad = np.abs(uxt) * np.sqrt(1.0 + hp ** 2) / h
-
-    u_min, u_max = float(u.min()), float(u.max())
     excess = max(-u_min, u_max - config.psi0)
     if not excess <= _MAX_PRINCIPLE_TOL:
         raise NumericalError(
@@ -385,9 +430,9 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     g = np.asarray(eval_scaled(config.medium, config.eps, points, t))
     if not np.all(np.isfinite(g)):
         raise NumericalError(f"medium g is not finite at the front at t={t:.6g}")
-    slope = grad * np.sqrt(1.0 + hp ** 2)  # dh/dt = V * sqrt(1 + h_y^2)
-    info = {"u_min": u_min, "u_max": u_max, "iterations": iterations,
-            "residual": residual, "u": u}
+    slope = solve.uxt * stretch / h * stretch  # dh/dt = |Du| sqrt(1 + h_y^2)
+    info = {"u_min": u_min, "u_max": u_max, "iterations": solve.iterations,
+            "residual": residual, "u": solve.u}
     return g * slope, slope, info
 
 
@@ -420,7 +465,8 @@ class SimHistory:
 
     u_min, u_max, iterations and residual (relative, |A u - b| / |b|) hold
     one entry per saved front after the initial one. iterations is 1 on a
-    flat front (one direct solve: the closed-form planar pressure), else
+    flat front (one direct solve: the closed-form planar pressure, solved
+    once per config, so every flat step records the same solve), else
     the count of the curved solve's GMRES run, whose start
     _curved_pressure forms from the last (up to six) solved pressures of
     the run; the bench's curved job at phase 0.3 takes 163 iterations over

@@ -10,6 +10,7 @@ Reruns of the same invocation must be byte-identical.
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -848,6 +849,56 @@ class TestSim2dConverge:
         assert "comma-separated" in err
 
 
+def sim_flags(**kw):
+    return [arg for key, value in kw.items() for arg in (f"--{key}", str(value))]
+
+
+class TestFrozenBytes:
+    """sha256 of the bench-shaped sim2d outputs, taken before the flat-step
+    cache and the CSV writer's per-value repr (NumPy 2.4, x86-64): a refactor
+    of the flat path, the curved solve or the writer must keep every byte."""
+
+    RUNS = {
+        "const_64x64": (
+            sim_flags(medium=1, dim=2, Lx=4, Ly=1, nx=64, ny=64, eps=0.5, psi0=1,
+                      T=0.3, h0=1),
+            "212e9643a2a61d8c03bff3252a362898c87857e9e1beedfc699228d7ad1f742d",
+            "428c3187248b07b60225ce6eb3d605fee607c2d6ba5ba4fdfb15a5be231e71d5"),
+        "pinning_128x8": (
+            sim_flags(medium="builtin:pinning2d", Lx=1.6, Ly=0.25, nx=128, ny=8,
+                      eps=0.02, psi0=0.7, T=0.5, h0=0.72),
+            "dd952435aa568badc6704b1be4e77de90c8d29ad926743ad05aeb02c3b3d015b",
+            "f7585f9bd3433e8058fbd8d0a1d7e5c66853061f0d102d4b5a834fb7f6537fc9"),
+        "curved_phase_0.3": (
+            sim_flags(medium="sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2,
+                      Lx=4, Ly=1, nx=64, ny=64, eps=0.25, psi0=1, T=0.15, h0=1),
+            "313d9dfd04883d4e132ae5e45ce131c5a00cae5c24394c9438ff074ff0ed5dd4",
+            "2d6684bd44874a33e3962ad9ed79da9970e46b9a6145b753db76a7a5f543afec"),
+    }
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_sim2d_run(self, name, tmp_path):
+        flags, front_sha, summary_sha = self.RUNS[name]
+        front, summary = tmp_path / "front.csv", tmp_path / "summary.json"
+        code, _, _ = run_cli(["sim2d", "run", *flags, "--out", str(front),
+                              "--summary", str(summary)])
+        assert code == 0
+        assert (self.digest(front), self.digest(summary)) == (front_sha, summary_sha)
+
+    def test_sim2d_converge_128x20(self, tmp_path):
+        out = tmp_path / "converge.json"
+        code, _, _ = run_cli(["sim2d", "converge", *sim_flags(
+            medium="builtin:pinning2d", Lx=1.6, Ly=0.25, nx=128, ny=20, psi0=0.7,
+            T=0.65, h0=0.72, eps="0.2,0.1,0.05"), "--out", str(out)])
+        assert code == 0
+        assert self.digest(out) == (
+            "90e01459d3bb7f509d9f32d9c91175487644403a0b59327590194af61853e293")
+
+
 # ---------------------------------------------------------------------------
 # model contract and parameter rule
 # ---------------------------------------------------------------------------
@@ -1059,6 +1110,18 @@ class TestCsvWriter:
         text = cli._csv(header, columns)
         assert text == self.row_by_row(header, zip(*columns))
         assert "np.float64" not in text and "-0.0,-2.5e-310," in text
+
+    def test_repeated_and_special_values_match_row_by_row_repr(self):
+        # values repeat within and across columns, as a front file's t and y
+        # do; -0.0 and 0.0 share a key only if keyed by value, not by bits
+        ts = np.repeat([0.0, 0.1, -0.0, 0.1 + 0.2], 5)
+        ys = np.tile([-0.0, 0.0, math.nan, math.inf, -math.inf], 4)
+        ints = np.arange(20) % 3 - 1
+        columns = (ts, ys, ints, np.where(ints > 0, ts, ys))
+        header = ["t", "y", "k", "mixed"]
+        text = cli._csv(header, columns)
+        assert text == self.row_by_row(header, zip(*columns))
+        assert "\n-0.0,-0.0,0.0,-0.0\n" in text and ",nan," in text and "-inf" in text
 
     def test_no_rows_writes_the_header_alone(self):
         assert cli._csv(["t", "y"], ([], [])) == "t,y\n"

@@ -106,6 +106,14 @@ class TestValidation:
         # periodic grid: the last node is one spacing short of Ly
         assert dom.y_nodes[-1] == pytest.approx(1.0 - 0.125)
 
+    def test_y_nodes_are_cached_and_read_only(self):
+        dom = StripDomain(Lx=2.0, Ly=0.7, nx=10, ny=12)
+        nodes = dom.y_nodes
+        assert nodes is dom.y_nodes and not nodes.flags.writeable
+        assert np.array_equal(nodes, np.arange(12) * dom.dy)
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+
     def test_config_requires_dim2_medium(self):
         with pytest.raises(ValidationError, match="dim-2 medium"):
             basic_config(medium=parse_medium("1 + sin(pi*(x - t))^2", dim=1))
@@ -386,6 +394,14 @@ class TestHistory:
         assert pts.shape == (8, 2)
         np.testing.assert_allclose(pts[:, 0], hist.config.domain.y_nodes)
         np.testing.assert_allclose(pts[:, 1], hist.final_front.heights)
+
+    def test_point_tables_are_fresh_arrays(self):
+        hist = simulate(basic_config(T=0.2))
+        nodes = hist.config.domain.y_nodes
+        for pts in (hist.spacetime_points(), hist.final_points()):
+            assert pts.flags.writeable and not np.shares_memory(pts, nodes)
+            pts[:] = -1.0
+        assert np.array_equal(nodes, np.arange(8) * hist.config.domain.dy)
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1006,67 @@ class TestFlatPressure:
             heights = hist.fronts[k + 1].heights
             assert np.ptp(heights) == 0.0
             assert abs(heights[0] - h) <= 1e-12
+
+
+def laminar_pinning_config(**overrides):
+    # pinning2d is independent of y, so a flat front stays flat
+    fields = dict(domain=StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=8),
+                  medium=builtin_medium("pinning2d"), eps=0.02, psi0=0.7, T=0.5, h0=0.72)
+    return SimConfig(**{**fields, **overrides})
+
+
+class TestFlatSteps:
+    """A flat step's pressure is computed once per config, and a flat run
+    reaches neither the front derivatives nor the curved solve."""
+
+    @staticmethod
+    def count_flat_solves(monkeypatch):
+        calls = []
+
+        def counted(domain, psi0):
+            calls.append((domain, psi0))
+            return _flat_pressure(domain, psi0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a flat run must stay on the flat path")
+
+        monkeypatch.setattr(hs2d, "_flat_pressure", counted)
+        for name in ("_front_derivatives", "_curved_pressure", "_gmres"):
+            monkeypatch.setattr(hs2d, name, forbidden)
+        return calls
+
+    def test_laminar_run_solves_the_flat_pressure_once(self, monkeypatch):
+        calls = self.count_flat_solves(monkeypatch)
+        cfg = laminar_pinning_config()
+        hist = simulate(cfg)
+        assert hist.total_steps > 200 and np.all(hist.iterations == 1)
+        assert calls == [(cfg.domain, cfg.psi0)]
+
+    def test_convergence_study_solves_it_once_per_eps(self, monkeypatch):
+        calls = self.count_flat_solves(monkeypatch)
+        cfg = laminar_pinning_config(domain=StripDomain(Lx=1.6, Ly=0.25, nx=128, ny=20),
+                                     T=0.1)
+        convergence_study(cfg, [0.2, 0.1, 0.05])
+        assert len(calls) == 3
+
+    def test_flat_grid_is_shared_and_read_only(self):
+        cfg = laminar_pinning_config()
+        h = np.full(cfg.domain.ny, 0.8)
+        first = hs2d._velocity(cfg, h, 0.0)
+        second = hs2d._velocity(cfg, h + 0.1, 0.3)
+        u = first[2]["u"]
+        assert u is second[2]["u"] and not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[1, 0] = 0.0
+        assert np.array_equal(u, _flat_pressure(cfg.domain, cfg.psi0)[0])
+
+    def test_each_config_solves_its_own(self, monkeypatch):
+        calls = self.count_flat_solves(monkeypatch)
+        for psi0 in (0.7, 0.9):
+            cfg = laminar_pinning_config(psi0=psi0, T=0.05)
+            hist = simulate(cfg)
+            assert hist.u_max.max() == psi0
+        assert [psi0 for _dom, psi0 in calls] == [0.7, 0.9]
 
 
 class TestGmres:
