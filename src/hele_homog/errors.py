@@ -75,10 +75,13 @@ def require_integer(least: int, **values) -> None:
 
 def _require(values: dict, relation: str, holds) -> None:
     for name, value in values.items():
-        try:  # any real scalar, 0-d arrays included; not a string nor a bool
-            v = (math.nan if np.ndim(value) or isinstance(value, (str, bool))
-                 or getattr(value, "dtype", None) == bool else float(value))
-        except (TypeError, ValueError):
-            v = math.nan
+        if type(value) is float:  # the common case, tested as it is
+            v = value
+        else:
+            try:  # any real scalar, 0-d arrays included; not a string nor a bool
+                v = (math.nan if np.ndim(value) or isinstance(value, (str, bool))
+                     or getattr(value, "dtype", None) == bool else float(value))
+            except (TypeError, ValueError, OverflowError):  # an int past the float range
+                v = math.nan
         if not (math.isfinite(v) and holds(v)):
             raise ValidationError(f"{name} must be {relation} and finite, got {value}")

@@ -108,7 +108,8 @@ class SimConfig:
 
     dt (when given) caps the step; otherwise the CFL policy
     dt = cfl * spacing / (M * max slope) decides alone, M being the medium's
-    maximum sampled by the model contract.
+    maximum sampled by the model contract. T must exceed 1e-12, the
+    tolerance within which simulate stops, so every run takes a step.
     """
 
     domain: StripDomain
@@ -124,6 +125,9 @@ class SimConfig:
     def __post_init__(self):
         _admit(self.medium, 2)
         require_positive(eps=self.eps, psi0=self.psi0, T=self.T)
+        if not self.T > _END_TOL:  # simulate would take no step
+            raise ValidationError(f"T must be > {_END_TOL:g}, the tolerance at which "
+                                  f"a run ends, got {self.T}")
         require_finite(cfl=self.cfl)
         if not 0 < self.cfl <= 1:
             raise ValidationError(f"cfl must be in (0, 1], got {self.cfl}")
@@ -165,6 +169,7 @@ _GMRES_RTOL, _RESIDUAL_TOL = 1e-12, 1e-10
 _GMRES_RESTART, _GMRES_CYCLES = 30, 20  # at most 600 iterations
 _START_GRIDS = 6  # solved pressures that a curved solve's start extrapolates
 _MAX_PRINCIPLE_TOL = 1e-12
+_END_TOL = 1e-12  # simulate stops once t is this close to T
 _SLICES = 60  # space-time samples per history in convergence_study's distances
 
 
@@ -370,7 +375,8 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     """The front's rate dh/dt = g^eps |Du| sqrt(1 + h'^2) under the heights h
     at time t, as (rate, slope = |Du| sqrt(1 + h'^2), info); info holds the
     pressure range, the solve's iterations and relative residual
-    |A u - b| / |b|, and the pressure grid ("u") for later `solved` histories.
+    |A u - b| / |b|, the pressure grid ("u") for later `solved` histories,
+    and min(h) ("h_min"), which _advance's step size reads.
 
     In xt = x/h(y) the pressure equation becomes
       (1 + xt^2 h'^2) u_xtxt + h^2 u_yy - 2 xt h h' u_xty
@@ -382,8 +388,11 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     condition holds and sqrt(1 + h'^2) is 1, and the discrete solution is
     _flat_pressure's planar profile psi0 (1 - xt) (iterations 1), which
     depends on the config alone: config._flat_solve holds it, with its
-    residual on the flat stencil. Per step: a flat front costs the checks
-    on h and the reused solve, one evaluation of g and the rate. A curved
+    residual on the flat stencil. Per step: a flat front costs one min and
+    one max of h (its finiteness, wall and flatness tests), the checks on
+    the reused solve, one evaluation of g and the rate g |u_xt| / h, whose
+    unit stretch is never multiplied (x * 1.0 is x, so the bits are those of
+    the general formula). A curved
     front takes h' and h'', and its 9-point operator is applied matrix-free
     and solved by GMRES to |A u - b| <= 1e-12 |b| on its residual estimate,
     from the start that _curved_pressure forms out of the `solved` history
@@ -402,7 +411,7 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
             raise NumericalError(f"front leaves the strip at t={t:.6g}: "
                                  f"heights within 2 grid cells of x = {wall}")
     if lo == hi:
-        solve, stretch = config._flat_solve, 1.0
+        solve, stretch = config._flat_solve, None
     else:
         hp, hpp = _front_derivatives(h, domain.dy)
         if np.abs(hp).max() > 5.0:
@@ -428,11 +437,12 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
             f"by {excess:.3g}")
     points = np.stack([h, domain.y_nodes], axis=-1)
     g = np.asarray(eval_scaled(config.medium, config.eps, points, t))
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError(f"medium g is not finite at the front at t={t:.6g}")
-    slope = solve.uxt * stretch / h * stretch  # dh/dt = |Du| sqrt(1 + h_y^2)
+    # dh/dt = |Du| sqrt(1 + h_y^2); a flat front's stretch is 1 and not multiplied
+    slope = solve.uxt / h if stretch is None else solve.uxt * stretch / h * stretch
     info = {"u_min": u_min, "u_max": u_max, "iterations": solve.iterations,
-            "residual": residual, "u": solve.u}
+            "residual": residual, "u": solve.u, "h_min": lo}
     return g * slope, slope, info
 
 
@@ -444,7 +454,7 @@ def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = Non
     domain = config.domain
     h = np.asarray(state.heights, dtype=float)
     rate, slope, info = _velocity(config, h, state.t, solved)
-    spacing = min(float(h.min()) / domain.nx, domain.dy)
+    spacing = min(info["h_min"] / domain.nx, domain.dy)
     peak = _admit(config.medium, 2).M * float(slope.max())
     if not peak > 0:
         raise NumericalError(
@@ -487,7 +497,10 @@ class SimHistory:
         return self.fronts[-1]
 
     def mean_depths(self) -> np.ndarray:
-        return np.array([f.heights.mean() for f in self.fronts])
+        """Each saved front's mean height: one reduction over the stacked
+        fronts, each row summed along its own contiguous axis as the front's
+        own .mean() sums it, so the values are the same to the bit."""
+        return np.stack([f.heights for f in self.fronts]).mean(axis=1)
 
     def front_speed(self, t_start: float, t_end: float) -> float:
         """Least-squares slope of the mean depth over [t_start, t_end]."""
@@ -522,14 +535,14 @@ def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
     fronts = [state]
     saved = {"u_min": [], "u_max": [], "iterations": [], "residual": []}
     k, solved = 0, []  # solved: (t, u) of the last _START_GRIDS pressure solves
-    while state.t < config.T - 1e-12:
+    while state.t < config.T - _END_TOL:
         if k == max_steps:
             raise NumericalError(f"exceeded {max_steps} steps before reaching T: "
                                  f"at t={state.t:.6g} of T={config.T:.6g}")
         t = state.t
         state, info = _advance(state, config, config.T - t, solved)
         k, solved = k + 1, (solved + [(t, info["u"])])[-_START_GRIDS:]
-        if k % config.save_every == 0 or state.t >= config.T - 1e-12:
+        if k % config.save_every == 0 or state.t >= config.T - _END_TOL:
             times.append(state.t)
             fronts.append(state)
             for key, values in saved.items():
@@ -578,8 +591,10 @@ def hausdorff(A, B, period: Optional[float] = None,
             images.append(shifted)
     elif axis is not None:
         raise ValidationError(f"axis {axis!r} needs a period; got period=None")
-    to_b = cKDTree(np.concatenate(images)).query(A)[0]
-    tree_a = cKDTree(A)
+    # unbalanced, uncompacted trees build faster; the queries stay exact
+    tree_b = cKDTree(np.concatenate(images), balanced_tree=False, compact_nodes=False)
+    to_b = tree_b.query(A)[0]
+    tree_a = cKDTree(A, balanced_tree=False, compact_nodes=False)
     to_a = np.min([tree_a.query(image)[0] for image in images], axis=0)
     return float(max(to_b.max(), to_a.max()))
 

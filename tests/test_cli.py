@@ -1094,6 +1094,29 @@ class TestStepCountOverflow:
         assert err.count("\n") == 1
 
 
+class TestHostileSim2dHorizons:
+    """A horizon too short to step, or a save interval past the run, exits
+    1 or 2 with one error line, where a run of no steps ended in a
+    ValueError traceback from its empty pressure record."""
+
+    RUN = ["sim2d", "run", "--medium", "builtin:pinning2d", "--Lx", "1.6", "--Ly", "0.25",
+           "--nx", "16", "--ny", "8", "--eps", "0.2", "--psi0", "0.7", "--h0", "0.72"]
+
+    @pytest.mark.parametrize("extra", [["--T", "1e-13"], ["--T", "1e-12"],
+                                       ["--T", "0.1", "--save-every", "1000000"]],
+                             ids=["T_1e-13", "T_1e-12", "save_every"])
+    @pytest.mark.parametrize("argv", [RUN, TestSim2dConverge.BASE + ["--eps", "0.8,0.6,0.4"]],
+                             ids=["run", "converge"])
+    def test_exits_with_an_error_line(self, argv, extra, tmp_path):
+        argv = [*argv, *extra]
+        if argv[1] == "run":
+            argv += ["--out", str(tmp_path / "f.csv"), "--summary", str(tmp_path / "s.json")]
+        code, out, err = run_cli(argv)
+        assert code in (1, 2) and out == ""
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+
 class TestCsvWriter:
     """cli._csv against the row-by-row writer it replaced."""
 

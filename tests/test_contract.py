@@ -40,8 +40,8 @@ from hele_homog import (
     velocity_curve,
 )
 from hele_homog import medium as medium_module
-from hele_homog.errors import (require_integer, require_nonnegative, require_positive,
-                               require_steps, require_vector)
+from hele_homog.errors import (require_finite, require_integer, require_nonnegative,
+                               require_positive, require_steps, require_vector)
 from hele_homog.medium import _admit
 
 # g has period 2 in x; its twin with 2*pi has period 1
@@ -228,15 +228,55 @@ class TestParameterRule:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan,
                                        "1", None, np.array([1.0]), 1j,
                                        np.array(-1.0), True, np.True_,
-                                       np.array(True)])
+                                       np.array(True), pytest.param(10 ** 400, id="1e400"),
+                                       pytest.param(-10 ** 400, id="-1e400")])
     def test_require_positive_rejects(self, value):
         with pytest.raises(ValidationError, match="x must be > 0"):
             require_positive(x=value)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, -1e-300])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1e-300,
+                                       pytest.param(10 ** 400, id="1e400")])
     def test_require_nonnegative_rejects(self, value):
         with pytest.raises(ValidationError, match="x must be >= 0"):
             require_nonnegative(x=value)
+
+    @pytest.mark.parametrize("check, value, message", [
+        # Python floats are tested as they are; the messages are unchanged
+        (require_positive, math.nan, "x must be > 0 and finite, got nan"),
+        (require_positive, math.inf, "x must be > 0 and finite, got inf"),
+        (require_positive, -math.inf, "x must be > 0 and finite, got -inf"),
+        (require_positive, 0.0, "x must be > 0 and finite, got 0.0"),
+        (require_positive, -0.0, "x must be > 0 and finite, got -0.0"),
+        (require_positive, -1.0, "x must be > 0 and finite, got -1.0"),
+        (require_positive, 5e-324, None),
+        (require_nonnegative, math.nan, "x must be >= 0 and finite, got nan"),
+        (require_nonnegative, -math.inf, "x must be >= 0 and finite, got -inf"),
+        (require_nonnegative, -1.0, "x must be >= 0 and finite, got -1.0"),
+        (require_nonnegative, 0.0, None),
+        (require_nonnegative, -0.0, None),
+        (require_nonnegative, 5e-324, None),
+        (require_finite, math.nan, "x must be real and finite, got nan"),
+        (require_finite, math.inf, "x must be real and finite, got inf"),
+        (require_finite, -math.inf, "x must be real and finite, got -inf"),
+        (require_finite, -1.0, None),
+        (require_finite, -0.0, None),
+        # a float subclass takes the general path, to the same result
+        (require_positive, np.float64(-1.0), "x must be > 0 and finite, got -1.0"),
+        (require_positive, np.float64(math.nan), "x must be > 0 and finite, got nan"),
+        (require_positive, np.float64(5e-324), None),
+        # float() raises OverflowError on an int past the float range, which
+        # once escaped the rule
+        pytest.param(require_positive, 10 ** 400,
+                     f"x must be > 0 and finite, got {10 ** 400}", id="positive-1e400"),
+        pytest.param(require_finite, -10 ** 400,
+                     f"x must be real and finite, got {-10 ** 400}", id="finite--1e400"),
+    ])
+    def test_exact_messages(self, check, value, message):
+        if message is None:
+            check(x=value)
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                check(x=value)
 
     @pytest.mark.parametrize("value", [1, 0, -3, True, False, 2.0, 2.5, np.int64(3),
                                        "3", None, Fraction(3)])

@@ -102,6 +102,8 @@ class TestIntegrateFront:
                 (lambda: effective_velocity(builtin_medium("pinning2d"), 0.0, T=5.0,
                                             x0=math.nan), "one-dimensional"),
                 (lambda: effective_velocity(g, 0.0, T=5.0, x0=math.nan), "^q must be > 0"),
+                # once a bare OverflowError
+                (lambda: effective_velocity(g, 10 ** 400, T=5.0), "^q must be > 0 and finite"),
                 (lambda: effective_velocity(g, 1.0, T=5.0, x0=math.nan), "^x0 must be real"),
                 (lambda: effective_velocity(g, 1.0, T=0.0), "^T must be >= 10"),
                 (lambda: effective_velocity(g, 1.0, T=20.0, dt=0.0), "^dt must be > 0")):

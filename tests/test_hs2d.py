@@ -88,6 +88,9 @@ class TestValidation:
             StripDomain(Lx=1.0, Ly=-2.0, nx=16, ny=8)
         with pytest.raises(ValidationError, match="Lx must be > 0 and finite, got True"):
             StripDomain(Lx=True, Ly=1.0, nx=16, ny=8)
+        # an int past the float range once raised a bare OverflowError
+        with pytest.raises(ValidationError, match="^Lx must be > 0 and finite, got 1000"):
+            StripDomain(Lx=10 ** 400, Ly=1.0, nx=16, ny=8)
 
     def test_domain_rejects_small_or_nonint_grids(self):
         with pytest.raises(ValidationError, match="nx, ny"):
@@ -140,11 +143,23 @@ class TestValidation:
             ("psi0", True, "psi0 must be > 0 and finite, got True"),
             ("T", True, "T must be > 0 and finite, got True"),
             ("cfl", True, "cfl must be real and finite, got True"),
+            # an int past the float range once raised a bare OverflowError
+            pytest.param("T", 10 ** 400, "^T must be > 0 and finite, got 1000", id="T-1e400"),
+            pytest.param("eps", 10 ** 400, "^eps must be > 0 and finite, got 1000",
+                         id="eps-1e400"),
+            # simulate would take no step, and a summary had no pressure range
+            ("T", 1e-12, r"^T must be > 1e-12, the tolerance at which a run ends, got 1e-12$"),
+            ("T", 1e-13, r"^T must be > 1e-12, the tolerance at which a run ends, got 1e-13$"),
         ],
     )
     def test_config_scalar_validation(self, field, value, pattern):
         with pytest.raises(ValidationError, match=pattern):
             basic_config(**{field: value})
+
+    def test_shortest_horizon_takes_one_step(self):
+        hist = simulate(basic_config(T=2e-12))
+        assert hist.total_steps == 1 and len(hist.u_min) == 1
+        assert hist.times.tolist() == [0.0, 2e-12]
 
     def test_initial_front_scalar_fill(self):
         cfg = basic_config(h0=1.5)
@@ -395,6 +410,18 @@ class TestHistory:
         np.testing.assert_allclose(pts[:, 0], hist.config.domain.y_nodes)
         np.testing.assert_allclose(pts[:, 1], hist.final_front.heights)
 
+    @pytest.mark.parametrize("ny", [8, 20, 64, 129, 256])
+    @pytest.mark.parametrize("curved", [False, True], ids=["flat", "curved"])
+    def test_mean_depths_equal_each_fronts_mean_bit_for_bit(self, ny, curved):
+        # NumPy sums a row of more than 128 entries in pairwise blocks; the
+        # stacked reduction must block each front as its own .mean() does
+        dom = StripDomain(Lx=4.0, Ly=2.0, nx=16, ny=ny)
+        h0 = 1.3 + 0.1 * np.sin(np.pi * dom.y_nodes) ** 3 if curved else 1.3
+        hist = simulate(basic_config(domain=dom, h0=h0, T=0.05, dt=0.01))
+        assert hist.total_steps >= 5 and (np.ptp(hist.final_front.heights) > 0) == curved
+        want = np.array([f.heights.mean() for f in hist.fronts])
+        assert hist.mean_depths().tobytes() == want.tobytes()
+
     def test_point_tables_are_fresh_arrays(self):
         hist = simulate(basic_config(T=0.2))
         nodes = hist.config.domain.y_nodes
@@ -545,6 +572,24 @@ class TestHausdorff:
         assert all(d == ref for d, ref, _n in calls)
         assert [d for d, _ref, _n in calls] == [
             x for p in report.pairs for x in (p.final_distance, p.spacetime_distance)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_the_dense_formula_on_tie_heavy_grids(self, dim):
+        # lattices, their half-cell shifts and coarse sublattices: most
+        # points have several nearest neighbours at exactly equal distances,
+        # also across the periodic images
+        spacing = 0.1
+        side = {1: 40, 2: 12, 3: 6}[dim]
+        axes = np.meshgrid(*[np.arange(side) * spacing] * dim, indexing="ij")
+        grid = np.column_stack([a.ravel() for a in axes])
+        sets = [grid, grid + 0.5 * spacing, grid[::3], grid[::2] + spacing]
+        period = side * spacing
+        for A in sets:
+            for B in sets:
+                for axis in (None, *range(dim)):
+                    p = None if axis is None else period
+                    assert hausdorff(A, B, period=p, axis=axis) == reference_hausdorff(
+                        A, B, p, axis)
 
     def test_large_space_time_sets_need_no_distance_matrix(self):
         # 60 slices of 512 y-nodes: a dense n x m path would hold ~15 GB
@@ -1550,6 +1595,21 @@ REFERENCE_RUNS = {
         medium=parse_medium("sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2),
         eps=0.25, psi0=1.0, T=0.15, h0=1.0),
 }
+
+
+@pytest.mark.parametrize("name", ["pinning_128x8", "curved_phase_0.3"])
+def test_one_medium_evaluation_per_step(name, monkeypatch):
+    # the bench's tracer counts hs2d.steps by eval_scaled's spans
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return eval_scaled(*args)
+
+    monkeypatch.setattr(hs2d, "eval_scaled", counted)
+    hist = simulate(REFERENCE_RUNS[name]())
+    assert hist.total_steps > 60 and len(calls) == hist.total_steps
+    assert calls == [f.t for f in hist.fronts[:-1]]
 
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
