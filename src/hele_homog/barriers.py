@@ -13,12 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._lazy import lazy
 from .errors import (NumericalError, ValidationError, require_finite, require_integer,
-                     require_nonnegative, require_positive, require_vector)
+                     require_nonnegative, require_positive, require_vector, shown)
 from .medium import Medium, _admit, eval_scaled
-
-brentq = lazy("scipy.optimize", "brentq")
 
 
 def _w(n: int, s):
@@ -31,6 +28,8 @@ def _w(n: int, s):
 
 def _brentq(f, lo: float, hi: float, what: str) -> float:
     """Root of f on [lo, hi] by Brent's method; f must change sign there."""
+    from scipy.optimize import brentq
+
     flo, fhi = f(lo), f(hi)
     if not (flo >= 0 >= fhi or flo <= 0 <= fhi):
         raise NumericalError(f"{what} bracket failed: f({lo}) = {flo}, f({hi}) = {fhi}")
@@ -84,7 +83,7 @@ def expanding_barrier(n: int, m: float, K: float, A: float) -> RadialExpanding:
     require_integer(2, n=n)
     require_positive(m=m, K=K)
     if not 0 < A < 1:
-        raise ValidationError(f"A must be in (0, 1), got {A}")
+        raise ValidationError(f"A must be in (0, 1), got {shown(A)}")
     return RadialExpanding(n=n, m=m, K=K, A=A, alpha=float(2.0 / _w(n, A)))
 
 

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import lazy
 from .errors import (ValidationError, require_finite, require_integer,
                      require_positive, require_vector)
-
-ndtri = lazy("scipy.special", "ndtri")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -197,6 +194,8 @@ def xi_samples(geom: ConeGeometry, count: int) -> list[np.ndarray]:
     if n == 2:
         dirs = [perp[:, 0] * (1 if k % 2 == 0 else -1) for k in range(count)]
     else:
+        from scipy.special import ndtri
+
         primes = (p for p in itertools.count(2)
                   if all(p % d for d in range(2, math.isqrt(p) + 1)))
         alphas = np.sqrt(np.fromiter(itertools.islice(primes, n - 1), dtype=float))

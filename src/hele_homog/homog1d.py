@@ -29,12 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._lazy import lazy
-from .errors import (NumericalError, ValidationError, require_finite, require_integer,
-                     require_positive, require_steps)
+from .errors import (NumericalError, ValidationError, _eps_list, require_finite,
+                     require_integer, require_positive, require_steps, shown)
 from .medium import Medium, MediumBounds, _admit, estimate_bounds
-
-quad = lazy("scipy.integrate", "quad")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +175,8 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     for a single q.
     """
     if not 10 <= T < math.inf:
-        raise ValidationError(f"T must be >= 10 and finite for a stable average, got {T}")
-    require_positive(dt=dt)
+        raise ValidationError(f"T must be >= 10 and finite for a stable average, got {shown(T)}")
+    require_positive(T=T, dt=dt)  # and so no int past the float range
     if dt > 1.0:
         raise ValidationError(f"dt must be <= 1, the period of g, got {dt}")
     require_steps(T, dt)  # so 1/dt too, as T >= 10
@@ -331,6 +328,8 @@ def traveling_wave_oracle(medium: Medium, c: float, q: float) -> float:
     speeds = q * G - c
     if speeds.min() <= 0.0 <= speeds.max():
         return c
+    from scipy.integrate import quad
+
     integral, _err = quad(lambda y: 1.0 / (q * medium(y, 0.0) - c), 0.0, 1.0,
                           epsabs=1e-12, epsrel=1e-12, limit=200)
     return c + 1.0 / integral
@@ -392,7 +391,7 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     if dt is None:
         dt = eps / 20.0
     if not 0 < dt <= eps / 10.0 + 1e-15:
-        raise ValidationError(f"dt must satisfy 0 < dt <= eps/10, got {dt}")
+        raise ValidationError(f"dt must satisfy 0 < dt <= eps/10, got {shown(dt)}")
     require_steps(T, dt)
     steps = max(1, round(T / dt))
     positions = np.empty(steps + 1)
@@ -471,18 +470,6 @@ class CandidateReport:
         return iter((self.r_lower, self.r_upper))
 
 
-def _eps_list(eps_list: Sequence[float], at_least: int) -> tuple:
-    """eps_list as floats: at least at_least, finite, > 0, strictly decreasing."""
-    eps_list = tuple(eps_list)
-    if len(eps_list) < at_least:
-        raise ValidationError(f"eps_list needs at least {at_least} value(s)")
-    require_positive(**{f"eps_list[{i}]": e for i, e in enumerate(eps_list)})
-    eps_list = tuple(float(e) for e in eps_list)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("eps_list must be strictly decreasing")
-    return eps_list
-
-
 def _bisect(holds, good: float, bad: float) -> tuple[float, float]:
     """Halve the bracket to width <= 1e-4, keeping holds(good) true and
     holds(bad) false; good may lie on either side of bad."""
@@ -517,7 +504,7 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     _admit(medium, 1)
     require_positive(q=q, T=T)
     if not 0.8 < beta < 1.0:
-        raise ValidationError(f"beta must lie in (4/5, 1), got {beta}")
+        raise ValidationError(f"beta must lie in (4/5, 1), got {shown(beta)}")
     eps_list = _eps_list(eps_list, at_least=1)
     require_steps(T, min(eps_list) / 20.0)
     bounds = estimate_bounds(medium, resolution=_RESOLUTION)

@@ -30,13 +30,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._lazy import lazy
-from .errors import (NumericalError, ValidationError, require_finite, require_integer,
-                     require_positive, require_vector)
-from .homog1d import _eps_list
+from .errors import (NumericalError, ValidationError, _eps_list, require_finite,
+                     require_integer, require_positive, require_vector, shown)
 from .medium import Medium, _admit, eval_scaled
-
-cKDTree = lazy("scipy.spatial", "cKDTree")
 
 
 @dataclass(frozen=True)
@@ -584,13 +580,15 @@ def hausdorff(A, B, period: Optional[float] = None,
         require_positive(period=period)
         require_integer(0, axis=axis)
         if not axis < A.shape[1]:
-            raise ValidationError(f"axis must be < {A.shape[1]}, got {axis}")
+            raise ValidationError(f"axis must be < {A.shape[1]}, got {shown(axis)}")
         for k in (-1.0, 1.0):
             shifted = B.copy()
             shifted[:, axis] += k * period
             images.append(shifted)
     elif axis is not None:
         raise ValidationError(f"axis {axis!r} needs a period; got period=None")
+    from scipy.spatial import cKDTree
+
     # unbalanced, uncompacted trees build faster; the queries stay exact
     tree_b = cKDTree(np.concatenate(images), balanced_tree=False, compact_nodes=False)
     to_b = tree_b.query(A)[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -387,18 +387,15 @@ BUILTIN_MEDIA: dict[str, tuple[str, int]] = {
     "pinning2d": ("sin(pi*(x - t))^2 + 1", 2),
 }
 
-_builtin_cache: dict[str, Medium] = {}
 
-
-def builtin_medium(name: str) -> Medium:
-    """Look up a named medium from the registry."""
+@cache
+def builtin_medium(name: str, /) -> Medium:
+    """Look up a named medium from the registry; each name parses once (name is
+    positional, as the cache would hold a keyword call apart)."""
     if name not in BUILTIN_MEDIA:
         known = ", ".join(sorted(BUILTIN_MEDIA))
         raise ValidationError(f"unknown builtin medium {name!r} (known: {known})")
-    if name not in _builtin_cache:
-        src, dim = BUILTIN_MEDIA[name]
-        _builtin_cache[name] = parse_medium(src, dim)
-    return _builtin_cache[name]
+    return parse_medium(*BUILTIN_MEDIA[name])
 
 
 def eval_scaled(g: Medium, eps: float, x, t):

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import lazy
 from .errors import NumericalError, ValidationError, require_nonnegative, require_positive
-
-lambertw = lazy("scipy.special", "lambertw")
-wrightomega = lazy("scipy.special", "wrightomega")
 
 _INV_E = math.exp(-1.0)
 
@@ -35,6 +31,8 @@ def lambert_w0(x):
     z = np.asarray(x, dtype=float)
     if not np.all(z >= -_INV_E - 1e-12):
         raise ValidationError(f"lambert_w0 requires x >= -1/e, got min {np.min(z)}")
+    from scipy.special import lambertw
+
     w = np.where(z <= -_INV_E, -1.0, lambertw(z).real)
     return float(w) if w.ndim == 0 else w
 
@@ -75,6 +73,8 @@ def _rescale(t, c: float, a: float, deriv: bool, closed: bool = False):
     if not closed and np.any(arr >= end):
         raise ValidationError(f"t >= t_max = {end}: rescaling has blown up")
     if c > 0:  # W(e^L) for L = log z, which never overflows
+        from scipy.special import wrightomega
+
         with np.errstate(over="ignore"):  # t past the float range: caught below
             w = wrightomega(math.log(c / a) + (arr + c) / a)
         out, q = a * np.log(a * w / c), 1.0 + w  # t + c - aW by W = log z - log W

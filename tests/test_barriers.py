@@ -342,7 +342,7 @@ class TestContractingRadius:
         def stalled(f, a, b, **kwargs):
             return 0.5 * (a + b), SimpleNamespace(converged=False)
 
-        monkeypatch.setattr(barriers, "brentq", stalled)
+        monkeypatch.setattr(scipy.optimize, "brentq", stalled)
         with pytest.raises(NumericalError, match="did not converge"):
             contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)
 

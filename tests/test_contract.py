@@ -5,7 +5,7 @@ Every public entry point that takes a medium admits it through
 and 1-periodic on a sample of the unit cell. Scalar parameters go through
 `errors.require_positive` / `require_nonnegative`: finite, and > 0 (>= 0).
 Vector parameters go through `errors.require_vector`: 1-D, with finite entries
-and a finite norm.
+and a finite norm. Neither rule takes a string or a bool, which float() would.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import io
 import math
 import re
 import tokenize
+import types
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -26,13 +27,18 @@ import hele_homog
 from hele_homog import (
     Medium,
     PerturbedContractingField,
+    PlanarWave,
     Side,
     SimConfig,
     StripDomain,
     ValidationError,
+    builtin_medium,
     check_superbarrier,
+    cone_geometry,
     effective_velocity,
+    expanding_barrier,
     harmonic_mean_oracle,
+    hausdorff,
     homogenized_candidates,
     obstacle_front,
     parse_medium,
@@ -41,7 +47,7 @@ from hele_homog import (
 )
 from hele_homog import medium as medium_module
 from hele_homog.errors import (require_finite, require_integer, require_nonnegative,
-                               require_positive, require_steps, require_vector)
+                               require_positive, require_steps, require_vector, shown)
 from hele_homog.medium import _admit
 
 # g has period 2 in x; its twin with 2*pi has period 1
@@ -118,6 +124,13 @@ def _identifiers(paths) -> set:
             elif tok.type == tokenize.STRING and tok.string[1:-1].isidentifier():
                 names.add(tok.string[1:-1])
     return names
+
+
+class TestPublicNames:
+    def test_all_is_sorted_and_lists_every_public_binding(self):
+        bound = {name for name, value in vars(hele_homog).items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert hele_homog.__all__ == sorted(bound)
 
 
 class TestPublicFunctionsAreUsed:
@@ -229,7 +242,8 @@ class TestParameterRule:
                                        "1", None, np.array([1.0]), 1j,
                                        np.array(-1.0), True, np.True_,
                                        np.array(True), pytest.param(10 ** 400, id="1e400"),
-                                       pytest.param(-10 ** 400, id="-1e400")])
+                                       pytest.param(-10 ** 400, id="-1e400"),
+                                       pytest.param(b"1", id="bytes")])
     def test_require_positive_rejects(self, value):
         with pytest.raises(ValidationError, match="x must be > 0"):
             require_positive(x=value)
@@ -287,10 +301,28 @@ class TestParameterRule:
 
     @pytest.mark.parametrize("value", [[1.0, math.nan], [math.inf], [], [[1.0, 2.0]],
                                        [[1.0], [2.0, 3.0]], [1j, 1.0], None, "abc",
-                                       [1.0, 2.0, 3.0]])
+                                       [1.0, 2.0, 3.0],
+                                       # bools and strings, as _require refuses them,
+                                       # though NumPy would make floats of them
+                                       [True, False], [True, 1.0], [np.True_, 1.0],
+                                       [np.array(True), 1.0], np.array([True, False]),
+                                       ["1.0", 2.0], np.array(["1", "2"]), "12",
+                                       [b"1.0", 2.0]])
     def test_require_vector_rejects(self, value):
         with pytest.raises(ValidationError, match=r"^v must be a finite vector of dimension 2"):
             require_vector("v", value, dim=2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SimConfig(domain=StripDomain(4.0, 1.0, 16, 8),
+                          medium=parse_medium(PERIODIC, 2), eps=0.5, psi0=1.0, T=0.1, h0=True),
+        lambda: SimConfig(domain=StripDomain(4.0, 1.0, 16, 8),
+                          medium=parse_medium(PERIODIC, 2), eps=0.5, psi0=1.0, T=0.1, h0="1.0"),
+        lambda: PlanarWave(q="1.5", r=1.0),
+        lambda: cone_geometry([True, False], 1, 1, 2),
+    ], ids=["h0-bool", "h0-str", "q-str", "q-bools"])
+    def test_vector_parameters_refuse_bools_and_strings(self, build):
+        with pytest.raises(ValidationError, match="must be a finite vector, got"):
+            build()
 
     def test_require_vector_refuses_empty_and_zero(self):
         with pytest.raises(ValidationError, match=r"^v must be a finite vector, got \[\]$"):
@@ -313,6 +345,40 @@ class TestParameterRule:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="^v must be a finite vector, got"):
                 require_vector("v", value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: require_positive(x=10 ** 5000),
+        lambda: require_finite(x=-10 ** 5000),
+        lambda: require_integer(1, x=-10 ** 5000),
+        lambda: require_vector("q", [10 ** 5000, 1]),
+        lambda: StripDomain(Lx=10 ** 5000, Ly=1.0, nx=16, ny=8),
+        lambda: PlanarWave(q=[10 ** 400, 1], r=1.0),
+        lambda: expanding_barrier(2, 1.0, 1.0, 10 ** 5000),
+        lambda: velocity_curve(builtin_medium("pinning"), 0.5, 1.0, 2, T=10 ** 5000),
+        lambda: velocity_curve(builtin_medium("pinning"), 0.5, 1.0, 2, T=-10 ** 5000),
+        lambda: obstacle_front(builtin_medium("pinning"), q=1.0, r=0.5, eps=0.5,
+                               side=Side.SUB, T=0.1, dt=-10 ** 5000),
+        lambda: homogenized_candidates(builtin_medium("pinning"), q=1.0, eps_list=(0.5,),
+                                       T=0.1, beta=10 ** 5000),
+        lambda: hausdorff([[0.0, 1.0]], [[0.5, 1.0]], period=1.0, axis=10 ** 5000),
+    ], ids=["positive", "finite", "integer", "vector", "StripDomain", "PlanarWave-1e400",
+            "expanding-A", "curve-T", "curve-minus-T", "obstacle-dt", "candidates-beta",
+            "hausdorff-axis"])
+    def test_a_huge_int_is_a_validation_error(self, call):
+        # an int past the float range, which once escaped as OverflowError, or
+        # past Python's 4300-digit int-to-str limit, where the error message
+        # itself raised ValueError
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_shown_never_raises(self):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no")
+
+        assert shown(1.5) == "1.5" and shown("n", repr) == "'n'"
+        assert shown(Unprintable()) == "<Unprintable that cannot be printed>"
+        assert isinstance(shown(10 ** 5000), str)  # past the int-to-str limit of Python 3.11
 
     def test_accepts(self):
         require_integer(2, a=2, b=10 ** 30)

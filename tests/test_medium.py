@@ -650,6 +650,18 @@ class TestBuiltins:
         with pytest.raises(ValidationError):
             builtin_medium("nope")
 
+    def test_builtin_medium_parses_each_name_once(self):
+        # the same object on every call, so its cached bounds and float kernel carry over
+        for name in BUILTIN_MEDIA:
+            assert builtin_medium(name) is builtin_medium(name)
+        # a refusal is never cached: every call raises the same error anew
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="unknown builtin medium 'nope'") as info:
+                builtin_medium("nope")
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
     def test_pinning_values(self):
         g = builtin_medium("pinning")
         # sin(pi(x-t))^2 + 1: traveling profile, speed 1.

@@ -1,42 +1,33 @@
 """SciPy is imported on first use, not at import time.
 
-Every SciPy name the package calls is a module attribute bound to a
-`hele_homog._lazy.lazy` stub, which imports the real object on its first call
-and forwards every call to it. These tests check that importing the package,
-and commands that need only NumPy, load no `scipy` module (in a fresh
-interpreter), that each stub forwards to the very SciPy object, and that a
-binding patched in before first use is the one called.
+Each SciPy name the package calls is imported inside the one function that
+calls it, so importing the package runs no SciPy import. These tests check
+that importing the package, and commands that need only NumPy, load no
+`scipy` module (in a fresh interpreter); that no module of the package
+imports SciPy at module scope, and the function-level SciPy imports are
+exactly the known call sites; and that driving each call site's public
+function once loads its SciPy subpackage.
 """
 
-import importlib
-import math
+import ast
 import os
 import pathlib
-import pkgutil
 import subprocess
 import sys
 
-import hele_homog
-from hele_homog import barriers, geometry, homog1d, hs2d, timescale
-from hele_homog._lazy import lazy
-from hele_homog.barriers import contracting_radius
-from hele_homog.geometry import cone_geometry, xi_samples
-from hele_homog.homog1d import harmonic_mean_oracle
-from hele_homog.hs2d import hausdorff
-from hele_homog.medium import builtin_medium
-from hele_homog.timescale import SubScaling, SuperScaling, f_sub, f_super
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# (module, attribute, SciPy module that holds the real object)
-LAZY_NAMES = [
-    (barriers, "brentq", "scipy.optimize"),
-    (homog1d, "quad", "scipy.integrate"),
-    (geometry, "ndtri", "scipy.special"),
-    (timescale, "lambertw", "scipy.special"),
-    (timescale, "wrightomega", "scipy.special"),
-    (hs2d, "cKDTree", "scipy.spatial"),
-]
+# (module, function) -> the SciPy names it imports
+CALL_SITES = {
+    ("barriers", "_brentq"): {("scipy.optimize", "brentq")},
+    ("geometry", "xi_samples"): {("scipy.special", "ndtri")},
+    ("homog1d", "traveling_wave_oracle"): {("scipy.integrate", "quad")},
+    ("hs2d", "hausdorff"): {("scipy.spatial", "cKDTree")},
+    ("timescale", "lambert_w0"): {("scipy.special", "lambertw")},
+    ("timescale", "_rescale"): {("scipy.special", "wrightomega")},
+}
 
 
 def fresh(code: str) -> str:
@@ -84,60 +75,53 @@ def test_flat_sim2d_loads_no_scipy_and_a_curved_one_no_fft():
     assert out == "0 []\n0 []\n"
 
 
-def test_patch_before_first_use_is_called():
-    # the stub is never called, so SciPy is never imported
-    out = fresh("from types import SimpleNamespace\n"
-                "from hele_homog import barriers\n"
-                "from hele_homog.errors import NumericalError\n"
-                "stub = barriers.brentq\n"
-                "barriers.brentq = lambda f, a, b, **kw: (a, SimpleNamespace(converged=False))\n"
-                "try:\n"
-                "    barriers.contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)\n"
-                "except NumericalError as exc:\n"
-                "    print(exc)\n"
-                "print(scipy_loaded())\n"
-                "barriers.brentq = stub\n"
-                "barriers.contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)\n"
-                "import scipy.optimize\n"
-                "print(barriers.brentq is stub, stub.__wrapped__ is scipy.optimize.brentq)\n")
-    lines = out.split("\n")
-    assert "did not converge" in lines[0]
-    assert lines[1:] == ["[]", "True True", ""]
+def _scipy_imports(tree: ast.Module):
+    """(function name or None at module scope, module, name) of every import
+    of a scipy module in tree; None also covers class bodies and if-blocks."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
+                found.extend((function, child.module, a.name) for a in child.names)
+            elif isinstance(child, ast.Import):
+                found.extend((function, a.name, None) for a in child.names
+                             if a.name.split(".")[0] == "scipy")
+            visit(child, function)
+
+    visit(tree, None)
+    return found
 
 
-def test_stub_imports_on_first_call_and_forwards():
-    stub = lazy("math", "hypot")
-    assert not hasattr(stub, "__wrapped__")
-    assert stub(3.0, 4.0) == 5.0
-    assert stub.__wrapped__ is math.hypot
-    assert stub(5.0, 12.0) == 13.0
-    assert stub.__name__ == "hypot"
+def test_scipy_is_imported_only_at_its_call_sites():
+    found = {}
+    for path in sorted((SRC / "hele_homog").glob("*.py")):
+        for function, module, name in _scipy_imports(ast.parse(path.read_text())):
+            assert function is not None, f"{path.name} imports {module} at module scope"
+            found.setdefault((path.stem, function), set()).add((module, name))
+    assert found == CALL_SITES
 
 
-def test_every_lazy_name_forwards_to_the_scipy_object():
-    stubs = [getattr(module, name) for module, name, _ in LAZY_NAMES]
-    # first use of all 6 names, through the public functions that call them
-    contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)  # brentq
-    harmonic_mean_oracle(builtin_medium("static_sin"), 1.0)  # quad
-    xi_samples(cone_geometry([0.0, 0.0, -1.0], 1.0, 1.0, 2.0), 3)  # ndtri
-    f_sub(1.0, SubScaling(alpha=0.5, gamma=1.0, lam=0.25))  # wrightomega
-    f_super(0.1, SuperScaling(alpha=1.2, gamma=1.0, lam=0.2))  # lambertw
-    hausdorff([[0.0, 1.0]], [[0.5, 1.0]], period=1.0, axis=0)  # cKDTree
-    for stub, (module, name, home) in zip(stubs, LAZY_NAMES):
-        # the binding stays the stub; a misspelt spec fails here, not at a
-        # user's first 2D step
-        assert getattr(module, name) is stub
-        assert stub.__wrapped__ is getattr(importlib.import_module(home), name), \
-            f"{module.__name__}.{name}"
-
-
-def test_lazy_names_lists_every_stub_in_the_package():
-    # a binding whose last caller is deleted would otherwise stay behind
-    # unnoticed, and the forwarding test above needs a public call per name
-    code = lazy("m", "n").__code__
-    found = set()
-    for info in pkgutil.iter_modules(hele_homog.__path__, "hele_homog."):
-        module = importlib.import_module(info.name)
-        found |= {(module.__name__, name) for name, value in vars(module).items()
-                  if getattr(value, "__code__", None) is code}
-    assert found == {(module.__name__, name) for module, name, _ in LAZY_NAMES}
+@pytest.mark.parametrize("setup, call, home", [
+    ("from hele_homog.barriers import contracting_radius",
+     "contracting_radius(2, 1.0, 1.0, lambda t: t, -0.1)", "scipy.optimize"),
+    ("from hele_homog.geometry import cone_geometry, xi_samples",
+     "xi_samples(cone_geometry([0.0, 0.0, -1.0], 1.0, 1.0, 2.0), 3)", "scipy.special"),
+    ("from hele_homog.homog1d import harmonic_mean_oracle\n"
+     "from hele_homog.medium import builtin_medium",
+     "harmonic_mean_oracle(builtin_medium('static_sin'), 1.0)", "scipy.integrate"),
+    ("from hele_homog.hs2d import hausdorff",
+     "hausdorff([[0.0, 1.0]], [[0.5, 1.0]], period=1.0, axis=0)", "scipy.spatial"),
+    ("from hele_homog.timescale import lambert_w0", "lambert_w0(0.5)", "scipy.special"),
+    ("from hele_homog.timescale import SubScaling, f_sub",
+     "f_sub(1.0, SubScaling(alpha=0.5, gamma=1.0, lam=0.25))", "scipy.special"),
+], ids=["brentq", "ndtri", "quad", "cKDTree", "lambertw", "wrightomega"])
+def test_each_call_site_loads_its_scipy_subpackage(setup, call, home):
+    out = fresh(f"{setup}\n"
+                f"print({home!r} in scipy_loaded())\n"
+                f"value = {call}\n"
+                f"print({home!r} in scipy_loaded(), value is not None)\n")
+    assert out == "False\nTrue True\n"
