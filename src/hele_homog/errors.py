@@ -56,7 +56,7 @@ def require_vector(name: str, value, dim: int | None = None, nonzero: bool = Fal
         norm = float(np.linalg.norm(v)) if v.ndim == 1 else math.nan
     if v.ndim != 1 or not v.size or v.size != (dim or v.size) or not math.isfinite(norm):
         size = f" of dimension {dim}" if dim else ""
-        raise ValidationError(f"{name} must be a finite vector{size}, got {shown(value)}")
+        raise ValidationError(f"{name} must be a finite vector{size}, got {_refused(value)}")
     if nonzero and not np.any(v):
         raise ValidationError(f"{name} must be nonzero")
     return v
@@ -87,7 +87,7 @@ def _require(values: dict, relation: str, holds) -> None:
             except (TypeError, ValueError, OverflowError):  # an int past the float range
                 v = math.nan
         if not (math.isfinite(v) and holds(v)):
-            raise ValidationError(f"{name} must be {relation} and finite, got {shown(value)}")
+            raise ValidationError(f"{name} must be {relation} and finite, got {_refused(value)}")
 
 
 def _eps_list(eps_list: Sequence[float], at_least: int) -> tuple:
@@ -105,6 +105,12 @@ def _eps_list(eps_list: Sequence[float], at_least: int) -> tuple:
 def _not_a_number(value) -> bool:
     """A string or a bool, which float() would take but no parameter may be."""
     return isinstance(value, (str, bytes, bool)) or getattr(value, "dtype", None) == bool
+
+
+def _refused(value) -> str:
+    """A refused value for a message: a string or bytes quoted (repr), so that
+    "1" does not read as the number 1; anything else as shown."""
+    return shown(value, repr if isinstance(value, (str, bytes)) else str)
 
 
 def shown(value, fmt=str) -> str:

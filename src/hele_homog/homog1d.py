@@ -8,16 +8,18 @@ r_lower and r_upper.
 
 Each numerical idea has one loop: `_rk4` integrates one front (a float q)
 or a whole array of fronts with the same arithmetic, `_averages` turns a
-q-array into long-time averages by iterating each q's tabulated time-1 map
-(g is 1-periodic in t, so the orbit is that map iterated; where the map is
-too distorted to tabulate whole, as near a locking plateau, the table
-composes maps over recursive halves of the period) or, where no table
-within its budget resolves the map, by the direct orbit (on the float
-kernel for a single q), `_clipped` runs the obstacle-clipped front with or
-without a stored trace, and `_bisect` halves the candidate brackets for
-both sides. The scalar loops evaluate the medium through its float kernel
-and coerce their scalars to Python floats, so they run on float arithmetic
-with the bits the NumPy kernel would give.
+q-array into effective velocities: the exact rotation number p/k where the
+time-1 map's own RK4 points certify a lock (g is 1-periodic in t, so the
+orbit is that map iterated), and otherwise long-time averages, by
+iterating each q's tabulated time-1 map (where the map is too distorted to
+tabulate whole, as near a locking plateau, the table composes maps over
+recursive halves of the period) or, where no table within its budget
+resolves the map, by the direct orbit (on the float kernel for a single
+q), `_clipped` runs the obstacle-clipped front with or without a stored
+trace, and `_bisect` halves the candidate brackets for both sides. The
+scalar loops evaluate the medium through its float kernel and coerce their
+scalars to Python floats, so they run on float arithmetic with the bits the
+NumPy kernel would give.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ class FlatnessTrace:
 
 @dataclass(frozen=True)
 class VelocityEstimate:
-    """Finite-T effective velocity r_hat = (x(T) - x0)/T with 1/T error bar;
-    the time-1 table has `stages` stage maps of `nodes` nodes each, both 0
-    where the orbit ran directly."""
+    """Effective velocity with a 1/T error bar: the exact rotation number p/k
+    where the time-1 map certifies a lock (`locked` = k, else 0), otherwise
+    the finite-T average r_hat = (x(T) - x0)/T; the time-1 table has
+    `stages` stage maps of `nodes` nodes each, both 0 where the row locked
+    or the orbit ran directly."""
 
     q: float
     r_hat: float
@@ -80,13 +84,15 @@ class VelocityEstimate:
     error_bound: float
     nodes: int
     stages: int
+    locked: int
 
 
 @dataclass(frozen=True, eq=False)
 class VelocityCurve:
     """Effective-velocity samples over a q-grid with a shared error bound and
-    each q's time-1 table: its nodes per stage and stages (0: the direct
-    orbit)."""
+    each q's time-1 table: its nodes per stage and stages (both 0: a locked
+    row or the direct orbit), and the denominator k of each certified lock
+    r_hat = p/k (0: no lock certified)."""
 
     q: np.ndarray
     r_hat: np.ndarray
@@ -94,6 +100,7 @@ class VelocityCurve:
     error_bound: float
     nodes: np.ndarray
     stages: np.ndarray
+    locked: np.ndarray
 
 
 def _rk4(g, q, x0, T: float, steps: int, t0: float = 0.0):
@@ -124,18 +131,21 @@ def _rk4(g, q, x0, T: float, steps: int, t0: float = 0.0):
 def effective_velocity(medium: Medium, q: float, T: float = 100.0,
                        x0: float = 0.0, dt: float = 0.01) -> VelocityEstimate:
     """Estimate r(q) by (x(T) - x0)/T; the period squeeze gives error 1/T.
+    Where the RK4 time-1 map certifies a lock (see _averages), r_hat is its
+    rotation number p/k exactly and `locked` is k.
 
     This is velocity_curve's kernel on a one-element q-array, so the two agree
-    to the bit on the builtins. Where no table resolves the map, r_hat is the
-    direct orbit's final position, minus x0, over T: round(T/dt) RK4 steps
-    on the float kernel.
+    to the bit on the builtins. Where no table resolves the map and no lock
+    is certified, r_hat is the direct orbit's final position, minus x0, over
+    T: round(T/dt) RK4 steps on the float kernel.
     """
     _admit(medium, 1)
     require_positive(q=q)
     require_finite(x0=x0)
-    r_hat, nodes, stages = _averages(medium, np.array([float(q)]), float(x0), T, dt)
+    r_hat, nodes, stages, locked = _averages(medium, np.array([float(q)]), float(x0), T, dt)
     return VelocityEstimate(q=q, r_hat=float(r_hat[0]), T=T, error_bound=1.0 / T,
-                            nodes=int(nodes[0]), stages=int(stages[0]))
+                            nodes=int(nodes[0]), stages=int(stages[0]),
+                            locked=int(locked[0]))
 
 
 _FIRST_NODES = 16  # the first table; each later one doubles it
@@ -154,25 +164,43 @@ _WITNESSES = np.arange(1.0, 14.0) * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
 # orbits. Tables run every node of a block in one array and pay NumPy's fixed
 # cost per RK4 step (~500 entries' worth on the builtins) once per table,
 # while the batched orbit pays it in each of its T/dt steps. On the eight
-# velocity curves of the benchmark (seed 1: four builtins, 400 and 50 q, T = 200)
-# a budget of one orbit leaves 227 q to that orbit, the pinning medium's
-# plateau (256 nodes) among them, and costs 1.4x the time at _BUDGET = 2,
-# where split tables leave none; _BUDGET = 3 costs 1.06x.
+# velocity curves of the benchmark (seed 1: four builtins, 400 and 50 q,
+# T = 200), where 254 q lock and need no table, a budget of one orbit
+# leaves 168 q to that orbit and costs 1.8x the time at _BUDGET = 2, where
+# split tables leave none; _BUDGET = 3 costs 0.96-1.05x.
 _BUDGET = 2
 _BLOCK = 64  # q rows per table block, so one _rk4 call per stage keeps its arrays small
+# Locking (Poincare): if Phi^k(x) - x - p takes both signs for an integer p,
+# Phi^k has a point moved by p exactly and the rotation number is p/k. A q
+# is tested on the first table's 29 points, by more than _LOCK_MARGIN (far
+# above the rounding of one period), and only where Phi^k keeps their
+# cyclic order, as the lift of an orientation-preserving circle map must.
+# k = 1 costs nothing more. k = 2 .. _LOCK_PERIODS cost a period on the 29
+# points each, paid only by a q about to need a table of more than
+# _LOCK_NODES nodes, a split, or the direct orbit. Only a q whose RK4 step
+# moves the front at most _RESOLVED of a period (q M dt <= 1/4, M the
+# admitted bound of g) may lock: beyond it the RK4 map's own lock says
+# little about the flow's.
+_LOCK_MARGIN = 1e-9
+_LOCK_PERIODS = 2
+_LOCK_NODES = 64
+_RESOLVED = 0.25
 
 
 def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
-    """(x(T) - x0)/T at eps = 1 and the node and stage counts of each q's
-    table (0: the direct orbit), for a q-array.
+    """r_hat at eps = 1, and the node and stage counts of each q's table
+    and the denominator k of each certified lock, for a q-array.
 
-    A tabled q takes steps of 1/n, n = round(1/dt) (dt <= 1, so n >= 1), and
-    n steps make one period of g: its orbit is the time-1 map Phi_q applied
-    floor(T) times, each application the composition of its table's stage
-    maps. The fractional period f = T - floor(T) is integrated directly from
-    t = 0 (g is 1-periodic in t) in round(f*n) steps, at least one. The
-    other q run the direct orbit, round(T/dt) RK4 steps, on the float kernel
-    for a single q.
+    A q whose time-1 map certifies a lock (see _tables) gets r_hat = p/k
+    exactly, its rotation number, and no table (nodes = stages = 0). Every
+    other q gets the finite-T average (x(T) - x0)/T. A tabled q takes steps
+    of 1/n, n = round(1/dt) (dt <= 1, so n >= 1), and n steps make one
+    period of g: its orbit is the time-1 map Phi_q applied floor(T) times,
+    each application the composition of its table's stage maps. The
+    fractional period f = T - floor(T) is integrated directly from t = 0
+    (g is 1-periodic in t) in round(f*n) steps, at least one. The other q
+    run the direct orbit, round(T/dt) RK4 steps, on the float kernel for a
+    single q.
     """
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {shown(T)}")
@@ -180,66 +208,89 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     if dt > 1.0:
         raise ValidationError(f"dt must be <= 1, the period of g, got {dt}")
     require_steps(T, dt)  # so 1/dt too, as T >= 10
-    fn, n = medium._fn, round(1.0 / dt)
+    fn, n, M = medium._fn, round(1.0 / dt), _admit(medium, 1).M
     x = np.full(q.shape, float(x0))
     nodes, stages = np.zeros(q.shape, dtype=int), np.zeros(q.shape, dtype=int)
+    lock = np.zeros((q.size, 2), dtype=int)  # (p, k) of a certified lock
     found: dict = {}  # (stages, modes): the (rows, coefficients) of that shape
     for start in range(0, q.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        nodes[block], stages[block], parts = _tables(fn, q[block], n, T)
+        nodes[block], stages[block], lock[block], parts = _tables(fn, q[block], n, T, M)
         for rows, c in parts:
             found.setdefault(c.shape[:2], []).append((rows + start, c))
     while found:  # the columns of c are independent, bit for bit
         rows, c = zip(*found.popitem()[1])  # popped, so each part is freed once joined
         rows, c = np.concatenate(rows), np.concatenate(c, axis=2)
         x[rows] = _iterate(c, x[rows], math.floor(T))
-    direct, f = nodes == 0, T - math.floor(T)
-    if f and not direct.all():
-        x[~direct] = _rk4(fn, q[~direct], x[~direct], f, max(1, round(f * n)))
+    p, k = lock.T
+    tabled, direct, f = nodes > 0, (nodes == 0) & (k == 0), T - math.floor(T)
+    if f and tabled.any():
+        x[tabled] = _rk4(fn, q[tabled], x[tabled], f, max(1, round(f * n)))
     if direct.any() and q.size == 1:
         x[0] = _rk4(medium._float_fn, float(q[0]), x0, float(T), round(T / dt))
     elif direct.any():
         x[direct] = _rk4(fn, q[direct], x[direct], float(T), round(T / dt))
-    return (x - x0) / T, nodes, stages
+    r_hat = (x - x0) / T
+    r_hat[k > 0] = p[k > 0] / k[k > 0]
+    return r_hat, nodes, stages, k
 
 
-def _tables(fn, q: np.ndarray, n: int, T: float):
+def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
     """The node count N and stage count S per q (0 where no table resolved
-    it), and the resolved rows of q in parts (rows, c): c[s] holds one
-    column per row, the coefficients of the trigonometric interpolant
+    it), the certified lock (p, k) per q ((0, 0) where none), and the
+    resolved rows of q in parts (rows, c): c[s] holds one column per row,
+    the coefficients of the trigonometric interpolant
     D_s(x) = Re sum_m c[s, m] e^(2 pi i m x) of stage s's map minus x on the
     nodes x_j = j/N. The stages cut the period's n steps at recursive halves
     b + (b1 - b)//2, and their maps compose to Phi_q.
 
     A table starts as one stage: one period of _rk4 from its nodes and the
     witnesses, whose values stay the reference for every later table of the
-    row. The table of 2N nodes integrates only the N new midpoints through
-    each stage. A q goes on to the next table while one within its budget
-    can still reach _TOL, if, as for an analytic map, each doubling squares
-    the ratio of its last two errors. Otherwise, while every stage has two
-    steps and the budget affords it, the q splits each stage in two (a
-    fresh period from the N nodes, N periods of its budget), and the split
-    table's error is set against the unsplit one's: near a locking plateau
-    Phi_q stretches some arcs and squeezes others by factors up to ~1000,
-    which no affordable table resolves, and each stage map is far less
-    distorted than the whole (multiple shooting). A row that never splits
-    keeps the bits of a single-stage table.
+    row. Those 29 points' images first test Phi_q for a lock at k = 1 (see
+    _LOCK_MARGIN), and a row about to cost more than a table of _LOCK_NODES
+    nodes tests Phi_q^k, k <= _LOCK_PERIODS, one more period each; a locked
+    row gets no table. The table of 2N nodes integrates only the N new
+    midpoints through each stage. A q goes on to the next table while one
+    within its budget can still reach _TOL, if, as for an analytic map,
+    each doubling squares the ratio of its last two errors. Otherwise, while
+    every stage has two steps and the budget affords it, the q splits each
+    stage in two (a fresh period from the N nodes, N periods of its budget),
+    and the split table's error is set against the unsplit one's: near a
+    locking plateau Phi_q stretches some arcs and squeezes others by factors
+    up to ~1000, which no affordable table resolves, and each stage map is
+    far less distorted than the whole (multiple shooting). The lock tests
+    spend nothing of the budget, so a row that does not lock keeps the bits
+    it would have without them, and a row that never splits keeps the bits
+    of a single-stage table.
     """
-    budget = _BUDGET * T
+    budget, resolved = _BUDGET * T, q * M / n <= _RESOLVED
 
     def stage_tables(rows, bounds, x):  # (stage, row, point): each stage map minus x
         return np.stack([_rk4(fn, q[rows, None], x, (b1 - b) / n, b1 - b, t0=b / n) - x
                          for b, b1 in zip(bounds, bounds[1:])])
 
+    def certify(rows, k, images):  # lock the rows whose images Phi^k(P) show p/k
+        p, ok = _lock_test(images, P)
+        ok &= resolved[rows]
+        p = p[ok].astype(int)
+        d = np.gcd(p, k)
+        lock[rows[ok]] = np.stack([p // d, k // d], axis=1)
+        return ok
+
     nodes, stages, found = np.zeros(q.size, dtype=int), np.zeros(q.size, dtype=int), []
+    lock = np.zeros((q.size, 2), dtype=int)
     N = _FIRST_NODES
     if N + _WITNESSES.size > budget:
-        return nodes, stages, found
-    rows = np.arange(q.size)
-    D = stage_tables(rows, [0, n], np.concatenate([np.arange(N) / N, _WITNESSES]))[0]
+        return nodes, stages, lock, found
+    rows, P = np.arange(q.size), np.concatenate([np.arange(N) / N, _WITNESSES])
+    D = stage_tables(rows, [0, n], P)[0]
+    first = P + D  # Phi_q(P), where every later lock test starts
+    free = ~certify(rows, 1, first)
+    tested = ~resolved  # rows past their lock tests
     # rows of one history: its stage cuts, nodes, tables, witness values and
     # errors of the table before, and the periods its doublings did not spend
-    groups = [(rows, [0, n], N, D[None, :, :N], D[:, N:], np.inf, _WITNESSES.size)]
+    groups = [(rows[free], [0, n], N, D[None, free, :N], D[free, N:], np.inf,
+               _WITNESSES.size)]
     while groups:
         rows, bounds, N, D, W, prev, fixed = groups.pop()
         c = np.fft.rfft(D, axis=2, norm="forward").transpose(0, 2, 1)
@@ -253,18 +304,40 @@ def _tables(fn, q: np.ndarray, n: int, T: float):
         doublings = math.floor(math.log2((budget - fixed) / N))
         shrink = np.minimum(err / prev, 1.0) ** (2.0 ** (doublings + 1) - 2.0)
         double = ~done & (err * shrink <= _TOL)
+        costly = rows[~done & ~(double & (2 * N <= _LOCK_NODES)) & ~tested[rows]]
+        if costly.size:
+            tested[costly] = True
+            images = first[costly]
+            for k in range(2, _LOCK_PERIODS + 1):
+                images = _rk4(fn, q[costly, None], images, 1.0, n)
+                ok = certify(costly, k, images)
+                costly, images = costly[~ok], images[~ok]
+        free = lock[rows, 1] == 0
+        double &= free
         if double.any():
             r = rows[double]
             D = np.stack([D[:, double], stage_tables(r, bounds, (np.arange(N) + 0.5) / N)],
                          axis=3).reshape(len(bounds) - 1, r.size, 2 * N)
             groups.append((r, bounds, 2 * N, D, W[double], err[double], fixed))
-        split = ~done & ~double
+        split = ~done & ~double & free
         if split.any() and min(np.diff(bounds)) >= 2 and fixed + 2 * N <= budget:
             r, cuts = rows[split], [b + (b1 - b) // 2 for b, b1 in zip(bounds, bounds[1:])]
             bounds = sorted(bounds + cuts)
             groups.append((r, bounds, N, stage_tables(r, bounds, np.arange(N) / N), W[split],
                            err[split], fixed + N))
-    return nodes, stages, found
+    return nodes, stages, lock, found
+
+
+def _lock_test(images: np.ndarray, P: np.ndarray):
+    """Per row of images = Phi^k(P): the least integer p above
+    min(Phi^k - id) + _LOCK_MARGIN, and whether max(Phi^k - id) passes
+    p + _LOCK_MARGIN while Phi^k keeps the cyclic order of the points P."""
+    order = np.argsort(P)
+    y = images[:, order]
+    moved = y - P[order]
+    p = np.floor(moved.min(axis=1) + _LOCK_MARGIN) + 1.0
+    ordered = np.all(np.diff(y, axis=1) > 0.0, axis=1) & (y[:, -1] < y[:, 0] + 1.0)
+    return p, ordered & (moved.max(axis=1) > p + _LOCK_MARGIN)
 
 
 def _moved(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -543,9 +616,11 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
                    T: float = 200.0, dt: float = 0.02,
                    x0: float = 0.0) -> VelocityCurve:
     """Effective velocities over a q-grid from the time-1 map kernel, with
-    the table size per q in nodes. A table is computed row by row, and the
-    q without one share a direct orbit through the NumPy kernel, so on the
-    builtins each entry equals effective_velocity(medium, q, T, x0,
+    the table size per q in nodes and each certified lock's denominator k:
+    a locked row reports its rotation number p/k exactly, any other row the
+    finite-T average. A table and a lock test are computed row by row, and
+    the q with neither share a direct orbit through the NumPy kernel, so on
+    the builtins each entry equals effective_velocity(medium, q, T, x0,
     dt).r_hat to the bit (tested); otherwise the direct orbit agrees to
     rounding, as an array and a float may round an operation differently
     (x^2.0 is x*x on arrays, libm pow on floats)."""
@@ -557,6 +632,6 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     require_integer(2, samples=samples)
 
     qs = np.linspace(q_min, q_max, samples)
-    r_hat, nodes, stages = _averages(medium, qs, float(x0), T, dt)
+    r_hat, nodes, stages, locked = _averages(medium, qs, float(x0), T, dt)
     return VelocityCurve(q=qs, r_hat=r_hat, T=T, error_bound=1.0 / T, nodes=nodes,
-                         stages=stages)
+                         stages=stages, locked=locked)

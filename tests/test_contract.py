@@ -284,6 +284,12 @@ class TestParameterRule:
                      f"x must be > 0 and finite, got {10 ** 400}", id="positive-1e400"),
         pytest.param(require_finite, -10 ** 400,
                      f"x must be real and finite, got {-10 ** 400}", id="finite--1e400"),
+        # a refused string or bytes is quoted, so that it does not read as a number
+        pytest.param(require_positive, "1", "x must be > 0 and finite, got '1'", id="str"),
+        pytest.param(require_finite, "1.0", "x must be real and finite, got '1.0'",
+                     id="finite-str"),
+        pytest.param(require_positive, b"1", "x must be > 0 and finite, got b'1'", id="bytes"),
+        pytest.param(require_positive, True, "x must be > 0 and finite, got True", id="bool"),
     ])
     def test_exact_messages(self, check, value, message):
         if message is None:
@@ -312,16 +318,20 @@ class TestParameterRule:
         with pytest.raises(ValidationError, match=r"^v must be a finite vector of dimension 2"):
             require_vector("v", value, dim=2)
 
-    @pytest.mark.parametrize("build", [
-        lambda: SimConfig(domain=StripDomain(4.0, 1.0, 16, 8),
-                          medium=parse_medium(PERIODIC, 2), eps=0.5, psi0=1.0, T=0.1, h0=True),
-        lambda: SimConfig(domain=StripDomain(4.0, 1.0, 16, 8),
-                          medium=parse_medium(PERIODIC, 2), eps=0.5, psi0=1.0, T=0.1, h0="1.0"),
-        lambda: PlanarWave(q="1.5", r=1.0),
-        lambda: cone_geometry([True, False], 1, 1, 2),
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SimConfig(domain=StripDomain(4.0, 1.0, 16, 8),
+                           medium=parse_medium(PERIODIC, 2), eps=0.5, psi0=1.0, T=0.1, h0=True),
+         "h0 must be a finite vector, got True"),
+        (lambda: SimConfig(domain=StripDomain(4.0, 1.0, 16, 8),
+                           medium=parse_medium(PERIODIC, 2), eps=0.5, psi0=1.0, T=0.1, h0="1.0"),
+         "h0 must be a finite vector, got '1.0'"),
+        (lambda: PlanarWave(q="1.5", r=1.0), "q must be a finite vector, got '1.5'"),
+        (lambda: cone_geometry([True, False], 1, 1, 2),
+         "q must be a finite vector, got [True, False]"),
     ], ids=["h0-bool", "h0-str", "q-str", "q-bools"])
-    def test_vector_parameters_refuse_bools_and_strings(self, build):
-        with pytest.raises(ValidationError, match="must be a finite vector, got"):
+    def test_vector_parameters_refuse_bools_and_strings(self, build, message):
+        # a refused string is quoted, so that it does not read as a number
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()
 
     def test_require_vector_refuses_empty_and_zero(self):

@@ -613,10 +613,33 @@ def _bench_curve(name, q_min, q_max, samples):
 
 
 def _assert_map_matches(curve, r_hat, bound):
-    """Tabled rows within bound of the direct orbit, the others equal to it."""
-    tabled = curve.nodes > 0
+    """Tabled rows within bound of the direct orbit, and rows with neither a
+    table nor a lock equal to it. A locked row's p/k is within Poincare's
+    bound 1/T of it (T an integer): |F^T(x) - x - T p/k| < 1 for the lift F
+    of a circle map of rotation number p/k."""
+    tabled, locked = curve.nodes > 0, curve.locked > 0
     assert np.abs(curve.r_hat - r_hat)[tabled].max(initial=0.0) <= bound
-    assert np.array_equal(curve.r_hat[~tabled], r_hat[~tabled])
+    assert np.array_equal(curve.r_hat[~tabled & ~locked], r_hat[~tabled & ~locked])
+    assert np.all(np.abs(curve.r_hat - r_hat)[locked] < 1.0 / curve.T)
+
+
+def _assert_locks_certified(g, curve, n):
+    """Each locked row has no table and reports r_hat = p/k in lowest terms,
+    and its own RK4 map, integrated here, certifies it: Phi^k(x) - x - p
+    takes both signs on the points j/256 and the 13 witnesses."""
+    locked = curve.locked > 0
+    assert not np.any(curve.nodes[locked]) and not np.any(curve.stages[locked])
+    x = np.concatenate([np.arange(256) / 256.0, homog1d._WITNESSES])
+    for k in set(curve.locked[locked].tolist()):
+        rows = curve.locked == k
+        p = curve.r_hat[rows] * k
+        assert np.array_equal(p, np.round(p))
+        assert np.all(np.gcd(p.astype(int), k) == 1)
+        y = x
+        for _ in range(k):
+            y = _rk4(g._fn, curve.q[rows, None], y, 1.0, n)
+        moved = y - x - p[:, None]
+        assert np.all((moved.min(axis=1) < 0.0) & (moved.max(axis=1) > 0.0))
 
 
 class TestTimeOneMap:
@@ -627,18 +650,23 @@ class TestTimeOneMap:
         ("antipinning", 0.05, 2.0, 200.0, {16, 32}),
         ("static_sin", 0.05, 2.0, 200.0, {16, 32}),
         ("two_wave", 0.05, 2.0, 200.0, {16, 32, 64, 128, 256}),
-        ("two_wave", 0.7, 0.9, 600.0, {256, 512, 1024})])
+        ("two_wave", 0.7, 0.9, 600.0, {256, 1024}),
+        ("two_wave", 0.83, 0.95, 600.0, {256, 512, 1024})])
     def test_matches_the_direct_orbit(self, name, q_min, q_max, T, sizes):
-        # measured: at most 2.9e-10 (pinning) and 2.9e-9 (two_wave on
-        # [0.7, 0.9]); there, where the front nearly stalls, a
-        # single-stage table needs 1024 nodes, which T = 600 affords: 6 of its
-        # 40 q get them, and the other 34, whose errors fall too slowly to
-        # reach 1e-8 in time, split into two stages of 256 or 512 nodes
+        # the node counts of the rows that do not lock; every row has a
+        # table or a certified lock (pinning's 9 q on its plateau at r = 1,
+        # two_wave's at r = 1/2: 10 on [0.05, 2], 26 on [0.7, 0.83]).
+        # Measured: tables at most 2.9e-10 (pinning) and 2.9e-9 (two_wave
+        # at T = 600) from the direct orbit. There, where the front nearly
+        # stalls, a single-stage table needs 512 or 1024 nodes, which
+        # T = 600 affords, and the q whose errors fall too slowly to reach
+        # 1e-8 in time split into two stages of 256 nodes
         g = builtin_medium(name)
         curve = velocity_curve(g, q_min, q_max, 40, T=T)
-        assert set(curve.nodes.tolist()) == sizes
-        assert np.all(curve.stages > 0)
+        assert set(curve.nodes[curve.locked == 0].tolist()) == sizes
+        assert np.all((curve.stages > 0) | (curve.locked > 0))
         _assert_map_matches(curve, _direct(g, curve.q, T, 50), 1e-8)
+        _assert_locks_certified(g, curve, 50)
 
     @pytest.mark.parametrize("name, c", [("pinning", 1), ("antipinning", -1)])
     def test_closed_forms_at_T_200_and_400_q(self, name, c):
@@ -674,10 +702,16 @@ class TestTimeOneMap:
     def test_budget_follows_T(self, monkeypatch):
         # a q's tables cost 16, 32, ... nodes plus 13 witnesses, at most 2T
         # periods: none at T = 14, 16 nodes at T = 20, up to 256 at T = 200.
-        # At T = 50 the budget affords 64 nodes, but the errors at 16 and 32
-        # nodes predict that 64 will not reach 1e-8, so the 32-node table
-        # splits into two stages of 50 steps instead (32 more periods); that
-        # does not resolve the map either, and a second split is over budget
+        # q = 0.75 lies on pinning's plateau: the first table's 29 points
+        # certify r = 1 wherever that table is affordable, and no more is
+        # built. q = 1.05 does not lock. At T = 20 and 50 it tests Phi^2 on
+        # the 29 points (one period) before it falls back to the direct
+        # orbit or splits. At T = 50 the budget affords 64 nodes, but the
+        # errors at 16 and 32 nodes predict that 64 will not reach 1e-8, so
+        # the 32-node table splits into two stages of 50 steps instead (32
+        # more periods); that does not resolve the map either, and a second
+        # split is over budget. At T = 200 the test comes before the table
+        # of 128 nodes
         widths = []
 
         def rk4(fn, q, x0, T, steps, t0=0.0):
@@ -687,14 +721,17 @@ class TestTimeOneMap:
 
         monkeypatch.setattr(homog1d, "_rk4", rk4)
         g = builtin_medium("pinning")
-        for T, nodes, tables in ((14.0, 0, []), (20.0, 0, [29]),
-                                 (50.0, 0, [29, 16, (32, 50), (32, 50)]),
-                                 (200.0, 256, [29, 16, 32, 64, 128])):
+        for q, T, nodes, locked, tables in (
+                (0.75, 14.0, 0, 0, []), (0.75, 20.0, 0, 1, [29]), (0.75, 50.0, 0, 1, [29]),
+                (0.75, 200.0, 0, 1, [29]),
+                (1.05, 14.0, 0, 0, []), (1.05, 20.0, 0, 0, [29, 29]),
+                (1.05, 50.0, 0, 0, [29, 16, 29, (32, 50), (32, 50)]),
+                (1.05, 200.0, 256, 0, [29, 16, 32, 29, 64, 128])):
             tables = [w if isinstance(w, tuple) else (w, 100) for w in tables]
             widths.clear()
-            est = effective_velocity(g, 0.75, T=T)
-            assert (est.nodes, widths) == (nodes, tables), T
-            assert isinstance(est.nodes, int)
+            est = effective_velocity(g, q, T=T)
+            assert (est.nodes, est.locked, widths) == (nodes, locked, tables), (q, T)
+            assert isinstance(est.nodes, int) and isinstance(est.locked, int)
 
     def test_table_calls_are_counted(self):
         # T = 50: 16 nodes and 13 witnesses for the three q in one _rk4
@@ -725,13 +762,19 @@ class TestTimeOneMap:
         curve = velocity_curve(g, 0.5, 1.5, 5, T=50.0, dt=0.03)
         assert np.all(curve.nodes > 0)
         _assert_map_matches(curve, _direct(g, curve.q, 50.0, 33), 1e-8)
-        # no table by T = 20: r_hat is the direct float-kernel orbit's final
-        # position over T, also for an odd step count round(T/dt) = 667
+        # no table by T = 20: off pinning's plateau r_hat is the direct
+        # float-kernel orbit's final position over T, also for an odd step
+        # count round(T/dt) = 667; on it the first table's points certify
+        # r = 1 at the steps of 1/33
         g = builtin_medium("pinning")
+        for q in (0.45, 1.2):
+            est = effective_velocity(g, q, T=20.0, dt=0.03)
+            assert (est.nodes, est.locked) == (0, 0)
+            assert est.r_hat == _rk4(g._float_fn, q, 0.0, 20.0, 667) / 20.0
         for q in (0.75, 0.8):
             est = effective_velocity(g, q, T=20.0, dt=0.03)
-            assert est.nodes == 0
-            assert est.r_hat == _rk4(g._float_fn, q, 0.0, 20.0, 667) / 20.0
+            assert (est.nodes, est.locked, est.r_hat) == (0, 1, 1.0)
+            assert abs(est.r_hat - _rk4(g._float_fn, q, 0.0, 20.0, 667) / 20.0) < 1.0 / 20.0
 
     def test_dt_above_one_period_is_refused(self):
         g = builtin_medium("static_sin")
@@ -753,21 +796,30 @@ class TestTimeOneMap:
 
     def test_unresolved_rows_take_the_direct_orbit(self):
         # the locked wave G = 1.02 + sin(2 pi y), c = 1: the front waits where
-        # q G ~ 1; four stages of 64 nodes resolve the time-1 map at q = 1,
-        # and no table within the budget resolves it at q = 1.25 and 1.5,
-        # which run the direct orbit, bit for bit
+        # q G ~ 1, and r = 1 for every q >= 1/2.02. At q = 1, 1.25 and 1.5
+        # the first table's points certify that lock. At q = 2.5 and 3
+        # one RK4 step of 0.05 may move the front by q M dt > 1/4 (M = 2.02),
+        # so no lock is sought; no table within the budget resolves the map,
+        # and they run the direct orbit, bit for bit
         g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
+        assert traveling_wave_oracle(g, 1, 1.2) == 1.0
         curve = velocity_curve(g, 1.0, 1.5, 3, T=100.0, dt=0.05)
-        assert curve.nodes.tolist() == [64, 0, 0] and curve.stages.tolist() == [4, 0, 0]
+        assert curve.locked.tolist() == [1, 1, 1] and curve.r_hat.tolist() == [1.0] * 3
+        _assert_locks_certified(g, curve, 20)
+        _assert_map_matches(curve, _direct(g, curve.q, 100.0, 20), 1e-8)
+        curve = velocity_curve(g, 2.5, 3.0, 2, T=100.0, dt=0.05)
+        assert curve.nodes.tolist() == [0, 0] and curve.locked.tolist() == [0, 0]
         _assert_map_matches(curve, _direct(g, curve.q, 100.0, 20), 1e-8)
         assert np.all(np.abs(curve.r_hat - 1.0) <= 1.0 / 100.0)
-        assert traveling_wave_oracle(g, 1, 1.2) == 1.0
 
     def test_nodes_reported(self):
         g = builtin_medium("pinning")
-        est = effective_velocity(g, 0.75, T=200.0)
-        assert est.nodes == 256 and isinstance(est.nodes, int)
+        est = effective_velocity(g, 0.75, T=200.0)  # on the plateau: locked, no table
+        assert (est.nodes, est.stages, est.locked, est.r_hat) == (0, 0, 1, 1.0)
+        est = effective_velocity(g, 1.05, T=200.0)
+        assert (est.nodes, est.locked) == (256, 0) and isinstance(est.nodes, int)
         curve = velocity_curve(g, 0.5, 2.0, 4, T=50.0)
+        assert curve.locked.tolist() == [0, 0, 0, 0]
         assert curve.nodes.tolist() == [
             effective_velocity(g, float(q), T=50.0, dt=0.02).nodes for q in curve.q]
         assert curve.nodes.tolist() == [64, 0, 16, 64]
@@ -776,20 +828,31 @@ class TestTimeOneMap:
             effective_velocity(g, float(q), T=50.0, dt=0.02).stages for q in curve.q]
 
     def test_tabled_rows_match_effective_velocity(self):
-        # the bit equality of test_matches_effective_velocity, on tables; at
-        # T = 150 every two_wave q on [0.45, 1] has a table of 1 to 8 stages
+        # the bit equality of test_matches_effective_velocity, on tables and
+        # locks. At T = 150 the two_wave q on [0.45, 0.8] lock at r = 1/2 and
+        # the others on [0.45, 1] have tables of 1 or 4 stages; at T = 100
+        # those on [0.8, 1] off the plateau have 8 stages or run the direct
+        # orbit
+        stages = set()
         for name, q_min, q_max, T in (("pinning", 0.25, 2.0, 60.0),
                                       ("antipinning", 0.25, 2.0, 60.0),
                                       ("two_wave", 0.25, 2.0, 60.0),
                                       ("static_sin", 0.25, 2.0, 60.0),
-                                      ("two_wave", 0.45, 1.0, 150.0)):
+                                      ("two_wave", 0.45, 1.0, 150.0),
+                                      ("two_wave", 0.8, 1.0, 100.0)):
             g = builtin_medium(name)
             curve = velocity_curve(g, q_min, q_max, 12, T=T)
             assert np.any(curve.nodes > 0), name
-            for q, r, nodes, stages in zip(curve.q, curve.r_hat, curve.nodes, curve.stages):
+            for q, r, nodes, stage, locked in zip(curve.q, curve.r_hat, curve.nodes,
+                                                  curve.stages, curve.locked):
                 est = effective_velocity(g, q=float(q), T=T, dt=0.02)
-                assert (r, nodes, stages) == (est.r_hat, est.nodes, est.stages), (name, q)
-        assert set(curve.stages.tolist()) == {1, 2, 4, 8}
+                assert (r, nodes, stage, locked) == (
+                    est.r_hat, est.nodes, est.stages, est.locked), (name, q)
+            stages |= set(curve.stages[curve.nodes > 0].tolist())
+            if (name, T) == ("two_wave", 150.0):
+                assert np.array_equal(curve.locked > 0, curve.q < 0.82)
+                assert np.all(curve.r_hat[curve.locked > 0] == 0.5)
+        assert stages == {1, 2, 4, 8}
 
     def test_bad_increment_raises(self):
         x = np.zeros(1)
@@ -805,14 +868,20 @@ class TestTimeOneMap:
 
     @pytest.mark.parametrize("q_min, q_max, samples", [(0.45, 2.0, 400), (0.5, 1.5, 50)])
     def test_bench_two_wave_curves_take_no_direct_orbit(self, q_min, q_max, samples):
-        # the benchmark's two_wave grids, where 142 and 25 q had no single-
-        # stage table within the budget; split tables resolve every q.
-        # Measured: r_hat within 5.9e-9 of the direct orbit
+        # the benchmark's two_wave grids, where 142 and 25 q have no single-
+        # stage table within the budget: a certified lock at r = 1/2 serves
+        # those on the plateau (98 and 17) and split tables the rest.
+        # Measured: tabled r_hat within 5.9e-9 of the direct orbit
+        g = builtin_medium("two_wave")
         curve = _bench_curve("two_wave", q_min, q_max, samples)
-        assert np.all(curve.nodes > 0) and np.all(curve.stages > 0)
+        locked = curve.locked > 0
+        assert np.all((curve.nodes > 0) | locked) and np.all((curve.stages > 0) | locked)
         assert np.any(curve.stages > 1)
-        r_hat = _direct(builtin_medium("two_wave"), curve.q, 200.0, 50)
-        assert np.abs(curve.r_hat - r_hat).max() <= 1e-8
+        assert np.any(locked) and np.all(curve.r_hat[locked] == 0.5)
+        r_hat = _direct(g, curve.q, 200.0, 50)
+        assert np.abs(curve.r_hat - r_hat)[~locked].max() <= 1e-8
+        _assert_map_matches(curve, r_hat, 1e-8)
+        _assert_locks_certified(g, curve, 50)
 
     @pytest.mark.parametrize("name, q_min, q_max, samples, unsplit, digests", [
         ("two_wave", 0.45, 2.0, 400, 258,
@@ -821,37 +890,61 @@ class TestTimeOneMap:
         ("two_wave", 0.5, 1.5, 50, 25,
          ("9bcc820ac7e0790c13317173d03c450fb89805c16c25a68a9731ef58848bda68",
           "aa808aadc198aebccb1916fe8bc0a56f6bc5ce90cf7ae1e6a3de943229f550b3")),
-        ("pinning", 0.45, 2.0, 400, 400,
-         ("dfe1fa5d0bae8b2ea3f22229076028784d90a909c1544e4e4fffc65aaace38e1",
-          "c5b12c1dcb8e19e2b80126854325053ca0feef1a900286378629f4fa4616cd1f"))])
+        # pinning's 129 q on its plateau now lock; the digests of the other
+        # 271 were taken from the tables that preceded the lock test
+        ("pinning", 0.45, 2.0, 400, 271,
+         ("12b633f13160c1d61b3d54473446b081344c78300c9746844670367a57dec793",
+          "e6f3afa128806840939bd933d9e5f24050e141a510754e4fba00f5de1ff4fe50"))])
     def test_unsplit_rows_keep_their_bits(self, name, q_min, q_max, samples, unsplit,
                                           digests):
         # r_hat and nodes of the single-stage rows, frozen from when every
-        # table had one stage and the other q ran the direct orbit
+        # table had one stage and the other q ran the direct orbit; a locked
+        # row has no table and reports its lock exactly
         curve = _bench_curve(name, q_min, q_max, samples)
         one = curve.stages == 1
         assert one.sum() == unsplit
         assert tuple(_sha256(a[one]) for a in (curve.r_hat, curve.nodes)) == digests
+        locked = curve.locked > 0
+        assert set(curve.r_hat[locked].tolist()) == {0.5 if name == "two_wave" else 1.0}
 
-    def test_a_block_of_wide_tables_keeps_its_bits(self):
+    def test_a_block_of_wide_tables_keeps_its_bits(self, monkeypatch):
         # two_wave near its plateau at T = 1500: tables of up to 2048 nodes,
         # whose stage maps once ran in several _rk4 calls per block. r_hat,
-        # nodes and stages frozen from then
-        curve = velocity_curve(builtin_medium("two_wave"), 0.7, 0.9, 64, T=1500.0)
+        # nodes and stages frozen from then. The 41 q on the plateau now lock
+        # at r = 1/2; the other 23 keep tables of 256 and 1024 nodes, and
+        # their digests were taken from the tables that preceded the lock
+        # test. With no lock sought, every row keeps the frozen bits
+        g = builtin_medium("two_wave")
+        curve = velocity_curve(g, 0.7, 0.9, 64, T=1500.0)
+        free = curve.locked == 0
+        assert free.sum() == 23 and set(curve.nodes[free].tolist()) == {256, 1024}
+        assert tuple(_sha256(a[free]) for a in (curve.r_hat, curve.nodes, curve.stages)) == (
+            "541d1db262319790b367f588285d4a96eb7f0bf53871a42b842deeffc6b43148",
+            "7acb71fbdf384e1584c9e1c5ac787f4293307916f82fddf14efe3f0badfdbab1",
+            "d2c78ccad0b7ccf15b8b1c26d6992fee009af1a26ea1b2db0a9f6b975be99fad")
+        assert np.all(curve.r_hat[~free] == 0.5)
+        _assert_locks_certified(g, curve, 50)
+        monkeypatch.setattr(homog1d, "_RESOLVED", 0.0)
+        curve = velocity_curve(g, 0.7, 0.9, 64, T=1500.0)
+        assert not np.any(curve.locked)
         assert tuple(_sha256(a) for a in (curve.r_hat, curve.nodes, curve.stages)) == (
             "86a063df3c410710f06c97fbdc30f30e617a81c1bb4990b41a37ebae8eb7f70a",
             "aea6f2af8ed02a8584870f9ecb7b81309bacf451af36ad1cf75179721a0efbfc",
             "f4fd9576f72f943053f64813b498dc02551dde701da01b65831019ea968979da")
 
     def test_stages_compose_in_order(self):
-        # two_wave at q = 0.6 splits into stages; composed in order they meet
-        # the witness check against the whole period, in reverse they miss it
+        # two_wave at q = 0.85 splits into stages; composed in order they meet
+        # the witness check against the whole period, in reverse they miss
+        # it. At q = 0.6, on the plateau, Phi^2 certifies r = 1/2 instead
         g, n = builtin_medium("two_wave"), 50
-        nodes, stages, parts = homog1d._tables(g._fn, np.array([0.6]), n, 200.0)
-        assert stages[0] > 1
+        nodes, stages, lock, parts = homog1d._tables(g._fn, np.array([0.6, 0.85]), n, 200.0,
+                                                     homog1d._admit(g, 1).M)
+        assert lock.tolist() == [[1, 2], [0, 0]] and (nodes[0], stages[0]) == (0, 0)
+        assert stages[1] > 1
         ((rows, c),) = parts
+        assert rows.tolist() == [1]
         w = homog1d._WITNESSES
-        exact = _rk4(g._fn, np.full((1, 1), 0.6), w, 1.0, n)[0]
+        exact = _rk4(g._fn, np.full((1, 1), 0.85), w, 1.0, n)[0]
         cols = np.zeros((c.shape[0], c.shape[1], w.size), dtype=complex) + c
         assert np.abs(homog1d._iterate(cols, w, 1) - exact).max() <= 1e-8
         assert np.abs(homog1d._iterate(cols[::-1], w, 1) - exact).max() > 1e-3
@@ -863,8 +956,9 @@ class TestTimeOneMap:
         # full-period RK4 map at the witnesses, 2.98e-8 on 1000 points
         g, n = builtin_medium("two_wave"), 50
         q = np.linspace(0.45, 2.0, 400)[100:101]
-        nodes, stages, ((rows, c),) = homog1d._tables(g._fn, q, n, 200.0)
-        assert (nodes[0], stages[0]) == (256, 2)
+        nodes, stages, lock, ((rows, c),) = homog1d._tables(g._fn, q, n, 200.0,
+                                                            homog1d._admit(g, 1).M)
+        assert (nodes[0], stages[0], lock[0, 1]) == (256, 2, 0)
         x = np.arange(1000) / 1000.0
         exact = _rk4(g._fn, q[:, None], x, 1.0, n)[0]
         cols = np.zeros(c.shape[:2] + x.shape, dtype=complex) + c
@@ -878,6 +972,96 @@ class TestTimeOneMap:
         g = _periodic(src)
         curve = velocity_curve(g, 0.5, 1.3, 2, T=30.0, dt=0.05)
         _assert_map_matches(curve, _direct(g, curve.q, 30.0, 20), 1e-8)
+        _assert_locks_certified(g, curve, 20)
+
+
+class TestModeLocking:
+    """A q whose RK4 time-1 map certifies a rotation number p/k (Poincare:
+    Phi^k - id - p takes both signs) reports p/k exactly and gets no table."""
+
+    @pytest.mark.parametrize("T", [20.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("q_min, q_max, samples, locked", [(0.45, 2.0, 400, 129),
+                                                                (0.5, 1.5, 50, 24)])
+    def test_pinning_locks_equal_the_oracle(self, T, q_min, q_max, samples, locked):
+        # every grid q strictly inside pinning's plateau [1/2, 1] locks at
+        # r = 1, where the finite-T average was up to 2.4e-3 off at T = 200
+        g = builtin_medium("pinning")
+        curve = (_bench_curve("pinning", q_min, q_max, samples) if T == 200.0
+                 else velocity_curve(g, q_min, q_max, samples, T=T))
+        rows = curve.locked > 0
+        assert rows.sum() == locked and set(curve.locked[rows].tolist()) == {1}
+        assert np.array_equal(rows, (curve.q > 0.5) & (curve.q < 1.0))
+        oracle = [traveling_wave_oracle(g, 1, float(q)) for q in curve.q[rows]]
+        assert np.array_equal(curve.r_hat[rows], oracle)
+
+    @pytest.mark.parametrize("name", ["antipinning", "static_sin"])
+    def test_no_plateau_no_lock(self, name):
+        # antipinning's r(q) increases strictly, and static_sin's time-1 map
+        # is conjugate to a rotation, so Phi - id - p never takes both signs
+        for grid in ((0.45, 2.0, 400), (0.5, 1.5, 50)):
+            assert not np.any(_bench_curve(name, *grid).locked)
+
+    def test_an_unresolved_row_never_locks(self):
+        # the locked wave 1.02 + sin(2 pi (x - t)) has r = 1 for every
+        # q >= 1/2.02, and M = 2.02. At dt = 0.05 an RK4 step moves the front
+        # by at most q M dt: 0.247 of a period at q = 2.45, which locks, and
+        # 0.2525 > 1/4 at q = 2.5, which does not and runs the direct orbit
+        g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
+        assert homog1d._admit(g, 1).M == pytest.approx(2.02, abs=1e-12)
+        est = effective_velocity(g, 2.45, T=100.0, dt=0.05)
+        assert (est.locked, est.r_hat) == (1, 1.0)
+        est = effective_velocity(g, 2.5, T=100.0, dt=0.05)
+        assert (est.locked, est.nodes) == (0, 0) and est.r_hat != 1.0
+        # pinning on its plateau at steps of 1/2: q M dt = 0.75
+        est = effective_velocity(builtin_medium("pinning"), 0.75, T=100.0, dt=0.5)
+        assert est.locked == 0 and est.nodes > 0
+
+    def test_a_map_that_breaks_the_sampled_order_never_locks(self):
+        # three maps of the first table's 29 points that straddle x + 1: a
+        # monotone lift locks; with two neighbouring images swapped, or
+        # increasing but with the last image past the first plus one (no
+        # circle map's lift), it does not
+        P = np.concatenate([np.arange(16) / 16.0, homog1d._WITNESSES])
+        lift = P + 1.0 + 0.1 * np.sin(2.0 * np.pi * P)
+        swapped, order = lift.copy(), np.argsort(P)
+        swapped[order[[3, 4]]] = lift[order[[4, 3]]]
+        wrapped = P + 1.0 + 0.2 * (P - 0.5)
+        for images, ok in ((lift, True), (swapped, False), (wrapped, False)):
+            p, certified = homog1d._lock_test(images[None], P)
+            assert (p.tolist(), certified.tolist()) == ([1.0], [ok])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(src=_expr_strings())
+    def test_random_waves_lock_only_where_certified(self, src):
+        # random media G(sin 2 pi (x - t), cos 2 pi t) in [0.6, 1.4], which
+        # can lock onto the wave; over these 40 fixed examples 10 of 240 rows
+        # lock and 12 run the direct orbit
+        src = re.sub(r"\bx\b", "sin(2*pi*(x - t))", re.sub(r"\bt\b", "cos(2*pi*t)", src))
+        g = parse_medium(f"1 + 0.4*sin({src})", 1)
+        curve = velocity_curve(g, 0.5, 1.5, 6, T=30.0, dt=0.05)
+        _assert_map_matches(curve, _direct(g, curve.q, 30.0, 20), 1e-8)
+        _assert_locks_certified(g, curve, 20)
+
+    def test_rk4_work_is_counted(self, monkeypatch):
+        # fronts times RK4 steps, over every _rk4 call, of the benchmark-shaped
+        # curves (T = 200, dt = 0.02), recorded when the lock test came in.
+        # Before it they were 2776000 and 436500 (pinning), 4514400 and
+        # 634100 (two_wave)
+        work = []
+
+        def rk4(fn, q, x0, T, steps, t0=0.0):
+            work.append(np.broadcast(q, x0).size * steps)
+            return _rk4(fn, q, x0, T, steps, t0)
+
+        monkeypatch.setattr(homog1d, "_rk4", rk4)
+        counts = {}
+        for name in ("pinning", "two_wave"):
+            for grid in ((0.45, 2.0, 400), (0.5, 1.5, 50)):
+                work.clear()
+                velocity_curve(builtin_medium(name), *grid, T=200.0)
+                counts[name, grid[2]] = sum(work)
+        assert counts == {("pinning", 400): 1677700, ("pinning", 50): 232800,
+                          ("two_wave", 400): 3869850, ("two_wave", 50): 503400}
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +1101,7 @@ class TestFrozenScalarBits:
         ("pinning", 1.5, 1.9999999877114327, 1.999999987711435),
         ("two_wave", 1.0, 0.8425109666130121, 0.8387682736699223),
         ("static_sin", 1.0, 1.411471871119587, 1.4125528390801376),
+        ("pinning", 0.45, 0.7704989704394155, 0.7839408165157686),
     ])
     def test_effective_velocity(self, kind, name, q, r_hat, r_mix):
         # the direct float-kernel orbit: 2000 steps of 0.01; r_mix =
@@ -927,10 +1112,16 @@ class TestFrozenScalarBits:
         direct = (x_20 - 0.0) / 20.0
         assert (direct, 2.0 * direct - (x_10 - 0.0) / 10.0) == (r_hat, r_mix)
         # effective_velocity runs that orbit where no table resolves the map
-        # (all but pinning at q = 1.5), and otherwise moves r_hat by the
-        # table's interpolation error alone
+        # and no lock is certified (all but pinning at q = 0.75 and 1.5), and
+        # otherwise moves r_hat by the table's interpolation error alone. At
+        # q = 0.75, on pinning's plateau, it reports the certified r = 1,
+        # within Poincare's bound 1/T of the orbit
         est = effective_velocity(builtin_medium(name), kind(q), T=kind(20.0))
-        assert est.nodes == (16 if (name, q) == ("pinning", 1.5) else 0)
+        if (name, q) == ("pinning", 0.75):
+            assert (est.nodes, est.locked, est.r_hat) == (0, 1, 1.0)
+            assert abs(est.r_hat - r_hat) < 1.0 / 20.0
+            return
+        assert (est.nodes, est.locked) == (16 if (name, q) == ("pinning", 1.5) else 0, 0)
         if est.nodes == 0:
             assert est.r_hat == r_hat
         assert abs(est.r_hat - r_hat) <= 1e-8
