@@ -161,15 +161,17 @@ _WITNESSES = np.arange(1.0, 14.0) * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
 # A table costs one period of _rk4 per node and per witness, and a split one
 # period per node. A q's tables may cost _BUDGET times the T periods of its
 # direct orbit, so a q whose table does not resolve costs at most three
-# orbits. Tables run every node of a block in one array and pay NumPy's fixed
-# cost per RK4 step (~500 entries' worth on the builtins) once per table,
-# while the batched orbit pays it in each of its T/dt steps. On the eight
-# velocity curves of the benchmark (seed 1: four builtins, 400 and 50 q,
-# T = 200), where 254 q lock and need no table, a budget of one orbit
-# leaves 168 q to that orbit and costs 1.8x the time at _BUDGET = 2, where
-# split tables leave none; _BUDGET = 3 costs 0.96-1.05x.
+# orbits. A table pays NumPy's fixed cost per RK4 step (~500 entries' worth on
+# the builtins) once for its block's rows, the batched orbit in each of its
+# T/dt steps. On the benchmark's eight velocity curves (seed 1: four builtins,
+# 400 and 50 q, T = 200; 254 q lock), a budget of one orbit leaves 168 q to
+# that orbit and takes 1.9-2.3x the time of _BUDGET = 2, which leaves none;
+# _BUDGET = 3 takes 0.99x (measured at 128-row blocks). Rows are independent,
+# so _BLOCK changes no bit: 128 rows ran those curves ~7% faster than 64 and
+# 256 ~4% faster still, but a 400-q curve's traced peak (T = 20, dt = 0.02)
+# is 381 KB at 128 and 519 KB at 256, past the 400 KB that flags a stored path.
 _BUDGET = 2
-_BLOCK = 64  # q rows per table block, so one _rk4 call per stage keeps its arrays small
+_BLOCK = 128
 # Locking (Poincare): if Phi^k(x) - x - p takes both signs for an integer p,
 # Phi^k has a point moved by p exactly and the rotation number is p/k. A q
 # is tested on the first table's 29 points, by more than _LOCK_MARGIN (far
@@ -351,12 +353,15 @@ def _moved(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _value(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """D(x) = Re sum_m c[m] e^(2 pi i m x), one column of c per position in
-    x. The sum runs in the order of m, so a column's bits do not depend on
-    the other columns."""
-    powers = np.cumprod(np.broadcast_to(np.exp(2j * math.pi * (x % 1.0)), c[1:].shape), axis=0)
+    """D(x) = Re sum_m c[m] e^(2 pi i m x), one column of c per position in x,
+    summed over m in order, so bits do not depend on the other columns: by
+    np.add.reduce, or by cumsum for one column, which add.reduce sums pairwise."""
+    powers = np.exp(2j * math.pi * (x % 1.0))[None].repeat(len(c) - 1, axis=0)
+    np.multiply.accumulate(powers, axis=0, out=powers)  # cumprod, in place
     powers *= c[1:]
-    return c[0].real + np.cumsum(powers.real, axis=0)[-1]
+    if x.size == 1:
+        return c[0].real + np.cumsum(powers.real, axis=0)[-1]
+    return c[0].real + np.add.reduce(powers.real, axis=0)
 
 
 def _iterate(c: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:

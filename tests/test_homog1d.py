@@ -866,6 +866,28 @@ class TestTimeOneMap:
                     with pytest.raises(NumericalError, match=message):
                         homog1d._iterate(c, x, 3)
 
+    @pytest.mark.parametrize("modes", [9, 65, 129])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 64])
+    def test_value_sums_in_mode_order(self, modes, columns):
+        # each column adds its terms c[m] e^(2 pi i m x), m = 1, 2, ..., one at
+        # a time, so its bits do not depend on the other columns. NumPy sums
+        # a single column pairwise, which changes bits; a NumPy that also
+        # reduced several columns pairwise would fail here. 20 draws, as a
+        # pairwise sum of 8 terms can match by chance
+        rng = np.random.default_rng(1000 * modes + columns)
+        for _ in range(20):
+            c = rng.standard_normal((modes, columns, 2)).view(complex)[..., 0]
+            c /= np.arange(1.0, modes + 1.0)[:, None]
+            x = rng.uniform(0.0, 3.0, columns)
+            terms = np.cumprod(np.broadcast_to(np.exp(2j * math.pi * (x % 1.0)), c[1:].shape),
+                               axis=0) * c[1:]
+            total = terms[0].real
+            for term in terms[1:]:
+                total = total + term.real
+            assert np.array_equal(homog1d._value(c, x), c[0].real + total), (
+                f"_value's sum over {columns} column(s) is not in mode order on NumPy "
+                f"{np.__version__}")
+
     @pytest.mark.parametrize("q_min, q_max, samples", [(0.45, 2.0, 400), (0.5, 1.5, 50)])
     def test_bench_two_wave_curves_take_no_direct_orbit(self, q_min, q_max, samples):
         # the benchmark's two_wave grids, where 142 and 25 q have no single-
@@ -931,6 +953,35 @@ class TestTimeOneMap:
             "86a063df3c410710f06c97fbdc30f30e617a81c1bb4990b41a37ebae8eb7f70a",
             "aea6f2af8ed02a8584870f9ecb7b81309bacf451af36ad1cf75179721a0efbfc",
             "f4fd9576f72f943053f64813b498dc02551dde701da01b65831019ea968979da")
+
+    @pytest.mark.parametrize("name, element_steps, map_terms", [
+        ("pinning", 1677700, 2700088), ("two_wave", 3869850, 7454304)])
+    def test_block_size_is_invisible(self, monkeypatch, name, element_steps, map_terms):
+        # rows are independent, so the q rows per table block change no bit
+        # and no work: the RK4 element-steps of test_rk4_work_is_counted, and
+        # the map's terms, sum (modes - 1) * columns over the _value calls,
+        # as counted at 64-row blocks
+        curve = _bench_curve(name, 0.45, 2.0, 400)
+        rk4, value = homog1d._rk4, homog1d._value
+        work = {}
+
+        def counted_rk4(fn, q, x0, T, steps, t0=0.0):
+            work["rk4"] += np.broadcast(q, x0).size * steps
+            return rk4(fn, q, x0, T, steps, t0)
+
+        def counted_value(c, x):
+            work["map"] += (c.shape[0] - 1) * c.shape[1]
+            return value(c, x)
+
+        monkeypatch.setattr(homog1d, "_rk4", counted_rk4)
+        monkeypatch.setattr(homog1d, "_value", counted_value)
+        for block in (64, 400):
+            monkeypatch.setattr(homog1d, "_BLOCK", block)
+            work.update(rk4=0, map=0)
+            other = velocity_curve(builtin_medium(name), 0.45, 2.0, 400, T=200.0)
+            for attr in ("q", "r_hat", "nodes", "stages", "locked"):
+                assert np.array_equal(getattr(other, attr), getattr(curve, attr))
+            assert work == {"rk4": element_steps, "map": map_terms}
 
     def test_stages_compose_in_order(self):
         # two_wave at q = 0.85 splits into stages; composed in order they meet
