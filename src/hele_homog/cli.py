@@ -197,7 +197,7 @@ def _cmd_medium_check(args) -> int:
     g = (parse_medium(spec, args.dim if args.dim is not None else 1)
          if args.expr is not None else load_medium(spec, args.dim))
     bounds = estimate_bounds(g, resolution=args.resolution)
-    per = check_periodicity(g, trials=args.trials, seed=args.seed)
+    per = check_periodicity(g, trials=args.trials)
     out = {
         "source": g.source,
         "dim": g.dim,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (ValidationError, require_finite, require_integer,
                      require_positive, require_vector)
+from .medium import _kronecker
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -196,12 +197,8 @@ def xi_samples(geom: ConeGeometry, count: int) -> list[np.ndarray]:
     else:
         from scipy.special import ndtri
 
-        primes = (p for p in itertools.count(2)
-                  if all(p % d for d in range(2, math.isqrt(p) + 1)))
-        alphas = np.sqrt(np.fromiter(itertools.islice(primes, n - 1), dtype=float))
         dirs = []
-        for k in range(count):
-            u = np.mod((k + 1) * alphas, 1.0)
+        for u in _kronecker(count, n - 1):
             z = ndtri(np.clip(u, 1e-9, 1 - 1e-9))
             if not np.any(z != 0.0):
                 z = np.ones(n - 1)

@@ -14,7 +14,7 @@ orbit is that map iterated), and otherwise long-time averages, by
 iterating each q's tabulated time-1 map (where the map is too distorted to
 tabulate whole, as near a locking plateau, the table composes maps over
 recursive halves of the period) or, where no table within its budget
-resolves the map, by the direct orbit (on the float kernel for a single
+resolves the map, by the direct orbit (on the float kernel for a lone such
 q), `_clipped` runs the obstacle-clipped front with or without a stored
 trace, and `_bisect` halves the candidate brackets for both sides. The
 scalar loops evaluate the medium through its float kernel and coerce their
@@ -134,10 +134,10 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
     Where the RK4 time-1 map certifies a lock (see _averages), r_hat is its
     rotation number p/k exactly and `locked` is k.
 
-    This is velocity_curve's kernel on a one-element q-array, so the two agree
-    to the bit on the builtins. Where no table resolves the map and no lock
-    is certified, r_hat is the direct orbit's final position, minus x0, over
-    T: round(T/dt) RK4 steps on the float kernel.
+    This is velocity_curve's kernel on a one-element q-array. Where no table
+    resolves the map and no lock is certified, r_hat is the direct orbit's
+    final position, minus x0, over T: round(T/dt) RK4 steps on the float
+    kernel, as for a curve's lone direct-orbit q.
     """
     _admit(medium, 1)
     require_positive(q=q)
@@ -177,14 +177,13 @@ _BLOCK = 128
 # is tested on the first table's 29 points, by more than _LOCK_MARGIN (far
 # above the rounding of one period), and only where Phi^k keeps their
 # cyclic order, as the lift of an orientation-preserving circle map must.
-# k = 1 costs nothing more. k = 2 .. _LOCK_PERIODS cost a period on the 29
-# points each, paid only by a q about to need a table of more than
-# _LOCK_NODES nodes, a split, or the direct orbit. Only a q whose RK4 step
-# moves the front at most _RESOLVED of a period (q M dt <= 1/4, M the
-# admitted bound of g) may lock: beyond it the RK4 map's own lock says
-# little about the flow's.
+# k = 1 costs nothing more, k = 2 one more period on the 29 points, paid
+# only by a q about to need a table of more than _LOCK_NODES nodes, a split,
+# or the direct orbit (testing k <= 6 too made the benchmark's 400-q two_wave
+# curve 10% slower). Only a q whose RK4 step moves the front at most
+# _RESOLVED of a period (q M dt <= 1/4, M the admitted bound of g) may lock:
+# beyond it the RK4 map's own lock says little about the flow's.
 _LOCK_MARGIN = 1e-9
-_LOCK_PERIODS = 2
 _LOCK_NODES = 64
 _RESOLVED = 0.25
 
@@ -201,8 +200,8 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     each application the composition of its table's stage maps. The
     fractional period f = T - floor(T) is integrated directly from t = 0
     (g is 1-periodic in t) in round(f*n) steps, at least one. The other q
-    run the direct orbit, round(T/dt) RK4 steps, on the float kernel for a
-    single q.
+    run the direct orbit, round(T/dt) RK4 steps, on the float kernel where
+    there is one such q.
     """
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {shown(T)}")
@@ -228,8 +227,9 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     tabled, direct, f = nodes > 0, (nodes == 0) & (k == 0), T - math.floor(T)
     if f and tabled.any():
         x[tabled] = _rk4(fn, q[tabled], x[tabled], f, max(1, round(f * n)))
-    if direct.any() and q.size == 1:
-        x[0] = _rk4(medium._float_fn, float(q[0]), x0, float(T), round(T / dt))
+    if direct.sum() == 1:
+        i = direct.argmax()
+        x[i] = _rk4(medium._float_fn, float(q[i]), x0, float(T), round(T / dt))
     elif direct.any():
         x[direct] = _rk4(fn, q[direct], x[direct], float(T), round(T / dt))
     r_hat = (x - x0) / T
@@ -250,7 +250,7 @@ def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
     witnesses, whose values stay the reference for every later table of the
     row. Those 29 points' images first test Phi_q for a lock at k = 1 (see
     _LOCK_MARGIN), and a row about to cost more than a table of _LOCK_NODES
-    nodes tests Phi_q^k, k <= _LOCK_PERIODS, one more period each; a locked
+    nodes tests Phi_q^2 too, at the cost of one more period; a locked
     row gets no table. The table of 2N nodes integrates only the N new
     midpoints through each stage. A q goes on to the next table while one
     within its budget can still reach _TOL, if, as for an analytic map,
@@ -309,11 +309,7 @@ def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
         costly = rows[~done & ~(double & (2 * N <= _LOCK_NODES)) & ~tested[rows]]
         if costly.size:
             tested[costly] = True
-            images = first[costly]
-            for k in range(2, _LOCK_PERIODS + 1):
-                images = _rk4(fn, q[costly, None], images, 1.0, n)
-                ok = certify(costly, k, images)
-                costly, images = costly[~ok], images[~ok]
+            certify(costly, 2, _rk4(fn, q[costly, None], first[costly], 1.0, n))
         free = lock[rows, 1] == 0
         double &= free
         if double.any():
@@ -623,10 +619,11 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     """Effective velocities over a q-grid from the time-1 map kernel, with
     the table size per q in nodes and each certified lock's denominator k:
     a locked row reports its rotation number p/k exactly, any other row the
-    finite-T average. A table and a lock test are computed row by row, and
-    the q with neither share a direct orbit through the NumPy kernel, so on
-    the builtins each entry equals effective_velocity(medium, q, T, x0,
-    dt).r_hat to the bit (tested); otherwise the direct orbit agrees to
+    finite-T average. A table and a lock test are computed row by row. A
+    lone q with neither runs its direct orbit on the float kernel, as
+    effective_velocity does; two or more share one through the NumPy kernel,
+    so on the builtins each entry equals effective_velocity(medium, q, T,
+    x0, dt).r_hat to the bit (tested); otherwise the direct orbit agrees to
     rounding, as an array and a float may round an operation differently
     (x^2.0 is x*x on arrays, libm pow on floats)."""
     _admit(medium, 1)

@@ -10,6 +10,7 @@ value the NumPy kernel returns on them, without NumPy scalar arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -324,11 +325,11 @@ class Medium:
     def _admitted(self) -> MediumBounds:
         """The dimension-free part of _admit, sampled once per instance: the
         resolution-40 grid (its M is the 2D CFL speed), or above dim 2, where
-        it outgrows memory, 40^3 seeded random points of it (no slope L)."""
+        it outgrows memory, 40^3 Kronecker points floored onto it (no slope L)."""
         if self.dim <= 2:
             bounds = estimate_bounds(self, resolution=40)
         else:
-            pts = np.random.default_rng(0).integers(40, size=(40 ** 3, self.dim + 1)) / 40
+            pts = np.floor(_kronecker(40 ** 3, self.dim + 1) * 40) / 40
             with np.errstate(all="ignore"):  # _sampled_range reports a non-finite value
                 vals = _real(self._fn(*pts.T))
             m, M = _sampled_range(vals)
@@ -465,12 +466,19 @@ class PeriodicityReport:
     trials: int
 
 
-def check_periodicity(g: Medium, trials: int = 32, seed: int = 0) -> PeriodicityReport:
-    """Max |g(x+k, t+l) - g(x, t)| over random points and unit lattice shifts."""
+def _kronecker(count: int, dim: int) -> np.ndarray:
+    """The first count points k sqrt(p) mod 1 of the Kronecker sequence in
+    [0, 1)^dim, one prime p per axis: equidistributed, and fixed."""
+    primes = (p for p in itertools.count(2)
+              if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    alphas = np.sqrt(np.fromiter(itertools.islice(primes, dim), dtype=float))
+    return np.mod(np.arange(1, count + 1)[:, None] * alphas, 1.0)
+
+
+def check_periodicity(g: Medium, trials: int = 32) -> PeriodicityReport:
+    """Max |g(x+k, t+l) - g(x, t)| over Kronecker points and unit lattice shifts."""
     require_integer(1, trials=trials)
-    require_integer(0, seed=seed)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, size=(trials, g.dim + 1))
+    pts = _kronecker(trials, g.dim + 1)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         base = _real(g._fn(*pts.T))
         shifted = [_real(g._fn(*(pts + e).T)) for e in np.eye(g.dim + 1)]

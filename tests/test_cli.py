@@ -778,8 +778,7 @@ class TestSim2dRun:
         for name in ("h0", "cfl", "dt", "save_every"):
             assert getattr(config, name) == defaults[name]
 
-    @pytest.mark.parametrize("extra", [["--T", "0.01"],
-                                       ["--T", "0.2", "--save-every", "1000"]])
+    @pytest.mark.parametrize("extra", [["--T", "0.01"]])
     def test_failed_run_writes_no_file(self, tmp_path, extra):
         front, summary = tmp_path / "f.csv", tmp_path / "s.json"
         code, out, err = run_cli(
@@ -1064,6 +1063,13 @@ class TestSeedPlumbing:
         _, via_env, _ = run_cli(SUPERBARRIER_PASS)
         assert via_env == flagged
 
+    def test_medium_check_takes_no_seed(self):
+        # check_periodicity samples fixed Kronecker points; at two_wave
+        # seed 5 once moved periodicity_max_deviation
+        by_seed = [run_cli(["--seed", seed, "medium", "check", "--medium", "builtin:two_wave"])
+                   for seed in ("0", "5")]
+        assert by_seed[0][0] == 0 and by_seed[0] == by_seed[1]
+
     @pytest.mark.parametrize("argv, env, message", [
         (["--seed", "-1"], "0", "seed must be an integer >= 0, got -1"),
         ([], "abc", "HELE_HOMOG_SEED must be an integer, got 'abc'"),
@@ -1095,16 +1101,15 @@ class TestStepCountOverflow:
 
 
 class TestHostileSim2dHorizons:
-    """A horizon too short to step, or a save interval past the run, exits
-    1 or 2 with one error line, where a run of no steps ended in a
-    ValueError traceback from its empty pressure record."""
+    """A horizon too short to step exits 1 or 2 with one error line, where a
+    run of no steps ended in a ValueError traceback from its empty pressure
+    record."""
 
     RUN = ["sim2d", "run", "--medium", "builtin:pinning2d", "--Lx", "1.6", "--Ly", "0.25",
            "--nx", "16", "--ny", "8", "--eps", "0.2", "--psi0", "0.7", "--h0", "0.72"]
 
-    @pytest.mark.parametrize("extra", [["--T", "1e-13"], ["--T", "1e-12"],
-                                       ["--T", "0.1", "--save-every", "1000000"]],
-                             ids=["T_1e-13", "T_1e-12", "save_every"])
+    @pytest.mark.parametrize("extra", [["--T", "1e-13"], ["--T", "1e-12"]],
+                             ids=["T_1e-13", "T_1e-12"])
     @pytest.mark.parametrize("argv", [RUN, TestSim2dConverge.BASE + ["--eps", "0.8,0.6,0.4"]],
                              ids=["run", "converge"])
     def test_exits_with_an_error_line(self, argv, extra, tmp_path):
@@ -1115,6 +1120,32 @@ class TestHostileSim2dHorizons:
         assert code in (1, 2) and out == ""
         assert "Traceback" not in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+
+class TestSaveEveryPastTheRun:
+    """A save interval past the run's step count still fits the front speed
+    to the mean depth of every step, where the run was paid for in full and
+    then exited 1 with "not enough saved fronts in the fit window"."""
+
+    @pytest.mark.parametrize("argv", [
+        TestHostileSim2dHorizons.RUN + ["--T", "0.1", "--save-every", "1000000"],
+        ["sim2d", "run", "--medium", "1", "--dim", "2", "--nx", "16", "--ny", "8",
+         "--T", "0.2", "--save-every", "1000"],
+        TestSim2dConverge.BASE + ["--eps", "0.8,0.6,0.4", "--T", "0.1",
+                                  "--save-every", "1000000"],
+    ], ids=["run", "run_constant", "converge"])
+    def test_fits_every_step(self, argv, tmp_path):
+        run, fits = argv[1] == "run", []
+        for every in ([], ["--save-every", "1"]):  # the later flag wins
+            summary = tmp_path / f"summary_{len(every)}.json"
+            files = ["--out", str(tmp_path / "fronts.csv"), "--summary", str(summary)]
+            code, out, err = run_cli([*argv, *every, *(files if run else [])])
+            assert (code, err) == (0, "")
+            data = json.loads(summary.read_text() if run else out)
+            if run:  # the initial and the final front, or every step's
+                assert data["saved_fronts"] == (data["total_steps"] + 1 if every else 2)
+            fits.append(json.dumps(data["front_speed_fit"] if run else data["speeds"]))
+        assert fits[0] == fits[1]  # the same bytes: each step's depth keeps its bits
 
 
 class TestCsvWriter:

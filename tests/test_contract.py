@@ -163,8 +163,9 @@ class TestAdmit:
     @pytest.mark.parametrize("src", ["1/x{d}", "sqrt(sin(pi*x{d})) + 1"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_non_finite_sample_warns_nothing(self, src, dim):
-        # 1/x is inf on the grid (the resolution-40 grid, or above dim 2 its
-        # random points); the sqrt is NaN only at check_periodicity's shifts.
+        # 1/x is inf on the grid (the resolution-40 grid, or above dim 2 the
+        # Kronecker points rounded down onto it); the sqrt is NaN only at
+        # check_periodicity's shifts.
         # The finiteness checks report it; NumPy must not warn first
         g = parse_medium(src.format(d=dim if dim > 1 else ""), dim)
         with warnings.catch_warnings():
@@ -205,7 +206,7 @@ class TestAdmit:
                     _admit(parse_medium(src, dim), dim)
 
     def test_dim3_sample_bounds_frozen(self):
-        # pinned to the last bit: the seeded random-sample branch above dim 2
+        # pinned to the last bit: the sampled branch above dim 2
         src = "2 + sin(2*pi*(x1 - t))*cos(2*pi*x2)/3 + sin(2*pi*x3)^2/5"
         bounds = _admit(parse_medium(src, 3), 3)
         assert bounds.m == 1.6666666666666667

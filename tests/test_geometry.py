@@ -246,6 +246,16 @@ class TestMatchingWave:
                 assert float(xi @ g.nu) == pytest.approx(ct, abs=1e-12)
                 matching_wave(g, xi)  # accepted
 
+    def test_xi_samples_frozen(self):
+        # pinned to the last bit: the Kronecker points of medium._kronecker,
+        # which the sampled contract shares
+        digest = hashlib.sha256()
+        for n in range(3, 8):
+            g = cone_geometry(np.r_[np.full(n - 1, 0.25), -1.0], 1.0, 1.0, 2.0)
+            digest.update(np.stack(xi_samples(g, 50)).tobytes())
+        assert digest.hexdigest() == (
+            "cd351c1b0e3e88e99c0e55d201454457aa6a132982f64bc2c1aebe7c26a10aa1")
+
     @pytest.mark.parametrize("n", [12, 16])
     def test_xi_samples_any_dimension(self, n):
         # one irrational rotation sqrt(p) per perpendicular axis, p prime

@@ -812,6 +812,25 @@ class TestTimeOneMap:
         _assert_map_matches(curve, _direct(g, curve.q, 100.0, 20), 1e-8)
         assert np.all(np.abs(curve.r_hat - 1.0) <= 1.0 / 100.0)
 
+    def test_a_lone_direct_row_runs_on_the_float_kernel(self, monkeypatch):
+        # two_wave, 91 q at T = 150: q = 0.97 alone gets neither a table nor
+        # a lock. Its orbit runs on floats, as effective_velocity's does,
+        # where a pass of array calls per step took the curve 0.28 s, not 0.11
+        g, kernels = builtin_medium("two_wave"), []
+
+        def rk4(fn, q, x0, T, steps, t0=0.0):
+            kernels.append((fn, q))
+            return _rk4(fn, q, x0, T, steps, t0)
+
+        monkeypatch.setattr(homog1d, "_rk4", rk4)
+        curve = velocity_curve(g, 0.3, 1.2, 91, T=150.0)
+        direct = np.flatnonzero((curve.nodes == 0) & (curve.locked == 0))
+        assert direct.tolist() == [67] and curve.q[67] == 0.97
+        assert [(q, type(q)) for fn, q in kernels if fn is g._float_fn] == [(0.97, float)]
+        assert all(fn is g._fn for fn, q in kernels if fn is not g._float_fn)
+        monkeypatch.undo()
+        assert curve.r_hat[67] == effective_velocity(g, 0.97, T=150.0, dt=0.02).r_hat
+
     def test_nodes_reported(self):
         g = builtin_medium("pinning")
         est = effective_velocity(g, 0.75, T=200.0)  # on the plateau: locked, no table

@@ -6,7 +6,8 @@ that importing the package, and commands that need only NumPy, load no
 `scipy` module (in a fresh interpreter); that no module of the package
 imports SciPy at module scope, and the function-level SciPy imports are
 exactly the known call sites; and that driving each call site's public
-function once loads its SciPy subpackage.
+function once loads its SciPy subpackage. Admitting a medium loads no
+`numpy.random` either: only the superbarrier check's seeded sample does.
 """
 
 import ast
@@ -73,6 +74,32 @@ def test_flat_sim2d_loads_no_scipy_and_a_curved_one_no_fft():
                 "print(run('1'), scipy_loaded())\n"
                 "print(run('1 + sin(pi*y)^2/2'), scipy_loaded())\n")
     assert out == "0 []\n0 []\n"
+
+
+def test_admission_loads_no_numpy_random():
+    # the contract samples fixed Kronecker points; only a sampler that takes
+    # the user's seed loads NumPy's generator
+    out = fresh("import contextlib, io\n"
+                "from hele_homog.cli import main\n"
+                "from hele_homog.medium import _admit, parse_medium\n"
+                "def run(*argv):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = main(list(argv))\n"
+                "    print(code, 'numpy.random' in sys.modules)\n"
+                "run('medium', 'check', '--medium', 'builtin:pinning')\n"
+                "run('rq', 'curve', '--medium', 'builtin:pinning', '--qmin', '0.3',\n"
+                "    '--qmax', '1.5', '--samples', '4', '--T', '20')\n"
+                "run('rq', 'candidates', '--medium', 'builtin:pinning', '--q', '0.75')\n"
+                "for medium in ('1', '1 + sin(pi*y)^2/2'):\n"
+                "    run('sim2d', 'run', '--medium', medium, '--dim', '2', '--Lx', '4',\n"
+                "        '--Ly', '1', '--nx', '16', '--ny', '8', '--eps', '0.5', '--T', '0.05',\n"
+                "        '--h0', '1')\n"
+                "_admit(parse_medium('2 + sin(2*pi*(x3 - t))', 3), 3)\n"
+                "print('numpy.random' in sys.modules)\n"
+                "run('barrier', 'verify', '--kind', 'superbarrier', '--n', '2', '--M', '1.2',\n"
+                "    '--mu', '1', '--chi0', '1', '--kappa', '0.01', '--t', '-0.1',\n"
+                "    '--medium', '1', '--samples', '64')\n")
+    assert out == "0 False\n" * 5 + "False\n0 True\n"
 
 
 def _scipy_imports(tree: ast.Module):
