@@ -384,6 +384,13 @@ class TestRqObstacle:
         assert phi[0] >= 0.0
         assert np.all(np.diff(phi) >= 0)
 
+    def test_readme_example_frozen(self):
+        code, out, _ = run_cli(["rq", "obstacle", "--medium", "builtin:pinning", "--q", "0.75",
+                                "--r", "1.0", "--eps", "0.05", "--side", "super", "--T", "1"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "47d49a9b050bf48dd6fbfb5e936ccdf913f53f694240e6f6a0bdf9b22e5f325a")
+
     def test_sub_side_runs(self):
         code, out, _ = run_cli(
             ["rq", "obstacle", "--medium", "builtin:pinning", "--q", "1.0",
@@ -433,6 +440,10 @@ class TestRqCandidates:
         # q = 0.75 sits on the pinned plateau where the speed locks to 1
         assert lower == pytest.approx(1.0, abs=0.1)
         assert upper == pytest.approx(1.0, abs=0.1)
+
+    def test_readme_example_frozen(self):
+        code, out, _ = run_cli(["rq", "candidates", "--medium", "builtin:pinning", "--q", "0.75"])
+        assert (code, out) == (0, "r_lower = 1.0074462890625\nr_upper = 0.9906005859375\n")
 
     def test_nan_medium_exits_one(self):
         with np.errstate(invalid="ignore"):

@@ -378,6 +378,28 @@ class TestCandidates:
         assert rep.r_lower == pytest.approx(r_lower, abs=1e-9)
         assert rep.r_upper == pytest.approx(r_upper, abs=1e-9)
 
+    @pytest.mark.parametrize("name, q, r_lower, r_upper, sub, sup", [
+        ("pinning", 0.75, 1.0074462890625, 0.9906005859375,
+         "dafacc7098d61cb183bc08fb062b13b19cf34bb2d65f47daaec53f880ba60f06",
+         "04fa362734a1b084cff06f5f199acd6e14356f32abd11b917548b42c85d5d79f"),
+        ("pinning", 1.5, 2.009490966796875, 1.994659423828125,
+         "19f773f3006d9b1742a3f2fc41eb5fcc5ccaae66c3e4b20847633ea918a65d70",
+         "6852c41dc380881e751a6dd3f2782364e3455e7efcbc1e43a2e2cb9befc339e1"),
+        ("two_wave", 1.0, 0.8496337890625001, 0.8346801757812501,
+         "b68b201a0eb695a8ee69908be25c6e32021579708095e6c25404187c06851da3",
+         "b8735adcc347f88fc9a2248b56e3f88498de694adc8ebf5d48c598c5f0e2e4a0"),
+        ("static_sin", 1.0, 1.423583984375, 1.40771484375,
+         "ad407342d63f41d546b31f1befac2a1154b1d6b746f7656add4f5eba9b9ed657",
+         "c239fba53ceff9e964f171ce2a2116cd5b839ae9a7825a94defa3eaf78cf85fd"),
+    ])
+    def test_bits_frozen(self, name, q, r_lower, r_upper, sub, sup):
+        # the benchmark's four pairs to the bit: both candidates and, per
+        # side, a digest of the flatness per eps and the final bracket
+        rep = homogenized_candidates(builtin_medium(name), q=q)
+        assert (rep.r_lower, rep.r_upper) == (r_lower, r_upper)
+        assert tuple(_sha256([*d["flatness"].values(), *d["bracket"]])
+                     for d in (rep.diagnostics["sub"], rep.diagnostics["super"])) == (sub, sup)
+
     @pytest.mark.parametrize("name, q", [("pinning", 0.75), ("two_wave", 1.0)])
     def test_scaled_run_matches_obstacle_front(self, name, q):
         # one eps = 1 run read at K_eps steps is the clipped front at each
