@@ -15,8 +15,9 @@ iterating each q's tabulated time-1 map (where the map is too distorted to
 tabulate whole, as near a locking plateau, the table composes maps over
 recursive halves of the period) or, where no table within its budget
 resolves the map, by the direct orbit (on the float kernel for a lone such
-q), `_clipped` runs the obstacle-clipped front with or without a stored
-trace, and `_bisect` halves the candidate brackets for both sides. The
+q), `_clipped` runs the obstacle-clipped front, storing its trace or
+reading phi at given steps and stopping once a read-out must fail, and
+`_bisect` halves the candidate brackets for both sides. The
 scalar loops evaluate the medium through its float kernel and coerce their
 scalars to Python floats, so they run on float arithmetic with the bits the
 NumPy kernel would give.
@@ -134,7 +135,9 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
     Where the RK4 time-1 map certifies a lock (see _averages), r_hat is its
     rotation number p/k exactly and `locked` is k.
 
-    This is velocity_curve's kernel on a one-element q-array. Where no table
+    This is velocity_curve's kernel on a one-element q-array, so at the same
+    dt r_hat equals that curve's entry at q to the bit on the builtins; the
+    defaults differ (dt = 0.01 here, 0.02 there). Where no table
     resolves the map and no lock is certified, r_hat is the direct orbit's
     final position, minus x0, over T: round(T/dt) RK4 steps on the float
     kernel, as for a curve's lone direct-orbit q.
@@ -416,37 +419,67 @@ def harmonic_mean_oracle(medium: Medium, q: float) -> float:
 
 
 def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
-             steps: int, positions: Optional[np.ndarray] = None,
-             phis: Optional[np.ndarray] = None) -> float:
-    """Clipped front against the obstacle r*t; returns the final phi and
-    stores step k in positions[k], phis[k], each when given. A non-finite g or
-    front raises, naming t: NaN compares False and would snap to the obstacle.
-    fn is the float kernel, and the loop keeps every scalar a Python float.
+             steps: int, limits: Sequence = (), positions: Optional[np.ndarray] = None,
+             phis: Optional[np.ndarray] = None) -> tuple[dict, int]:
+    """Clipped front against the obstacle r*t in `steps` steps of T/steps.
+    Returns phi after k steps for each k of limits, a (k, e, threshold)
+    triple per read-out, and the steps taken; stores step k in positions[k],
+    phis[k], each when given. phi is a running maximum and e*phi is monotone
+    in phi under rounding, so once e*phi >= threshold holds for a read-out
+    not yet passed, its e*phi will too: the run stops there, without that
+    read-out or any later one. A non-finite g or front raises, naming t:
+    NaN compares False and would snap to the obstacle. A stopped run skips
+    that check on the steps it no longer takes. fn is the float kernel, and
+    the loop keeps every scalar a Python float.
     """
     q, r, h, inv = float(q), float(r), float(T) / steps, 1.0 / float(eps)
     y = 0.0
     phi = 0.0
     is_super = side is Side.SUPER
-    for k in range(steps):
-        g = fn(y * inv, (k * h) * inv)
-        free = y + h * q * g
-        if not math.isfinite(free):
-            raise NumericalError(
-                f"medium g or the clipped front is not finite at t={k * h!r}")
-        obstacle = r * (k + 1) * h
-        if is_super:
-            y = free if free > obstacle else obstacle
-            d = y - obstacle
-        else:
-            y = free if free < obstacle else obstacle
-            d = obstacle - y
-        if d > phi:
-            phi = d
-        if positions is not None:
-            positions[k + 1] = y
-        if phis is not None:
-            phis[k + 1] = phi
-    return phi
+    read, start = {}, 0
+    for end in sorted({k for k, _, _ in limits} | {steps}):
+        ahead = [(e, threshold) for k, e, threshold in limits if k >= end]
+        # e*phi >= threshold needs phi >= threshold/e to within rounding, so
+        # below `stop` no exact test is run
+        stop = min((threshold / e for e, threshold in ahead), default=math.inf) * (1.0 - 1e-9)
+        for k in range(start, end):
+            g = fn(y * inv, (k * h) * inv)
+            free = y + h * q * g
+            if not math.isfinite(free):
+                raise NumericalError(
+                    f"medium g or the clipped front is not finite at t={k * h!r}")
+            obstacle = r * (k + 1) * h
+            if is_super:
+                y = free if free > obstacle else obstacle
+                d = y - obstacle
+            else:
+                y = free if free < obstacle else obstacle
+                d = obstacle - y
+            if d > phi:
+                phi = d
+                if phi >= stop and any(e * phi >= threshold for e, threshold in ahead):
+                    return read, k + 1
+            if positions is not None:
+                positions[k + 1] = y
+                phis[k + 1] = phi
+        read[end] = phi
+        start = end
+    return read, steps
+
+
+def _flatness(fn, q: float, r: float, side: Side, steps: dict,
+              thresholds: dict) -> tuple[bool, dict, int]:
+    """Whether r holds on `side`: one clipped run of Y (eps = 1), whose
+    flatness at eps is e times its phi after steps[e] steps, for every eps
+    below its threshold. Returns that verdict, the flatness of each eps read
+    before the run stopped (all of them where r holds) and the steps taken."""
+    K = max(steps.values())
+    read, taken = _clipped(fn, q, r, 1.0, side, K / 20.0, K,
+                           [(steps[e], e, thresholds[e]) for e in steps])
+    flatness = {e: e * read[k] for e, k in steps.items() if k in read}
+    holds = len(flatness) == len(steps) and all(
+        flatness[e] < thresholds[e] for e in steps)
+    return holds, flatness, taken
 
 
 def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
@@ -471,7 +504,7 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     positions = np.empty(steps + 1)
     phis = np.empty(steps + 1)
     positions[0] = phis[0] = 0.0
-    _clipped(medium._float_fn, q, r, eps, side, T, steps, positions, phis)
+    _clipped(medium._float_fn, q, r, eps, side, T, steps, positions=positions, phis=phis)
     times = np.linspace(0.0, T, steps + 1)
     trace = FrontTrace(times=times, positions=positions, dt=T / steps)
     front = ObstacleFront(q=q, r=r, eps=eps, side=side, trace=trace)
@@ -571,9 +604,14 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     the clipped front at scale eps is eps*Y(t/eps) for Y at eps = 1, so each
     (r, side) costs one run of Y, read at each eps after
     K_eps = max(1, round(20*T/eps)) steps: at T when 20*T/eps is an integer,
-    else at K_eps*eps/20, within eps/40 of T. diagnostics[side] holds the
-    candidate, its flatness and threshold per eps, and the final bracket
-    (good, bad), or (r, r) when the far anchor already holds.
+    else at K_eps*eps/20, within eps/40 of T. The run stores no trace: it
+    reads phi at the K_eps alone, and it stops at the first step where an
+    eps whose read-out is still ahead must fail (phi is a running maximum),
+    skipping the finiteness checks of the steps it no longer takes; a run
+    where r holds takes all K steps, every one checked. diagnostics[side]
+    holds the candidate, its flatness and threshold per eps, the final
+    bracket (good, bad), or (r, r) when the far anchor already holds, and
+    "runs": each clipped run's (r, holds, steps taken), in test order.
     """
     _admit(medium, 1)
     require_positive(q=q, T=T)
@@ -583,21 +621,15 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     require_steps(T, min(eps_list) / 20.0)
     bounds = estimate_bounds(medium, resolution=_RESOLUTION)
     steps = {e: max(1, round(T / (e / 20.0))) for e in eps_list}
-    K = max(steps.values())
-    runs: dict = {}
-
-    def flatness(r: float, side: Side) -> dict:
-        if (r, side) not in runs:
-            phis = np.zeros(K + 1)
-            _clipped(medium._float_fn, q, r, 1.0, side, K / 20.0, K, phis=phis)
-            runs[r, side] = {e: float(e * phis[k]) for e, k in steps.items()}
-        return runs[r, side]
+    thresholds = {e: e ** beta for e in eps_list}
+    runs: dict = {}  # (r, side): (holds, flatness, steps taken), in test order
 
     def holds(r: float, side: Side) -> bool:
-        return all(flatness(r, side)[e] < e ** beta for e in eps_list)
+        if (r, side) not in runs:
+            runs[r, side] = _flatness(medium._float_fn, q, r, side, steps, thresholds)
+        return runs[r, side][0]
 
     diagnostics: dict = {"beta": beta, "eps_list": eps_list}
-    thresholds = {e: e ** beta for e in eps_list}
     m_q, M_q = bounds.m * q, bounds.M * q
     for side, good, bad in ((Side.SUB, m_q, M_q), (Side.SUPER, M_q, m_q)):
         if not holds(good, side):
@@ -607,8 +639,10 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
         bracket = ((bad, bad) if holds(bad, side)
                    else _bisect(lambda r: holds(r, side), good, bad))
         diagnostics[side.value] = {"candidate": bracket[0],
-                                   "flatness": flatness(bracket[0], side),
-                                   "thresholds": thresholds, "bracket": bracket}
+                                   "flatness": runs[bracket[0], side][1],
+                                   "thresholds": thresholds, "bracket": bracket,
+                                   "runs": [(r, ok, taken) for (r, s), (ok, _, taken)
+                                            in runs.items() if s is side]}
     return CandidateReport(diagnostics["sub"]["candidate"], diagnostics["super"]["candidate"],
                            beta, eps_list, bounds, diagnostics)
 
@@ -623,7 +657,8 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     lone q with neither runs its direct orbit on the float kernel, as
     effective_velocity does; two or more share one through the NumPy kernel,
     so on the builtins each entry equals effective_velocity(medium, q, T,
-    x0, dt).r_hat to the bit (tested); otherwise the direct orbit agrees to
+    x0, dt).r_hat to the bit (tested), given this same dt: the defaults
+    differ (0.02 here, 0.01 there); otherwise the direct orbit agrees to
     rounding, as an array and a float may round an operation differently
     (x^2.0 is x*x on arrays, libm pow on floats)."""
     _admit(medium, 1)

@@ -507,7 +507,8 @@ class SimHistory:
         times, depths = points[np.argsort(points[:, 0])].T
         mask = (times >= t_start) & (times <= t_end)
         if mask.sum() < 2:
-            raise ValidationError("not enough saved fronts in the fit window")
+            raise ValidationError(f"fewer than two steps in the fit window "
+                                  f"[{shown(t_start)}, {shown(t_end)}]")
         coeffs = np.polyfit(times[mask], depths[mask], 1)
         return float(coeffs[0])
 

@@ -796,7 +796,7 @@ class TestSim2dRun:
             ["sim2d", "run", "--medium", "1", "--dim", "2", "--nx", "16",
              "--ny", "8", "--out", str(front), "--summary", str(summary)] + extra)
         assert code == 1
-        assert err == "error: not enough saved fronts in the fit window\n"
+        assert err == "error: fewer than two steps in the fit window [0.0025, 0.01]\n"
         assert out == "" and not front.exists() and not summary.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -1136,7 +1136,7 @@ class TestHostileSim2dHorizons:
 class TestSaveEveryPastTheRun:
     """A save interval past the run's step count still fits the front speed
     to the mean depth of every step, where the run was paid for in full and
-    then exited 1 with "not enough saved fronts in the fit window"."""
+    then exited 1 for want of saved fronts in the fit window."""
 
     @pytest.mark.parametrize("argv", [
         TestHostileSim2dHorizons.RUN + ["--T", "0.1", "--save-every", "1000000"],

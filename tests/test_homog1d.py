@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from test_medium import _expr_strings
 
@@ -39,7 +40,7 @@ from hele_homog import (
     velocity_curve,
 )
 from hele_homog import homog1d
-from hele_homog.homog1d import _clipped, _rk4
+from hele_homog.homog1d import _clipped, _flatness, _rk4
 
 # pinned plateau: candidates for g = sin^2(pi(x-t)) + 1 at q = 0.75, defaults
 R_LOWER_FROZEN = 1.0074462890625
@@ -423,9 +424,38 @@ class TestCandidates:
             return _clipped(fn, q, r, eps, side, *args, **kwargs)
 
         monkeypatch.setattr(homog1d, "_clipped", counting)
-        homogenized_candidates(builtin_medium("pinning"), q=0.75)
+        rep = homogenized_candidates(builtin_medium("pinning"), q=0.75)
         assert {side for _, side in calls} == set(Side)
         assert len(calls) == len(set(calls))
+        # and diagnostics records each run, in the order the runs were made
+        assert calls == [(r, side) for side in Side
+                         for r, _, _ in rep.diagnostics[side.value]["runs"]]
+
+    def test_bench_pairs_work_is_counted(self):
+        # the benchmark's four pairs make 128 clipped runs of K = 4000 steps:
+        # 512,000 steps when every run went to K; stopping each failing run
+        # once its failure is certain leaves 414,545
+        runs = []
+        for name, q in (("pinning", 0.75), ("pinning", 1.5), ("two_wave", 1.0),
+                        ("static_sin", 1.0)):
+            d = homogenized_candidates(builtin_medium(name), q=q).diagnostics
+            runs += d["sub"]["runs"] + d["super"]["runs"]
+        assert (len(runs), sum(not holds for _, holds, _ in runs)) == (128, 53)
+        assert sum(steps for _, _, steps in runs) == 414_545
+        assert all(steps == 4000 for _, holds, steps in runs if holds)
+
+    def test_search_stores_no_trace(self):
+        # K = 40000 steps here, so one stored trace would hold 320 KB; the
+        # measured peak, 107 KB, is the bounds estimate's
+        g = parse_medium("2", 1)
+        tracemalloc.start()
+        try:
+            rep = homogenized_candidates(g, q=1.0, eps_list=(0.05, 0.005), T=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.diagnostics["sub"]["runs"] == [(2.0, True, 40000)]
+        assert peak < 200_000
 
     def test_nonfinite_medium_rejected(self):
         # finite on the sampled cell [0, 1), NaN on (1, 2)
@@ -460,6 +490,83 @@ class TestCandidates:
         g = builtin_medium("pinning")
         with pytest.raises(ValidationError, match=r"^eps_list\[1\] must be > 0 and finite"):
             homogenized_candidates(g, q=1.0, eps_list=(0.1, bad))
+
+
+def _reference_run(fn, q, r, side, steps, thresholds):
+    """The candidate search's clipped run of Y (eps = 1) with every phi
+    stored: the verdict, the flatness e*phi at each eps's read-out, and the
+    first step at which an eps whose read-out is not behind reads e*phi at
+    or past its threshold (K where there is none)."""
+    K = max(steps.values())
+    h = K / 20.0 / K
+    y, phis = 0.0, [0.0]
+    for k in range(K):
+        free = y + h * q * fn(y, k * h)
+        obstacle = r * (k + 1) * h
+        y = max(free, obstacle) if side is Side.SUPER else min(free, obstacle)
+        phis.append(max(phis[-1], abs(y - obstacle)))
+    flatness = {e: e * phis[k] for e, k in steps.items()}
+    stop = next((j for j in range(1, K + 1)
+                 if any(k >= j and e * phis[j] >= thresholds[e] for e, k in steps.items())), K)
+    return all(flatness[e] < thresholds[e] for e in steps), flatness, stop
+
+
+def _assert_matches_reference(fn, q, r, side, steps, thresholds):
+    """_flatness gives the stored-trace verdict, stops at the first step
+    where some eps must fail, and reports each read-out it reached."""
+    holds, flatness, stop = _reference_run(fn, q, r, side, steps, thresholds)
+    got, read, taken = _flatness(fn, q, r, side, steps, thresholds)
+    assert (got, taken) == (holds, stop)
+    assert read == {e: flatness[e] for e, k in steps.items() if k < taken or holds}
+    return holds
+
+
+class TestStoppingRun:
+    """The candidate search's clipped run reads phi only at its eps read-outs
+    and stops once a failure is certain; its verdict and read-outs are those
+    of the run that stores every phi."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(src=_expr_strings(), q=st.floats(0.3, 2.0), ratio=st.floats(0.2, 2.0),
+           side=st.sampled_from(Side), beta=st.floats(0.8, 1.0, exclude_min=True,
+                                                      exclude_max=True),
+           eps_list=st.lists(st.floats(0.005, 0.2), min_size=1, max_size=4, unique=True),
+           T=st.floats(0.05, 1.0))
+    def test_random_media_match_the_stored_trace(self, src, q, ratio, side, beta,
+                                                 eps_list, T):
+        # r = ratio*q spans the speeds q*g of a medium g in [0.6, 1.4] and beyond
+        steps = {e: max(1, round(T / (e / 20.0))) for e in sorted(eps_list, reverse=True)}
+        thresholds = {e: e ** beta for e in steps}
+        _assert_matches_reference(_periodic(src)._float_fn, q, ratio * q, side, steps,
+                                  thresholds)
+
+    @pytest.mark.parametrize("side, r", [(Side.SUPER, 0.5), (Side.SUB, 2.0)])
+    def test_fails_exactly_at_a_read_out(self, side, r):
+        # g = 1 at q = 1: phi rises on every step, so a threshold equal to
+        # e*phi at the last read-out fails on that step and no earlier one;
+        # one ulp above it, the run holds
+        fn = parse_medium("1", 1)._float_fn
+        steps = {0.05: 400, 0.01: 2000}
+        _, flatness, _ = _reference_run(fn, 1.0, r, side, steps, {0.05: 1.0, 0.01: 1.0})
+        at = {0.05: 1.0, 0.01: flatness[0.01]}
+        assert not _assert_matches_reference(fn, 1.0, r, side, steps, at)
+        assert _flatness(fn, 1.0, r, side, steps, at)[2] == 2000
+        above = {0.05: 1.0, 0.01: math.nextafter(flatness[0.01], math.inf)}
+        assert _assert_matches_reference(fn, 1.0, r, side, steps, above)
+
+    @pytest.mark.parametrize("limits", [(3.0, 1.0, 0.3), (0.2, 3.0, 30.0), (2.0, 0.25, 10.0)],
+                             ids=["falling", "rising", "zigzag"])
+    def test_thresholds_in_any_order(self, limits):
+        # phi limits threshold/e that fall, rise or zigzag with K_eps: the run
+        # stops where the first eps still ahead must fail, even before an
+        # earlier read-out (falling, super side at r = 0.84: phi passes the
+        # limit 0.3 of eps = 0.01 at step 949, before step 1000 reads 0.02)
+        fn = builtin_medium("two_wave")._float_fn
+        steps = {0.05: 400, 0.02: 1000, 0.01: 2000}
+        thresholds = {e: e * limit for e, limit in zip(steps, limits)}
+        for side in Side:
+            for r in (0.6, 0.84, 0.9, 1.1):
+                _assert_matches_reference(fn, 1.0, r, side, steps, thresholds)
 
 
 # ---------------------------------------------------------------------------
