@@ -314,8 +314,9 @@ def _cmd_geometry_report(args) -> int:
     return 0
 
 
-def _sim_config(args) -> hs2d.SimConfig:
-    """Merge the CLI defaults, the --config file and the flags, in that order."""
+def _sim_config(args, **fixed) -> hs2d.SimConfig:
+    """Merge the CLI defaults, the --config file, the flags and `fixed`, in
+    that order."""
     values = {key: default for key, (_, default) in _SIM_FIELDS.items()
               if default is not None}
     if args.config:
@@ -325,6 +326,7 @@ def _sim_config(args) -> hs2d.SimConfig:
     flags = vars(args)
     values.update((key, flags[key]) for key in _SIM_FIELDS
                   if flags.get(key) is not None)
+    values.update(fixed)
     if "medium" not in values:
         raise ValidationError("sim2d needs a medium (--medium or config key)")
     medium = load_medium(values.pop("medium"), values.pop("dim"))
@@ -357,8 +359,10 @@ def _cmd_sim2d_run(args) -> int:
 
 
 def _cmd_sim2d_converge(args) -> int:
-    config = _sim_config(args)
     eps_list = _float_list(args.eps_list)
+    # the study sets eps per run, so the config holds the list's first value
+    # for SimConfig's checks on eps (its resolution rule), not a default
+    config = _sim_config(args, eps=eps_list[0])
     report = hs2d.convergence_study(config, eps_list)
     out = {
         "eps": list(report.eps_list),

@@ -9,21 +9,26 @@ On a flat front the discrete pressure is the planar profile psi0 (1 - xt),
 taken in closed form and checked against the stencil like any solve; it
 depends on the domain and psi0 alone, so it is computed once per SimConfig,
 and a flat step pays only for its checks, g at the front and the rate. A
-curved front's mapped 9-point pressure stencil is solved matrix-free by one
-run of the module's own restarted GMRES, right-preconditioned by the
-flat-front fast Poisson solve (four products with the grid's cached dense
-DST-I and real Fourier matrices), from the start that _curved_pressure
-chooses. A step
-fails with NumericalError, naming t, when the front heights or g are not
-finite, when the front leaves the strip or its graph condition, when the
-solve does not converge to a relative residual of 1e-10, when u leaves
-[0, psi0] (the discrete maximum principle), or when no step size can be set.
-Iterations and residual are recorded per saved step.
+flat front in a medium that does not use y is the 1D reduction for laminar
+media and stays flat, so simulate steps it as one Python-float height, with
+g evaluated at one point. A curved front's mapped 9-point pressure stencil
+is solved matrix-free by one run of the module's own restarted GMRES,
+right-preconditioned by the flat-front fast Poisson solve (four products
+with the grid's cached dense DST-I and real Fourier matrices), from the
+start that _curved_pressure chooses. The step is the CFL step, capped so
+that eps stays resolved (see SimConfig). A step fails with NumericalError,
+naming t, when the front heights or g are not finite, when the front leaves
+the strip or its graph condition, when the solve does not converge to a
+relative residual of 1e-10, when u leaves [0, psi0] (the discrete maximum
+principle), or when no step size can be set. Iterations and residual are
+recorded per saved step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
@@ -102,9 +107,13 @@ class FrontGraph:
 class SimConfig:
     """Simulation data: domain, medium (dim 2), inlet pressure, time horizon.
 
-    dt (when given) caps the step; otherwise the CFL policy
-    dt = cfl * spacing / (M * max slope) decides alone, M being the medium's
-    maximum sampled by the model contract. T must exceed 1e-12, the
+    The step is the CFL policy dt = cfl * spacing / peak, peak = M * max
+    slope being the speed bound (M the medium's maximum sampled by the model
+    contract), capped by dt when given and so that eps stays resolved:
+    where g uses x, dt * peak <= eps/4 (no step crosses more than a quarter
+    period of g in x); where g uses t, dt <= eps/4. spacing grows with the
+    front, so these are caps, not refusals. Where g uses y, the grid must
+    resolve it: dy <= eps/4, else ValidationError. T must exceed 1e-12, the
     tolerance within which simulate stops, so every run takes a step.
     """
 
@@ -141,6 +150,10 @@ class SimConfig:
             raise ValidationError(
                 "initial front must stay 2 grid cells inside the strip"
             )
+        cells = self.eps / self.domain.dy
+        if "x2" in self.medium._variables and cells < 4:
+            raise ValidationError(f"resolution check failure: eps={self.eps} has "
+                                  f"{cells:.2f} cells per period in y (need >= 4)")
 
     def initial_front(self) -> FrontGraph:
         return FrontGraph(heights=np.full(self.domain.ny, self.h0, dtype=float), t=0.0)
@@ -166,6 +179,8 @@ _GMRES_RESTART, _GMRES_CYCLES = 30, 20  # at most 600 iterations
 _START_GRIDS = 6  # solved pressures that a curved solve's start extrapolates
 _MAX_PRINCIPLE_TOL = 1e-12
 _END_TOL = 1e-12  # simulate stops once t is this close to T
+# the per-step records that simulate keeps for each saved front
+_RECORDS = operator.itemgetter("u_min", "u_max", "iterations", "residual")
 _SLICES = 60  # space-time samples per history in convergence_study's distances
 
 
@@ -365,6 +380,71 @@ def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     return u[:, 1:-1], iterations, estimate <= target, residual
 
 
+def _check_heights(domain: StripDomain, lo: float, hi: float, t: float) -> None:
+    """The finiteness and strip-wall checks of a step, on the front's lowest
+    and highest heights: min and max propagate NaN, so both are finite
+    exactly when every height is."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError(f"front heights are not finite at t={t:.6g}")
+    margin = 2.0 * domain.dx_ref
+    wall = "Lx" if hi >= domain.Lx - margin else "0" if lo <= margin else None
+    if wall is not None:
+        raise NumericalError(f"front leaves the strip at t={t:.6g}: "
+                             f"heights within 2 grid cells of x = {wall}")
+
+
+def _check_solve(config: SimConfig, solve: _Solve, t: float) -> None:
+    """The checks on a pressure solve: finite, converged, a relative residual
+    within _RESIDUAL_TOL, and u inside [0, psi0] (the discrete maximum
+    principle) to _MAX_PRINCIPLE_TOL."""
+    u_min, u_max, residual = solve.u_min, solve.u_max, solve.residual
+    why = ("produced non-finite values"
+           if not (math.isfinite(u_min) and math.isfinite(u_max) and math.isfinite(residual))
+           else "did not converge" if not solve.converged
+           else "left a large residual" if not residual <= _RESIDUAL_TOL else None)
+    if why is not None:
+        raise NumericalError(f"pressure solve {why} at t={t:.6g}: {solve.iterations} "
+                             f"GMRES iterations, relative residual {residual:.3g}")
+    excess = max(-u_min, u_max - config.psi0)
+    if not excess <= _MAX_PRINCIPLE_TOL:
+        raise NumericalError(
+            f"discrete maximum principle violated at t={t:.6g}: u in "
+            f"[{u_min:.6g}, {u_max:.6g}] leaves [0, psi0 = {config.psi0:.6g}] "
+            f"by {excess:.3g}")
+
+
+def _require_finite_g(finite: bool, t: float) -> None:
+    if not finite:
+        raise NumericalError(f"medium g is not finite at the front at t={t:.6g}")
+
+
+def _step_size(config: SimConfig, t: float, h_min: float, slope_max: float,
+               dt_cap: Optional[float]) -> float:
+    """The step at time t from the front's lowest height and largest slope:
+    the CFL policy cfl * spacing / peak (see SimConfig), capped by
+    config.dt, dt_cap and the eps caps, eps/4 on dt * peak where g uses x
+    and eps/4 on dt where g uses t. A cap that does not bind leaves the bits
+    of the CFL step."""
+    spacing = min(h_min / config.domain.nx, config.domain.dy)
+    peak = _admit(config.medium, 2).M * slope_max
+    if not peak > 0:
+        raise NumericalError(
+            f"front slope estimate vanished at t={t:.6g}; cannot set a step")
+    dt = config.cfl * spacing / peak
+    used, quarter = config.medium._variables, config.eps / 4.0
+    if "x1" in used:
+        dt = min(dt, quarter / peak)
+    if "t" in used:
+        dt = min(dt, quarter)
+    if config.dt is not None:
+        dt = min(dt, config.dt)
+    if dt_cap is not None:
+        dt = min(dt, dt_cap)
+    if not dt > 0:
+        raise NumericalError(f"step size collapsed to {dt} at t={t:.6g}")
+    return dt
+
+
 def _velocity(config: SimConfig, h: np.ndarray, t: float,
               solved: Sequence[tuple[float, np.ndarray]] = ()
               ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -388,7 +468,9 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     one max of h (its finiteness, wall and flatness tests), the checks on
     the reused solve, one evaluation of g and the rate g |u_xt| / h, whose
     unit stretch is never multiplied (x * 1.0 is x, so the bits are those of
-    the general formula). A curved
+    the general formula). This flat branch serves the first step of a run
+    whose medium uses y; a flat run in a medium without y takes
+    _one_height_step instead (see simulate). A curved
     front takes h' and h'', and its 9-point operator is applied matrix-free
     and solved by GMRES to |A u - b| <= 1e-12 |b| on its residual estimate,
     from the start that _curved_pressure forms out of the `solved` history
@@ -398,14 +480,7 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     """
     domain = config.domain
     lo, hi = float(h.min()), float(h.max())
-    # min and max propagate NaN, so both are finite exactly when all of h is
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NumericalError(f"front heights are not finite at t={t:.6g}")
-    margin = 2.0 * domain.dx_ref
-    for wall, bad in (("Lx", hi >= domain.Lx - margin), ("0", lo <= margin)):
-        if bad:
-            raise NumericalError(f"front leaves the strip at t={t:.6g}: "
-                                 f"heights within 2 grid cells of x = {wall}")
+    _check_heights(domain, lo, hi, t)
     if lo == hi:
         solve, stretch = config._flat_solve, None
     else:
@@ -416,53 +491,50 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
         solve = _Solve.of(domain, *_curved_pressure(domain, h, hp, hpp, config.psi0,
                                                     t, solved))
         stretch = np.sqrt(1.0 + hp ** 2)
-
-    u_min, u_max, residual = solve.u_min, solve.u_max, solve.residual
-    why = ("produced non-finite values"
-           if not (math.isfinite(u_min) and math.isfinite(u_max) and math.isfinite(residual))
-           else "did not converge" if not solve.converged
-           else "left a large residual" if not residual <= _RESIDUAL_TOL else None)
-    if why is not None:
-        raise NumericalError(f"pressure solve {why} at t={t:.6g}: {solve.iterations} "
-                             f"GMRES iterations, relative residual {residual:.3g}")
-    excess = max(-u_min, u_max - config.psi0)
-    if not excess <= _MAX_PRINCIPLE_TOL:
-        raise NumericalError(
-            f"discrete maximum principle violated at t={t:.6g}: u in "
-            f"[{u_min:.6g}, {u_max:.6g}] leaves [0, psi0 = {config.psi0:.6g}] "
-            f"by {excess:.3g}")
+    _check_solve(config, solve, t)
     points = np.stack([h, domain.y_nodes], axis=-1)
     g = np.asarray(eval_scaled(config.medium, config.eps, points, t))
-    if not np.isfinite(g).all():
-        raise NumericalError(f"medium g is not finite at the front at t={t:.6g}")
+    _require_finite_g(np.isfinite(g).all(), t)
     # dh/dt = |Du| sqrt(1 + h_y^2); a flat front's stretch is 1 and not multiplied
     slope = solve.uxt / h if stretch is None else solve.uxt * stretch / h * stretch
-    info = {"u_min": u_min, "u_max": u_max, "iterations": solve.iterations,
-            "residual": residual, "u": solve.u, "h_min": lo}
+    info = {"u_min": solve.u_min, "u_max": solve.u_max, "iterations": solve.iterations,
+            "residual": solve.residual, "u": solve.u, "h_min": lo}
     return g * slope, slope, info
 
 
 def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
              solved: Sequence[tuple[float, np.ndarray]] = ()) -> tuple[FrontGraph, dict]:
     """One forward Euler step h + dt * rate from `state`, the rate from
-    _velocity (its solve started from the `solved` history) and dt from the
-    CFL policy, capped by config.dt and dt_cap; info is _velocity's plus dt."""
-    domain = config.domain
+    _velocity (its solve started from the `solved` history) and dt from
+    _step_size, capped by dt_cap too; info is _velocity's plus dt."""
     h = np.asarray(state.heights, dtype=float)
     rate, slope, info = _velocity(config, h, state.t, solved)
-    spacing = min(info["h_min"] / domain.nx, domain.dy)
-    peak = _admit(config.medium, 2).M * float(slope.max())
-    if not peak > 0:
-        raise NumericalError(
-            f"front slope estimate vanished at t={state.t:.6g}; cannot set a step")
-    dt = config.cfl * spacing / peak
-    if config.dt is not None:
-        dt = min(dt, config.dt)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-    if not dt > 0:
-        raise NumericalError(f"step size collapsed to {dt} at t={state.t:.6g}")
+    dt = _step_size(config, state.t, info["h_min"], float(slope.max()), dt_cap)
     return FrontGraph(heights=h + dt * rate, t=state.t + dt), {"dt": dt, **info}
+
+
+def _one_height_step(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
+                     solved: Sequence[tuple[float, np.ndarray]] = ()
+                     ) -> tuple[FrontGraph, dict]:
+    """_advance for a flat front in a medium that does not use y, whose
+    heights stay equal to the bit: it steps h = heights[0] as a Python float.
+    g is evaluated at the one point (h, y_0 = 0) by the same NumPy kernel;
+    the rate g |u_xt| / h, _step_size and the checks on h, g and dt are
+    IEEE float operations with the bits of _advance's arrays. simulate
+    checks the kept flat solve once per run, as nothing it depends on
+    changes between steps; `solved` is unused. info is _advance's."""
+    domain, t = config.domain, state.t
+    h = float(state.heights[0])
+    _check_heights(domain, h, h, t)
+    g = np.asarray(eval_scaled(config.medium, config.eps, np.array([[h, 0.0]]), t)).item()
+    _require_finite_g(math.isfinite(g), t)
+    solve = config._flat_solve
+    slope = float(solve.uxt[0]) / h
+    dt = _step_size(config, t, h, slope, dt_cap)
+    info = {"dt": dt, "u_min": solve.u_min, "u_max": solve.u_max,
+            "iterations": solve.iterations, "residual": solve.residual,
+            "u": solve.u, "h_min": h}
+    return FrontGraph(heights=np.full(domain.ny, h + dt * (g * slope)), t=t + dt), info
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,30 +602,41 @@ class SimHistory:
 
 
 def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
-    """Run the explicit front dynamics to time T, saving every save_every steps."""
+    """Run the explicit front dynamics to time T, saving every save_every steps.
+
+    The step function is picked once per run. A flat initial front (equal
+    heights) in a medium that does not use y stays flat, so the run takes
+    _one_height_step, and checks the kept flat solve once, at t = 0; every
+    other run takes _advance. On such a run both give the same bits, so the
+    history is the same whichever runs.
+    """
     require_integer(1, max_steps=max_steps)
     state = config.initial_front()
-    times = [0.0]
-    fronts = [state]
-    saved = {"u_min": [], "u_max": [], "iterations": [], "residual": []}
-    k, solved, skipped = 0, [], []  # solved: (t, u) of the last _START_GRIDS solves
+    step = _advance
+    if state.heights.min() == state.heights.max() and "x2" not in config.medium._variables:
+        step = _one_height_step
+        _check_solve(config, config._flat_solve, state.t)
+    fronts, records, skipped = [state], [], []
+    solved = deque(maxlen=_START_GRIDS)  # (t, u) of the last solves
+    k = 0
     while state.t < config.T - _END_TOL:
         if k == max_steps:
             raise NumericalError(f"exceeded {max_steps} steps before reaching T: "
                                  f"at t={state.t:.6g} of T={config.T:.6g}")
         t = state.t
-        state, info = _advance(state, config, config.T - t, solved)
-        k, solved = k + 1, (solved + [(t, info["u"])])[-_START_GRIDS:]
+        state, info = step(state, config, config.T - t, solved)
+        k += 1
+        solved.append((t, info["u"]))
         if k % config.save_every == 0 or state.t >= config.T - _END_TOL:
-            times.append(state.t)
             fronts.append(state)
-            for key, values in saved.items():
-                values.append(info[key])
+            records.append(_RECORDS(info))
         else:
             skipped.append((state.t, float(state.heights.mean())))
-    return SimHistory(config=config, times=np.array(times), fronts=tuple(fronts),
-                      total_steps=k, _skipped=np.array(skipped).reshape(-1, 2),
-                      **{key: np.array(values) for key, values in saved.items()})
+    u_min, u_max, iterations, residual = map(np.array, zip(*records))
+    return SimHistory(config=config, times=np.array([f.t for f in fronts]),
+                      fronts=tuple(fronts), u_min=u_min, u_max=u_max, total_steps=k,
+                      iterations=iterations, residual=residual,
+                      _skipped=np.array(skipped).reshape(-1, 2))
 
 
 def hausdorff(A, B, period: Optional[float] = None,

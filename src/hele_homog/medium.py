@@ -341,6 +341,23 @@ class Medium:
         return bounds
 
     @cached_property
+    def _variables(self) -> frozenset:
+        """The variables the expression uses (x1, ..., x{dim}, t), by one
+        walk of the AST on a stack, as a chain may outgrow the recursion limit."""
+        used, stack = set(), [self.ast]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                used.add(node.name)
+            elif isinstance(node, Neg):
+                stack.append(node.arg)
+            elif isinstance(node, Bin):
+                stack += (node.left, node.right)
+            elif isinstance(node, Call):
+                stack += node.args
+        return frozenset(used - {"pi"})
+
+    @cached_property
     def _float_fn(self) -> Callable:
         """g on Python-float coordinates, the value of float(self._fn(...))
         to the bit: the kernel of the scalar loops, built on first use."""

@@ -706,6 +706,21 @@ class TestSim2dRun:
         assert data["saved_fronts"] == len(set(rows[:, 0]))
         assert rows.shape[0] == data["saved_fronts"] * 8
 
+    def test_unresolved_eps_is_capped_not_trusted(self, tmp_path):
+        # eps = 1e-3 under a CFL step that would cross 12-25 periods of g: the
+        # eps caps (dt * peak <= eps/4 for x, dt <= eps/4 for t) make the run
+        # resolve the medium, and q = psi0/h ~ 0.9 sits on pinning's r = 1
+        # plateau, so the front moves at speed 1 from h0 = 1 to depth 1.2
+        front, summary = tmp_path / "front.csv", tmp_path / "summary.json"
+        code, out, err = run_cli(
+            SIM_RUN + ["--medium", "builtin:pinning2d", "--eps", "1e-3",
+                       "--out", str(front), "--summary", str(summary)])
+        assert (code, out, err) == (0, "", "")
+        data = json.loads(summary.read_text())
+        assert data["total_steps"] > 1000
+        assert abs(data["front_speed_fit"] - 1.0) <= 1e-2
+        assert abs(data["final_mean_depth"] - 1.2) <= 1e-2
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({
@@ -848,6 +863,15 @@ class TestSim2dConverge:
         assert data["spacetime_distances_decreasing"] is True
         assert len(data["speeds"]) == 3
 
+    def test_y_medium_study_checks_only_the_listed_eps(self):
+        # the grid resolves each listed eps in y, though not the run
+        # default 0.1, which the study never uses
+        argv = self.BASE + ["--eps", "0.8,0.6,0.4"]
+        argv[argv.index("--medium") + 1] = "1 + sin(pi*y)^2/2"
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eps"] == [0.8, 0.6, 0.4]
+
     def test_unresolved_scale_rejected(self):
         code, _, err = run_cli(self.BASE + ["--eps", "0.4,0.2,0.1"])
         assert code == 1
@@ -950,6 +974,8 @@ class TestModelContract:
          "q must be a finite vector, got [1.e+308 1.e+308]"),
         (["rq", "curve", "--medium", "builtin:pinning", "--qmin", "0.5", "--qmax", "1.5",
           "--samples", "3", "--dt", "2"], "dt must be <= 1, the period of g, got 2.0"),
+        (SIM_RUN + ["--medium", "sin(pi*(x + y))^2 + 1", "--eps", "0.1"],
+         "resolution check failure: eps=0.1 has 0.80 cells per period in y (need >= 4)"),
     ])
     def test_violation_exits_one(self, argv, message):
         code, out, err = run_cli(argv)

@@ -283,6 +283,10 @@ class TestSymmetryAndMedia:
 
 
 class TestErrorPaths:
+    """Failure paths of a step. The tests that take `step` run on _advance,
+    and test_one_height_step_fails_alike runs them on the one-height step
+    that simulate takes for a flat front in a medium that does not use y."""
+
     def test_front_near_far_wall_raises(self):
         cfg = SimConfig(domain=StripDomain(Lx=1.2, Ly=1.0, nx=16, ny=8),
                         medium=constant_medium(), eps=0.5, psi0=1.0,
@@ -290,11 +294,11 @@ class TestErrorPaths:
         with pytest.raises(NumericalError, match="x = Lx"):
             simulate(cfg)
 
-    def test_front_near_inlet_raises(self):
+    def test_front_near_inlet_raises(self, step=hs2d._advance):
         cfg = basic_config()
         low = FrontGraph(heights=np.full(8, 0.01), t=0.0)
         with pytest.raises(NumericalError, match="x = 0"):
-            hs2d._advance(low, cfg)[0]
+            step(low, cfg)[0]
 
     def test_steep_front_violates_graph_condition(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
@@ -318,11 +322,11 @@ class TestErrorPaths:
 
 
     @pytest.mark.parametrize("height, wall", [(3.9, "Lx"), (0.01, "0")])
-    def test_front_leaving_the_strip_names_t(self, height, wall):
+    def test_front_leaving_the_strip_names_t(self, height, wall, step=hs2d._advance):
         front = FrontGraph(heights=np.full(8, height), t=0.7)
         with pytest.raises(NumericalError, match=rf"front leaves the strip at t=0\.7: "
                                                  rf"heights within 2 grid cells of x = {wall}$"):
-            hs2d._advance(front, basic_config())[0]
+            step(front, basic_config())[0]
 
     def test_graph_condition_names_t(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
@@ -331,22 +335,29 @@ class TestErrorPaths:
                            match=r"graph condition violated at t=0\.7: front slope 5\.\d+ > 5$"):
             hs2d._advance(steep, basic_config(domain=dom))[0]
 
-    def test_vanished_slope_estimate_names_t(self, monkeypatch):
-        # a zero front gradient leaves no speed to set the CFL step from
-        velocity = hs2d._velocity
-
-        def zero_slope(*args):
-            rate, slope, info = velocity(*args)
-            return rate, 0.0 * slope, info
-
-        monkeypatch.setattr(hs2d, "_velocity", zero_slope)
+    def test_vanished_slope_estimate_names_t(self, step=hs2d._advance):
+        # a zero front gradient leaves no speed to set the CFL step from: the
+        # config's kept flat solve, which both steps read, with |u_xt| = 0
+        cfg = basic_config()
+        solve = cfg._flat_solve
+        cfg.__dict__["_flat_solve"] = solve._replace(uxt=0.0 * solve.uxt)
         with pytest.raises(NumericalError, match=r"front slope estimate vanished at "
                                                  r"t=0\.7; cannot set a step$"):
-            hs2d._advance(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config())[0]
+            step(FrontGraph(heights=np.full(8, 1.0), t=0.7), cfg)[0]
 
-    def test_collapsed_step_names_t(self):
+    def test_collapsed_step_names_t(self, step=hs2d._advance):
         with pytest.raises(NumericalError, match=r"step size collapsed to 0\.0 at t=0\.7$"):
-            hs2d._advance(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config(), 0.0)[0]
+            step(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config(), 0.0)[0]
+
+    @pytest.mark.parametrize("test, args", [
+        ("test_front_near_inlet_raises", ()),
+        ("test_front_leaving_the_strip_names_t", (3.9, "Lx")),
+        ("test_front_leaving_the_strip_names_t", (0.01, "0")),
+        ("test_vanished_slope_estimate_names_t", ()),
+        ("test_collapsed_step_names_t", ()),
+    ])
+    def test_one_height_step_fails_alike(self, test, args):
+        getattr(self, test)(*args, step=hs2d._one_height_step)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1020,9 @@ class TestFlatPressure:
                            match=r"large residual at t=0\.25: 1 GMRES iterations, "
                                  r"relative residual [1-9]"):
             hs2d._advance(front, cfg)[0]
+        # a run on one height checks the kept solve once, before its first step
+        with pytest.raises(NumericalError, match=r"large residual at t=0: 1 GMRES"):
+            simulate(cfg)
 
     def test_non_finite_pressure_raises(self, monkeypatch):
         flat = hs2d._flat_pressure
@@ -1034,6 +1048,8 @@ class TestFlatPressure:
         with pytest.raises(NumericalError,
                            match=r"maximum principle violated at t=0\.25"):
             hs2d._advance(FrontGraph(heights=np.full(cfg.domain.ny, 1.0), t=0.25), cfg)[0]
+        with pytest.raises(NumericalError, match=r"maximum principle violated at t=0:"):
+            simulate(cfg)
 
     def test_laminar_run_is_the_scalar_euler_loop(self):
         # pinning2d is independent of y, so the front stays flat and the
@@ -1405,12 +1421,16 @@ class TestMaximumPrinciple:
 
 
 class TestNonFiniteInputs:
-    def test_non_finite_heights_raise_with_time(self):
+    def test_non_finite_heights_raise_with_time(self, step=hs2d._advance, nan_at=3):
         cfg = basic_config()
         heights = np.full(8, 1.0)
-        heights[3] = np.nan
+        heights[nan_at] = np.nan
         with pytest.raises(NumericalError, match="heights are not finite at t=0.3"):
-            hs2d._advance(FrontGraph(heights=heights, t=0.3), cfg)[0]
+            step(FrontGraph(heights=heights, t=0.3), cfg)[0]
+
+    def test_one_height_step_fails_alike(self):
+        # the one-height step reads a flat front: one of NaN
+        self.test_non_finite_heights_raise_with_time(hs2d._one_height_step, slice(None))
 
     def test_nan_medium_stops_the_first_step(self, monkeypatch):
         # sqrt(sin(pi*y)) is NaN on half of every y-period: the model
@@ -1420,12 +1440,18 @@ class TestNonFiniteInputs:
                 basic_config(medium=parse_medium("sqrt(sin(pi*y)) + 1", dim=2))
         # a NaN g that slips past the sampled contract: comparisons let NaN
         # through, so the stepper has to test g itself
-        cfg = basic_config(T=0.05)
-        monkeypatch.setattr(hs2d, "eval_scaled",
-                            lambda g, eps, x, t: np.full(len(x), np.nan))
+        # (the flat front in a medium without y steps on one point)
+        cfg, points = basic_config(T=0.05), []
+
+        def nan_medium(g, eps, x, t):
+            points.append(len(x))
+            return np.full(len(x), np.nan)
+
+        monkeypatch.setattr(hs2d, "eval_scaled", nan_medium)
         with pytest.raises(NumericalError,
                            match="medium g is not finite at the front at t=0"):
             simulate(cfg)
+        assert points == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -1594,22 +1620,99 @@ REFERENCE_RUNS = {
         domain=StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=64),
         medium=parse_medium("sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2),
         eps=0.25, psi0=1.0, T=0.15, h0=1.0),
+    # a curved start in a medium without y: every step on the whole front
+    "pinning_sine_front": lambda: SimConfig(
+        domain=StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=16),
+        medium=builtin_medium("pinning2d"), eps=0.25, psi0=1.0, T=1.2,
+        h0=sine_front(StripDomain(Lx=4.0, Ly=1.0, nx=64, ny=16), 0.5)),
 }
 
+# flat fronts in media without y, which take the one-height step: media whose
+# NumPy kernels (exp, '^0.5' as sqrt, '^-1' as a reciprocal) could round one
+# point unlike a whole front, at three ny, and an h0 given as an array
+ONE_HEIGHT_MEDIA = {"exp": "exp(sin(2*pi*(x - t)))/2 + 1",
+                    "sqrt": "(1 + sin(pi*(x - t))^2)^0.5",
+                    "recip": "(2 + cos(2*pi*(x + t)))^-1 + 1"}
 
-@pytest.mark.parametrize("name", ["pinning_128x8", "curved_phase_0.3"])
+
+def one_height_run(src, ny, **overrides):
+    fields = dict(domain=StripDomain(Lx=2.0, Ly=0.5, nx=32, ny=ny),
+                  medium=parse_medium(src, dim=2), eps=0.1, psi0=1.0, T=0.6, h0=0.7)
+    return SimConfig(**{**fields, **overrides})
+
+
+REFERENCE_RUNS.update({
+    f"{name}_ny{ny}": (lambda src=src, ny=ny: one_height_run(src, ny))
+    for name, src in ONE_HEIGHT_MEDIA.items() for ny in (8, 20, 64)})
+REFERENCE_RUNS["exp_ny20_array_h0"] = lambda: one_height_run(
+    ONE_HEIGHT_MEDIA["exp"], 20, h0=np.full(20, 0.7))
+
+
+@pytest.mark.parametrize("name", ["pinning_128x8", "curved_phase_0.3", "pinning_sine_front"])
 def test_one_medium_evaluation_per_step(name, monkeypatch):
-    # the bench's tracer counts hs2d.steps by eval_scaled's spans
+    # the bench's tracer counts hs2d.steps by eval_scaled's spans; a flat
+    # front in a medium without y evaluates g at one point, any other run
+    # at all ny, a flat start in a medium with y too
     calls = []
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append((args[3], len(args[2])))
         return eval_scaled(*args)
 
     monkeypatch.setattr(hs2d, "eval_scaled", counted)
     hist = simulate(REFERENCE_RUNS[name]())
+    points = {"pinning_128x8": 1, "curved_phase_0.3": 64, "pinning_sine_front": 16}[name]
     assert hist.total_steps > 60 and len(calls) == hist.total_steps
-    assert calls == [f.t for f in hist.fronts[:-1]]
+    assert calls == [(f.t, points) for f in hist.fronts[:-1]]
+
+
+@pytest.mark.parametrize("src, caps", [("sin(pi*(x - t))^2 + 1", "xt"),
+                                       ("sin(pi*x)^2 + 1", "x"),
+                                       ("sin(pi*t)^2 + 1", "t"), ("1", "")])
+def test_eps_caps_follow_the_variables_g_uses(src, caps):
+    # eps = 1e-3 under a CFL step of 0.4 * h0/16 / peak: where g uses x,
+    # dt * peak <= eps/4; where it uses t, dt <= eps/4; on both step functions
+    eps, h0 = 1e-3, 1.0
+    cfg = basic_config(medium=parse_medium(src, dim=2), eps=eps, h0=h0)
+    peak = _admit(cfg.medium, 2).M * float(cfg._flat_solve.uxt[0]) / h0
+    bounds = [cfg.cfl * (h0 / 16) / peak]
+    bounds += [eps / 4 / peak] if "x" in caps else []
+    bounds += [eps / 4] if "t" in caps else []
+    for step in (hs2d._advance, hs2d._one_height_step):
+        assert step(cfg.initial_front(), cfg)[1]["dt"] == min(bounds)
+
+
+@pytest.mark.parametrize("name", [*(name for name in REFERENCE_RUNS if "_ny" in name),
+                                  "pinning_128x8", "const_64x64", "save_every_3"])
+def test_one_height_step_equals_the_general_step(name, monkeypatch):
+    # the same run with _advance put in the one-height step's place keeps
+    # every bit: times, saved fronts, per-step records, the steps between
+    # saves and the fitted speed
+    if name == "save_every_3":
+        cfg = one_height_run(ONE_HEIGHT_MEDIA["recip"], 20, save_every=3)
+    else:
+        cfg = REFERENCE_RUNS[name]()
+    steps = []
+    one_height = hs2d._one_height_step
+    monkeypatch.setattr(hs2d, "_one_height_step",
+                        lambda *args: steps.append(1) or one_height(*args))
+    fast = simulate(cfg)
+    assert len(steps) == fast.total_steps > 40
+    monkeypatch.setattr(hs2d, "_one_height_step", hs2d._advance)
+    general = simulate(cfg)
+    assert fast.total_steps == general.total_steps
+    assert np.array_equal(fast.times, general.times)
+    assert len(fast.fronts) == len(general.fronts)
+    for a, b in zip(fast.fronts, general.fronts):
+        assert a.t == b.t and np.array_equal(a.heights, b.heights)
+        assert np.ptp(a.heights) == 0.0
+    for key in ("u_min", "u_max", "iterations", "residual", "_skipped"):
+        assert np.array_equal(getattr(fast, key), getattr(general, key))
+    assert fast.iterations.dtype == general.iterations.dtype
+    window = (0.25 * cfg.T, cfg.T)
+    assert fast.front_speed(*window) == general.front_speed(*window)
+    if name == "save_every_3":
+        assert fast._skipped.shape[0] > 40
 
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)

@@ -53,6 +53,16 @@ class TestParse:
         g = parse_medium("x1 + 10*t", dim=1)
         assert g(0.25, 0.5) == pytest.approx(5.25)
 
+    @pytest.mark.parametrize("src, dim, used", [
+        ("2 + pi", 2, set()),
+        ("max(-y, pi*t) + 3", 2, {"x2", "t"}),
+        ("sin(pi*(x - t))^2 + 1", 2, {"x1", "t"}),
+        ("1 + x3^2 - x3", 3, {"x3"}),
+        (" + ".join(["x1", "t"] * 1000), 2, {"x1", "t"}),  # deeper than the recursion limit
+    ], ids=["constant", "call-neg", "pinning", "dim3", "sum2000"])
+    def test_variables_used(self, src, dim, used):
+        assert parse_medium(src, dim=dim)._variables == used
+
     def test_x_alias_dim1(self):
         g = parse_medium("x + t", dim=1)
         h = parse_medium("x1 + t", dim=1)
