@@ -25,9 +25,13 @@ Oracles used here:
 - The stepper as it stood before the velocity kernel `_velocity` was split
   out of it, kept below as `reference_advance`: bit for bit against
   `simulate` at every step of three bench-shaped runs.
+- Frozen digests of every curved solve (u grid, iterations, residual) and
+  the final front of five curved runs: a rewrite of the solve keeps its bits.
 """
 
+import hashlib
 import math
+import struct
 from typing import Optional, Sequence
 
 import numpy as np
@@ -1733,3 +1737,54 @@ def test_simulate_equals_the_reference_stepper(name):
     assert len(hist.times) == hist.total_steps + 1
     if name == "curved_phase_0.3":
         assert hist.total_steps == 66 and int(hist.iterations.sum()) == 163
+
+
+# curved runs whose every solve is pinned: the bench's curved job, an odd ny
+# (no Nyquist column in Fy), the smallest grid, a run that starts curved in a
+# medium without y, and one that saves every third front
+_Y_MEDIUM = "1 + sin(pi*(y + 0.3))^2/2"
+PINNED_CURVED_RUNS = {
+    "curved_phase_0.3": (REFERENCE_RUNS["curved_phase_0.3"],
+                         "6f64ce70a43e1d4f31eca2a3e2dbc31229cdf14ea8727d7649aad445507af213"),
+    "odd_32x9": (lambda: SimConfig(
+        domain=StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=9),
+        medium=parse_medium("sin(pi*(x - t))^2 + 1 + sin(pi*(y + 0.3))^2/2", dim=2),
+        eps=0.5, psi0=1.0, T=0.3, h0=1.0),
+        "0ad4436a695c39db0196ec9e708796a27d04658848a30d4328974c2e3d4a066d"),
+    "smallest_8x8": (lambda: SimConfig(
+        domain=StripDomain(Lx=4.0, Ly=1.0, nx=8, ny=8), medium=parse_medium(_Y_MEDIUM, dim=2),
+        eps=0.5, psi0=1.0, T=0.5, h0=1.5),
+        "3936f33609cf2a39e7476ee69c1ba82a96a47d4c620b9e95a91e8db5ba5b234b"),
+    "sine_front": (lambda: SimConfig(
+        domain=StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16), medium=builtin_medium("pinning2d"),
+        eps=0.25, psi0=1.0, T=0.3, h0=sine_front(StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16), 0.5)),
+        "6e6ea4e2d14259f26f521ad26fdc6d7a41bc1c1050175d7489800748dca289da"),
+    "save_every_3": (lambda: SimConfig(
+        domain=StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16), medium=parse_medium(_Y_MEDIUM, dim=2),
+        eps=0.5, psi0=1.0, T=0.4, h0=1.0, save_every=3),
+        "9f3c166f2c88148467a4b299c71ae283dfcf50b2a4737d34f39c72bfff0778e7"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CURVED_RUNS)
+def test_curved_solves_keep_their_bits(name, monkeypatch):
+    # sha256 over every curved solve's u grid bytes, GMRES iterations,
+    # converged flag and relative residual, in solve order, then the final
+    # heights (NumPy 2.4, x86-64): a change to the curved solve must keep
+    # every bit of every solve, not only of the saved fronts
+    make, expected = PINNED_CURVED_RUNS[name]
+    digest, solves = hashlib.sha256(), []
+    curved = hs2d._curved_pressure
+
+    def spy(*args):
+        u, iterations, converged, residual = curved(*args)
+        digest.update(np.ascontiguousarray(u).tobytes())
+        digest.update(struct.pack("<q?d", iterations, converged, residual))
+        solves.append(iterations)
+        return u, iterations, converged, residual
+
+    monkeypatch.setattr(hs2d, "_curved_pressure", spy)
+    hist = simulate(make())
+    digest.update(hist.final_front.heights.tobytes())
+    assert len(solves) >= 10 and sum(solves) > len(solves)
+    assert digest.hexdigest() == expected
