@@ -15,13 +15,14 @@ g evaluated at one point. A curved front's mapped 9-point pressure stencil
 is solved matrix-free by one run of the module's own restarted GMRES,
 right-preconditioned by the flat-front fast Poisson solve (four products
 with the grid's cached dense DST-I and real Fourier matrices), from the
-start that _curved_pressure chooses. The step is the CFL step, capped so
-that eps stays resolved (see SimConfig). A step fails with NumericalError,
-naming t, when the front heights or g are not finite, when the front leaves
-the strip or its graph condition, when the solve does not converge to a
-relative residual of 1e-10, when u leaves [0, psi0] (the discrete maximum
-principle), or when no step size can be set. Iterations and residual are
-recorded per saved step.
+start that _curved_pressure chooses, on one padded flat grid with the
+coefficients folded once per step and workspaces of the solve's own. The
+step is the CFL step, capped so that eps stays resolved (see SimConfig). A
+step fails with NumericalError, naming t, when the front heights or g are
+not finite, when the front leaves the strip or its graph condition, when
+the solve does not converge to a relative residual of 1e-10, when u leaves
+[0, psi0] (the discrete maximum principle), or when no step size can be
+set. Iterations and residual are recorded per saved step.
 """
 
 from __future__ import annotations
@@ -193,14 +194,22 @@ def _fast_poisson(domain: StripDomain, beta: float):
     The operator is diagonal in the grid's cached orthonormal bases, Sx in xt
     and Fy in y, so u = Sx ((Sx r Fy) / lam) Fy^T: four dense products,
     O(nx^2 ny + nx ny^2) per call (the matrix decomposition form of the fast
-    Poisson solver; Lynch, Rice and Thomas 1964).
+    Poisson solver; Lynch, Rice and Thomas 1964). The first three products
+    and the division write into two buffers of this solver's own, made per
+    call of _fast_poisson (so per curved solve); every solve returns a fresh
+    array.
     """
     nx, ny = domain.nx, domain.ny
     _xt, lam_x, sin2_y, Sx, Fy = domain._pressure_factors
     lam = lam_x - 4.0 * beta / domain.dy ** 2 * sin2_y
+    rows, modes = np.empty((nx - 1, ny)), np.empty((nx - 1, ny))  # this solver's own
 
     def solve(r):
-        return (Sx @ ((Sx @ (r.reshape(nx - 1, ny) @ Fy)) / lam) @ Fy.T).ravel()
+        np.matmul(r.reshape(nx - 1, ny), Fy, out=rows)
+        np.matmul(Sx, rows, out=modes)
+        np.divide(modes, lam, out=modes)
+        np.matmul(Sx, modes, out=rows)
+        return (rows @ Fy.T).ravel()
 
     return solve
 
@@ -228,7 +237,7 @@ def _gmres(matvec, precond, b: np.ndarray, x0: np.ndarray,
         estimate = float(np.linalg.norm(r))
         if not estimate > target:
             break
-        V[0] = r / estimate
+        np.divide(r, estimate, out=V[0])
         g, rotations = [estimate], []
         for j in range(_GMRES_RESTART):
             w, basis = matvec(precond(V[j])), V[:j + 1]
@@ -251,7 +260,7 @@ def _gmres(matvec, precond, b: np.ndarray, x0: np.ndarray,
             estimate = abs(g[j + 1])
             if not estimate > target:  # converged, broke down (norm 0) or NaN
                 break
-            V[j + 1] = w / norm
+            np.divide(w, norm, out=V[j + 1])
         k = len(rotations)
         x += precond(np.linalg.solve(R[:k, :k], g[:k]) @ V[:k])
         if not estimate > target:
@@ -264,11 +273,14 @@ def _extrapolate(times: Sequence[float], grids: Sequence[np.ndarray],
     """The Lagrange extrapolation to time t of grids solved at distinct
     `times`: sum_i w_i grids[i] with w_i = prod_{j != i} (t - t_j)/(t_i - t_j),
     exact (to rounding) for grids that are polynomials in t of degree
-    < len(times). One grid comes back as it is (w = 1)."""
-    start = 0.0
+    < len(times). One grid comes back as it is (w = 1), but for a -0.0
+    entry, which comes back +0.0: the sum starts from a fresh array of
+    zeros and accumulates each w_i grids[i] in place."""
+    start = np.zeros(np.shape(grids[0]))
+    term = np.empty_like(start)
     for i, (t_i, grid) in enumerate(zip(times, grids)):
         w = math.prod((t - t_j) / (t_i - t_j) for j, t_j in enumerate(times) if j != i)
-        start = start + w * grid
+        start += np.multiply(w, grid, out=term)
     return start
 
 
@@ -336,48 +348,72 @@ def _curved_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     solve of the right-hand side. iterations is GMRES's count, so 0 when x0
     already meets GMRES's first test |b - A x0| <= 1e-12 |b| and comes back
     unchanged.
+
+    The stencil runs on one flat (nx + 1) * (ny + 2) grid, each xt row with
+    a periodic ghost column at either end, so every neighbour is a
+    contiguous shifted slice: twelve ufunc calls in the order, and with the
+    bits, of the 2D formula. The coefficients are folded into that layout
+    once per step, zero on the ghosts, whose results are never read. GMRES's
+    vectors stay on the compact (nx - 1) * ny unknowns, as their bits depend
+    on the layout. The grid and every buffer belong to this solve; the
+    returned u is a view of its grid.
     """
     nx, ny, dy = domain.nx, domain.ny, domain.dy
-    dxt = 1.0 / nx
+    dxt, width = 1.0 / nx, ny + 2
+    size = (nx - 1) * width - 2  # the first unknown to the last, ghost columns between
     xt = domain._pressure_factors[0]
-    a = 1.0 + xt ** 2 * hp ** 2
     b = h ** 2
-    c = xt * h * hp
-    d = xt * (2.0 * hp ** 2 - h * hpp)
-    center = -2.0 * a / dxt ** 2 - 2.0 * b / dy ** 2
-    east = a / dxt ** 2 + d / (2.0 * dxt)
-    west = a / dxt ** 2 - d / (2.0 * dxt)
-    north = b / dy ** 2
-    cross = c / (2.0 * dxt * dy)
+    a_x = (1.0 + xt ** 2 * hp ** 2) / dxt ** 2
+    d_x = xt * (2.0 * hp ** 2 - h * hpp) / (2.0 * dxt)
+    b_y = b / dy ** 2
+    # center, east, west, north and cross, folded into the padded layout;
+    # 2 a/dxt^2 and 2 b/dy^2 are the shared quotients scaled by 2, exactly
+    coefficients = np.zeros((5, nx - 1, width))
+    for k, values in enumerate((-2.0 * a_x - 2.0 * b_y, a_x + d_x, a_x - d_x, b_y,
+                                xt * h * hp / (2.0 * dxt * dy))):
+        coefficients[k, :, 1:-1] = values
+    center, east, west, north, cross = coefficients.reshape(5, -1)[:, 1:size + 1]
 
-    def stencil(g):  # g: (nx + 1, ny + 2) with the boundary rows
-        g[:, 0], g[:, -1] = g[:, -2], g[:, 1]  # fill the periodic ghost columns
-        mid, step_x = g[1:-1, 1:-1], g[2:] - g[:-2]
-        return (center * mid + east * g[2:, 1:-1] + west * g[:-2, 1:-1]
-                + north * (g[1:-1, 2:] + g[1:-1, :-2])
-                - cross * (step_x[:, 2:] - step_x[:, :-2]))
+    grid = np.zeros((nx + 1) * width)  # zero inlet and front rows
+    rows = grid.reshape(nx + 1, width)
+    inner, unknowns = rows[1:nx], rows[1:nx, 1:-1]
+    u_mid, u_east, u_west, u_north, u_south = (grid[i:i + size] for i in (
+        width + 1, 2 * width + 1, 1, width + 2, width))
+    step_x, total, term = np.empty(size + 2), np.empty(size + 2), np.empty(size)
+    acc = total[1:-1]
+
+    def stencil():  # the 9-point operator on grid, in the order of its 2D formula
+        # periodic ghost columns; the boundary rows are constant, ghosts included
+        inner[:, 0], inner[:, -1] = inner[:, -2], inner[:, 1]
+        np.subtract(grid[2 * width:], grid[:-2 * width], out=step_x)
+        np.multiply(center, u_mid, out=acc)
+        np.add(acc, np.multiply(east, u_east, out=term), out=acc)
+        np.add(acc, np.multiply(west, u_west, out=term), out=acc)
+        np.add(acc, np.multiply(north, np.add(u_north, u_south, out=term), out=term), out=acc)
+        np.subtract(acc, np.multiply(cross, np.subtract(step_x[2:], step_x[:-2], out=term),
+                                     out=term), out=acc)
+        return total.reshape(nx - 1, width)[:, 1:-1].ravel()  # fresh, compact
 
     fast_poisson = _fast_poisson(domain, float(np.mean(b)))
-    work = np.zeros((nx + 1, ny + 2))  # zero inlet and front rows
 
     def matvec(v):
-        work[1:nx, 1:-1] = v.reshape(nx - 1, ny)
-        return stencil(work).ravel()
+        unknowns[...] = v.reshape(nx - 1, ny)
+        return stencil()
 
     # the inlet row u = psi0 enters the first unknown row through west alone:
     # its cross terms cancel, psi0 being constant in y; the front row u = 0
     # drops out
     rhs = np.zeros((nx - 1, ny))
-    rhs[0] = -west[0] * psi0
+    rhs[0] = -coefficients[2, 0, 1:-1] * psi0
     rhs_norm = np.linalg.norm(rhs)
-    x0 = _extrapolate(*zip(*solved), t)[1:nx] if solved else fast_poisson(rhs)
+    x0 = (_extrapolate([t_i for t_i, _ in solved], [u[1:nx] for _, u in solved], t) if solved
+          else fast_poisson(rhs))
     target = _GMRES_RTOL * rhs_norm
     sol, iterations, estimate = _gmres(matvec, fast_poisson, rhs.ravel(), x0.ravel(), target)
-    u = np.zeros((nx + 1, ny + 2))
-    u[0] = psi0
-    u[1:nx, 1:-1] = sol.reshape(nx - 1, ny)
-    residual = float(np.linalg.norm(stencil(u)) / rhs_norm)
-    return u[:, 1:-1], iterations, estimate <= target, residual
+    unknowns[...] = sol.reshape(nx - 1, ny)
+    rows[0] = psi0
+    residual = float(np.linalg.norm(stencil()) / rhs_norm)
+    return rows[:, 1:-1], iterations, estimate <= target, residual
 
 
 def _check_heights(domain: StripDomain, lo: float, hi: float, t: float) -> None:

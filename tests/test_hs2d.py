@@ -27,11 +27,17 @@ Oracles used here:
   `simulate` at every step of three bench-shaped runs.
 - Frozen digests of every curved solve (u grid, iterations, residual) and
   the final front of five curved runs: a rewrite of the solve keeps its bits.
+- The curved 9-point operator as the 2D formula it was written as before
+  the padded flat layout, kept below as `reference_stencil`: bit for bit
+  against the solve's matvec and explicit residual.
 """
 
 import hashlib
 import math
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -1358,6 +1364,157 @@ class TestFastPoisson:
                 assert iterations > 0
                 cycles = math.ceil(iterations / hs2d._GMRES_RESTART)
                 assert len(calls) == start_calls + iterations + cycles
+
+
+    def test_each_solve_returns_a_fresh_array(self):
+        # the solver's buffers are its own and never handed out: two solvers,
+        # and two calls of one, give arrays that share no memory, and a later
+        # call leaves an earlier result as it was
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=9)
+        rng = np.random.default_rng(3)
+        r, s = rng.standard_normal((2, 15 * 9))
+        solve = _fast_poisson(dom, 1.3)
+        first = solve(r)
+        kept = first.copy()
+        second, other = solve(s), _fast_poisson(dom, 1.3)(r)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, other)
+        assert np.array_equal(first, kept) and np.array_equal(first, other)
+
+
+def reference_stencil(domain, h, grid):
+    """The curved 9-point operator as the 2D formula it was written as before
+    the padded flat layout: coefficients on the (nx - 1, ny) unknowns, the
+    grid (nx + 1, ny) padded with its periodic ghost columns here, and
+    center*mid + east*E + west*W + north*(N + S) - cross*(step_x(N) - step_x(S))."""
+    nx, ny, dy = domain.nx, domain.ny, domain.dy
+    dxt = 1.0 / nx
+    hp, hpp = _front_derivatives(h, dy)
+    xt = domain._pressure_factors[0]
+    a = 1.0 + xt ** 2 * hp ** 2
+    b = h ** 2
+    c = xt * h * hp
+    d = xt * (2.0 * hp ** 2 - h * hpp)
+    center = -2.0 * a / dxt ** 2 - 2.0 * b / dy ** 2
+    east = a / dxt ** 2 + d / (2.0 * dxt)
+    west = a / dxt ** 2 - d / (2.0 * dxt)
+    north = b / dy ** 2
+    cross = c / (2.0 * dxt * dy)
+    g = np.zeros((nx + 1, ny + 2))
+    g[:, 1:-1] = grid
+    g[:, 0], g[:, -1] = g[:, -2], g[:, 1]
+    mid, step_x = g[1:-1, 1:-1], g[2:] - g[:-2]
+    return (center * mid + east * g[2:, 1:-1] + west * g[:-2, 1:-1]
+            + north * (g[1:-1, 2:] + g[1:-1, :-2])
+            - cross * (step_x[:, 2:] - step_x[:, :-2])), west
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPaddedStencil:
+    """_curved_pressure's stencil on the padded flat grid against
+    reference_stencil, to the bit, signs of zero included."""
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (32, 9), (64, 64), (128, 20)])
+    def test_matvec_and_residual_equal_the_2d_formula(self, nx, ny, monkeypatch):
+        dom = StripDomain(Lx=4.0, Ly=1.0, nx=nx, ny=ny)
+        rng = np.random.default_rng(nx * ny)
+        h = 0.45 * dom.Lx + 0.02 * rng.standard_normal(ny)  # random, curved
+        psi0, n = 0.7, (nx - 1) * ny
+        signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        mixed = np.where(rng.random(n) < 0.3, signed_zeros, rng.standard_normal(n))
+        assert np.signbit(signed_zeros).any() and not np.signbit(signed_zeros).all()
+        vectors = (rng.standard_normal(n), signed_zeros, mixed)
+        products = []
+
+        def spy(matvec, precond, b, x0, target):
+            # the matvec as GMRES gets it, before and between its own calls
+            products.extend(matvec(v) for v in vectors)
+            x, iterations, estimate = _gmres(matvec, precond, b, x0, target)
+            products.extend(matvec(v) for v in vectors)
+            return x, iterations, estimate
+
+        monkeypatch.setattr(hs2d, "_gmres", spy)
+        u, _iterations, converged, residual = _curved_pressure(
+            dom, h, *_front_derivatives(h, dom.dy), psi0, 0.0, ())
+        assert converged and len(products) == 2 * len(vectors)
+        for k, v in enumerate(vectors * 2):
+            grid = np.zeros((nx + 1, ny))
+            grid[1:nx] = v.reshape(nx - 1, ny)
+            expected, _west = reference_stencil(dom, h, grid)
+            assert same_bits(products[k], expected.ravel())
+        # the explicit residual: the operator on the whole solved grid, inlet
+        # row included, over the norm of the right-hand side -west psi0
+        defect, west = reference_stencil(dom, h, u)
+        rhs = np.zeros((nx - 1, ny))
+        rhs[0] = -west[0] * psi0
+        assert same_bits(u[0], np.full(ny, psi0)) and same_bits(u[nx], np.zeros(ny))
+        assert residual == float(np.linalg.norm(defect) / np.linalg.norm(rhs))
+
+
+class TestSolveWorkspaces:
+    """Each curved solve owns its arrays: a run's `solved` history holds
+    earlier u grids, and two runs may share one StripDomain."""
+
+    @staticmethod
+    def curved_config(domain, phase, **overrides):
+        medium = parse_medium(f"sin(pi*(x - t))^2 + 1 + sin(pi*(y + {phase}))^2/2", dim=2)
+        return SimConfig(**{**dict(domain=domain, medium=medium, eps=0.5, psi0=1.0,
+                                   T=0.4, h0=1.0), **overrides})
+
+    def test_no_solve_writes_into_an_earlier_grid(self, monkeypatch):
+        made = []
+        advance = hs2d._advance
+
+        def spy(*args):
+            state, info = advance(*args)
+            made.append((info["u"], info["u"].copy()))
+            return state, info
+
+        monkeypatch.setattr(hs2d, "_advance", spy)
+        hist = simulate(self.curved_config(StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16), 0.3))
+        assert len(made) == hist.total_steps > 2 * hs2d._START_GRIDS
+        assert np.all(hist.iterations > 0)
+        for u, kept in made:
+            assert same_bits(u, kept)
+        assert len({id(u) for u, _ in made}) == len(made)
+
+    def test_threads_on_one_domain_give_the_sequential_histories(self):
+        def run_all(domain, parallel):
+            configs = [self.curved_config(domain, 0.3),
+                       self.curved_config(domain, 0.7, h0=sine_front(domain, 0.3)),
+                       self.curved_config(domain, 0.1, T=0.3)]
+            if not parallel:
+                return [simulate(cfg) for cfg in configs]
+            start = threading.Barrier(len(configs), timeout=60)
+
+            def run(cfg):
+                start.wait()
+                return simulate(cfg)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:  # three threads, switching often
+                with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+                    return list(pool.map(run, configs, timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+
+        # a grid large enough that NumPy drops the GIL inside the stencil's ufuncs
+        grid = dict(Lx=4.0, Ly=1.0, nx=64, ny=32)
+        sequential = run_all(StripDomain(**grid), False)
+        threaded = run_all(StripDomain(**grid), True)
+        for a, b in zip(sequential, threaded):
+            assert a.total_steps == b.total_steps > 10
+            assert same_bits(a.times, b.times)
+            assert all(same_bits(f.heights, g.heights) for f, g in zip(a.fronts, b.fronts))
+            for key in ("u_min", "u_max", "iterations", "residual", "_skipped"):
+                assert same_bits(getattr(a, key), getattr(b, key))
+        finals = {f.final_front.heights.tobytes() for f in sequential}
+        assert len(finals) == len(sequential)
 
 
 # u = psi0 - a x + b sinh(k x) cos(k y), k = 2 pi / Ly, is harmonic, equals
