@@ -1324,3 +1324,27 @@ class TestFrozenScalarBits:
         if est.nodes == 0:
             assert est.r_hat == r_hat
         assert abs(est.r_hat - r_hat) <= 1e-8
+
+
+class TestFrozenCurveBits:
+    """r_hat, nodes, stages and locked of the benchmark's eight velocity
+    curves (four builtins, 400 and 50 q, T = 200) at the q-grids its seeds
+    1-3 draw, one sha256 per seed: where every RK4 step moves the front by
+    at most a quarter period, a change to the step rule keeps these bits."""
+
+    @pytest.mark.parametrize("grid400, grid50, digest", [
+        ((0.451182, 2.090093), (0.464416, 1.544865),
+         "15181157c46c0663b296d8299f7d599cfea3200cf3580b507c1ad0ee889ffa9c"),
+        ((0.426161, 1.959698), (0.531423, 1.459192),
+         "914e95917a15187bdbf6239415b9390d06e1678e7c97a565587952bfc04d2b74"),
+        ((0.408565, 1.947362), (0.530127, 1.508216),
+         "5950dd31cfb5498e591ce53e2cbcd58dcb23df990a3a55f5a177cb88a8ddb18d")],
+        ids=["seed1", "seed2", "seed3"])
+    def test_bench_curves_keep_their_bits(self, grid400, grid50, digest):
+        h = hashlib.sha256()
+        for (q_min, q_max), samples in ((grid400, 400), (grid50, 50)):
+            for name in ("pinning", "antipinning", "two_wave", "static_sin"):
+                curve = velocity_curve(builtin_medium(name), q_min, q_max, samples, T=200.0)
+                for a in (curve.r_hat, curve.nodes, curve.stages, curve.locked):
+                    h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        assert h.hexdigest() == digest
