@@ -64,9 +64,9 @@ def require_vector(name: str, value, dim: int | None = None, nonzero: bool = Fal
 
 def require_steps(T: float, dt: float) -> None:
     """Raise ValidationError naming T and dt when a time grid of steps dt over
-    T (both finite and > 0) has more than 2**52 steps: there k*h no longer
-    resolves a step, and the step count may not even be finite."""
-    if not float(T) / float(dt) <= 2.0 ** 52:
+    T (T finite and > 0, dt >= 0) has more than 2**52 steps: there k*h no
+    longer resolves a step, and the step count may not even be finite."""
+    if not float(T) <= 2.0 ** 52 * float(dt):
         raise ValidationError(f"T/dt must be at most 2**52 steps, got T = {T}, dt = {dt}")
 
 

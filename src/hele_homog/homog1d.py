@@ -17,10 +17,11 @@ recursive halves of the period) or, where no table within its budget
 resolves the map, by the direct orbit (on the float kernel for a lone such
 q), `_clipped` runs the obstacle-clipped front, storing its trace or
 reading phi at given steps and stopping once a read-out must fail, and
-`_bisect` halves the candidate brackets for both sides. The
-scalar loops evaluate the medium through its float kernel and coerce their
-scalars to Python floats, so they run on float arithmetic with the bits the
-NumPy kernel would give.
+`_bisect` halves the candidate brackets for both sides. Every step is capped
+by medium._resolved_step at the speed bound q M. The scalar loops evaluate
+the medium through its float kernel and coerce their scalars to Python
+floats, so they run on float arithmetic with the bits the NumPy kernel
+would give.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import (NumericalError, ValidationError, _eps_list, require_finite,
                      require_integer, require_positive, require_steps, shown)
-from .medium import Medium, MediumBounds, _admit, estimate_bounds
+from .medium import Medium, MediumBounds, _admit, _resolved_step, estimate_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,14 +134,11 @@ def effective_velocity(medium: Medium, q: float, T: float = 100.0,
                        x0: float = 0.0, dt: float = 0.01) -> VelocityEstimate:
     """Estimate r(q) by (x(T) - x0)/T; the period squeeze gives error 1/T.
     Where the RK4 time-1 map certifies a lock (see _averages), r_hat is its
-    rotation number p/k exactly and `locked` is k.
-
-    This is velocity_curve's kernel on a one-element q-array, so at the same
-    dt r_hat equals that curve's entry at q to the bit on the builtins; the
-    defaults differ (dt = 0.01 here, 0.02 there). Where no table
-    resolves the map and no lock is certified, r_hat is the direct orbit's
-    final position, minus x0, over T: round(T/dt) RK4 steps on the float
-    kernel, as for a curve's lone direct-orbit q.
+    rotation number p/k exactly and `locked` is k. This is velocity_curve's
+    kernel on a one-element q-array, with its error_bound (see there); the
+    defaults differ (dt = 0.01 here, 0.02 there). Where no table resolves
+    the map and no lock is certified, r_hat is the direct orbit's average,
+    on the float kernel, as for a curve's lone direct-orbit q.
     """
     _admit(medium, 1)
     require_positive(q=q)
@@ -183,12 +181,9 @@ _BLOCK = 128
 # k = 1 costs nothing more, k = 2 one more period on the 29 points, paid
 # only by a q about to need a table of more than _LOCK_NODES nodes, a split,
 # or the direct orbit (testing k <= 6 too made the benchmark's 400-q two_wave
-# curve 10% slower). Only a q whose RK4 step moves the front at most
-# _RESOLVED of a period (q M dt <= 1/4, M the admitted bound of g) may lock:
-# beyond it the RK4 map's own lock says little about the flow's.
+# curve 10% slower).
 _LOCK_MARGIN = 1e-9
 _LOCK_NODES = 64
-_RESOLVED = 0.25
 
 
 def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
@@ -197,14 +192,15 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
 
     A q whose time-1 map certifies a lock (see _tables) gets r_hat = p/k
     exactly, its rotation number, and no table (nodes = stages = 0). Every
-    other q gets the finite-T average (x(T) - x0)/T. A tabled q takes steps
-    of 1/n, n = round(1/dt) (dt <= 1, so n >= 1), and n steps make one
-    period of g: its orbit is the time-1 map Phi_q applied floor(T) times,
-    each application the composition of its table's stage maps. The
-    fractional period f = T - floor(T) is integrated directly from t = 0
-    (g is 1-periodic in t) in round(f*n) steps, at least one. The other q
-    run the direct orbit, round(T/dt) RK4 steps, on the float kernel where
-    there is one such q.
+    other q gets the finite-T average (x(T) - x0)/T. A q takes steps of 1/n,
+    n = max(round(1/dt), ceil(1/_resolved_step(medium, 1, q M))) (M the
+    admitted bound of g; dt <= 1, so n >= 1): a tabled q's orbit is the
+    time-1 map Phi_q applied floor(T) times, each application the
+    composition of its table's stage maps. The fractional period
+    f = T - floor(T) is integrated directly from t = 0 (g is 1-periodic in
+    t) in round(f*n) steps, at least one. The other q run the direct orbit,
+    round(T/h) RK4 steps, h = dt where n = round(1/dt), else 1/n, on the
+    float kernel where one q of its n does.
     """
     if not 10 <= T < math.inf:
         raise ValidationError(f"T must be >= 10 and finite for a stable average, got {shown(T)}")
@@ -212,35 +208,40 @@ def _averages(medium: Medium, q: np.ndarray, x0: float, T: float, dt: float):
     if dt > 1.0:
         raise ValidationError(f"dt must be <= 1, the period of g, got {dt}")
     require_steps(T, dt)  # so 1/dt too, as T >= 10
-    fn, n, M = medium._fn, round(1.0 / dt), _admit(medium, 1).M
+    fn, M, n_dt, f = medium._fn, _admit(medium, 1).M, round(1.0 / dt), T - math.floor(T)
+    step = np.array([_resolved_step(medium, 1.0, s) for s in (q * M).tolist()])
+    require_steps(T, step.min())  # so 1/step too
+    per_period = np.maximum(n_dt, np.ceil(1.0 / step)).astype(int)
     x = np.full(q.shape, float(x0))
     nodes, stages = np.zeros(q.shape, dtype=int), np.zeros(q.shape, dtype=int)
     lock = np.zeros((q.size, 2), dtype=int)  # (p, k) of a certified lock
-    found: dict = {}  # (stages, modes): the (rows, coefficients) of that shape
-    for start in range(0, q.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        nodes[block], stages[block], lock[block], parts = _tables(fn, q[block], n, T, M)
-        for rows, c in parts:
-            found.setdefault(c.shape[:2], []).append((rows + start, c))
-    while found:  # the columns of c are independent, bit for bit
-        rows, c = zip(*found.popitem()[1])  # popped, so each part is freed once joined
-        rows, c = np.concatenate(rows), np.concatenate(c, axis=2)
-        x[rows] = _iterate(c, x[rows], math.floor(T))
+    for n in np.unique(per_period).tolist():
+        group, h = np.flatnonzero(per_period == n), dt if n == n_dt else 1.0 / n
+        found: dict = {}  # (stages, modes): the (rows, coefficients) of that shape
+        for start in range(0, group.size, _BLOCK):
+            block = group[start:start + _BLOCK]
+            nodes[block], stages[block], lock[block], parts = _tables(fn, q[block], n, T)
+            for rows, c in parts:
+                found.setdefault(c.shape[:2], []).append((block[rows], c))
+        while found:  # the columns of c are independent, bit for bit
+            rows, c = zip(*found.popitem()[1])  # popped, so each part is freed once joined
+            rows, c = np.concatenate(rows), np.concatenate(c, axis=2)
+            x[rows] = _iterate(c, x[rows], math.floor(T))
+        tabled = group[nodes[group] > 0]
+        direct = group[(nodes[group] == 0) & (lock[group, 1] == 0)]
+        if f and tabled.size:
+            x[tabled] = _rk4(fn, q[tabled], x[tabled], f, max(1, round(f * n)))
+        if direct.size == 1:
+            x[direct] = _rk4(medium._float_fn, float(q[direct[0]]), x0, float(T), round(T / h))
+        elif direct.size:
+            x[direct] = _rk4(fn, q[direct], x[direct], float(T), round(T / h))
     p, k = lock.T
-    tabled, direct, f = nodes > 0, (nodes == 0) & (k == 0), T - math.floor(T)
-    if f and tabled.any():
-        x[tabled] = _rk4(fn, q[tabled], x[tabled], f, max(1, round(f * n)))
-    if direct.sum() == 1:
-        i = direct.argmax()
-        x[i] = _rk4(medium._float_fn, float(q[i]), x0, float(T), round(T / dt))
-    elif direct.any():
-        x[direct] = _rk4(fn, q[direct], x[direct], float(T), round(T / dt))
     r_hat = (x - x0) / T
     r_hat[k > 0] = p[k > 0] / k[k > 0]
     return r_hat, nodes, stages, k
 
 
-def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
+def _tables(fn, q: np.ndarray, n: int, T: float):
     """The node count N and stage count S per q (0 where no table resolved
     it), the certified lock (p, k) per q ((0, 0) where none), and the
     resolved rows of q in parts (rows, c): c[s] holds one column per row,
@@ -268,7 +269,7 @@ def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
     it would have without them, and a row that never splits keeps the bits
     of a single-stage table.
     """
-    budget, resolved = _BUDGET * T, q * M / n <= _RESOLVED
+    budget = _BUDGET * T
 
     def stage_tables(rows, bounds, x):  # (stage, row, point): each stage map minus x
         return np.stack([_rk4(fn, q[rows, None], x, (b1 - b) / n, b1 - b, t0=b / n) - x
@@ -276,7 +277,6 @@ def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
 
     def certify(rows, k, images):  # lock the rows whose images Phi^k(P) show p/k
         p, ok = _lock_test(images, P)
-        ok &= resolved[rows]
         p = p[ok].astype(int)
         d = np.gcd(p, k)
         lock[rows[ok]] = np.stack([p // d, k // d], axis=1)
@@ -291,7 +291,7 @@ def _tables(fn, q: np.ndarray, n: int, T: float, M: float):
     D = stage_tables(rows, [0, n], P)[0]
     first = P + D  # Phi_q(P), where every later lock test starts
     free = ~certify(rows, 1, first)
-    tested = ~resolved  # rows past their lock tests
+    tested = np.zeros(q.size, dtype=bool)  # rows past their lock tests
     # rows of one history: its stage cuts, nodes, tables, witness values and
     # errors of the table before, and the periods its doublings did not spend
     groups = [(rows[free], [0, n], N, D[None, free, :N], D[free, N:], np.inf,
@@ -468,13 +468,13 @@ def _clipped(fn, q: float, r: float, eps: float, side: Side, T: float,
 
 
 def _flatness(fn, q: float, r: float, side: Side, steps: dict,
-              thresholds: dict) -> tuple[bool, dict, int]:
-    """Whether r holds on `side`: one clipped run of Y (eps = 1), whose
-    flatness at eps is e times its phi after steps[e] steps, for every eps
-    below its threshold. Returns that verdict, the flatness of each eps read
-    before the run stopped (all of them where r holds) and the steps taken."""
+              thresholds: dict, per_eps: int) -> tuple[bool, dict, int]:
+    """Whether r holds on `side`: one clipped run of Y (eps = 1, steps of
+    1/per_eps), whose flatness at eps is e times its phi after steps[e] steps,
+    for every eps below its threshold. Returns that verdict, the flatness of
+    each eps read before the run stopped (all where r holds), the steps taken."""
     K = max(steps.values())
-    read, taken = _clipped(fn, q, r, 1.0, side, K / 20.0, K,
+    read, taken = _clipped(fn, q, r, 1.0, side, K / per_eps, K,
                            [(steps[e], e, thresholds[e]) for e in steps])
     flatness = {e: e * read[k] for e, k in steps.items() if k in read}
     holds = len(flatness) == len(steps) and all(
@@ -489,16 +489,22 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
 
     Super side: y_{k+1} = max(y_k + dt*q*g^eps(y_k, t_k), r*t_{k+1}), with
     detachment phi = running max of (y - r*t); Sub side symmetric with min
-    and r*t - z. The step must resolve the oscillation: dt <= eps/10.
+    and r*t - z. The step must resolve the oscillation: dt <= eps/10 and
+    dt <= _resolved_step(medium, eps, q M), M the admitted bound of g; by
+    default dt is the smaller of eps/20 and that step.
     """
-    _admit(medium, 1)
+    M = _admit(medium, 1).M
     require_positive(q=q, r=r, eps=eps, T=T)
     if not isinstance(side, Side):
         raise ValidationError(f"side must be a Side, got {side!r}")
+    step = _resolved_step(medium, eps, q * M)
     if dt is None:
-        dt = eps / 20.0
+        dt = min(eps / 20.0, step)
     if not 0 < dt <= eps / 10.0 + 1e-15:
         raise ValidationError(f"dt must satisfy 0 < dt <= eps/10, got {shown(dt)}")
+    if not dt <= step:
+        raise ValidationError(f"dt must be <= {shown(step)}, which moves the front a quarter "
+                              f"period of g per step, got {shown(dt)}")
     require_steps(T, dt)
     steps = max(1, round(T / dt))
     positions = np.empty(steps + 1)
@@ -600,11 +606,12 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     r holds on a side when its clipped front's flatness stays below eps^beta
     for every eps: r_lower is the sup of the Sub-side (nonincreasing)
     predicate from m*q, r_upper the inf of the Super-side (nondecreasing) one
-    from M*q; bracket failures raise instead of clamping. At the step eps/20
-    the clipped front at scale eps is eps*Y(t/eps) for Y at eps = 1, so each
-    (r, side) costs one run of Y, read at each eps after
-    K_eps = max(1, round(20*T/eps)) steps: at T when 20*T/eps is an integer,
-    else at K_eps*eps/20, within eps/40 of T. The run stores no trace: it
+    from M*q; bracket failures raise instead of clamping. At the step eps/S,
+    S = max(20, ceil(1/_resolved_step(medium, 1, M q))), the clipped front
+    at scale eps is eps*Y(t/eps) for Y at eps = 1, so each (r, side) costs
+    one run of Y, read at each eps after K_eps = max(1, round(S*T/eps))
+    steps: at T when S*T/eps is an integer, else at K_eps*eps/S, within
+    eps/(2S) of T. The run stores no trace: it
     reads phi at the K_eps alone, and it stops at the first step where an
     eps whose read-out is still ahead must fail (phi is a running maximum),
     skipping the finiteness checks of the steps it no longer takes; a run
@@ -618,15 +625,18 @@ def homogenized_candidates(medium: Medium, q: float, beta: float = 0.9,
     if not 0.8 < beta < 1.0:
         raise ValidationError(f"beta must lie in (4/5, 1), got {shown(beta)}")
     eps_list = _eps_list(eps_list, at_least=1)
-    require_steps(T, min(eps_list) / 20.0)
     bounds = estimate_bounds(medium, resolution=_RESOLUTION)
-    steps = {e: max(1, round(T / (e / 20.0))) for e in eps_list}
+    step = _resolved_step(medium, 1.0, bounds.M * q)
+    require_steps(1.0, step)  # one period of g, so 1/step is finite
+    per_eps = max(20, math.ceil(1.0 / step))
+    require_steps(T, min(eps_list) / per_eps)
+    steps = {e: max(1, round(T / (e / per_eps))) for e in eps_list}
     thresholds = {e: e ** beta for e in eps_list}
     runs: dict = {}  # (r, side): (holds, flatness, steps taken), in test order
 
     def holds(r: float, side: Side) -> bool:
         if (r, side) not in runs:
-            runs[r, side] = _flatness(medium._float_fn, q, r, side, steps, thresholds)
+            runs[r, side] = _flatness(medium._float_fn, q, r, side, steps, thresholds, per_eps)
         return runs[r, side][0]
 
     diagnostics: dict = {"beta": beta, "eps_list": eps_list}
@@ -653,14 +663,15 @@ def velocity_curve(medium: Medium, q_min: float, q_max: float, samples: int,
     """Effective velocities over a q-grid from the time-1 map kernel, with
     the table size per q in nodes and each certified lock's denominator k:
     a locked row reports its rotation number p/k exactly, any other row the
-    finite-T average. A table and a lock test are computed row by row. A
-    lone q with neither runs its direct orbit on the float kernel, as
-    effective_velocity does; two or more share one through the NumPy kernel,
-    so on the builtins each entry equals effective_velocity(medium, q, T,
-    x0, dt).r_hat to the bit (tested), given this same dt: the defaults
-    differ (0.02 here, 0.01 there); otherwise the direct orbit agrees to
-    rounding, as an array and a float may round an operation differently
-    (x^2.0 is x*x on arrays, libm pow on floats)."""
+    finite-T average. error_bound = 1/T counts that average only, not the
+    RK4 step: pinning at q = 50 and T = 200 is 0.0148 off under the step
+    rule of _averages. Tables and lock tests go row by row. A lone q with
+    neither runs its direct orbit on the float kernel, as effective_velocity
+    does; two or more share one through the NumPy kernel, so on the builtins
+    each entry equals effective_velocity(medium, q, T, x0, dt).r_hat to the
+    bit (tested), given this same dt (the defaults differ); otherwise the
+    direct orbit agrees to rounding, as an array and a float may round an
+    operation differently (x^2.0 is x*x on arrays, libm pow on floats)."""
     _admit(medium, 1)
     require_positive(qmin=q_min, qmax=q_max)
     require_finite(x0=x0)

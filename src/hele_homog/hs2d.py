@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (NumericalError, ValidationError, _eps_list, require_finite,
                      require_integer, require_positive, require_vector, shown)
-from .medium import Medium, _admit, eval_scaled
+from .medium import _THETA, Medium, _admit, _resolved_step, eval_scaled
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,12 @@ class SimConfig:
 
     The step is the CFL policy dt = cfl * spacing / peak, peak = M * max
     slope being the speed bound (M the medium's maximum sampled by the model
-    contract), capped by dt when given and so that eps stays resolved:
-    where g uses x, dt * peak <= eps/4 (no step crosses more than a quarter
-    period of g in x); where g uses t, dt <= eps/4. spacing grows with the
-    front, so these are caps, not refusals. Where g uses y, the grid must
-    resolve it: dy <= eps/4, else ValidationError. T must exceed 1e-12, the
-    tolerance within which simulate stops, so every run takes a step.
+    contract), capped by dt when given and by medium._resolved_step at peak,
+    so no step moves the front more than a quarter period of g in x or t.
+    spacing grows with the front, so these are caps, not refusals. Where g
+    uses y, the grid must resolve it: dy <= eps/4, else ValidationError. T
+    must exceed 1e-12, the tolerance within which simulate stops, so every
+    run takes a step.
     """
 
     domain: StripDomain
@@ -152,7 +152,7 @@ class SimConfig:
                 "initial front must stay 2 grid cells inside the strip"
             )
         cells = self.eps / self.domain.dy
-        if "x2" in self.medium._variables and cells < 4:
+        if "x2" in self.medium._variables and cells < 1 / _THETA:
             raise ValidationError(f"resolution check failure: eps={self.eps} has "
                                   f"{cells:.2f} cells per period in y (need >= 4)")
 
@@ -457,25 +457,14 @@ def _require_finite_g(finite: bool, t: float) -> None:
 def _step_size(config: SimConfig, t: float, h_min: float, slope_max: float,
                dt_cap: Optional[float]) -> float:
     """The step at time t from the front's lowest height and largest slope:
-    the CFL policy cfl * spacing / peak (see SimConfig), capped by
-    config.dt, dt_cap and the eps caps, eps/4 on dt * peak where g uses x
-    and eps/4 on dt where g uses t. A cap that does not bind leaves the bits
-    of the CFL step."""
+    the CFL policy cfl * spacing / peak (see SimConfig), capped by config.dt,
+    dt_cap and _resolved_step; a cap that does not bind leaves its bits."""
     spacing = min(h_min / config.domain.nx, config.domain.dy)
     peak = _admit(config.medium, 2).M * slope_max
     if not peak > 0:
-        raise NumericalError(
-            f"front slope estimate vanished at t={t:.6g}; cannot set a step")
-    dt = config.cfl * spacing / peak
-    used, quarter = config.medium._variables, config.eps / 4.0
-    if "x1" in used:
-        dt = min(dt, quarter / peak)
-    if "t" in used:
-        dt = min(dt, quarter)
-    if config.dt is not None:
-        dt = min(dt, config.dt)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
+        raise NumericalError(f"front slope estimate vanished at t={t:.6g}; cannot set a step")
+    dt = min(config.cfl * spacing / peak, _resolved_step(config.medium, config.eps, peak),
+             *(cap for cap in (config.dt, dt_cap) if cap is not None))
     if not dt > 0:
         raise NumericalError(f"step size collapsed to {dt} at t={t:.6g}")
     return dt
@@ -746,16 +735,16 @@ class HausdorffReport:
 
 
 def convergence_study(config: SimConfig, eps_list: Sequence[float]) -> HausdorffReport:
-    """Re-run the same data per eps and compare space-time fronts pairwise."""
+    """Re-run the same data per eps and compare space-time fronts pairwise.
+    Each entry of eps_list replaces config.eps, which no run uses; SimConfig
+    still checks it, so a caller whose medium uses y builds config at
+    eps_list[0], as the CLI does. Each run's dt is capped at eps/8."""
     eps_list = _eps_list(eps_list, at_least=3)
     for e in eps_list:
-        cells_y = e / config.domain.dy
-        cells_x = e / config.domain.dx_ref
-        if cells_y < 4 or cells_x < 4:
-            raise ValidationError(
-                f"resolution check failure: eps={e} has {cells_y:.2f} cells per "
-                f"period in y and {cells_x:.2f} in x (need >= 4)"
-            )
+        cells_y, cells_x = e / config.domain.dy, e / config.domain.dx_ref
+        if min(cells_y, cells_x) < 1 / _THETA:
+            raise ValidationError(f"resolution check failure: eps={e} has {cells_y:.2f} cells "
+                                  f"per period in y and {cells_x:.2f} in x (need >= 4)")
 
     histories = []
     for e in eps_list:

@@ -381,6 +381,18 @@ def _admit(g: Medium, dim: int) -> MediumBounds:
     return g._admitted
 
 
+_THETA = 0.25  # the share of a period of g that one explicit step may move the front
+
+
+def _resolved_step(g: Medium, eps: float, speed: float) -> float:
+    """The step rule of every explicit stepper: the largest step that moves a
+    front of speed at most `speed` by at most _THETA of a period of
+    g(x/eps, t/eps) in x1 and in t, each where g uses it (inf where neither)."""
+    used = g._variables
+    return min(_THETA * eps / speed if "x1" in used else math.inf,
+               _THETA * eps if "t" in used else math.inf)
+
+
 def parse_medium(src: str, dim: int) -> Medium:
     """Parse an expression over x1..x{dim}, t into a Medium."""
     require_integer(1, dim=dim)

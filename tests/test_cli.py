@@ -294,6 +294,26 @@ class TestRqCurve:
         assert "<polyline" in svg
         assert ">q</text>" in svg and ">r_hat</text>" in svg
 
+    def test_fast_front_is_resolved(self):
+        # pinning at q = 50 (exact r 70.649): at 50 steps per period a step
+        # moved the front 2 periods and r_hat read 84.373; at ceil(4 q M)
+        # steps per period it reads 70.634
+        code, out, _ = run_cli(["rq", "curve", "--medium", "builtin:pinning", "--qmin", "10",
+                                "--qmax", "50", "--samples", "2", "--T", "200"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[1, 0] == 50.0 and abs(rows[1, 1] - 70.649) <= 1e-3 * 70.649
+
+    def test_one_step_per_period_is_resolved(self):
+        # static_sin (exact r = sqrt(2) q) at --dt 1: every row within its err,
+        # where one step per period read 1.9875 at q = 1 and 2.0 at q = 2
+        code, out, _ = run_cli(["rq", "curve", "--medium", "builtin:static_sin", "--qmin", "0.5",
+                                "--qmax", "2", "--samples", "4", "--T", "200", "--dt", "1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows.shape == (4, 3)
+        assert np.all(np.abs(rows[:, 1] - math.sqrt(2) * rows[:, 0]) <= rows[:, 2])
+
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(self.ARGS + ["--jobs", "1", "--out", str(a)])[0] == 0
@@ -391,6 +411,16 @@ class TestRqObstacle:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "47d49a9b050bf48dd6fbfb5e936ccdf913f53f694240e6f6a0bdf9b22e5f325a")
 
+    def test_a_step_past_a_quarter_period_exits_one(self):
+        # pinning (M = 2) at q = 2: dt = eps/10 would move the front 0.4 of
+        # a period per step
+        code, out, err = run_cli(
+            ["rq", "obstacle", "--medium", "builtin:pinning", "--q", "2", "--r", "1",
+             "--eps", "0.1", "--side", "super", "--T", "1", "--dt", "0.01"])
+        assert (code, out) == (1, "")
+        assert err == ("error: dt must be <= 0.00625, which moves the front a quarter "
+                       "period of g per step, got 0.01\n")
+
     def test_sub_side_runs(self):
         code, out, _ = run_cli(
             ["rq", "obstacle", "--medium", "builtin:pinning", "--q", "1.0",
@@ -444,6 +474,15 @@ class TestRqCandidates:
     def test_readme_example_frozen(self):
         code, out, _ = run_cli(["rq", "candidates", "--medium", "builtin:pinning", "--q", "0.75"])
         assert (code, out) == (0, "r_lower = 1.0074462890625\nr_upper = 0.9906005859375\n")
+
+    def test_fast_front_is_resolved(self):
+        # pinning at q = 20 (exact r 28.2213): a clipped step of eps/20 moved
+        # the front 2 periods and the candidates read 21.008 and 33.75
+        code, out, _ = run_cli(["rq", "candidates", "--medium", "builtin:pinning", "--q", "20"])
+        assert code == 0
+        match = re.fullmatch(r"r_lower = (\S+)\nr_upper = (\S+)\n", out)
+        for value in match.groups():
+            assert abs(float(value) - 28.2213) <= 0.01 * 28.2213
 
     def test_nan_medium_exits_one(self):
         with np.errstate(invalid="ignore"):

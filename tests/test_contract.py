@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hele_homog
 from hele_homog import (
@@ -36,6 +38,7 @@ from hele_homog import (
     check_superbarrier,
     cone_geometry,
     effective_velocity,
+    estimate_bounds,
     expanding_barrier,
     harmonic_mean_oracle,
     hausdorff,
@@ -45,10 +48,11 @@ from hele_homog import (
     traveling_wave_oracle,
     velocity_curve,
 )
+from hele_homog import homog1d, hs2d
 from hele_homog import medium as medium_module
 from hele_homog.errors import (require_finite, require_integer, require_nonnegative,
                                require_positive, require_steps, require_vector, shown)
-from hele_homog.medium import _admit
+from hele_homog.medium import BUILTIN_MEDIA, _admit
 
 # g has period 2 in x; its twin with 2*pi has period 1
 NON_PERIODIC, PERIODIC = "2 + sin(pi*x)", "2 + sin(2*pi*x)"
@@ -429,3 +433,72 @@ class TestStepCountRule:
                 warnings.simplefilter("error")
                 with pytest.raises(ValidationError, match="^T/dt must be at most 2"):
                     require_steps(T, dt)
+
+
+class _Stop(Exception):
+    """Ends a spied run once its step is recorded."""
+
+
+class TestOneStepRule:
+    """Every explicit stepper takes medium._resolved_step: no step moves the
+    front more than _THETA = 1/4 of a period of g in x (speed bound times
+    step) or in t (the step), in 1D and in 2D."""
+
+    THETA = medium_module._THETA
+    MEDIA_1D = ("pinning", "antipinning", "two_wave", "static_sin")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(MEDIA_1D),
+           q=st.floats(0.01, 100.0, exclude_min=True, exclude_max=True),
+           dt=st.floats(1e-3, 1.0, exclude_min=True))
+    def test_1d_steppers(self, name, q, dt):
+        g, ulp = builtin_medium(name), 1.0 + 1e-12
+        used, M = g._variables, _admit(g, 1).M
+        periods, clipped, original = [], [], homog1d._tables
+
+        def tables(fn, rows, n, *args):
+            periods.append(n)
+            return original(fn, rows, n, *args)
+
+        def stop(*args, **kwargs):
+            clipped.append(args[3:7])  # eps, side, T, steps
+            raise _Stop
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homog1d, "_tables", tables)
+            mp.setattr(homog1d, "_clipped", stop)
+            effective_velocity(g, q, T=10.0, dt=dt)
+            for call in (lambda: homogenized_candidates(g, q),
+                         lambda: obstacle_front(g, q, q, 0.05, Side.SUB)):
+                with pytest.raises(_Stop):
+                    call()
+        # the RK4 rows: n steps per period, at least round(1/dt)
+        (n,) = periods
+        assert n >= round(1.0 / dt) and q * M / n <= self.THETA * ulp
+        assert "t" not in used or n >= 4
+        # the candidates' clipped run at eps = 1 (M at resolution 80), and
+        # obstacle_front's default step at eps = 0.05 (rounded to T/steps)
+        (_, _, T, K), (_, _, T_o, K_o) = clipped
+        for step, speed, eps, slack in ((T / K, q * estimate_bounds(g, 80).M, 1.0, 1.0),
+                                        (T_o / K_o, q * M, 0.05, 1.0 + 0.5 / K_o)):
+            assert step <= eps / 20.0 * slack * ulp
+            assert "x1" not in used or step * speed <= self.THETA * eps * slack * ulp
+            assert "t" not in used or step <= self.THETA * eps * slack * ulp
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(MEDIA_1D), psi0=st.floats(0.1, 100.0),
+           eps=st.floats(1e-3, 1.0), curved=st.booleans())
+    def test_2d_step_size(self, name, psi0, eps, curved):
+        # the builtins read as 2D media that do not use y; a flat front
+        # takes the one-height step, a curved one _advance
+        g = parse_medium(BUILTIN_MEDIA[name][0], 2)
+        domain = StripDomain(2.0, 1.0, 16, 8)
+        h0 = 1.0 + 0.1 * np.cos(2.0 * np.pi * domain.y_nodes) if curved else 1.0
+        config = SimConfig(domain=domain, medium=g, eps=eps, psi0=psi0, T=1.0, h0=h0)
+        state = config.initial_front()
+        _, slope, _ = hs2d._velocity(config, state.heights, 0.0)
+        step = hs2d._advance if curved else hs2d._one_height_step
+        dt = step(state, config)[1]["dt"]
+        peak = _admit(g, 2).M * float(slope.max())
+        assert "x1" not in g._variables or dt * peak <= self.THETA * eps
+        assert "t" not in g._variables or dt <= self.THETA * eps

@@ -274,6 +274,25 @@ class TestObstacleFront:
         with pytest.raises(ValidationError):
             obstacle_front(g, q=1.0, r=0.5, eps=0.1, side=Side.SUPER, dt=0.02)
 
+    def test_a_fast_front_steps_a_quarter_period(self):
+        # pinning (M = 2) at q = 4 and eps = 0.1: eps/20 would move the front
+        # q M eps/20 = 0.4 eps per step, so the default step is the rule's
+        # 0.25 eps/(q M) = 0.003125, and a dt above it is refused even where
+        # it passes eps/10
+        g = builtin_medium("pinning")
+        front, _ = obstacle_front(g, q=4.0, r=1.0, eps=0.1, side=Side.SUPER)
+        assert front.trace.dt == 0.003125
+        with pytest.raises(ValidationError, match=r"^dt must be <= 0\.003125, which moves the "
+                                                  r"front a quarter period of g per step, "
+                                                  r"got 0\.005$"):
+            obstacle_front(g, q=4.0, r=1.0, eps=0.1, side=Side.SUPER, dt=0.005)
+        # a dt past eps/10 keeps the message it had
+        with pytest.raises(ValidationError, match=r"^dt must satisfy 0 < dt <= eps/10, got 0\.02$"):
+            obstacle_front(g, q=4.0, r=1.0, eps=0.1, side=Side.SUPER, dt=0.02)
+        # at q = 1 eps/20 moves the front 0.1 eps, and stays the default
+        front, _ = obstacle_front(g, q=1.0, r=1.0, eps=0.1, side=Side.SUPER)
+        assert front.trace.dt == 0.005
+
     def test_side_must_be_a_side(self):
         g = parse_medium("1", 1)
         with pytest.raises(ValidationError, match="^side must be a Side, got 'sub'$"):
@@ -401,6 +420,19 @@ class TestCandidates:
         assert tuple(_sha256([*d["flatness"].values(), *d["bracket"]])
                      for d in (rep.diagnostics["sub"], rep.diagnostics["super"])) == (sub, sup)
 
+    @pytest.mark.parametrize("q", [5.0, 20.0])
+    def test_fast_fronts_take_finer_clipped_steps(self, q):
+        # pinning at q M > 5: a clipped step of eps/20 moved the front up to
+        # q M/20 of a period, and the candidates were 3.4% (q = 5) and 26%
+        # (q = 20) off the exact r. At S = ceil(4 q M) steps per unit eps
+        # both are within 1% of it
+        g = builtin_medium("pinning")
+        exact = traveling_wave_oracle(g, 1, q)
+        rep = homogenized_candidates(g, q=q)
+        assert rep.diagnostics["sub"]["runs"][0][2] == round(math.ceil(4 * q * 2.0) / 0.005)
+        for r in rep:
+            assert abs(r - exact) <= 0.01 * exact
+
     @pytest.mark.parametrize("name, q", [("pinning", 0.75), ("two_wave", 1.0)])
     def test_scaled_run_matches_obstacle_front(self, name, q):
         # one eps = 1 run read at K_eps steps is the clipped front at each
@@ -515,7 +547,7 @@ def _assert_matches_reference(fn, q, r, side, steps, thresholds):
     """_flatness gives the stored-trace verdict, stops at the first step
     where some eps must fail, and reports each read-out it reached."""
     holds, flatness, stop = _reference_run(fn, q, r, side, steps, thresholds)
-    got, read, taken = _flatness(fn, q, r, side, steps, thresholds)
+    got, read, taken = _flatness(fn, q, r, side, steps, thresholds, 20)
     assert (got, taken) == (holds, stop)
     assert read == {e: flatness[e] for e, k in steps.items() if k < taken or holds}
     return holds
@@ -550,7 +582,7 @@ class TestStoppingRun:
         _, flatness, _ = _reference_run(fn, 1.0, r, side, steps, {0.05: 1.0, 0.01: 1.0})
         at = {0.05: 1.0, 0.01: flatness[0.01]}
         assert not _assert_matches_reference(fn, 1.0, r, side, steps, at)
-        assert _flatness(fn, 1.0, r, side, steps, at)[2] == 2000
+        assert _flatness(fn, 1.0, r, side, steps, at, 20)[2] == 2000
         above = {0.05: 1.0, 0.01: math.nextafter(flatness[0.01], math.inf)}
         assert _assert_matches_reference(fn, 1.0, r, side, steps, above)
 
@@ -923,23 +955,24 @@ class TestTimeOneMap:
         x_end = _rk4(fn, q, _rk4(fn, q, np.zeros(3), 60.0, 3000), 0.6, 30)
         assert np.abs(curve.r_hat - x_end / 60.6).max() <= 1e-8
 
-    def test_unresolved_rows_take_the_direct_orbit(self):
+    def test_fast_rows_take_finer_steps(self):
         # the locked wave G = 1.02 + sin(2 pi y), c = 1: the front waits where
         # q G ~ 1, and r = 1 for every q >= 1/2.02. At q = 1, 1.25 and 1.5
-        # the first table's points certify that lock. At q = 2.5 and 3
-        # one RK4 step of 0.05 may move the front by q M dt > 1/4 (M = 2.02),
-        # so no lock is sought; no table within the budget resolves the map,
-        # and they run the direct orbit, bit for bit
+        # the first table's points certify that lock at dt = 0.05. At q = 2.5
+        # and 2.55 a step of 0.05 would move the front by q M dt > 1/4
+        # (M = 2.02), so both take ceil(4 q M) = 21 steps per period, and
+        # their maps at that step certify the lock too
         g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
         assert traveling_wave_oracle(g, 1, 1.2) == 1.0
         curve = velocity_curve(g, 1.0, 1.5, 3, T=100.0, dt=0.05)
         assert curve.locked.tolist() == [1, 1, 1] and curve.r_hat.tolist() == [1.0] * 3
         _assert_locks_certified(g, curve, 20)
         _assert_map_matches(curve, _direct(g, curve.q, 100.0, 20), 1e-8)
-        curve = velocity_curve(g, 2.5, 3.0, 2, T=100.0, dt=0.05)
-        assert curve.nodes.tolist() == [0, 0] and curve.locked.tolist() == [0, 0]
-        _assert_map_matches(curve, _direct(g, curve.q, 100.0, 20), 1e-8)
-        assert np.all(np.abs(curve.r_hat - 1.0) <= 1.0 / 100.0)
+        curve = velocity_curve(g, 2.5, 2.55, 2, T=100.0, dt=0.05)
+        assert np.all(curve.q * homog1d._admit(g, 1).M * 0.05 > 0.25)
+        assert curve.locked.tolist() == [1, 1] and curve.r_hat.tolist() == [1.0, 1.0]
+        _assert_locks_certified(g, curve, 21)
+        _assert_map_matches(curve, _direct(g, curve.q, 100.0, 21), 1e-8)
 
     def test_a_lone_direct_row_runs_on_the_float_kernel(self, monkeypatch):
         # two_wave, 91 q at T = 150: q = 0.97 alone gets neither a table nor
@@ -1083,7 +1116,8 @@ class TestTimeOneMap:
         # nodes and stages frozen from then. The 41 q on the plateau now lock
         # at r = 1/2; the other 23 keep tables of 256 and 1024 nodes, and
         # their digests were taken from the tables that preceded the lock
-        # test. With no lock sought, every row keeps the frozen bits
+        # test. With a lock test that certifies nothing, every row keeps the
+        # frozen bits
         g = builtin_medium("two_wave")
         curve = velocity_curve(g, 0.7, 0.9, 64, T=1500.0)
         free = curve.locked == 0
@@ -1094,7 +1128,9 @@ class TestTimeOneMap:
             "d2c78ccad0b7ccf15b8b1c26d6992fee009af1a26ea1b2db0a9f6b975be99fad")
         assert np.all(curve.r_hat[~free] == 0.5)
         _assert_locks_certified(g, curve, 50)
-        monkeypatch.setattr(homog1d, "_RESOLVED", 0.0)
+        monkeypatch.setattr(homog1d, "_lock_test",
+                            lambda images, P: (np.zeros(len(images)),
+                                               np.zeros(len(images), dtype=bool)))
         curve = velocity_curve(g, 0.7, 0.9, 64, T=1500.0)
         assert not np.any(curve.locked)
         assert tuple(_sha256(a) for a in (curve.r_hat, curve.nodes, curve.stages)) == (
@@ -1136,8 +1172,7 @@ class TestTimeOneMap:
         # the witness check against the whole period, in reverse they miss
         # it. At q = 0.6, on the plateau, Phi^2 certifies r = 1/2 instead
         g, n = builtin_medium("two_wave"), 50
-        nodes, stages, lock, parts = homog1d._tables(g._fn, np.array([0.6, 0.85]), n, 200.0,
-                                                     homog1d._admit(g, 1).M)
+        nodes, stages, lock, parts = homog1d._tables(g._fn, np.array([0.6, 0.85]), n, 200.0)
         assert lock.tolist() == [[1, 2], [0, 0]] and (nodes[0], stages[0]) == (0, 0)
         assert stages[1] > 1
         ((rows, c),) = parts
@@ -1155,8 +1190,7 @@ class TestTimeOneMap:
         # full-period RK4 map at the witnesses, 2.98e-8 on 1000 points
         g, n = builtin_medium("two_wave"), 50
         q = np.linspace(0.45, 2.0, 400)[100:101]
-        nodes, stages, lock, ((rows, c),) = homog1d._tables(g._fn, q, n, 200.0,
-                                                            homog1d._admit(g, 1).M)
+        nodes, stages, lock, ((rows, c),) = homog1d._tables(g._fn, q, n, 200.0)
         assert (nodes[0], stages[0], lock[0, 1]) == (256, 2, 0)
         x = np.arange(1000) / 1000.0
         exact = _rk4(g._fn, q[:, None], x, 1.0, n)[0]
@@ -1200,20 +1234,21 @@ class TestModeLocking:
         for grid in ((0.45, 2.0, 400), (0.5, 1.5, 50)):
             assert not np.any(_bench_curve(name, *grid).locked)
 
-    def test_an_unresolved_row_never_locks(self):
+    def test_a_fast_row_locks_at_its_own_steps(self):
         # the locked wave 1.02 + sin(2 pi (x - t)) has r = 1 for every
-        # q >= 1/2.02, and M = 2.02. At dt = 0.05 an RK4 step moves the front
-        # by at most q M dt: 0.247 of a period at q = 2.45, which locks, and
-        # 0.2525 > 1/4 at q = 2.5, which does not and runs the direct orbit
+        # q >= 1/2.02, and M = 2.02. At dt = 0.05 an RK4 step would move the
+        # front by q M dt: 0.247 of a period at q = 2.45, which takes dt, and
+        # 0.2525 > 1/4 at q = 2.5, which takes 21 steps per period instead;
+        # both lock at r = 1 exactly
         g = parse_medium("1.02 + sin(2*pi*(x - t))", 1)
         assert homog1d._admit(g, 1).M == pytest.approx(2.02, abs=1e-12)
-        est = effective_velocity(g, 2.45, T=100.0, dt=0.05)
-        assert (est.locked, est.r_hat) == (1, 1.0)
-        est = effective_velocity(g, 2.5, T=100.0, dt=0.05)
-        assert (est.locked, est.nodes) == (0, 0) and est.r_hat != 1.0
-        # pinning on its plateau at steps of 1/2: q M dt = 0.75
+        for q in (2.45, 2.5):
+            est = effective_velocity(g, q, T=100.0, dt=0.05)
+            assert (est.locked, est.nodes, est.r_hat) == (1, 0, 1.0)
+        # pinning on its plateau at dt = 1/2 (q M dt = 0.75) takes 6 steps
+        # per period, and locks at r = 1 too
         est = effective_velocity(builtin_medium("pinning"), 0.75, T=100.0, dt=0.5)
-        assert est.locked == 0 and est.nodes > 0
+        assert (est.locked, est.r_hat) == (1, 1.0)
 
     def test_a_map_that_breaks_the_sampled_order_never_locks(self):
         # three maps of the first table's 29 points that straddle x + 1: a

@@ -659,6 +659,21 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError, match="> 0"):
             convergence_study(self.smoke_config(), [0.8, 0.4, -0.1])
 
+    def test_a_y_medium_builds_its_config_at_the_first_eps(self):
+        # each entry of eps_list replaces config.eps, which no run uses, but
+        # SimConfig still checks it: with a medium that uses y, a config
+        # built at a placeholder eps of 0.1 (1.6 cells of dy per period) is
+        # refused, and one built at eps_list[0], as the CLI builds it, runs
+        dom = StripDomain(Lx=1.0, Ly=1.0, nx=16, ny=16)
+        g = parse_medium("1 + 0.5*sin(2*pi*x)^2*cos(2*pi*y)^2", 2)
+        eps_list = [0.5, 0.35, 0.25]
+        with pytest.raises(ValidationError, match="cells per period in y"):
+            SimConfig(domain=dom, medium=g, eps=0.1, psi0=0.3, T=0.02, h0=0.5)
+        config = SimConfig(domain=dom, medium=g, eps=eps_list[0], psi0=0.3, T=0.02, h0=0.5)
+        report = convergence_study(config, eps_list)
+        assert report.eps_list == tuple(eps_list) and len(report.pairs) == 2
+        assert all(math.isfinite(s) and s > 0 for s in report.speeds)
+
     def test_rejects_unresolved_oscillations(self):
         # eps = 0.1 spans only 2 cells of dy = 0.05: oscillations unresolved
         with pytest.raises(ValidationError, match="resolution check"):
