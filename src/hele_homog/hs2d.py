@@ -463,8 +463,11 @@ def _step_size(config: SimConfig, t: float, h_min: float, slope_max: float,
     peak = _admit(config.medium, 2).M * slope_max
     if not peak > 0:
         raise NumericalError(f"front slope estimate vanished at t={t:.6g}; cannot set a step")
-    dt = min(config.cfl * spacing / peak, _resolved_step(config.medium, config.eps, peak),
-             *(cap for cap in (config.dt, dt_cap) if cap is not None))
+    dt = min(config.cfl * spacing / peak, _resolved_step(config.medium, config.eps, peak))
+    if config.dt is not None:
+        dt = min(dt, config.dt)
+    if dt_cap is not None:
+        dt = min(dt, dt_cap)
     if not dt > 0:
         raise NumericalError(f"step size collapsed to {dt} at t={t:.6g}")
     return dt
