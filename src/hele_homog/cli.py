@@ -25,14 +25,23 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _emit(text: str, path) -> None:
-    if not path:
-        sys.stdout.write(text)
-        return
+def _emit(*outputs) -> None:
+    """Write outputs given as text, path, ... (a None path is stdout). Files go
+    to temporaries beside their targets, renamed into place once all are written."""
+    pairs = list(zip(outputs[::2], outputs[1::2]))
+    files = [(text, path, f"{path}.{os.getpid()}.tmp") for text, path in pairs if path]
     try:
-        Path(path).write_text(text)
+        for text, path, temp in files:
+            if os.path.isdir(path):  # os.replace would fail, maybe after other renames
+                raise IsADirectoryError("Is a directory")
+            Path(temp).write_text(text)
+        for _, path, temp in files:
+            os.replace(temp, path)
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}")
+        for *_, temp in files:
+            Path(temp).unlink(missing_ok=True)
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}")
+    sys.stdout.write("".join(text for text, path in pairs if not path))
 
 
 def _csv(header: list[str], columns) -> str:
@@ -220,9 +229,8 @@ def _cmd_rq_curve(args) -> int:
     text = _csv(["q (gradient magnitude; dimensionless)",
                  "r_hat (front speed; length per unit time)",
                  "err (speed error bound 1/T; length per unit time)"], columns)
-    _emit(text, args.out)
-    if args.svg:
-        _emit(_svg_curve(curve.q, curve.r_hat, "q", "r_hat"), args.svg)
+    svg = (_svg_curve(curve.q, curve.r_hat, "q", "r_hat"), args.svg) if args.svg else ()
+    _emit(text, args.out, *svg)
     return 0
 
 
@@ -353,8 +361,7 @@ def _cmd_sim2d_run(args) -> int:
     points = history.spacetime_points(len(history.fronts))
     text = _csv(["t (time units)", "y (tangential position; length units)",
                  "h (front depth; length units)"], points.T)
-    _emit(text, args.out)
-    _emit(_json_text(summary), args.summary)
+    _emit(text, args.out, _json_text(summary), args.summary)
     return 0
 
 

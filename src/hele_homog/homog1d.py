@@ -491,7 +491,8 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     detachment phi = running max of (y - r*t); Sub side symmetric with min
     and r*t - z. The step must resolve the oscillation: dt <= eps/10 and
     dt <= _resolved_step(medium, eps, q M), M the admitted bound of g; by
-    default dt is the smaller of eps/20 and that step.
+    default dt is the smaller of eps/20 and that step. It takes n steps of
+    T/n, n = round(T/dt), or one more where T/n would exceed dt.
     """
     M = _admit(medium, 1).M
     require_positive(q=q, r=r, eps=eps, T=T)
@@ -507,6 +508,7 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
                               f"period of g per step, got {shown(dt)}")
     require_steps(T, dt)
     steps = max(1, round(T / dt))
+    steps += T / steps > dt * (1.0 + 1e-12)  # round went down past dt
     positions = np.empty(steps + 1)
     phis = np.empty(steps + 1)
     positions[0] = phis[0] = 0.0

@@ -10,25 +10,26 @@ taken in closed form and checked against the stencil like any solve; it
 depends on the domain and psi0 alone, so it is computed once per SimConfig,
 and a flat step pays only for its checks, g at the front and the rate. A
 flat front in a medium that does not use y is the 1D reduction for laminar
-media and stays flat, so simulate steps it as one Python-float height, with
-g evaluated at one point. A curved front's mapped 9-point pressure stencil
-is solved matrix-free by one run of the module's own restarted GMRES,
-right-preconditioned by the flat-front fast Poisson solve (four products
-with the grid's cached dense DST-I and real Fourier matrices), from the
-start that _curved_pressure chooses, on one padded flat grid with the
-coefficients folded once per step and workspaces of the solve's own. The
-step is the CFL step, capped so that eps stays resolved (see SimConfig). A
-step fails with NumericalError, naming t, when the front heights or g are
-not finite, when the front leaves the strip or its graph condition, when
-the solve does not converge to a relative residual of 1e-10, when u leaves
-[0, psi0] (the discrete maximum principle), or when no step size can be
-set. Iterations and residual are recorded per saved step.
+media and stays flat, so simulate takes its rate from one Python-float
+height, with g evaluated at one point. A curved front's mapped 9-point
+pressure stencil is solved matrix-free by one run of the module's own
+restarted GMRES, right-preconditioned by the flat-front fast Poisson solve
+(four products with the grid's cached dense DST-I and real Fourier
+matrices), from the start that _curved_pressure chooses, on one padded flat
+grid with the coefficients folded once per step and workspaces of the
+solve's own. The step is the CFL step, capped so that eps stays resolved
+(see SimConfig), and one function, _advance, sets it and moves the front by
+forward Euler over either rate kernel. A step fails with NumericalError,
+naming t, when the front heights or g are not finite, when the front leaves
+the strip or its graph condition, when the solve does not converge to a
+relative residual of 1e-10, when u leaves [0, psi0] (the discrete maximum
+principle), or when no step size can be set. Iterations and residual are
+recorded per saved step.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -180,8 +181,6 @@ _GMRES_RESTART, _GMRES_CYCLES = 30, 20  # at most 600 iterations
 _START_GRIDS = 6  # solved pressures that a curved solve's start extrapolates
 _MAX_PRINCIPLE_TOL = 1e-12
 _END_TOL = 1e-12  # simulate stops once t is this close to T
-# the per-step records that simulate keeps for each saved front
-_RECORDS = operator.itemgetter("u_min", "u_max", "iterations", "residual")
 _SLICES = 60  # space-time samples per history in convergence_study's distances
 
 
@@ -475,12 +474,11 @@ def _step_size(config: SimConfig, t: float, h_min: float, slope_max: float,
 
 def _velocity(config: SimConfig, h: np.ndarray, t: float,
               solved: Sequence[tuple[float, np.ndarray]] = ()
-              ) -> tuple[np.ndarray, np.ndarray, dict]:
+              ) -> tuple[np.ndarray, float, float, _Solve]:
     """The front's rate dh/dt = g^eps |Du| sqrt(1 + h'^2) under the heights h
-    at time t, as (rate, slope = |Du| sqrt(1 + h'^2), info); info holds the
-    pressure range, the solve's iterations and relative residual
-    |A u - b| / |b|, the pressure grid ("u") for later `solved` histories,
-    and min(h) ("h_min"), which _advance's step size reads.
+    at time t, as (rate, largest slope |Du| sqrt(1 + h'^2), lowest height,
+    solve): _advance's step size reads the slope and height, and simulate
+    records the _Solve and adds its u grid to later `solved` histories.
 
     In xt = x/h(y) the pressure equation becomes
       (1 + xt^2 h'^2) u_xtxt + h^2 u_yy - 2 xt h h' u_xty
@@ -498,13 +496,12 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     unit stretch is never multiplied (x * 1.0 is x, so the bits are those of
     the general formula). This flat branch serves the first step of a run
     whose medium uses y; a flat run in a medium without y takes
-    _one_height_step instead (see simulate). A curved
-    front takes h' and h'', and its 9-point operator is applied matrix-free
-    and solved by GMRES to |A u - b| <= 1e-12 |b| on its residual estimate,
-    from the start that _curved_pressure forms out of the `solved` history
-    (see there); the residual is then recomputed explicitly. NumericalError,
-    naming t, on every failure listed in the module docstring but the step
-    size's.
+    _one_height_velocity instead (see simulate). A curved front takes h' and
+    h'', and its 9-point operator is applied matrix-free and solved by GMRES
+    to |A u - b| <= 1e-12 |b| on its residual estimate, from the start that
+    _curved_pressure forms out of the `solved` history (see there); the
+    residual is then recomputed explicitly. NumericalError, naming t, on
+    every failure listed in the module docstring but the step size's.
     """
     domain = config.domain
     lo, hi = float(h.min()), float(h.max())
@@ -525,44 +522,36 @@ def _velocity(config: SimConfig, h: np.ndarray, t: float,
     _require_finite_g(np.isfinite(g).all(), t)
     # dh/dt = |Du| sqrt(1 + h_y^2); a flat front's stretch is 1 and not multiplied
     slope = solve.uxt / h if stretch is None else solve.uxt * stretch / h * stretch
-    info = {"u_min": solve.u_min, "u_max": solve.u_max, "iterations": solve.iterations,
-            "residual": solve.residual, "u": solve.u, "h_min": lo}
-    return g * slope, slope, info
+    return g * slope, float(slope.max()), lo, solve
 
 
-def _advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
-             solved: Sequence[tuple[float, np.ndarray]] = ()) -> tuple[FrontGraph, dict]:
-    """One forward Euler step h + dt * rate from `state`, the rate from
-    _velocity (its solve started from the `solved` history) and dt from
-    _step_size, capped by dt_cap too; info is _velocity's plus dt."""
-    h = np.asarray(state.heights, dtype=float)
-    rate, slope, info = _velocity(config, h, state.t, solved)
-    dt = _step_size(config, state.t, info["h_min"], float(slope.max()), dt_cap)
-    return FrontGraph(heights=h + dt * rate, t=state.t + dt), {"dt": dt, **info}
-
-
-def _one_height_step(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
-                     solved: Sequence[tuple[float, np.ndarray]] = ()
-                     ) -> tuple[FrontGraph, dict]:
-    """_advance for a flat front in a medium that does not use y, whose
-    heights stay equal to the bit: it steps h = heights[0] as a Python float.
-    g is evaluated at the one point (h, y_0 = 0) by the same NumPy kernel;
-    the rate g |u_xt| / h, _step_size and the checks on h, g and dt are
-    IEEE float operations with the bits of _advance's arrays. simulate
-    checks the kept flat solve once per run, as nothing it depends on
-    changes between steps; `solved` is unused. info is _advance's."""
-    domain, t = config.domain, state.t
-    h = float(state.heights[0])
-    _check_heights(domain, h, h, t)
+def _one_height_velocity(config: SimConfig, heights: np.ndarray, t: float,
+                         solved: Sequence[tuple[float, np.ndarray]] = ()
+                         ) -> tuple[float, float, float, _Solve]:
+    """_velocity for a flat front in a medium that does not use y, whose
+    heights stay equal to the bit: h = heights[0] as a Python float, g at
+    the one point (h, y_0 = 0) by the same NumPy kernel and the float rate
+    g |u_xt| / h keep the bits of _velocity's arrays. simulate checks the
+    kept flat solve once per run, as it never changes; `solved` is unused."""
+    h = float(heights[0])
+    _check_heights(config.domain, h, h, t)
     g = np.asarray(eval_scaled(config.medium, config.eps, np.array([[h, 0.0]]), t)).item()
     _require_finite_g(math.isfinite(g), t)
-    solve = config._flat_solve
-    slope = float(solve.uxt[0]) / h
-    dt = _step_size(config, t, h, slope, dt_cap)
-    info = {"dt": dt, "u_min": solve.u_min, "u_max": solve.u_max,
-            "iterations": solve.iterations, "residual": solve.residual,
-            "u": solve.u, "h_min": h}
-    return FrontGraph(heights=np.full(domain.ny, h + dt * (g * slope)), t=t + dt), info
+    slope = float(config._flat_solve.uxt[0]) / h
+    return g * slope, slope, h, config._flat_solve
+
+
+def _advance(state: FrontGraph, config: SimConfig, velocity=_velocity,
+             dt_cap: Optional[float] = None, solved: Sequence[tuple[float, np.ndarray]] = ()
+             ) -> tuple[FrontGraph, float, _Solve]:
+    """The one step: forward Euler h + dt * rate from `state`, as (front, dt,
+    solve), the rate and solve from the `velocity` kernel that simulate picks
+    (its solve started from the `solved` history) and dt from _step_size,
+    capped by dt_cap too."""
+    h = np.asarray(state.heights, dtype=float)
+    rate, slope_max, h_min, solve = velocity(config, h, state.t, solved)
+    dt = _step_size(config, state.t, h_min, slope_max, dt_cap)
+    return FrontGraph(heights=h + dt * rate, t=state.t + dt), dt, solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -632,17 +621,17 @@ class SimHistory:
 def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
     """Run the explicit front dynamics to time T, saving every save_every steps.
 
-    The step function is picked once per run. A flat initial front (equal
-    heights) in a medium that does not use y stays flat, so the run takes
-    _one_height_step, and checks the kept flat solve once, at t = 0; every
-    other run takes _advance. On such a run both give the same bits, so the
-    history is the same whichever runs.
+    Every step is _advance's; the velocity kernel is picked once per run. A
+    flat initial front (equal heights) in a medium that does not use y
+    stays flat, so the run takes _one_height_velocity, and checks the kept
+    flat solve once, at t = 0; every other run takes _velocity. On such a
+    run both give the same bits, so the history is the same whichever runs.
     """
     require_integer(1, max_steps=max_steps)
     state = config.initial_front()
-    step = _advance
+    velocity = _velocity
     if state.heights.min() == state.heights.max() and "x2" not in config.medium._variables:
-        step = _one_height_step
+        velocity = _one_height_velocity
         _check_solve(config, config._flat_solve, state.t)
     fronts, records, skipped = [state], [], []
     solved = deque(maxlen=_START_GRIDS)  # (t, u) of the last solves
@@ -652,12 +641,12 @@ def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
             raise NumericalError(f"exceeded {max_steps} steps before reaching T: "
                                  f"at t={state.t:.6g} of T={config.T:.6g}")
         t = state.t
-        state, info = step(state, config, config.T - t, solved)
+        state, _dt, solve = _advance(state, config, velocity, config.T - t, solved)
         k += 1
-        solved.append((t, info["u"]))
+        solved.append((t, solve.u))
         if k % config.save_every == 0 or state.t >= config.T - _END_TOL:
             fronts.append(state)
-            records.append(_RECORDS(info))
+            records.append((solve.u_min, solve.u_max, solve.iterations, solve.residual))
         else:
             skipped.append((state.t, float(state.heights.mean())))
     u_min, u_max, iterations, residual = map(np.array, zip(*records))

@@ -1080,6 +1080,28 @@ class TestTopLevel:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sim2d", "run", "--medium", "1", "--dim", "2", "--Lx", "4", "--nx", "16",
+          "--ny", "8", "--eps", "0.5", "--T", "0.05"], "--summary"),
+        (["rq", "curve", "--medium", "builtin:pinning", "--qmin", "0.5", "--qmax", "1",
+          "--samples", "3", "--T", "20"], "--svg"),
+    ], ids=["sim2d_run", "rq_curve"])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, argv, flag):
+        # --out's file is renamed into place only once every write has
+        # succeeded, so a failed second write leaves no file, and a file
+        # already at --out's path as it was; a second target that is a
+        # directory fails before any rename
+        out, target = tmp_path / "out.csv", tmp_path / "nodir" / "x"
+        code, stdout, err = run_cli(argv + ["--out", str(out), flag, str(target)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        out.write_text("kept\n")
+        for target in (target, tmp_path):
+            code, _, err = run_cli(argv + ["--out", str(out), flag, str(target)])
+            assert code == 1 and err.startswith(f"error: cannot write {target}: ")
+            assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
     def test_console_script_installed(self, tmp_path):
         module, _, attr = declared_console_script("hele-homog").partition(":")
         assert getattr(importlib.import_module(module), attr) is main

@@ -293,6 +293,20 @@ class TestObstacleFront:
         front, _ = obstacle_front(g, q=1.0, r=1.0, eps=0.1, side=Side.SUPER)
         assert front.trace.dt == 0.005
 
+    @pytest.mark.parametrize("q, eps, T, steps", [(4.0, 0.1, 0.0046, 2), (0.75, 0.3, 0.5, 34),
+                                                  (0.75, 0.003, 0.5, 3334)])
+    def test_no_step_passes_dt(self, q, eps, T, steps):
+        # where round(T/dt) rounds down, T/round(T/dt) passes dt; at q = 4
+        # one step of 0.0046 against dt = 0.003125 moved the front 0.368 of a
+        # period, so the run takes one step more: two of 0.0023
+        g = builtin_medium("pinning")
+        dt = min(eps / 20.0, 0.25 * eps / (q * 2.0))
+        front, flat = obstacle_front(g, q, 1.0, eps, Side.SUPER, T=T)
+        assert front.trace.times.size == flat.times.size == steps + 1
+        assert front.trace.dt == T / steps <= dt
+        if q == 4.0:
+            assert front.trace.dt == 0.0023
+
     def test_side_must_be_a_side(self):
         g = parse_medium("1", 1)
         with pytest.raises(ValidationError, match="^side must be a Side, got 'sub'$"):

@@ -32,8 +32,10 @@ Oracles used here:
   against the solve's matvec and explicit residual.
 """
 
+import ast
 import hashlib
 import math
+import pathlib
 import struct
 import sys
 import threading
@@ -293,9 +295,10 @@ class TestSymmetryAndMedia:
 
 
 class TestErrorPaths:
-    """Failure paths of a step. The tests that take `step` run on _advance,
-    and test_one_height_step_fails_alike runs them on the one-height step
-    that simulate takes for a flat front in a medium that does not use y."""
+    """Failure paths of a step. The tests that take `velocity` run _advance
+    over _velocity, and test_one_height_step_fails_alike runs them over the
+    one-height kernel that simulate takes for a flat front in a medium that
+    does not use y."""
 
     def test_front_near_far_wall_raises(self):
         cfg = SimConfig(domain=StripDomain(Lx=1.2, Ly=1.0, nx=16, ny=8),
@@ -304,11 +307,11 @@ class TestErrorPaths:
         with pytest.raises(NumericalError, match="x = Lx"):
             simulate(cfg)
 
-    def test_front_near_inlet_raises(self, step=hs2d._advance):
+    def test_front_near_inlet_raises(self, velocity=hs2d._velocity):
         cfg = basic_config()
         low = FrontGraph(heights=np.full(8, 0.01), t=0.0)
         with pytest.raises(NumericalError, match="x = 0"):
-            step(low, cfg)[0]
+            hs2d._advance(low, cfg, velocity)[0]
 
     def test_steep_front_violates_graph_condition(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
@@ -332,11 +335,11 @@ class TestErrorPaths:
 
 
     @pytest.mark.parametrize("height, wall", [(3.9, "Lx"), (0.01, "0")])
-    def test_front_leaving_the_strip_names_t(self, height, wall, step=hs2d._advance):
+    def test_front_leaving_the_strip_names_t(self, height, wall, velocity=hs2d._velocity):
         front = FrontGraph(heights=np.full(8, height), t=0.7)
         with pytest.raises(NumericalError, match=rf"front leaves the strip at t=0\.7: "
                                                  rf"heights within 2 grid cells of x = {wall}$"):
-            step(front, basic_config())[0]
+            hs2d._advance(front, basic_config(), velocity)[0]
 
     def test_graph_condition_names_t(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
@@ -345,19 +348,20 @@ class TestErrorPaths:
                            match=r"graph condition violated at t=0\.7: front slope 5\.\d+ > 5$"):
             hs2d._advance(steep, basic_config(domain=dom))[0]
 
-    def test_vanished_slope_estimate_names_t(self, step=hs2d._advance):
+    def test_vanished_slope_estimate_names_t(self, velocity=hs2d._velocity):
         # a zero front gradient leaves no speed to set the CFL step from: the
-        # config's kept flat solve, which both steps read, with |u_xt| = 0
+        # config's kept flat solve, which both kernels read, with |u_xt| = 0
         cfg = basic_config()
         solve = cfg._flat_solve
         cfg.__dict__["_flat_solve"] = solve._replace(uxt=0.0 * solve.uxt)
         with pytest.raises(NumericalError, match=r"front slope estimate vanished at "
                                                  r"t=0\.7; cannot set a step$"):
-            step(FrontGraph(heights=np.full(8, 1.0), t=0.7), cfg)[0]
+            hs2d._advance(FrontGraph(heights=np.full(8, 1.0), t=0.7), cfg, velocity)[0]
 
-    def test_collapsed_step_names_t(self, step=hs2d._advance):
+    def test_collapsed_step_names_t(self, velocity=hs2d._velocity):
         with pytest.raises(NumericalError, match=r"step size collapsed to 0\.0 at t=0\.7$"):
-            step(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config(), 0.0)[0]
+            hs2d._advance(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config(),
+                          velocity, 0.0)[0]
 
     @pytest.mark.parametrize("test, args", [
         ("test_front_near_inlet_raises", ()),
@@ -367,7 +371,7 @@ class TestErrorPaths:
         ("test_collapsed_step_names_t", ()),
     ])
     def test_one_height_step_fails_alike(self, test, args):
-        getattr(self, test)(*args, step=hs2d._one_height_step)
+        getattr(self, test)(*args, velocity=hs2d._one_height_velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +787,9 @@ def solve_pressure(dom, h, psi0, t, solved=()):
     """_velocity's pressure solve under h in a constant medium, as (u grid,
     |Du| at the front, iterations, relative residual)."""
     cfg = SimConfig(domain=dom, medium=constant_medium(), eps=1.0, psi0=psi0, T=1.0)
-    _rate, slope, info = hs2d._velocity(cfg, h, t, solved)
-    grad = slope / np.sqrt(1.0 + _front_derivatives(h, dom.dy)[0] ** 2)
-    return info["u"], grad, info["iterations"], info["residual"]
+    solve = hs2d._velocity(cfg, h, t, solved)[3]
+    grad = solve.uxt * np.sqrt(1.0 + _front_derivatives(h, dom.dy)[0] ** 2) / h
+    return solve.u, grad, solve.iterations, solve.residual
 
 
 FRONTS = {
@@ -933,7 +937,7 @@ class TestPressureSolver:
                         eps=0.5, psi0=1.0, T=0.05, h0=sine_front(dom, 0.5))
         hist = simulate(cfg)
         assert hist.total_steps > 1 and hist.iterations[0] > 1
-        first = hs2d._advance(cfg.initial_front(), cfg, cfg.T)[0]
+        first = hs2d._advance(cfg.initial_front(), cfg, hs2d._velocity, cfg.T)[0]
         assert first.t == hist.times[1]
         assert np.array_equal(first.heights, hist.fronts[1].heights)
 
@@ -1140,8 +1144,8 @@ class TestFlatSteps:
         h = np.full(cfg.domain.ny, 0.8)
         first = hs2d._velocity(cfg, h, 0.0)
         second = hs2d._velocity(cfg, h + 0.1, 0.3)
-        u = first[2]["u"]
-        assert u is second[2]["u"] and not u.flags.writeable
+        u = first[3].u
+        assert u is second[3].u and not u.flags.writeable
         with pytest.raises(ValueError):
             u[1, 0] = 0.0
         assert np.array_equal(u, _flat_pressure(cfg.domain, cfg.psi0)[0])
@@ -1304,7 +1308,8 @@ class TestExtrapolatedStart:
         extrapolated = simulate(cfg)
         advance = hs2d._advance
         monkeypatch.setattr(hs2d, "_advance",
-                            lambda state, config, dt_cap, solved: advance(state, config, dt_cap))
+                            lambda state, config, velocity, dt_cap, solved:
+                            advance(state, config, velocity, dt_cap))
         plain = simulate(cfg)
         assert extrapolated.total_steps == plain.total_steps > 2 * hs2d._START_GRIDS
         assert np.abs(extrapolated.times - plain.times).max() <= 1e-10
@@ -1485,9 +1490,9 @@ class TestSolveWorkspaces:
         advance = hs2d._advance
 
         def spy(*args):
-            state, info = advance(*args)
-            made.append((info["u"], info["u"].copy()))
-            return state, info
+            state, dt, solve = advance(*args)
+            made.append((solve.u, solve.u.copy()))
+            return state, dt, solve
 
         monkeypatch.setattr(hs2d, "_advance", spy)
         hist = simulate(self.curved_config(StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16), 0.3))
@@ -1576,8 +1581,8 @@ class TestCurvedFrontYardstick:
             dom, h, grad_exact, hp_exact = _exact_front(n)
             cfg = SimConfig(domain=dom, medium=constant_medium(), eps=1.0,
                             psi0=_MMS["psi0"], T=1.0, h0=h)
-            new, info = hs2d._advance(FrontGraph(heights=h, t=0.0), cfg)
-            rate = (new.heights - h) / info["dt"]
+            new, dt, _solve = hs2d._advance(FrontGraph(heights=h, t=0.0), cfg)
+            rate = (new.heights - h) / dt
             errors.append(float(np.abs(rate - grad_exact * np.sqrt(1.0 + hp_exact ** 2)).max()))
         assert errors[0] < 1e-2
         assert min(self._orders(errors)) >= 1.8
@@ -1597,16 +1602,16 @@ class TestMaximumPrinciple:
 
 
 class TestNonFiniteInputs:
-    def test_non_finite_heights_raise_with_time(self, step=hs2d._advance, nan_at=3):
+    def test_non_finite_heights_raise_with_time(self, velocity=hs2d._velocity, nan_at=3):
         cfg = basic_config()
         heights = np.full(8, 1.0)
         heights[nan_at] = np.nan
         with pytest.raises(NumericalError, match="heights are not finite at t=0.3"):
-            step(FrontGraph(heights=heights, t=0.3), cfg)[0]
+            hs2d._advance(FrontGraph(heights=heights, t=0.3), cfg, velocity)[0]
 
     def test_one_height_step_fails_alike(self):
-        # the one-height step reads a flat front: one of NaN
-        self.test_non_finite_heights_raise_with_time(hs2d._one_height_step, slice(None))
+        # the one-height kernel reads a flat front: one of NaN
+        self.test_non_finite_heights_raise_with_time(hs2d._one_height_velocity, slice(None))
 
     def test_nan_medium_stops_the_first_step(self, monkeypatch):
         # sqrt(sin(pi*y)) is NaN on half of every y-period: the model
@@ -1743,8 +1748,8 @@ def six_grid_history(cfg, steps=6):
     history that simulate would hand the next step."""
     state, solved = cfg.initial_front(), []
     for _ in range(steps):
-        new, info = hs2d._advance(state, cfg, None, solved)
-        solved.append((state.t, info["u"]))
+        new, _dt, solve = hs2d._advance(state, cfg, hs2d._velocity, None, solved)
+        solved.append((state.t, solve.u))
         state = new
     return state, solved
 
@@ -1773,15 +1778,15 @@ class TestVelocity:
         kept_h, kept = h.copy(), [(t, u.copy()) for t, u in solved]
         first = hs2d._velocity(cfg, h, state.t, solved)
         second = hs2d._velocity(cfg, h, state.t, solved)
-        for a, b in ((first[0], second[0]), (first[1], second[1]),
-                     (first[2]["u"], second[2]["u"])):
+        for a, b in ((first[0], second[0]), (first[1], second[1]), (first[2], second[2]),
+                     (first[3].u, second[3].u)):
             assert np.array_equal(a, b)
         assert np.array_equal(h, kept_h)
         assert len(solved) == len(kept)
         for (t, u), (t_kept, u_kept) in zip(solved, kept):
             assert t == t_kept and np.array_equal(u, u_kept)
         if make is curved_velocity_config:
-            assert first[2]["iterations"] >= 1 and np.ptp(h) > 0.0
+            assert first[3].iterations >= 1 and np.ptp(h) > 0.0
 
 
 REFERENCE_RUNS = {
@@ -1847,21 +1852,21 @@ def test_one_medium_evaluation_per_step(name, monkeypatch):
                                        ("sin(pi*t)^2 + 1", "t"), ("1", "")])
 def test_eps_caps_follow_the_variables_g_uses(src, caps):
     # eps = 1e-3 under a CFL step of 0.4 * h0/16 / peak: where g uses x,
-    # dt * peak <= eps/4; where it uses t, dt <= eps/4; on both step functions
+    # dt * peak <= eps/4; where it uses t, dt <= eps/4; over both kernels
     eps, h0 = 1e-3, 1.0
     cfg = basic_config(medium=parse_medium(src, dim=2), eps=eps, h0=h0)
     peak = _admit(cfg.medium, 2).M * float(cfg._flat_solve.uxt[0]) / h0
     bounds = [cfg.cfl * (h0 / 16) / peak]
     bounds += [eps / 4 / peak] if "x" in caps else []
     bounds += [eps / 4] if "t" in caps else []
-    for step in (hs2d._advance, hs2d._one_height_step):
-        assert step(cfg.initial_front(), cfg)[1]["dt"] == min(bounds)
+    for velocity in (hs2d._velocity, hs2d._one_height_velocity):
+        assert hs2d._advance(cfg.initial_front(), cfg, velocity)[1] == min(bounds)
 
 
 @pytest.mark.parametrize("name", [*(name for name in REFERENCE_RUNS if "_ny" in name),
                                   "pinning_128x8", "const_64x64", "save_every_3"])
 def test_one_height_step_equals_the_general_step(name, monkeypatch):
-    # the same run with _advance put in the one-height step's place keeps
+    # the same run with _velocity put in the one-height kernel's place keeps
     # every bit: times, saved fronts, per-step records, the steps between
     # saves and the fitted speed
     if name == "save_every_3":
@@ -1869,12 +1874,12 @@ def test_one_height_step_equals_the_general_step(name, monkeypatch):
     else:
         cfg = REFERENCE_RUNS[name]()
     steps = []
-    one_height = hs2d._one_height_step
-    monkeypatch.setattr(hs2d, "_one_height_step",
+    one_height = hs2d._one_height_velocity
+    monkeypatch.setattr(hs2d, "_one_height_velocity",
                         lambda *args: steps.append(1) or one_height(*args))
     fast = simulate(cfg)
     assert len(steps) == fast.total_steps > 40
-    monkeypatch.setattr(hs2d, "_one_height_step", hs2d._advance)
+    monkeypatch.setattr(hs2d, "_one_height_velocity", hs2d._velocity)
     general = simulate(cfg)
     assert fast.total_steps == general.total_steps
     assert np.array_equal(fast.times, general.times)
@@ -1889,6 +1894,28 @@ def test_one_height_step_equals_the_general_step(name, monkeypatch):
     assert fast.front_speed(*window) == general.front_speed(*window)
     if name == "save_every_3":
         assert fast._skipped.shape[0] > 40
+
+
+def test_advance_is_the_only_update():
+    # one explicit step: _step_size is named in _advance alone, and a
+    # FrontGraph is built only there and in SimConfig.initial_front, so a
+    # multi-stage update changes _advance alone
+    tree = ast.parse(pathlib.Path(hs2d.__file__).read_text())
+    found = {"_step_size": set(), "FrontGraph": set()}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "_step_size":
+                found["_step_size"].add(scope)
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "FrontGraph"):
+                found["FrontGraph"].add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(tree, "")
+    assert found == {"_step_size": {"_advance"},
+                     "FrontGraph": {"_advance", "SimConfig.initial_front"}}
 
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
