@@ -19,7 +19,6 @@ from hele_homog.geometry import (
     cone_geometry,
     geometry_report_dict,
     matching_wave,
-    planar_eval,
     xi_samples,
 )
 
@@ -46,7 +45,7 @@ def main() -> None:
     pts = geom.V[None, :] + np.linspace(-1.0, 3.0, 9)[:, None] * xi[None, :]
     worst = 0.0
     for t in (0.0, 0.7, 1.9):
-        base = planar_eval(P, pts, t)
+        base = P.value(pts, t)
         worst = max(worst,
                     float(np.max(np.abs(plus.eval(pts, t) - base))),
                     float(np.max(np.abs(minus.eval(pts, t) - base))))

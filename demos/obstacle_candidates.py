@@ -4,7 +4,7 @@ A planar wave of speed r acts as an obstacle: the clipped sub-front may
 never overtake it, the clipped super-front may never fall behind.  Watching
 which waves the oscillatory front detaches from brackets the homogenized
 speed from both sides; bisecting over r with shrinking oscillation scale
-eps tightens the bracket.  The flatness trace phi(t) is the running maximum
+eps tightens the bracket.  The flatness phi(t) of a run is the running maximum
 detachment — identically zero exactly when the wave wins on its side.
 
 Run:  python3 demos/obstacle_candidates.py
@@ -34,8 +34,8 @@ def main() -> None:
         (1.0, Side.SUPER),
         (1.1 * bounds.M * q, Side.SUPER),
     ]:
-        _, trace = obstacle_front(g, q=q, r=r, eps=0.05, side=side, T=1.0)
-        print(f"{r:6.3f}  {side.value:>6}  {trace.phi[-1]:10.2e}")
+        front = obstacle_front(g, q=q, r=r, eps=0.05, side=side, T=1.0)
+        print(f"{r:6.3f}  {side.value:>6}  {front.phi[-1]:10.2e}")
     print("  (zero means the front never detaches from that wave)")
     print()
 

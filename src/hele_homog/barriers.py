@@ -26,6 +26,15 @@ def _w(n: int, s):
     return (s ** (2 - n) - 1.0) / (n - 2)
 
 
+def _nonnegative(name: str, value) -> np.ndarray:
+    """value as a float array, refused unless every entry is finite and >= 0."""
+    v = np.asarray(value, dtype=float)
+    bad = v[~(np.isfinite(v) & (v >= 0))]
+    if bad.size:
+        raise ValidationError(f"{name} must be finite and >= 0, got {bad[0]}")
+    return v
+
+
 def _brentq(f, lo: float, hi: float, what: str) -> float:
     """Root of f on [lo, hi] by Brent's method; f must change sign there."""
     from scipy.optimize import brentq
@@ -50,10 +59,7 @@ class RadialExpanding:
     alpha: float
 
     def rho(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValidationError("rho(t) needs t >= 0")
-        out = np.sqrt(self.alpha * self.K * self.m * t)
+        out = np.sqrt(self.alpha * self.K * self.m * _nonnegative("t", t))
         return float(out) if out.ndim == 0 else out
 
     def rho_prime(self, t):
@@ -61,8 +67,9 @@ class RadialExpanding:
         return self.alpha * self.K * self.m / (2.0 * self.rho(t))
 
     def profile(self, s):
-        """Radial profile psi(s), s = |x|/rho(t): K inside s<=A, 0 at s>=1."""
-        s = np.asarray(s, dtype=float)
+        """Radial profile psi(s), s = |x|/rho(t): K inside s<=A, 0 at s>=1;
+        s must be finite and >= 0."""
+        s = _nonnegative("s", s)
         with np.errstate(divide="ignore"):
             raw = self.K * np.maximum(_w(self.n, s), 0.0) / _w(self.n, self.A)
         out = np.minimum(raw, self.K)
@@ -70,7 +77,7 @@ class RadialExpanding:
 
     def value(self, x_norm, t):
         require_positive(t=t)
-        return self.profile(np.asarray(x_norm, dtype=float) / self.rho(t))
+        return self.profile(_nonnegative("x_norm", x_norm) / self.rho(t))
 
     def front_gradient(self, t):
         """|D psi^+| at |x| = rho(t), the one-sided slope at the front."""
@@ -148,11 +155,8 @@ def thin_cylinder_phi(xp_norm, xn, n: int):
     which must be finite with |x'| >= 0.
     """
     require_integer(1, n=n)
-    r = np.asarray(xp_norm, dtype=float)
+    r = _nonnegative("xp_norm", xp_norm)
     xn = np.asarray(xn, dtype=float)
-    bad = r[~(np.isfinite(r) & (r >= 0))]
-    if bad.size:
-        raise ValidationError(f"xp_norm must be finite and >= 0, got {bad[0]}")
     bad = xn[~np.isfinite(xn)]
     if bad.size:
         raise ValidationError(f"xn must be finite, got {bad[0]}")

@@ -237,9 +237,9 @@ def _cmd_rq_curve(args) -> int:
 def _cmd_rq_obstacle(args) -> int:
     g = load_medium(args.medium, args.dim)
     side = homog1d.Side(args.side)
-    front, flat = homog1d.obstacle_front(
+    front = homog1d.obstacle_front(
         g, q=args.q, r=args.r, eps=args.eps, side=side, T=args.T, dt=args.dt)
-    columns = (front.trace.times, front.trace.positions, flat.phi)
+    columns = (front.times, front.positions, front.phi)
     text = _csv(["t (time units)",
                  "front (clipped front position; length units)",
                  "phi (running max detachment; length units)"], columns)

@@ -64,9 +64,6 @@ class PlanarWave:
         return np.zeros(np.shape(self._phase(x, t)))
 
 
-planar_eval = PlanarWave.value  # planar_eval(P, x, t) is P.value(x, t)
-
-
 @dataclass(frozen=True, eq=False)
 class ConeGeometry:
     """Angles, vertices and vertex velocities of the cone obstacle domain."""

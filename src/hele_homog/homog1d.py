@@ -38,15 +38,6 @@ from .errors import (NumericalError, ValidationError, _eps_list, require_finite,
 from .medium import Medium, MediumBounds, _admit, _resolved_step, estimate_bounds
 
 
-@dataclass(frozen=True, eq=False)
-class FrontTrace:
-    """Sampled front path: strictly increasing positions on a uniform grid."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    dt: float
-
-
 class Side(Enum):
     SUB = "sub"
     SUPER = "super"
@@ -54,22 +45,18 @@ class Side(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ObstacleFront:
-    """Clipped front dynamics staying on one side of the moving obstacle r*t."""
+    """One clipped run at gradient q against the obstacle r*t on `side`: the
+    front's positions and its flatness phi, the running maximum detachment
+    from r*t, at `times`, a grid of steps dt."""
 
     q: float
     r: float
     eps: float
     side: Side
-    trace: FrontTrace
-
-
-@dataclass(frozen=True, eq=False)
-class FlatnessTrace:
-    """Running maximum detachment of a constrained front from the obstacle."""
-
+    dt: float
     times: np.ndarray
+    positions: np.ndarray
     phi: np.ndarray
-    side: Optional[Side] = None
 
 
 @dataclass(frozen=True)
@@ -483,8 +470,7 @@ def _flatness(fn, q: float, r: float, side: Side, steps: dict,
 
 
 def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
-                   T: float = 1.0, dt: Optional[float] = None
-                   ) -> tuple[ObstacleFront, FlatnessTrace]:
+                   T: float = 1.0, dt: Optional[float] = None) -> ObstacleFront:
     """Clipped explicit front staying above (Super) or below (Sub) r*t.
 
     Super side: y_{k+1} = max(y_k + dt*q*g^eps(y_k, t_k), r*t_{k+1}), with
@@ -492,7 +478,8 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     and r*t - z. The step must resolve the oscillation: dt <= eps/10 and
     dt <= _resolved_step(medium, eps, q M), M the admitted bound of g; by
     default dt is the smaller of eps/20 and that step. It takes n steps of
-    T/n, n = round(T/dt), or one more where T/n would exceed dt.
+    T/n, n = round(T/dt), or one more where T/n would exceed dt. Returns the
+    run as one ObstacleFront: dt = T/n and the n + 1 times, positions and phi.
     """
     M = _admit(medium, 1).M
     require_positive(q=q, r=r, eps=eps, T=T)
@@ -513,15 +500,13 @@ def obstacle_front(medium: Medium, q: float, r: float, eps: float, side: Side,
     phis = np.empty(steps + 1)
     positions[0] = phis[0] = 0.0
     _clipped(medium._float_fn, q, r, eps, side, T, steps, positions=positions, phis=phis)
-    times = np.linspace(0.0, T, steps + 1)
-    trace = FrontTrace(times=times, positions=positions, dt=T / steps)
-    front = ObstacleFront(q=q, r=r, eps=eps, side=side, trace=trace)
-    return front, FlatnessTrace(times=times, phi=phis, side=side)
+    return ObstacleFront(q=q, r=r, eps=eps, side=side, dt=T / steps,
+                         times=np.linspace(0.0, T, steps + 1), positions=positions, phi=phis)
 
 
 @dataclass(frozen=True)
 class FlatnessCheckReport:
-    """Monotonicity and one-sided Lipschitz verification of a flatness trace."""
+    """Monotonicity and one-sided Lipschitz verification of a run's flatness."""
 
     monotone: bool
     lipschitz_ok: bool
@@ -531,20 +516,19 @@ class FlatnessCheckReport:
     passed: bool
 
 
-def flatness_lipschitz_check(trace: FlatnessTrace, q: float, r: float,
-                             bounds: MediumBounds,
-                             side: Optional[Side] = None) -> FlatnessCheckReport:
-    """Check phi nondecreasing and each rise of phi <= h*(rate + q*L*dt).
+def flatness_lipschitz_check(front: ObstacleFront, bounds: MediumBounds) -> FlatnessCheckReport:
+    """Check the run's phi nondecreasing and each rise of phi <= h*(rate + q*L*dt).
 
-    The rate is (M*q - r)+ on the Super side and (r - m*q)+ on the Sub side;
-    the q*L*dt term absorbs the explicit-step sampling of g along one step
-    and the resolution bias of the estimated bounds.
+    q, r and the side are the run's own. The rate is (M*q - r)+ on the Super
+    side and (r - m*q)+ on the Sub side; the q*L*dt term, dt the longest step
+    of `times`, absorbs the explicit-step sampling of g along one step and
+    the resolution bias of the estimated bounds.
     """
-    side = side if side is not None else trace.side
-    if side is None:
-        raise ValidationError("flatness trace has no side; pass side explicitly")
-    phi = np.asarray(trace.phi, dtype=float)
-    times = np.asarray(trace.times, dtype=float)
+    side, q, r = front.side, front.q, front.r
+    if not isinstance(side, Side):
+        raise ValidationError(f"side must be a Side, got {side!r}")
+    phi = np.asarray(front.phi, dtype=float)
+    times = np.asarray(front.times, dtype=float)
     if phi.shape != times.shape or phi.size < 2:
         raise ValidationError("trace needs matching times/phi with >= 2 samples")
     dphi = np.diff(phi)

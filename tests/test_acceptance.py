@@ -19,7 +19,6 @@ from hele_homog.geometry import (
     cone_geometry,
     grid_cover_check,
     matching_wave,
-    planar_eval,
     xi_samples,
 )
 from hele_homog.errors import ValidationError
@@ -140,18 +139,17 @@ def test_06_flatness_laws():
         r = float(q * rng.uniform(0.3, 2.3))
         eps = float(rng.uniform(0.05, 0.2))
         side = Side.SUB if rng.integers(2) == 0 else Side.SUPER
-        _, trace = homog1d.obstacle_front(g, q=q, r=r, eps=eps, side=side, T=1.0)
-        rep = homog1d.flatness_lipschitz_check(trace, q=q, r=r, bounds=b,
-                                               side=side)
+        front = homog1d.obstacle_front(g, q=q, r=r, eps=eps, side=side, T=1.0)
+        rep = homog1d.flatness_lipschitz_check(front, bounds=b)
         all_pass = all_pass and rep.passed
 
     g = builtin_medium("pinning")
     b = estimate_bounds(g)
     q = 0.8
-    _, tr_sub = homog1d.obstacle_front(g, q=q, r=0.9 * b.m * q, eps=0.1,
-                                       side=Side.SUB, T=1.0)
-    _, tr_sup = homog1d.obstacle_front(g, q=q, r=1.1 * b.M * q, eps=0.1,
-                                       side=Side.SUPER, T=1.0)
+    tr_sub = homog1d.obstacle_front(g, q=q, r=0.9 * b.m * q, eps=0.1,
+                                    side=Side.SUB, T=1.0)
+    tr_sup = homog1d.obstacle_front(g, q=q, r=1.1 * b.M * q, eps=0.1,
+                                    side=Side.SUPER, T=1.0)
     zeros = tr_sub.phi.max() == 0.0 and tr_sup.phi.max() == 0.0
     _report("flatness: 20 randomized traces monotone + Lipschitz with slack "
             "q L dt; slow-sub and fast-super runs identically zero",
@@ -190,7 +188,7 @@ def test_07_geometry_identities():
         P = PlanarWave(q=g.q, r=g.r)
         pts = g.V[None, :] + np.linspace(-2.0, 4.0, 7)[:, None] * xi[None, :]
         for t in (0.0, 0.9, 2.3):
-            base = planar_eval(P, pts, t)
+            base = P.value(pts, t)
             scale = 1.0 + np.max(np.abs(base))
             worst_ray = max(
                 worst_ray,

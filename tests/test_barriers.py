@@ -6,6 +6,7 @@ radius; hand-evaluated formulas for the quantitative bounds.
 """
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -160,6 +161,23 @@ class TestExpandingBarrier:
             b.rho(-1.0)
         with pytest.raises(ValidationError):
             b.value(0.5, 0.0)
+
+    @pytest.mark.parametrize("n, call, message", [
+        (3, lambda b: b.profile(-0.5), "s must be finite and >= 0, got -0.5"),
+        (3, lambda b: b.profile(np.array([0.5, -0.1])), "s must be finite and >= 0, got -0.1"),
+        (3, lambda b: b.value(-0.3, 1.0), "x_norm must be finite and >= 0, got -0.3"),
+        (2, lambda b: b.value(-1.0, 1.0), "x_norm must be finite and >= 0, got -1.0"),
+        (3, lambda b: b.value(math.inf, 1.0), "x_norm must be finite and >= 0, got inf"),
+        (3, lambda b: b.rho(math.inf), "t must be finite and >= 0, got inf"),
+        (2, lambda b: b.rho(math.nan), "t must be finite and >= 0, got nan"),
+        (3, lambda b: b.rho(np.array([1.0, math.inf])), "t must be finite and >= 0, got inf"),
+    ], ids=["profile_negative", "profile_array", "value_negative", "value_negative_n2",
+            "value_inf", "rho_inf", "rho_nan", "rho_array"])
+    def test_impossible_inputs_refused(self, n, call, message):
+        # a negative or non-finite radius or time has no barrier value: it
+        # is refused, not read as 0.0, inf or nan
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(expanding_barrier(n, 1.0, 1.0, 0.5))
 
     def test_randomized_residuals(self):
         rng = np.random.default_rng(2)

@@ -22,7 +22,6 @@ from hele_homog import (
     geometry_report_dict,
     grid_cover_check,
     matching_wave,
-    planar_eval,
     xi_samples,
 )
 from hele_homog.cli import main
@@ -41,23 +40,23 @@ class TestPlanarWave:
         P = PlanarWave(q=[0.0, -1.0], r=1.0)
         # nu = (0, 1); wet region {x2 < t}.
         assert P.nu @ np.array([0.0, 1.0]) == pytest.approx(1.0)
-        assert planar_eval(P, [0.0, -2.0], 0.0) == pytest.approx(2.0)
-        assert planar_eval(P, [0.0, 1.0], 0.0) == 0.0
-        assert planar_eval(P, [0.0, 1.0], 2.0) == pytest.approx(1.0)
+        assert P.value([0.0, -2.0], 0.0) == pytest.approx(2.0)
+        assert P.value([0.0, 1.0], 0.0) == 0.0
+        assert P.value([0.0, 1.0], 2.0) == pytest.approx(1.0)
 
     def test_eta_offset(self):
         P = PlanarWave(q=[0.0, -1.0], r=1.0, eta=0.5)
         # front at x2 = t + 0.5
-        assert planar_eval(P, [0.0, 0.5], 0.0) == 0.0
-        assert planar_eval(P, [0.0, 0.4], 0.0) == pytest.approx(0.1)
+        assert P.value([0.0, 0.5], 0.0) == 0.0
+        assert P.value([0.0, 0.4], 0.0) == pytest.approx(0.1)
 
     def test_front_speed(self):
         # the zero level set {x . nu = r t + eta} advances at rate r along nu
         P = PlanarWave(q=[0.0, -2.0], r=0.7)
         for t in [0.0, 1.0, 2.5]:
             x_front = (P.r * t) * P.nu
-            assert planar_eval(P, x_front, t) == pytest.approx(0.0, abs=1e-12)
-            assert planar_eval(P, x_front - 1e-6 * P.nu, t) > 0
+            assert P.value(x_front, t) == pytest.approx(0.0, abs=1e-12)
+            assert P.value(x_front - 1e-6 * P.nu, t) > 0
 
     def test_gradient_magnitude(self):
         P = PlanarWave(q=[3.0, -4.0], r=1.0)
@@ -70,7 +69,7 @@ class TestPlanarWave:
     def test_batch_eval(self):
         P = PlanarWave(q=[0.0, -1.0], r=1.0)
         xs = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])
-        vals = planar_eval(P, xs, 0.0)
+        vals = P.value(xs, 0.0)
         assert vals.shape == (3,)
         assert np.allclose(vals, [1.0, 0.0, 0.0])
 
@@ -194,7 +193,7 @@ class TestMatchingWave:
             s = np.linspace(-2.0, 4.0, 7)
             pts = g.V[None, :] + s[:, None] * xi[None, :]
             for t in (0.0, 0.9, 2.3):
-                base = planar_eval(P, pts, t)
+                base = P.value(pts, t)
                 scale = 1.0 + np.max(np.abs(base))
                 assert np.max(np.abs(plus.eval(pts, t) - base)) <= 1e-9 * scale
                 assert np.max(np.abs(minus.eval(pts, t) - base)) <= 1e-9 * scale
@@ -210,7 +209,7 @@ class TestMatchingWave:
         d = pts - g.V
         pts = pts[d @ g.nu > np.linalg.norm(d, axis=1) * math.cos(g.theta)]
         for t in (0.0, 0.5, 1.5):
-            base = planar_eval(P, pts, t)
+            base = P.value(pts, t)
             assert np.all(minus.eval(pts, t) <= base + 1e-12)
             assert np.all(plus.eval(pts, t) >= base - 1e-12)
 
@@ -446,6 +445,6 @@ class TestFrozenWaveBits:
     def test_planar_values(self):
         g = _reference()
         P = PlanarWave(q=g.q, r=g.r, eta=0.25)
-        assert _sha256(planar_eval(P, _PTS, _TS), P.dt(_PTS, _TS), P.grad(_PTS, _TS),
-                       planar_eval(P, _PTS[5], 0.3), P.grad(_PTS[5], 0.3)) == (
+        assert _sha256(P.value(_PTS, _TS), P.dt(_PTS, _TS), P.grad(_PTS, _TS),
+                       P.value(_PTS[5], 0.3), P.grad(_PTS[5], 0.3)) == (
             "81f947392e6d09beb2be2a1dd8b88295a96f10fb6cefe15de62ba57b8b4486f8")

@@ -22,9 +22,9 @@ from scipy.integrate import quad
 from test_medium import _expr_strings
 
 from hele_homog import (
-    FlatnessTrace,
     Medium,
     NumericalError,
+    ObstacleFront,
     Side,
     ValidationError,
     builtin_medium,
@@ -229,45 +229,45 @@ class TestObstacleFront:
         # g = 1, q = 1, r = 0.5: free motion at speed 1 beats the obstacle,
         # flatness grows as 0.5*tau exactly
         g = parse_medium("1", 1)
-        front, trace = obstacle_front(g, q=1.0, r=0.5, eps=0.1, side=Side.SUPER)
+        front = obstacle_front(g, q=1.0, r=0.5, eps=0.1, side=Side.SUPER)
         assert front.side is Side.SUPER
-        assert trace.phi[-1] == pytest.approx(0.5 * trace.times[-1], abs=1e-12)
-        mid = len(trace.phi) // 2
-        assert trace.phi[mid] == pytest.approx(0.5 * trace.times[mid], abs=1e-12)
+        assert front.phi[-1] == pytest.approx(0.5 * front.times[-1], abs=1e-12)
+        mid = len(front.phi) // 2
+        assert front.phi[mid] == pytest.approx(0.5 * front.times[mid], abs=1e-12)
 
     def test_sub_zero_when_obstacle_slow(self):
         # r <= m*q: the Sub front never detaches from r*t
         g = builtin_medium("pinning")  # m = 1
-        _, trace = obstacle_front(g, q=1.0, r=0.9, eps=0.05, side=Side.SUB)
-        assert np.all(trace.phi == 0.0)
+        front = obstacle_front(g, q=1.0, r=0.9, eps=0.05, side=Side.SUB)
+        assert np.all(front.phi == 0.0)
 
     def test_super_zero_when_obstacle_fast(self):
         # r >= M*q: the Super front is carried by the obstacle
         g = builtin_medium("pinning")  # M = 2
-        _, trace = obstacle_front(g, q=1.0, r=2.1, eps=0.05, side=Side.SUPER)
-        assert np.all(trace.phi == 0.0)
+        front = obstacle_front(g, q=1.0, r=2.1, eps=0.05, side=Side.SUPER)
+        assert np.all(front.phi == 0.0)
 
     def test_bracketing_by_euler_oracle(self):
         # z (Sub) <= unconstrained Euler front <= y (Super), step by step
         g = builtin_medium("pinning")
         q, r, eps = 0.75, 0.9, 0.1
-        sup, _ = obstacle_front(g, q=q, r=r, eps=eps, side=Side.SUPER)
-        sub, _ = obstacle_front(g, q=q, r=r, eps=eps, side=Side.SUB)
-        times = sup.trace.times
-        dt = sup.trace.dt
+        sup = obstacle_front(g, q=q, r=r, eps=eps, side=Side.SUPER)
+        sub = obstacle_front(g, q=q, r=r, eps=eps, side=Side.SUB)
+        times = sup.times
+        dt = sup.dt
         x = 0.0
         free = [x]
         for t in times[:-1]:
             x = x + dt * q * eval_scaled(g, eps, x, float(t))
             free.append(x)
         free = np.array(free)
-        assert np.all(sub.trace.positions <= free + 1e-12)
-        assert np.all(free <= sup.trace.positions + 1e-12)
+        assert np.all(sub.positions <= free + 1e-12)
+        assert np.all(free <= sup.positions + 1e-12)
 
     def test_default_dt_is_eps_over_twenty(self):
         g = parse_medium("1", 1)
-        front, _ = obstacle_front(g, q=1.0, r=0.5, eps=0.2, side=Side.SUPER)
-        assert front.trace.dt == pytest.approx(0.2 / 20.0)
+        front = obstacle_front(g, q=1.0, r=0.5, eps=0.2, side=Side.SUPER)
+        assert front.dt == pytest.approx(0.2 / 20.0)
 
     def test_dt_cap_validation(self):
         g = parse_medium("1", 1)
@@ -280,8 +280,8 @@ class TestObstacleFront:
         # 0.25 eps/(q M) = 0.003125, and a dt above it is refused even where
         # it passes eps/10
         g = builtin_medium("pinning")
-        front, _ = obstacle_front(g, q=4.0, r=1.0, eps=0.1, side=Side.SUPER)
-        assert front.trace.dt == 0.003125
+        front = obstacle_front(g, q=4.0, r=1.0, eps=0.1, side=Side.SUPER)
+        assert front.dt == 0.003125
         with pytest.raises(ValidationError, match=r"^dt must be <= 0\.003125, which moves the "
                                                   r"front a quarter period of g per step, "
                                                   r"got 0\.005$"):
@@ -290,8 +290,8 @@ class TestObstacleFront:
         with pytest.raises(ValidationError, match=r"^dt must satisfy 0 < dt <= eps/10, got 0\.02$"):
             obstacle_front(g, q=4.0, r=1.0, eps=0.1, side=Side.SUPER, dt=0.02)
         # at q = 1 eps/20 moves the front 0.1 eps, and stays the default
-        front, _ = obstacle_front(g, q=1.0, r=1.0, eps=0.1, side=Side.SUPER)
-        assert front.trace.dt == 0.005
+        front = obstacle_front(g, q=1.0, r=1.0, eps=0.1, side=Side.SUPER)
+        assert front.dt == 0.005
 
     @pytest.mark.parametrize("q, eps, T, steps", [(4.0, 0.1, 0.0046, 2), (0.75, 0.3, 0.5, 34),
                                                   (0.75, 0.003, 0.5, 3334)])
@@ -301,11 +301,11 @@ class TestObstacleFront:
         # period, so the run takes one step more: two of 0.0023
         g = builtin_medium("pinning")
         dt = min(eps / 20.0, 0.25 * eps / (q * 2.0))
-        front, flat = obstacle_front(g, q, 1.0, eps, Side.SUPER, T=T)
-        assert front.trace.times.size == flat.times.size == steps + 1
-        assert front.trace.dt == T / steps <= dt
+        front = obstacle_front(g, q, 1.0, eps, Side.SUPER, T=T)
+        assert front.times.size == front.positions.size == front.phi.size == steps + 1
+        assert front.dt == T / steps <= dt
         if q == 4.0:
-            assert front.trace.dt == 0.0023
+            assert front.dt == 0.0023
 
     def test_side_must_be_a_side(self):
         g = parse_medium("1", 1)
@@ -327,16 +327,21 @@ class TestObstacleFront:
     def test_phi_monotone(self):
         g = builtin_medium("pinning")
         for side in (Side.SUPER, Side.SUB):
-            _, trace = obstacle_front(g, q=0.75, r=1.0, eps=0.05, side=side)
-            assert np.all(np.diff(trace.phi) >= 0.0)
+            front = obstacle_front(g, q=0.75, r=1.0, eps=0.05, side=side)
+            assert np.all(np.diff(front.phi) >= 0.0)
+
+
+def _hand_made(times, phi, side) -> ObstacleFront:
+    """A record built by hand, as the check's caller may: q = 0.75, r = 0.9."""
+    return ObstacleFront(q=0.75, r=0.9, eps=0.05, side=side, dt=0.1, times=times,
+                         positions=np.zeros_like(times), phi=phi)
 
 
 class TestFlatnessCheck:
     def _run(self, side, r):
         g = builtin_medium("pinning")
         b = estimate_bounds(g, resolution=64)
-        _, trace = obstacle_front(g, q=0.75, r=r, eps=0.05, side=side)
-        return flatness_lipschitz_check(trace, q=0.75, r=r, bounds=b), b
+        return flatness_lipschitz_check(obstacle_front(g, q=0.75, r=r, eps=0.05, side=side), b), b
 
     def test_super_passes(self):
         rep, b = self._run(Side.SUPER, 0.9)
@@ -352,31 +357,28 @@ class TestFlatnessCheck:
         b = estimate_bounds(builtin_medium("pinning"), resolution=32)
         times = np.array([0.0, 0.1, 0.2])
         phi = np.array([0.0, 5.0, 5.0])  # jump far beyond any admissible rate
-        trace = FlatnessTrace(times=times, phi=phi, side=Side.SUPER)
-        rep = flatness_lipschitz_check(trace, q=0.75, r=0.9, bounds=b)
+        rep = flatness_lipschitz_check(_hand_made(times, phi, Side.SUPER), b)
         assert not rep.lipschitz_ok and not rep.passed
         assert rep.max_excess > 0
 
     def test_nonmonotone_trace_fails(self):
         b = estimate_bounds(builtin_medium("pinning"), resolution=32)
-        trace = FlatnessTrace(
-            times=np.array([0.0, 0.1, 0.2]),
-            phi=np.array([0.0, 0.01, 0.005]),
-            side=Side.SUPER,
-        )
-        rep = flatness_lipschitz_check(trace, q=0.75, r=0.9, bounds=b)
+        front = _hand_made(np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.01, 0.005]), Side.SUPER)
+        rep = flatness_lipschitz_check(front, b)
         assert not rep.monotone and not rep.passed
 
     @pytest.mark.parametrize("times, phi, side, message", [
-        ([0.0, 0.1], [0.0, 0.0], None, "flatness trace has no side"),
+        ([0.0, 0.1], [0.0, 0.0], None, "side must be a Side, got None"),
+        ([0.0, 0.1], [0.0, 0.0], "super", "side must be a Side, got 'super'"),
         ([0.0], [0.0], Side.SUPER, "trace needs matching times/phi with >= 2 samples"),
         ([0.0, 0.1], [0.0], Side.SUPER, "trace needs matching times/phi with >= 2 samples"),
-    ], ids=["no_side", "one_sample", "mismatched"])
+    ], ids=["no_side", "string_side", "one_sample", "mismatched"])
     def test_malformed_trace_rejected(self, times, phi, side, message):
+        # a record built by hand is checked as a run would be; a side that
+        # is not a Side is refused rather than read as Sub
         b = estimate_bounds(builtin_medium("pinning"), resolution=32)
-        trace = FlatnessTrace(times=np.array(times), phi=np.array(phi), side=side)
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
-            flatness_lipschitz_check(trace, q=0.75, r=0.9, bounds=b)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            flatness_lipschitz_check(_hand_made(np.array(times), np.array(phi), side), b)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +458,8 @@ class TestCandidates:
         for side in Side:
             d = rep.diagnostics[side.value]
             for e, phi in d["flatness"].items():
-                _, trace = obstacle_front(g, q, d["candidate"], e, side, T=1.0)
-                assert abs(phi - trace.phi[-1]) <= 1e-12
+                front = obstacle_front(g, q, d["candidate"], e, side, T=1.0)
+                assert abs(phi - front.phi[-1]) <= 1e-12
             good, bad = d["bracket"]
             assert abs(bad - good) <= 1e-4
             assert d["candidate"] == good
@@ -1338,12 +1340,12 @@ class TestFrozenScalarBits:
             "fdd0a84dc48f5a1cb01d776af29fe0094fe4ec752063b0632ad2b75cd73d75de")
 
     def test_obstacle_front_phi(self, kind):
-        front, flat = obstacle_front(builtin_medium("pinning"), kind(0.75), kind(1.0),
-                                     kind(0.005), Side.SUB, T=kind(1.0))
-        assert flat.phi.size == 4001
-        assert _sha256(flat.phi) == (
+        front = obstacle_front(builtin_medium("pinning"), kind(0.75), kind(1.0),
+                               kind(0.005), Side.SUB, T=kind(1.0))
+        assert front.phi.size == 4001
+        assert _sha256(front.phi) == (
             "edcf284836dbdfdc03100bb7f10925add906210420480e20a7545a9f7b20fc5b")
-        assert _sha256(front.trace.positions) == (
+        assert _sha256(front.positions) == (
             "c7591a53a361cd97cdb0852963bc5e12b5e9da6b42035abdf47b9e54b9c6cc15")
 
     @pytest.mark.parametrize("name, q, r_hat, r_mix", [
