@@ -22,7 +22,7 @@ def main() -> None:
     cfg = SimConfig(domain=StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16),
                     medium=g1, eps=0.5, psi0=1.0, T=1.5, h0=1.0)
     hist = simulate(cfg)
-    h = hist.final_front.heights.mean()
+    h = hist.heights[-1].mean()
     print("act 1 — constant medium, flat front:")
     print(f"  depth after T = 1.5:  simulated {h:.5f} vs "
           f"closed form {math.sqrt(1 + 2 * 1.5):.5f}")
@@ -47,9 +47,9 @@ def main() -> None:
                      medium=g2, eps=0.2, psi0=0.7, T=0.65, h0=0.72)
     report = convergence_study(cfg3, [0.2, 0.1, 0.05])
     print("act 3 — eps refinement (space-time Hausdorff distances):")
-    for pair in report.pairs:
-        print(f"  fronts(eps={pair.eps_a}) vs fronts(eps={pair.eps_b}): "
-              f"{pair.spacetime_distance:.5f}")
+    eps = report.eps_list
+    for eps_a, eps_b, d in zip(eps, eps[1:], report.spacetime_distances):
+        print(f"  fronts(eps={eps_a}) vs fronts(eps={eps_b}): {d:.5f}")
     print(f"  decreasing: {report.distances_decreasing()}")
     print("Smaller eps changes the front less and less — the visible sign")
     print("of convergence to the homogenized evolution.")

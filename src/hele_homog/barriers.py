@@ -13,8 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, require_finite, require_integer,
-                     require_nonnegative, require_positive, require_vector, shown)
+from .errors import (NumericalError, ValidationError, _nonnegative, require_finite,
+                     require_integer, require_nonnegative, require_positive,
+                     require_vector, shown)
 from .medium import Medium, _admit, eval_scaled
 
 
@@ -24,15 +25,6 @@ def _w(n: int, s):
     if n == 2:
         return -np.log(s)
     return (s ** (2 - n) - 1.0) / (n - 2)
-
-
-def _nonnegative(name: str, value) -> np.ndarray:
-    """value as a float array, refused unless every entry is finite and >= 0."""
-    v = np.asarray(value, dtype=float)
-    bad = v[~(np.isfinite(v) & (v >= 0))]
-    if bad.size:
-        raise ValidationError(f"{name} must be finite and >= 0, got {bad[0]}")
-    return v
 
 
 def _brentq(f, lo: float, hi: float, what: str) -> float:
@@ -59,7 +51,14 @@ class RadialExpanding:
     alpha: float
 
     def rho(self, t):
-        out = np.sqrt(self.alpha * self.K * self.m * _nonnegative("t", t))
+        """rho(t) for finite t >= 0, refused where alpha*K*m*t overflows."""
+        t = _nonnegative("t", t)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            area = self.alpha * self.K * self.m * t
+        bad = t[~np.isfinite(area)]
+        if bad.size:
+            raise ValidationError(f"alpha*K*m*t overflows at t={bad[0]}")
+        out = np.sqrt(area)
         return float(out) if out.ndim == 0 else out
 
     def rho_prime(self, t):

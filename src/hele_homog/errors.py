@@ -40,6 +40,15 @@ def require_finite(**values) -> None:
     _require(values, "real", lambda v: True)
 
 
+def _nonnegative(name: str, value) -> np.ndarray:
+    """value as a float array, refused unless every entry is finite and >= 0."""
+    v = np.asarray(value, dtype=float)
+    bad = v[~(np.isfinite(v) & (v >= 0))]
+    if bad.size:
+        raise ValidationError(f"{name} must be finite and >= 0, got {bad[0]}")
+    return v
+
+
 def require_vector(name: str, value, dim: int | None = None, nonzero: bool = False) -> np.ndarray:
     """Return value as a finite 1-D float array (a scalar is one coordinate) of dim
     entries if dim is given, not all zero if nonzero is set; else raise ValidationError.

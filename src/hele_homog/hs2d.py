@@ -98,14 +98,6 @@ class StripDomain:
 
 
 @dataclass(frozen=True, eq=False)
-class FrontGraph:
-    """Single-valued front depth h_j at every tangential node, at time t."""
-
-    heights: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Simulation data: domain, medium (dim 2), inlet pressure, time horizon.
 
@@ -156,9 +148,6 @@ class SimConfig:
         if "x2" in self.medium._variables and cells < 1 / _THETA:
             raise ValidationError(f"resolution check failure: eps={self.eps} has "
                                   f"{cells:.2f} cells per period in y (need >= 4)")
-
-    def initial_front(self) -> FrontGraph:
-        return FrontGraph(heights=np.full(self.domain.ny, self.h0, dtype=float), t=0.0)
 
     @cached_property
     def _flat_solve(self) -> _Solve:
@@ -541,28 +530,28 @@ def _one_height_velocity(config: SimConfig, heights: np.ndarray, t: float,
     return g * slope, slope, h, config._flat_solve
 
 
-def _advance(state: FrontGraph, config: SimConfig, velocity=_velocity,
+def _advance(h: np.ndarray, t: float, config: SimConfig, velocity=_velocity,
              dt_cap: Optional[float] = None, solved: Sequence[tuple[float, np.ndarray]] = ()
-             ) -> tuple[FrontGraph, float, _Solve]:
-    """The one step: forward Euler h + dt * rate from `state`, as (front, dt,
-    solve), the rate and solve from the `velocity` kernel that simulate picks
-    (its solve started from the `solved` history) and dt from _step_size,
-    capped by dt_cap too."""
-    h = np.asarray(state.heights, dtype=float)
-    rate, slope_max, h_min, solve = velocity(config, h, state.t, solved)
-    dt = _step_size(config, state.t, h_min, slope_max, dt_cap)
-    return FrontGraph(heights=h + dt * rate, t=state.t + dt), dt, solve
+             ) -> tuple[np.ndarray, float, float, _Solve]:
+    """The one step: forward Euler h + dt * rate from the heights h at time
+    t, as (new heights, new t, dt, solve), the rate and solve from the
+    `velocity` kernel that simulate picks (its solve started from the
+    `solved` history) and dt from _step_size, capped by dt_cap too."""
+    rate, slope_max, h_min, solve = velocity(config, h, t, solved)
+    dt = _step_size(config, t, h_min, slope_max, dt_cap)
+    return h + dt * rate, t + dt, dt, solve
 
 
 @dataclass(frozen=True, eq=False)
 class SimHistory:
     """Saved fronts plus per-step pressure ranges and solver work.
 
-    u_min, u_max, iterations and residual (relative, |A u - b| / |b|) hold
-    one entry per saved front after the initial one. iterations is 1 on a
-    flat front (one direct solve: the closed-form planar pressure, solved
-    once per config, so every flat step records the same solve), else
-    the count of the curved solve's GMRES run, whose start
+    heights holds one row of ny front heights per saved time in times, the
+    initial front first. u_min, u_max, iterations and residual (relative,
+    |A u - b| / |b|) hold one entry per saved front after the initial one.
+    iterations is 1 on a flat front (one direct solve: the closed-form
+    planar pressure, solved once per config, so every flat step records the
+    same solve), else the count of the curved solve's GMRES run, whose start
     _curved_pressure forms from the last (up to six) solved pressures of
     the run; the bench's curved job at phase 0.3 takes 163 iterations over
     66 steps, against 441 from the previous pressure alone.
@@ -571,7 +560,7 @@ class SimHistory:
 
     config: SimConfig
     times: np.ndarray
-    fronts: tuple
+    heights: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
     total_steps: int
@@ -579,15 +568,10 @@ class SimHistory:
     residual: np.ndarray
     _skipped: np.ndarray
 
-    @property
-    def final_front(self) -> FrontGraph:
-        return self.fronts[-1]
-
     def mean_depths(self) -> np.ndarray:
-        """Each saved front's mean height: one reduction over the stacked
-        fronts, each row summed along its own contiguous axis as the front's
-        own .mean() sums it, so the values are the same to the bit."""
-        return np.stack([f.heights for f in self.fronts]).mean(axis=1)
+        """Each saved front's mean height, each row summed along its own
+        contiguous axis as the row's own .mean() sums it, to the bit."""
+        return self.heights.mean(axis=1)
 
     def front_speed(self, t_start: float, t_end: float) -> float:
         """Least-squares slope of the mean depth over [t_start, t_end], fit
@@ -604,18 +588,15 @@ class SimHistory:
     def spacetime_points(self, max_slices: int = 60) -> np.ndarray:
         """Front samples as (t, y, h) rows, subsampled to max_slices times."""
         require_integer(1, max_slices=max_slices)
-        count = len(self.fronts)
+        count = len(self.times)
         idx = np.unique(np.linspace(0, count - 1, min(max_slices, count)).astype(int))
         ys = self.config.domain.y_nodes
-        fronts = [self.fronts[i] for i in idx]
-        return np.column_stack([np.repeat([f.t for f in fronts], ys.size),
-                                np.tile(ys, len(fronts)),
-                                np.concatenate([f.heights for f in fronts])])
+        return np.column_stack([np.repeat(self.times[idx], ys.size), np.tile(ys, idx.size),
+                                self.heights[idx].ravel()])
 
     def final_points(self) -> np.ndarray:
         """Final front as (y, h) rows."""
-        f = self.final_front
-        return np.column_stack([self.config.domain.y_nodes, f.heights])
+        return np.column_stack([self.config.domain.y_nodes, self.heights[-1]])
 
 
 def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
@@ -628,30 +609,30 @@ def simulate(config: SimConfig, max_steps: int = 200000) -> SimHistory:
     run both give the same bits, so the history is the same whichever runs.
     """
     require_integer(1, max_steps=max_steps)
-    state = config.initial_front()
+    h, t = np.full(config.domain.ny, config.h0, dtype=float), 0.0
     velocity = _velocity
-    if state.heights.min() == state.heights.max() and "x2" not in config.medium._variables:
+    if h.min() == h.max() and "x2" not in config.medium._variables:
         velocity = _one_height_velocity
-        _check_solve(config, config._flat_solve, state.t)
-    fronts, records, skipped = [state], [], []
+        _check_solve(config, config._flat_solve, t)
+    fronts, times, records, skipped = [h], [t], [], []
     solved = deque(maxlen=_START_GRIDS)  # (t, u) of the last solves
     k = 0
-    while state.t < config.T - _END_TOL:
+    while t < config.T - _END_TOL:
         if k == max_steps:
             raise NumericalError(f"exceeded {max_steps} steps before reaching T: "
-                                 f"at t={state.t:.6g} of T={config.T:.6g}")
-        t = state.t
-        state, _dt, solve = _advance(state, config, velocity, config.T - t, solved)
-        k += 1
+                                 f"at t={t:.6g} of T={config.T:.6g}")
+        h, t_next, _dt, solve = _advance(h, t, config, velocity, config.T - t, solved)
         solved.append((t, solve.u))
-        if k % config.save_every == 0 or state.t >= config.T - _END_TOL:
-            fronts.append(state)
+        t, k = t_next, k + 1
+        if k % config.save_every == 0 or t >= config.T - _END_TOL:
+            fronts.append(h)
+            times.append(t)
             records.append((solve.u_min, solve.u_max, solve.iterations, solve.residual))
         else:
-            skipped.append((state.t, float(state.heights.mean())))
+            skipped.append((t, float(h.mean())))
     u_min, u_max, iterations, residual = map(np.array, zip(*records))
-    return SimHistory(config=config, times=np.array([f.t for f in fronts]),
-                      fronts=tuple(fronts), u_min=u_min, u_max=u_max, total_steps=k,
+    return SimHistory(config=config, times=np.array(times), heights=np.stack(fronts),
+                      u_min=u_min, u_max=u_max, total_steps=k,
                       iterations=iterations, residual=residual,
                       _skipped=np.array(skipped).reshape(-1, 2))
 
@@ -705,24 +686,19 @@ def hausdorff(A, B, period: Optional[float] = None,
     return float(max(to_b.max(), to_a.max()))
 
 
-@dataclass(frozen=True)
-class PairDistance:
-    eps_a: float
-    eps_b: float
-    final_distance: float
-    spacetime_distance: float
-
-
 @dataclass(frozen=True, eq=False)
 class HausdorffReport:
-    """Consecutive-eps front distances and per-run speed estimates."""
+    """Front distances between consecutive eps runs, and each run's speed:
+    final_distances[i] and spacetime_distances[i] compare the runs at
+    eps_list[i] and eps_list[i + 1]."""
 
     eps_list: tuple
-    pairs: tuple
+    final_distances: tuple
+    spacetime_distances: tuple
     speeds: tuple
 
     def distances_decreasing(self) -> bool:
-        d = [p.spacetime_distance for p in self.pairs]
+        d = self.spacetime_distances
         return all(b <= a for a, b in zip(d, d[1:]))
 
 
@@ -745,13 +721,10 @@ def convergence_study(config: SimConfig, eps_list: Sequence[float]) -> Hausdorff
 
     Ly = config.domain.Ly
     speeds = tuple(h.front_speed(0.25 * config.T, config.T) for h in histories)
-    pairs = []
-    for (ea, ha), (eb, hb) in zip(zip(eps_list, histories),
-                                  zip(eps_list[1:], histories[1:])):
-        d_final = hausdorff(ha.final_points(), hb.final_points(),
-                            period=Ly, axis=0)
-        d_st = hausdorff(ha.spacetime_points(_SLICES),
-                         hb.spacetime_points(_SLICES), period=Ly, axis=1)
-        pairs.append(PairDistance(eps_a=ea, eps_b=eb, final_distance=d_final,
-                                  spacetime_distance=d_st))
-    return HausdorffReport(eps_list=eps_list, pairs=tuple(pairs), speeds=speeds)
+    final, spacetime = [], []
+    for a, b in zip(histories, histories[1:]):
+        final.append(hausdorff(a.final_points(), b.final_points(), period=Ly, axis=0))
+        spacetime.append(hausdorff(a.spacetime_points(_SLICES), b.spacetime_points(_SLICES),
+                                   period=Ly, axis=1))
+    return HausdorffReport(eps_list=eps_list, final_distances=tuple(final),
+                           spacetime_distances=tuple(spacetime), speeds=speeds)

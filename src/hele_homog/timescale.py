@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, require_nonnegative, require_positive
+from .errors import (NumericalError, ValidationError, _nonnegative, require_nonnegative,
+                     require_positive)
 
 _INV_E = math.exp(-1.0)
 
@@ -63,10 +64,7 @@ def _rescale(t, c: float, a: float, deriv: bool, closed: bool = False):
     Past the horizon it raises: at and past it when the map is open
     (t_max), beyond it by more than a relative 1e-12 when closed (t_lambda).
     """
-    arr = np.asarray(t, dtype=float)
-    bad = arr[~(np.isfinite(arr) & (arr >= 0))]
-    if bad.size:
-        raise ValidationError(f"t must be finite and >= 0, got {bad[0]}")
+    arr = _nonnegative("t", t)
     end = _horizon(c, a)
     if closed and np.any(arr > end * (1 + 1e-12) + 1e-12):
         raise ValidationError(f"t beyond t_lambda = {end}")

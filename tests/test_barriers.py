@@ -179,6 +179,31 @@ class TestExpandingBarrier:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call(expanding_barrier(n, 1.0, 1.0, 0.5))
 
+    @pytest.mark.parametrize("call", [
+        lambda b: b.rho(1e308), lambda b: b.rho(np.array([1.0, 1e308, 2.0])),
+        lambda b: b.value(1.0, 1e308), lambda b: b.rho_prime(1e308),
+        lambda b: b.front_gradient(1e308), lambda b: check_expanding_fbc(b, 1e308),
+    ], ids=["rho", "rho_array", "value", "rho_prime", "front_gradient", "fbc"])
+    def test_overflowing_time_refused(self, call):
+        # alpha*K*m*t past the float range read rho = inf after a NumPy
+        # overflow warning; it is refused, naming t, with no warning
+        b = expanding_barrier(3, 1.0, 5.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=r"^alpha\*K\*m\*t overflows at t=1e\+308$"):
+                call(b)
+
+    def test_finite_rho_keeps_its_bits(self):
+        # a finite rho is the square root of the same product, alpha*K*m*t
+        # in that order, up to the largest t whose product is finite
+        b = expanding_barrier(3, 1.0, 5.0, 0.5)
+        ts = np.array([0.0, 5e-324, 1e-300, 0.37, 1.0, 1e300, 1e307])
+        want = np.sqrt(b.alpha * b.K * b.m * ts)
+        assert np.isfinite(want).all()
+        assert b.rho(ts).tobytes() == want.tobytes()
+        assert [b.rho(float(t)) for t in ts] == want.tolist()
+
     def test_randomized_residuals(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

@@ -581,6 +581,17 @@ class TestBarrierVerify:
         assert data["alpha"] > 0
         assert abs(data["residual"]) <= 1e-10
 
+    def test_expanding_overflow_exits_one(self):
+        # alpha*K*m*t = 1e309 overflows: one error line naming t, no NumPy
+        # warning and no "rho": Infinity (not valid JSON) with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["barrier", "verify", "--kind", "expanding", "--n", "3", "--m", "1",
+                 "--K", "5", "--A", "0.5", "--t", "1e308"])
+        assert (code, out) == (1, "")
+        assert err == "error: alpha*K*m*t overflows at t=1e+308\n"
+
     def test_contracting_matches_library_radius(self):
         code, out, _ = run_cli(
             ["barrier", "verify", "--kind", "contracting", "--n", "2",
@@ -1101,6 +1112,34 @@ class TestTopLevel:
             code, _, err = run_cli(argv + ["--out", str(out), flag, str(target)])
             assert code == 1 and err.startswith(f"error: cannot write {target}: ")
             assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+    # (exit code, argv) in order: a usage error, --help, a command that
+    # fails, and two runs
+    SHARED_PARSER_RUNS = [
+        (1, ["frobnicate"]),
+        (0, ["--help"]),
+        (1, ["barrier", "verify", "--kind", "expanding", "--n", "3", "--m", "1", "--K", "5",
+             "--A", "0.5", "--t", "1e308"]),
+        (0, ["sim2d", "run", "--medium", "1", "--dim", "2", "--Lx", "4", "--nx", "16",
+             "--ny", "8", "--eps", "0.5", "--T", "0.05"]),
+        (0, ["rq", "curve", "--medium", "builtin:pinning", "--qmin", "0.5", "--qmax", "1",
+             "--samples", "3", "--T", "20"]),
+    ]
+
+    def test_one_parser_serves_every_command_of_a_process(self, tmp_path, monkeypatch):
+        # build_parser builds the parser once per process; each command run
+        # after the others gives the exit code and bytes of a fresh process
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap alike
+        env = dict(os.environ)
+        src = str(pathlib.Path(hele_homog.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for code, argv in self.SHARED_PARSER_RUNS:
+            alone = subprocess.run([sys.executable, "-m", "hele_homog.cli", *argv],
+                                   capture_output=True, text=True, timeout=120, env=env,
+                                   cwd=tmp_path)
+            assert alone.returncode == code, (argv, alone.stderr)
+            assert run_cli(argv) == (code, alone.stdout, alone.stderr), argv
 
     def test_console_script_installed(self, tmp_path):
         module, _, attr = declared_console_script("hele-homog").partition(":")

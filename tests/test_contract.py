@@ -495,10 +495,10 @@ class TestOneStepRule:
         domain = StripDomain(2.0, 1.0, 16, 8)
         h0 = 1.0 + 0.1 * np.cos(2.0 * np.pi * domain.y_nodes) if curved else 1.0
         config = SimConfig(domain=domain, medium=g, eps=eps, psi0=psi0, T=1.0, h0=h0)
-        state = config.initial_front()
-        slope_max = hs2d._velocity(config, state.heights, 0.0)[1]
+        h = np.full(domain.ny, h0, dtype=float)
+        slope_max = hs2d._velocity(config, h, 0.0)[1]
         velocity = hs2d._velocity if curved else hs2d._one_height_velocity
-        dt = hs2d._advance(state, config, velocity)[1]
+        dt = hs2d._advance(h, 0.0, config, velocity)[2]
         peak = _admit(g, 2).M * slope_max
         assert "x1" not in g._variables or dt * peak <= self.THETA * eps
         assert "t" not in g._variables or dt <= self.THETA * eps

@@ -55,7 +55,6 @@ from hele_homog.errors import NumericalError, ValidationError
 from hele_homog.hs2d import (
     _MAX_PRINCIPLE_TOL,
     _RESIDUAL_TOL,
-    FrontGraph,
     SimConfig,
     StripDomain,
     convergence_study,
@@ -174,19 +173,18 @@ class TestValidation:
         assert hist.times.tolist() == [0.0, 2e-12]
 
     def test_initial_front_scalar_fill(self):
-        cfg = basic_config(h0=1.5)
-        f = cfg.initial_front()
-        assert f.t == 0.0
-        np.testing.assert_array_equal(f.heights, np.full(8, 1.5))
+        hist = simulate(basic_config(h0=1.5, T=0.01))
+        assert hist.times[0] == 0.0
+        np.testing.assert_array_equal(hist.heights[0], np.full(8, 1.5))
 
     def test_initial_front_array_passthrough(self):
         h = 1.0 + 0.1 * np.cos(2 * np.pi * np.arange(8) / 8)
-        f = basic_config(h0=h).initial_front()
-        np.testing.assert_allclose(f.heights, h)
+        hist = simulate(basic_config(h0=h, T=0.01))
+        assert hist.heights[0].tobytes() == h.tobytes()
 
     def test_initial_front_wrong_length(self):
         with pytest.raises(ValidationError, match="length-8"):
-            basic_config(h0=np.ones(9)).initial_front()
+            basic_config(h0=np.ones(9))
 
     @pytest.mark.parametrize("h0", [[1 + 1j] * 8, "abc", None, math.nan,
                                     np.array([1.0] * 7 + [math.nan])],
@@ -198,9 +196,9 @@ class TestValidation:
     def test_initial_front_must_leave_margin(self):
         # margin is two reference cells: 2 * Lx / nx = 0.5 here
         with pytest.raises(ValidationError, match="2 grid cells"):
-            basic_config(h0=0.4).initial_front()
+            basic_config(h0=0.4)
         with pytest.raises(ValidationError, match="2 grid cells"):
-            basic_config(h0=3.6).initial_front()
+            basic_config(h0=3.6)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ class TestSquareRootGrowth:
         cfg = SimConfig(domain=dom, medium=constant_medium(), eps=0.5,
                         psi0=1.0, T=1.5, h0=1.0)
         hist = simulate(cfg)
-        h_fin = hist.final_front.heights
+        h_fin = hist.heights[-1]
         assert abs(h_fin.mean() - 2.0) / 2.0 < 5e-3
         # a flat front stays exactly flat: the solve has no y-dependence
         assert np.ptp(h_fin) == 0.0
@@ -231,7 +229,7 @@ class TestSquareRootGrowth:
         errs = []
         for dt in (0.02, 0.01):
             hist = simulate(basic_config(dt=dt))
-            errs.append(abs(hist.final_front.heights.mean() - exact))
+            errs.append(abs(hist.heights[-1].mean() - exact))
         ratio = errs[0] / errs[1]
         assert 1.7 < ratio < 2.3
 
@@ -247,10 +245,10 @@ class TestSquareRootGrowth:
 
     def test_heights_increase_pointwise(self):
         cfg = basic_config()
-        f0 = cfg.initial_front()
-        f1 = hs2d._advance(f0, cfg)[0]
-        assert f1.t > 0
-        assert np.all(f1.heights > f0.heights)
+        h0 = np.full(cfg.domain.ny, cfg.h0)
+        h1, t1 = hs2d._advance(h0, 0.0, cfg)[:2]
+        assert t1 > 0
+        assert np.all(h1 > h0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ class TestSymmetryAndMedia:
         cfg = SimConfig(domain=dom, medium=constant_medium(), eps=0.5,
                         psi0=1.0, T=0.5, h0=h0)
         hist = simulate(cfg)
-        hf = hist.final_front.heights
+        hf = hist.heights[-1]
         reflected = hf[(-np.arange(dom.ny)) % dom.ny]
         assert np.abs(hf - reflected).max() <= 1e-12
 
@@ -278,13 +276,13 @@ class TestSymmetryAndMedia:
         cfg = SimConfig(domain=dom, medium=constant_medium(), eps=0.5,
                         psi0=1.0, T=1.0, h0=h0)
         hist = simulate(cfg)
-        assert np.ptp(hist.final_front.heights) < np.ptp(h0)
+        assert np.ptp(hist.heights[-1]) < np.ptp(h0)
 
     def test_oscillatory_medium_runs_and_respects_pressure_bounds(self):
         cfg = basic_config(medium=builtin_medium("pinning2d"), eps=0.25,
                            psi0=0.8, T=0.5)
         hist = simulate(cfg)
-        assert hist.final_front.heights.mean() > 1.0
+        assert hist.heights[-1].mean() > 1.0
         assert np.all(hist.u_min >= -1e-12)
         assert np.all(hist.u_max <= 0.8 + 1e-12)
 
@@ -309,18 +307,16 @@ class TestErrorPaths:
 
     def test_front_near_inlet_raises(self, velocity=hs2d._velocity):
         cfg = basic_config()
-        low = FrontGraph(heights=np.full(8, 0.01), t=0.0)
         with pytest.raises(NumericalError, match="x = 0"):
-            hs2d._advance(low, cfg, velocity)[0]
+            hs2d._advance(np.full(8, 0.01), 0.0, cfg, velocity)
 
     def test_steep_front_violates_graph_condition(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
-        steep = FrontGraph(heights=2.0 + 0.9 * np.sin(2 * np.pi * dom.y_nodes),
-                           t=0.0)
+        steep = 2.0 + 0.9 * np.sin(2 * np.pi * dom.y_nodes)
         cfg = SimConfig(domain=dom, medium=constant_medium(), eps=0.5,
                         psi0=1.0, T=1.0)
         with pytest.raises(NumericalError, match="graph condition"):
-            hs2d._advance(steep, cfg)[0]
+            hs2d._advance(steep, 0.0, cfg)
 
     def test_step_budget_is_enforced(self):
         with pytest.raises(NumericalError, match="exceeded 3 steps"):
@@ -336,17 +332,16 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("height, wall", [(3.9, "Lx"), (0.01, "0")])
     def test_front_leaving_the_strip_names_t(self, height, wall, velocity=hs2d._velocity):
-        front = FrontGraph(heights=np.full(8, height), t=0.7)
         with pytest.raises(NumericalError, match=rf"front leaves the strip at t=0\.7: "
                                                  rf"heights within 2 grid cells of x = {wall}$"):
-            hs2d._advance(front, basic_config(), velocity)[0]
+            hs2d._advance(np.full(8, height), 0.7, basic_config(), velocity)
 
     def test_graph_condition_names_t(self):
         dom = StripDomain(Lx=4.0, Ly=1.0, nx=16, ny=16)
-        steep = FrontGraph(heights=2.0 + 0.9 * np.sin(2 * np.pi * dom.y_nodes), t=0.7)
+        steep = 2.0 + 0.9 * np.sin(2 * np.pi * dom.y_nodes)
         with pytest.raises(NumericalError,
                            match=r"graph condition violated at t=0\.7: front slope 5\.\d+ > 5$"):
-            hs2d._advance(steep, basic_config(domain=dom))[0]
+            hs2d._advance(steep, 0.7, basic_config(domain=dom))
 
     def test_vanished_slope_estimate_names_t(self, velocity=hs2d._velocity):
         # a zero front gradient leaves no speed to set the CFL step from: the
@@ -356,12 +351,11 @@ class TestErrorPaths:
         cfg.__dict__["_flat_solve"] = solve._replace(uxt=0.0 * solve.uxt)
         with pytest.raises(NumericalError, match=r"front slope estimate vanished at "
                                                  r"t=0\.7; cannot set a step$"):
-            hs2d._advance(FrontGraph(heights=np.full(8, 1.0), t=0.7), cfg, velocity)[0]
+            hs2d._advance(np.full(8, 1.0), 0.7, cfg, velocity)
 
     def test_collapsed_step_names_t(self, velocity=hs2d._velocity):
         with pytest.raises(NumericalError, match=r"step size collapsed to 0\.0 at t=0\.7$"):
-            hs2d._advance(FrontGraph(heights=np.full(8, 1.0), t=0.7), basic_config(),
-                          velocity, 0.0)[0]
+            hs2d._advance(np.full(8, 1.0), 0.7, basic_config(), velocity, 0.0)
 
     @pytest.mark.parametrize("test, args", [
         ("test_front_near_inlet_raises", ()),
@@ -420,20 +414,20 @@ class TestHistory:
     def test_spacetime_points_of_every_front_is_the_full_table(self):
         # sim2d run writes its front CSV from this table
         hist = simulate(basic_config(T=0.5))
-        ys, count = hist.config.domain.y_nodes, len(hist.fronts)
+        ys, count = hist.config.domain.y_nodes, len(hist.times)
+        assert hist.heights.shape == (count, ys.size)
         pts = hist.spacetime_points(count)
         assert pts.shape == (count * ys.size, 3)
         np.testing.assert_array_equal(pts[:, 0], np.repeat(hist.times, ys.size))
         np.testing.assert_array_equal(pts[:, 1], np.tile(ys, count))
-        np.testing.assert_array_equal(pts[:, 2],
-                                      np.concatenate([f.heights for f in hist.fronts]))
+        np.testing.assert_array_equal(pts[:, 2], hist.heights.ravel())
 
     def test_final_points_pairs_nodes_with_heights(self):
         hist = simulate(basic_config(T=0.5))
         pts = hist.final_points()
         assert pts.shape == (8, 2)
         np.testing.assert_allclose(pts[:, 0], hist.config.domain.y_nodes)
-        np.testing.assert_allclose(pts[:, 1], hist.final_front.heights)
+        np.testing.assert_allclose(pts[:, 1], hist.heights[-1])
 
     @pytest.mark.parametrize("ny", [8, 20, 64, 129, 256])
     @pytest.mark.parametrize("curved", [False, True], ids=["flat", "curved"])
@@ -443,17 +437,19 @@ class TestHistory:
         dom = StripDomain(Lx=4.0, Ly=2.0, nx=16, ny=ny)
         h0 = 1.3 + 0.1 * np.sin(np.pi * dom.y_nodes) ** 3 if curved else 1.3
         hist = simulate(basic_config(domain=dom, h0=h0, T=0.05, dt=0.01))
-        assert hist.total_steps >= 5 and (np.ptp(hist.final_front.heights) > 0) == curved
-        want = np.array([f.heights.mean() for f in hist.fronts])
+        assert hist.total_steps >= 5 and (np.ptp(hist.heights[-1]) > 0) == curved
+        want = np.array([heights.mean() for heights in hist.heights])
         assert hist.mean_depths().tobytes() == want.tobytes()
 
     def test_point_tables_are_fresh_arrays(self):
         hist = simulate(basic_config(T=0.2))
-        nodes = hist.config.domain.y_nodes
+        nodes, kept = hist.config.domain.y_nodes, hist.heights.copy()
         for pts in (hist.spacetime_points(), hist.final_points()):
             assert pts.flags.writeable and not np.shares_memory(pts, nodes)
+            assert not np.shares_memory(pts, hist.heights)
             pts[:] = -1.0
         assert np.array_equal(nodes, np.arange(8) * hist.config.domain.dy)
+        assert np.array_equal(hist.heights, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +592,7 @@ class TestHausdorff:
         assert {n for _d, _ref, n in calls} == {20, 1200}
         assert all(d == ref for d, ref, _n in calls)
         assert [d for d, _ref, _n in calls] == [
-            x for p in report.pairs for x in (p.final_distance, p.spacetime_distance)]
+            x for pair in zip(report.final_distances, report.spacetime_distances) for x in pair]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equals_the_dense_formula_on_tie_heavy_grids(self, dim):
@@ -644,11 +640,10 @@ class TestConvergenceStudy:
         # and every pairwise front distance vanishes
         report = convergence_study(self.smoke_config(), [0.8, 0.6, 0.4])
         assert report.eps_list == (0.8, 0.6, 0.4)
-        assert len(report.pairs) == 2
+        assert len(report.final_distances) == len(report.spacetime_distances) == 2
         assert report.distances_decreasing()
-        for pair in report.pairs:
-            assert pair.final_distance <= 1e-12
-            assert pair.spacetime_distance <= 1e-12
+        for d in report.final_distances + report.spacetime_distances:
+            assert d <= 1e-12
         assert max(report.speeds) - min(report.speeds) <= 1e-12
 
     def test_needs_three_eps_values(self):
@@ -675,7 +670,7 @@ class TestConvergenceStudy:
             SimConfig(domain=dom, medium=g, eps=0.1, psi0=0.3, T=0.02, h0=0.5)
         config = SimConfig(domain=dom, medium=g, eps=eps_list[0], psi0=0.3, T=0.02, h0=0.5)
         report = convergence_study(config, eps_list)
-        assert report.eps_list == tuple(eps_list) and len(report.pairs) == 2
+        assert report.eps_list == tuple(eps_list) and len(report.spacetime_distances) == 2
         assert all(math.isfinite(s) and s > 0 for s in report.speeds)
 
     def test_rejects_unresolved_oscillations(self):
@@ -937,28 +932,26 @@ class TestPressureSolver:
                         eps=0.5, psi0=1.0, T=0.05, h0=sine_front(dom, 0.5))
         hist = simulate(cfg)
         assert hist.total_steps > 1 and hist.iterations[0] > 1
-        first = hs2d._advance(cfg.initial_front(), cfg, hs2d._velocity, cfg.T)[0]
-        assert first.t == hist.times[1]
-        assert np.array_equal(first.heights, hist.fronts[1].heights)
+        h, t = hs2d._advance(np.full(dom.ny, cfg.h0), 0.0, cfg, hs2d._velocity, cfg.T)[:2]
+        assert t == hist.times[1]
+        assert np.array_equal(h, hist.heights[1])
 
     def test_gmres_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(hs2d, "_GMRES_RESTART", 2)
         monkeypatch.setattr(hs2d, "_GMRES_CYCLES", 1)
         cfg = basic_config()
-        front = FrontGraph(heights=sine_front(cfg.domain, 0.5), t=0.25)
         with pytest.raises(NumericalError,
                            match=r"did not converge at t=0\.25: 2 GMRES "
                                  r"iterations, relative residual"):
-            hs2d._advance(front, cfg)[0]
+            hs2d._advance(sine_front(cfg.domain, 0.5), 0.25, cfg)
 
     def test_large_recomputed_residual_raises(self, monkeypatch):
         monkeypatch.setattr(hs2d, "_RESIDUAL_TOL", 1e-300)
         cfg = basic_config()
-        front = FrontGraph(heights=sine_front(cfg.domain, 0.5), t=0.25)
         with pytest.raises(NumericalError,
                            match=r"large residual at t=0\.25: \d+ GMRES "
                                  r"iterations, relative residual"):
-            hs2d._advance(front, cfg)[0]
+            hs2d._advance(sine_front(cfg.domain, 0.5), 0.25, cfg)
 
     def test_non_finite_solution_raises(self, monkeypatch):
         curved = hs2d._curved_pressure
@@ -1044,11 +1037,10 @@ class TestFlatPressure:
     def test_residual_check_runs_on_a_flat_step(self, monkeypatch):
         monkeypatch.setattr(hs2d, "_RESIDUAL_TOL", 1e-300)
         cfg = basic_config(psi0=0.7)
-        front = FrontGraph(heights=np.full(cfg.domain.ny, 1.0), t=0.25)
         with pytest.raises(NumericalError,
                            match=r"large residual at t=0\.25: 1 GMRES iterations, "
                                  r"relative residual [1-9]"):
-            hs2d._advance(front, cfg)[0]
+            hs2d._advance(np.full(cfg.domain.ny, 1.0), 0.25, cfg)
         # a run on one height checks the kept solve once, before its first step
         with pytest.raises(NumericalError, match=r"large residual at t=0: 1 GMRES"):
             simulate(cfg)
@@ -1076,7 +1068,7 @@ class TestFlatPressure:
         cfg = basic_config()
         with pytest.raises(NumericalError,
                            match=r"maximum principle violated at t=0\.25"):
-            hs2d._advance(FrontGraph(heights=np.full(cfg.domain.ny, 1.0), t=0.25), cfg)[0]
+            hs2d._advance(np.full(cfg.domain.ny, 1.0), 0.25, cfg)
         with pytest.raises(NumericalError, match=r"maximum principle violated at t=0:"):
             simulate(cfg)
 
@@ -1093,7 +1085,7 @@ class TestFlatPressure:
             t = hist.times[k]
             g = float(eval_scaled(medium, cfg.eps, np.array([[h, 0.0]]), t)[0])
             h += dt * g * cfg.psi0 / h
-            heights = hist.fronts[k + 1].heights
+            heights = hist.heights[k + 1]
             assert np.ptp(heights) == 0.0
             assert abs(heights[0] - h) <= 1e-12
 
@@ -1308,13 +1300,12 @@ class TestExtrapolatedStart:
         extrapolated = simulate(cfg)
         advance = hs2d._advance
         monkeypatch.setattr(hs2d, "_advance",
-                            lambda state, config, velocity, dt_cap, solved:
-                            advance(state, config, velocity, dt_cap))
+                            lambda h, t, config, velocity, dt_cap, solved:
+                            advance(h, t, config, velocity, dt_cap))
         plain = simulate(cfg)
         assert extrapolated.total_steps == plain.total_steps > 2 * hs2d._START_GRIDS
         assert np.abs(extrapolated.times - plain.times).max() <= 1e-10
-        for a, b in zip(extrapolated.fronts, plain.fronts):
-            assert np.abs(a.heights - b.heights).max() <= 1e-10
+        assert np.abs(extrapolated.heights - plain.heights).max() <= 1e-10
 
     def test_flat_run_never_extrapolates(self, monkeypatch):
         def no_extrapolation(*args):
@@ -1490,9 +1481,9 @@ class TestSolveWorkspaces:
         advance = hs2d._advance
 
         def spy(*args):
-            state, dt, solve = advance(*args)
+            h, t, dt, solve = advance(*args)
             made.append((solve.u, solve.u.copy()))
-            return state, dt, solve
+            return h, t, dt, solve
 
         monkeypatch.setattr(hs2d, "_advance", spy)
         hist = simulate(self.curved_config(StripDomain(Lx=4.0, Ly=1.0, nx=32, ny=16), 0.3))
@@ -1530,10 +1521,9 @@ class TestSolveWorkspaces:
         for a, b in zip(sequential, threaded):
             assert a.total_steps == b.total_steps > 10
             assert same_bits(a.times, b.times)
-            assert all(same_bits(f.heights, g.heights) for f, g in zip(a.fronts, b.fronts))
-            for key in ("u_min", "u_max", "iterations", "residual", "_skipped"):
+            for key in ("heights", "u_min", "u_max", "iterations", "residual", "_skipped"):
                 assert same_bits(getattr(a, key), getattr(b, key))
-        finals = {f.final_front.heights.tobytes() for f in sequential}
+        finals = {f.heights[-1].tobytes() for f in sequential}
         assert len(finals) == len(sequential)
 
 
@@ -1581,8 +1571,8 @@ class TestCurvedFrontYardstick:
             dom, h, grad_exact, hp_exact = _exact_front(n)
             cfg = SimConfig(domain=dom, medium=constant_medium(), eps=1.0,
                             psi0=_MMS["psi0"], T=1.0, h0=h)
-            new, dt, _solve = hs2d._advance(FrontGraph(heights=h, t=0.0), cfg)
-            rate = (new.heights - h) / dt
+            new, _t, dt, _solve = hs2d._advance(h, 0.0, cfg)
+            rate = (new - h) / dt
             errors.append(float(np.abs(rate - grad_exact * np.sqrt(1.0 + hp_exact ** 2)).max()))
         assert errors[0] < 1e-2
         assert min(self._orders(errors)) >= 1.8
@@ -1594,11 +1584,10 @@ class TestMaximumPrinciple:
         # about -1.5e-3
         dom = SOLVER_GRIDS[3]
         cfg = basic_config(domain=dom, psi0=0.7)
-        front = FrontGraph(heights=sine_front(dom, 4.4), t=0.3)
         with pytest.raises(NumericalError,
                            match=r"maximum principle violated at t=0\.3: u in "
                                  r"\[-0\.00152535, 0\.7\] leaves .* by 0\.00153"):
-            hs2d._advance(front, cfg)[0]
+            hs2d._advance(sine_front(dom, 4.4), 0.3, cfg)
 
 
 class TestNonFiniteInputs:
@@ -1607,7 +1596,7 @@ class TestNonFiniteInputs:
         heights = np.full(8, 1.0)
         heights[nan_at] = np.nan
         with pytest.raises(NumericalError, match="heights are not finite at t=0.3"):
-            hs2d._advance(FrontGraph(heights=heights, t=0.3), cfg, velocity)[0]
+            hs2d._advance(heights, 0.3, cfg, velocity)
 
     def test_one_height_step_fails_alike(self):
         # the one-height kernel reads a flat front: one of NaN
@@ -1640,8 +1629,9 @@ class TestNonFiniteInputs:
 # ---------------------------------------------------------------------------
 
 # The stepper before _velocity was split out of _advance and _solve_pressure
-# was folded into it, kept verbatim but for the two function names: the
-# reference that simulate is held to, bit for bit.
+# was folded into it, kept verbatim but for the two function names and the
+# plain (h, t) state in place of a front record: the reference that
+# simulate is held to, bit for bit.
 
 
 def reference_solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
@@ -1686,41 +1676,43 @@ def reference_solve_pressure(domain: StripDomain, h: np.ndarray, hp: np.ndarray,
     return u, grad, iterations, residual
 
 
-def reference_advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[float] = None,
+def reference_advance(h: np.ndarray, t: float, config: SimConfig,
+                      dt_cap: Optional[float] = None,
                       solved: Sequence[tuple[float, np.ndarray]] = ()
-                      ) -> tuple[FrontGraph, dict]:
-    """One explicit step from `state`, its pressure solve started from the
-    `solved` history as _curved_pressure says; info holds dt, the pressure
-    range, the solve's iterations and residual, and the pressure grid ("u")
-    that later steps add to their history."""
+                      ) -> tuple[np.ndarray, float, dict]:
+    """One explicit step from the heights h at time t, its pressure solve
+    started from the `solved` history as _curved_pressure says, as (new
+    heights, new t, info); info holds dt, the pressure range, the solve's
+    iterations and residual, and the pressure grid ("u") that later steps
+    add to their history."""
     domain = config.domain
-    h = np.asarray(state.heights, dtype=float)
+    h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
-        raise NumericalError(f"front heights are not finite at t={state.t:.6g}")
+        raise NumericalError(f"front heights are not finite at t={t:.6g}")
     margin = 2.0 * domain.dx_ref
     for wall, bad in (("Lx", h >= domain.Lx - margin), ("0", h <= margin)):
         if np.any(bad):
-            raise NumericalError(f"front leaves the strip at t={state.t:.6g}: "
+            raise NumericalError(f"front leaves the strip at t={t:.6g}: "
                                  f"heights within 2 grid cells of x = {wall}")
     hp, hpp = _front_derivatives(h, domain.dy)
     if np.abs(hp).max() > 5.0:
-        raise NumericalError(f"graph condition violated at t={state.t:.6g}: "
+        raise NumericalError(f"graph condition violated at t={t:.6g}: "
                              f"front slope {np.abs(hp).max():.3g} > 5")
 
     u, grad, iterations, residual = reference_solve_pressure(
-        domain, h, hp, hpp, config.psi0, state.t, solved)
+        domain, h, hp, hpp, config.psi0, t, solved)
     u_min, u_max = float(u.min()), float(u.max())
     excess = max(-u_min, u_max - config.psi0)
     if not excess <= _MAX_PRINCIPLE_TOL:
         raise NumericalError(
-            f"discrete maximum principle violated at t={state.t:.6g}: u in "
+            f"discrete maximum principle violated at t={t:.6g}: u in "
             f"[{u_min:.6g}, {u_max:.6g}] leaves [0, psi0 = {config.psi0:.6g}] "
             f"by {excess:.3g}")
     points = np.stack([h, domain.y_nodes], axis=-1)
-    g = np.asarray(eval_scaled(config.medium, config.eps, points, state.t))
+    g = np.asarray(eval_scaled(config.medium, config.eps, points, t))
     if not np.all(np.isfinite(g)):
         raise NumericalError(
-            f"medium g is not finite at the front at t={state.t:.6g}")
+            f"medium g is not finite at the front at t={t:.6g}")
     slope = grad * np.sqrt(1.0 + hp ** 2)  # dh/dt = V * sqrt(1 + h_y^2)
     rate = g * slope
 
@@ -1728,30 +1720,29 @@ def reference_advance(state: FrontGraph, config: SimConfig, dt_cap: Optional[flo
     peak = _admit(config.medium, 2).M * float(slope.max())
     if not peak > 0:
         raise NumericalError(
-            f"front slope estimate vanished at t={state.t:.6g}; cannot set a step")
+            f"front slope estimate vanished at t={t:.6g}; cannot set a step")
     dt = config.cfl * spacing / peak
     if config.dt is not None:
         dt = min(dt, config.dt)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     if not dt > 0:
-        raise NumericalError(f"step size collapsed to {dt} at t={state.t:.6g}")
+        raise NumericalError(f"step size collapsed to {dt} at t={t:.6g}")
 
-    new = FrontGraph(heights=h + dt * rate, t=state.t + dt)
     info = {"dt": dt, "u_min": u_min, "u_max": u_max,
             "iterations": iterations, "residual": residual, "u": u}
-    return new, info
+    return h + dt * rate, t + dt, info
 
 
 def six_grid_history(cfg, steps=6):
-    """The front after `steps` steps of a run of cfg and the (t, u) pressure
-    history that simulate would hand the next step."""
-    state, solved = cfg.initial_front(), []
+    """The heights and time after `steps` steps of a run of cfg and the
+    (t, u) pressure history that simulate would hand the next step."""
+    h, t, solved = np.full(cfg.domain.ny, cfg.h0, dtype=float), 0.0, []
     for _ in range(steps):
-        new, _dt, solve = hs2d._advance(state, cfg, hs2d._velocity, None, solved)
-        solved.append((state.t, solve.u))
-        state = new
-    return state, solved
+        new, t_next, _dt, solve = hs2d._advance(h, t, cfg, hs2d._velocity, None, solved)
+        solved.append((t, solve.u))
+        h, t = new, t_next
+    return h, t, solved
 
 
 def flat_velocity_config():
@@ -1772,12 +1763,11 @@ class TestVelocity:
                              ids=["flat", "curved"])
     def test_has_no_side_effects(self, make):
         cfg = make()
-        state, solved = six_grid_history(cfg)
+        h, t_now, solved = six_grid_history(cfg)
         assert len(solved) == hs2d._START_GRIDS
-        h = state.heights
         kept_h, kept = h.copy(), [(t, u.copy()) for t, u in solved]
-        first = hs2d._velocity(cfg, h, state.t, solved)
-        second = hs2d._velocity(cfg, h, state.t, solved)
+        first = hs2d._velocity(cfg, h, t_now, solved)
+        second = hs2d._velocity(cfg, h, t_now, solved)
         for a, b in ((first[0], second[0]), (first[1], second[1]), (first[2], second[2]),
                      (first[3].u, second[3].u)):
             assert np.array_equal(a, b)
@@ -1844,7 +1834,7 @@ def test_one_medium_evaluation_per_step(name, monkeypatch):
     hist = simulate(REFERENCE_RUNS[name]())
     points = {"pinning_128x8": 1, "curved_phase_0.3": 64, "pinning_sine_front": 16}[name]
     assert hist.total_steps > 60 and len(calls) == hist.total_steps
-    assert calls == [(f.t, points) for f in hist.fronts[:-1]]
+    assert calls == [(t, points) for t in hist.times[:-1]]
 
 
 @pytest.mark.parametrize("src, caps", [("sin(pi*(x - t))^2 + 1", "xt"),
@@ -1860,7 +1850,7 @@ def test_eps_caps_follow_the_variables_g_uses(src, caps):
     bounds += [eps / 4 / peak] if "x" in caps else []
     bounds += [eps / 4] if "t" in caps else []
     for velocity in (hs2d._velocity, hs2d._one_height_velocity):
-        assert hs2d._advance(cfg.initial_front(), cfg, velocity)[1] == min(bounds)
+        assert hs2d._advance(np.full(cfg.domain.ny, h0), 0.0, cfg, velocity)[2] == min(bounds)
 
 
 @pytest.mark.parametrize("name", [*(name for name in REFERENCE_RUNS if "_ny" in name),
@@ -1883,10 +1873,8 @@ def test_one_height_step_equals_the_general_step(name, monkeypatch):
     general = simulate(cfg)
     assert fast.total_steps == general.total_steps
     assert np.array_equal(fast.times, general.times)
-    assert len(fast.fronts) == len(general.fronts)
-    for a, b in zip(fast.fronts, general.fronts):
-        assert a.t == b.t and np.array_equal(a.heights, b.heights)
-        assert np.ptp(a.heights) == 0.0
+    assert np.array_equal(fast.heights, general.heights)
+    assert np.all(np.ptp(fast.heights, axis=1) == 0.0)
     for key in ("u_min", "u_max", "iterations", "residual", "_skipped"):
         assert np.array_equal(getattr(fast, key), getattr(general, key))
     assert fast.iterations.dtype == general.iterations.dtype
@@ -1897,25 +1885,39 @@ def test_one_height_step_equals_the_general_step(name, monkeypatch):
 
 
 def test_advance_is_the_only_update():
-    # one explicit step: _step_size is named in _advance alone, and a
-    # FrontGraph is built only there and in SimConfig.initial_front, so a
-    # multi-stage update changes _advance alone
+    # one explicit step: _step_size is named in _advance alone, and so is
+    # every sum that adds a step (dt, or simulate's unused _dt) or a step
+    # times a rate (h + dt * rate, t + dt), so a multi-stage update changes
+    # _advance alone
     tree = ast.parse(pathlib.Path(hs2d.__file__).read_text())
-    found = {"_step_size": set(), "FrontGraph": set()}
+    found = {"_step_size": set(), "+ dt": set()}
+
+    def adds_dt(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            terms = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            terms = [node.value]
+        else:
+            return False
+        terms += [f for term in terms if isinstance(term, ast.BinOp)
+                  and isinstance(term.op, ast.Mult) for f in (term.left, term.right)]
+        return any(isinstance(term, ast.Name) and term.id.lstrip("_") == "dt"
+                   for term in terms)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Name) and child.id == "_step_size":
                 found["_step_size"].add(scope)
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "FrontGraph"):
-                found["FrontGraph"].add(scope)
+            if adds_dt(child):
+                found["+ dt"].add(scope)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
 
     visit(tree, "")
-    assert found == {"_step_size": {"_advance"},
-                     "FrontGraph": {"_advance", "SimConfig.initial_front"}}
+    assert found == {"_step_size": {"_advance"}, "+ dt": {"_advance"}}
+    advance = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_advance")
+    assert {"h + dt * rate", "t + dt"} <= {ast.unparse(node) for node in ast.walk(advance)}
 
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
@@ -1924,13 +1926,13 @@ def test_simulate_equals_the_reference_stepper(name):
     # same bits at every step as simulate's _advance -> _velocity
     cfg = REFERENCE_RUNS[name]()
     hist = simulate(cfg)
-    state, solved = cfg.initial_front(), []
+    h, t, solved = np.full(cfg.domain.ny, cfg.h0, dtype=float), 0.0, []
     for k in range(hist.total_steps):
-        t = state.t
-        state, info = reference_advance(state, cfg, cfg.T - t, solved)
+        h, t_next, info = reference_advance(h, t, cfg, cfg.T - t, solved)
         solved = (solved + [(t, info["u"])])[-hs2d._START_GRIDS:]
-        assert state.t == hist.times[k + 1]
-        assert np.array_equal(state.heights, hist.fronts[k + 1].heights)
+        t = t_next
+        assert t == hist.times[k + 1]
+        assert np.array_equal(h, hist.heights[k + 1])
         for key in ("u_min", "u_max", "iterations", "residual"):
             assert info[key] == getattr(hist, key)[k]
     assert len(hist.times) == hist.total_steps + 1
@@ -1984,6 +1986,6 @@ def test_curved_solves_keep_their_bits(name, monkeypatch):
 
     monkeypatch.setattr(hs2d, "_curved_pressure", spy)
     hist = simulate(make())
-    digest.update(hist.final_front.heights.tobytes())
+    digest.update(hist.heights[-1].tobytes())
     assert len(solves) >= 10 and sum(solves) > len(solves)
     assert digest.hexdigest() == expected
